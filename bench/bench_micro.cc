@@ -21,7 +21,6 @@
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/dynamic_core.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
@@ -196,9 +195,11 @@ void BM_TriangleCorePeel_Recompute(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleCorePeel_Recompute)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Peel-phase split: both peel benches pre-force the context's support cache
-// so the loop times *only* the peel (the support phase is measured by the
-// BM_SupportCount_* family above).
+// Peel-phase split. BM_Peel_Serial pre-forces the context's support cache
+// and times only the recompute-mode peel (the support phase is measured by
+// the BM_SupportCount_* family above). BM_Peel_Index times what the default
+// store mode adds on top of the supports: the triangle-partner index fill at
+// `threads`, then the bucket peel over it.
 void BM_Peel_Serial(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   AnalysisContext ctx(g, /*threads=*/1);
@@ -212,23 +213,25 @@ void BM_Peel_Serial(benchmark::State& state) {
 }
 BENCHMARK(BM_Peel_Serial)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_Peel_RoundSync(benchmark::State& state) {
+void BM_Peel_Index(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  AnalysisContext ctx(g, threads);
-  ctx.Supports();
+  const auto csr = std::make_shared<const CsrGraph>(g);
   for (auto _ : state) {
-    auto r = ComputeTriangleCoresParallel(ctx);
+    state.PauseTiming();
+    AnalysisContext ctx(csr, threads);
+    ctx.Supports();
+    state.ResumeTiming();
+    auto r = ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
     benchmark::DoNotOptimize(r.max_kappa);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(g.NumEdges()));
 }
-BENCHMARK(BM_Peel_RoundSync)
-    ->Args({1000, 4})
-    ->Args({10000, 4})
+BENCHMARK(BM_Peel_Index)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
     ->Args({50000, 1})
-    ->Args({50000, 2})
     ->Args({50000, 4});
 
 void BM_DynamicInsertDelete(benchmark::State& state) {

@@ -14,7 +14,6 @@
 #include "tkc/baselines/csv.h"
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/analysis_context.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 
 namespace tkc::bench {
@@ -54,8 +53,8 @@ int Run(int argc, char** argv) {
 
     // Phase split on the shared CSR read path: support pass in both
     // enumeration modes (full adjacency vs oriented out-lists), then the
-    // peel alone — serial bucket queue vs round-synchronous parallel —
-    // against the context's pre-forced support cache.
+    // peel against the context's pre-forced support cache — recompute mode
+    // vs the default index mode (index fill at cfg.threads + peel).
     AnalysisContext ctx(g, cfg.threads);
     t.Restart();
     auto support_full = ComputeEdgeSupportsFullScan(ctx.csr());
@@ -65,17 +64,18 @@ int Run(int argc, char** argv) {
     const double support_oriented_s = t.Seconds();
     ctx.Supports();
     t.Restart();
-    TriangleCoreResult serial_peel = ComputeTriangleCores(ctx);
-    const double peel_serial_s = t.Seconds();
+    TriangleCoreResult recompute_peel =
+        ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+    const double peel_recompute_s = t.Seconds();
     t.Restart();
-    TriangleCoreResult parallel_peel = ComputeTriangleCoresParallel(ctx);
-    const double peel_parallel_s = t.Seconds();
+    TriangleCoreResult index_peel = ComputeTriangleCores(ctx);
+    const double peel_index_s = t.Seconds();
 
     std::string bitridn_s = "skipped", tridn_s = "skipped",
                 csv_s = "skipped";
     bool values_match = support_full == support_oriented &&
-                        serial_peel.kappa == parallel_peel.kappa &&
-                        serial_peel.kappa == cores.kappa;
+                        recompute_peel.kappa == index_peel.kappa &&
+                        index_peel.kappa == cores.kappa;
     tkc::obs::JsonValue row = tkc::obs::JsonValue::Object();
     row.Set("dataset", spec.name)
         .Set("vertices", g.NumVertices())
@@ -84,8 +84,8 @@ int Run(int argc, char** argv) {
         .Set("tkc_seconds", tkc_s)
         .Set("support_full_seconds", support_full_s)
         .Set("support_oriented_seconds", support_oriented_s)
-        .Set("peel_serial_seconds", peel_serial_s)
-        .Set("peel_parallel_seconds", peel_parallel_s)
+        .Set("peel_recompute_seconds", peel_recompute_s)
+        .Set("peel_index_seconds", peel_index_s)
         .Set("peel_threads", ctx.threads());
     if (edges <= kBiTriDnMaxEdges) {
       t.Restart();
@@ -125,11 +125,11 @@ int Run(int argc, char** argv) {
                FmtCount(cores.triangle_count), Fmt(tkc_s), bitridn_s,
                tridn_s, csv_s});
     std::printf(
-        "  phases: support full=%s oriented=%s | peel serial=%s "
-        "parallel(t%d)=%s\n",
+        "  phases: support full=%s oriented=%s | peel recompute=%s "
+        "index(t%d)=%s\n",
         Fmt(support_full_s).c_str(), Fmt(support_oriented_s).c_str(),
-        Fmt(peel_serial_s).c_str(), ctx.threads(),
-        Fmt(peel_parallel_s).c_str());
+        Fmt(peel_recompute_s).c_str(), ctx.threads(),
+        Fmt(peel_index_s).c_str());
     if (!values_match) {
       std::printf("  !! kernel/baseline outputs disagreed with kappa on %s\n",
                   spec.name.c_str());

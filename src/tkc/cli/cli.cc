@@ -1,6 +1,7 @@
 #include "tkc/cli/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -15,7 +16,6 @@
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/hierarchy.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/engine/engine.h"
 #include "tkc/gen/generators.h"
@@ -204,11 +204,19 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
   return src;
 }
 
+// Output buffer size at which `decompose` flushes its formatted rows.
+constexpr size_t kRowBufferBytes = size_t{1} << 20;
+
 int CmdDecompose(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
-  TriangleStorageMode mode = args.Flag("mode", "recompute") == "store"
-                                 ? TriangleStorageMode::kStoreTriangles
-                                 : TriangleStorageMode::kRecomputeTriangles;
+  const std::string mode_text = args.Flag("mode", "store");
+  if (mode_text != "store" && mode_text != "recompute") {
+    err << "error: --mode must be 'store' or 'recompute'\n";
+    return 2;
+  }
+  const TriangleStorageMode mode =
+      mode_text == "store" ? TriangleStorageMode::kStoreTriangles
+                           : TriangleStorageMode::kRecomputeTriangles;
   const std::string relabel_text = args.Flag("relabel", "none");
   if (relabel_text != "none" && relabel_text != "degree") {
     err << "error: unknown --relabel '" << relabel_text << "'\n";
@@ -243,27 +251,46 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   } else {
     ctx.emplace(*src->graph);
   }
-  // With more than one worker, peel with the round-synchronous parallel
-  // formulation — κ output is bit-identical to the serial bucket peel.
-  const bool parallel = ctx->threads() > 1;
-  TriangleCoreResult r = parallel ? ComputeTriangleCoresParallel(*ctx)
-                                  : ComputeTriangleCores(*ctx, mode);
+  // The frozen snapshot is all the decomposition reads; the Graph's memory
+  // goes to the triangle index instead.
+  src->graph.reset();
+  TriangleCoreResult r = ComputeTriangleCores(*ctx, mode);
   double seconds = t.Seconds();
+  const CsrGraph& csr = ctx->csr();
   obs::Logger::Global().Info("decompose.done",
-                             {{"edges", ctx->csr().NumEdges()},
+                             {{"edges", csr.NumEdges()},
                               {"triangles", r.triangle_count},
                               {"max_kappa", r.max_kappa},
-                              {"peel", parallel ? "parallel" : "serial"},
+                              {"peel", mode_text == "store" ? "index"
+                                                            : "recompute"},
                               {"relabel", relabel_text},
                               {"seconds", seconds}});
+  TKC_SPAN("output");
   out << "# u v kappa co_clique_size\n";
-  ctx->csr().ForEachEdge([&](EdgeId e, const Edge&) {
-    const Edge oe = ctx->csr().OriginalEdge(e);
-    out << oe.u << ' ' << oe.v << ' ' << r.kappa[e] << ' '
-        << r.CocliqueSize(e) << '\n';
+  // Rows are formatted with to_chars into a buffer flushed in ~1 MB
+  // writes: the same bytes as `out << ...`, without per-field stream
+  // overhead. A row is at most 4 × 10 digits + 4 separators.
+  std::vector<char> buf(kRowBufferBytes + 64);
+  char* const begin = buf.data();
+  char* const limit = begin + kRowBufferBytes;
+  char* p = begin;
+  auto put = [&p](uint32_t value, char sep) {
+    p = std::to_chars(p, p + 10, value).ptr;
+    *p++ = sep;
+  };
+  csr.ForEachEdge([&](EdgeId e, const Edge&) {
+    const Edge oe = csr.OriginalEdge(e);
+    put(oe.u, ' ');
+    put(oe.v, ' ');
+    put(r.kappa[e], ' ');
+    put(r.CocliqueSize(e), '\n');
+    if (p >= limit) {
+      out.write(begin, p - begin);
+      p = begin;
+    }
   });
-  out << "# edges=" << ctx->csr().NumEdges()
-      << " triangles=" << r.triangle_count
+  out.write(begin, p - begin);
+  out << "# edges=" << csr.NumEdges() << " triangles=" << r.triangle_count
       << " max_kappa=" << r.max_kappa << " seconds=" << seconds << '\n';
   return 0;
 }
@@ -417,12 +444,19 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (!src) return 2;
   auto events = LoadEvents(args.positional[2], err, IngestThreads(args));
   if (!events) return 2;
-  DynamicTriangleCore dyn(*src->graph);
+  // The maintainer takes the parsed graph over instead of copying it, so
+  // the initial decomposition's CSR and triangle index are the only extra
+  // copies alive next to it.
+  DynamicTriangleCore dyn(std::move(*src->graph));
+  src->graph.reset();
   Timer t;
   UpdateStats stats = dyn.ApplyEvents(*events);
   double update_s = t.Seconds();
   t.Restart();
-  TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
+  // The check runs the O(|E|)-memory recompute peel: it needs κ once, and
+  // it then takes a different path from the index peel that seeded `dyn`.
+  TriangleCoreResult fresh = ComputeTriangleCores(
+      dyn.graph(), TriangleStorageMode::kRecomputeTriangles);
   double recompute_s = t.Seconds();
   bool match = true;
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
@@ -819,7 +853,7 @@ void PrintUsage(std::ostream& err) {
   err << "usage: tkc <command> ... [--log-level=L] [--metrics-out=FILE]\n"
          "                         [--trace-out=FILE] [--threads=N]\n"
          "                         [--kernel=K] [--ingest-threads=N]\n"
-         "  decompose <edges.txt> [--mode=store|recompute]\n"
+         "  decompose <edges.txt> [--mode=store|recompute] (default store)\n"
          "            [--relabel=none|degree] [--graph-cache=FILE]\n"
          "  kcore     <edges.txt> [--graph-cache=FILE]\n"
          "  stats     <edges.txt> [--graph-cache=FILE]\n"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/perf_counters.h"
 #include "tkc/obs/trace.h"
@@ -54,18 +55,19 @@ const std::vector<uint32_t>& AnalysisContext::Supports() const {
   return *supports_;
 }
 
-const std::vector<Triangle>& AnalysisContext::Triangles() const {
+const TrianglePartnerIndex& AnalysisContext::TriangleIndex() const {
+  const std::vector<uint32_t>& support = Supports();
   MutexLock lock(mu_);
-  if (!triangles_.has_value()) {
-    TKC_SPAN("triangle_materialize");
-    obs::MetricsRegistry::Global()
-        .GetCounter("analysis.triangle_materializations")
-        .Add(1);
-    triangles_.emplace();
-    ForEachTriangle(*csr_,
-                    [&](const Triangle& t) { triangles_->push_back(t); });
+  if (!triangle_index_.has_value()) {
+    TKC_SPAN("triangle_index");
+    auto& registry = obs::MetricsRegistry::Global();
+    registry.GetCounter("analysis.triangle_index_builds").Add(1);
+    triangle_index_ = TrianglePartnerIndex::Build(*csr_, support, threads_);
+    registry.GetGauge("mem.triangle_index_bytes")
+        .Set(static_cast<double>(triangle_index_->Bytes()));
+    TKC_SPAN_COUNTER("partner_entries", triangle_index_->NumEntries());
   }
-  return *triangles_;
+  return *triangle_index_;
 }
 
 uint64_t AnalysisContext::TriangleCount() const {

@@ -6,19 +6,19 @@
 #include <optional>
 #include <vector>
 
+#include "tkc/core/triangle_index.h"
 #include "tkc/graph/csr.h"
 #include "tkc/graph/graph.h"
-#include "tkc/graph/triangle.h"
 #include "tkc/util/thread_annotations.h"
 
 namespace tkc {
 
 /// The unified read path for every static analysis: a frozen CsrGraph
 /// snapshot plus the derived data the algorithms share — the per-edge
-/// triangle-support array and (on demand) the materialized triangle list.
-/// Both are computed lazily, at most once per context, by the parallel
-/// support kernel; the `analysis.support_computations` /
-/// `analysis.triangle_materializations` counters make "computed once"
+/// triangle-support array and (on demand) the triangle-partner index the
+/// peel reads. Both are computed lazily, at most once per context, by the
+/// parallel oriented enumeration; the `analysis.support_computations` /
+/// `analysis.triangle_index_builds` counters make "computed once"
 /// checkable in tests.
 ///
 /// EdgeIds are inherited from the source Graph unchanged, so κ/order/support
@@ -54,8 +54,10 @@ class AnalysisContext {
   /// Computed on first use by the shared parallel kernel, then cached.
   const std::vector<uint32_t>& Supports() const;
 
-  /// All triangles, in ForEachTriangle order. Materialized on first use.
-  const std::vector<Triangle>& Triangles() const;
+  /// The edge → triangle-partner index (forces Supports(), which sizes
+  /// it). Built on first use by the parallel oriented enumeration, then
+  /// cached; identical for every thread count.
+  const TrianglePartnerIndex& TriangleIndex() const;
 
   /// Total triangle count (= sum of supports / 3); forces Supports().
   uint64_t TriangleCount() const;
@@ -68,13 +70,14 @@ class AnalysisContext {
   std::shared_ptr<const CsrGraph> csr_;
   int threads_;
   // Lazy caches: filled at most once, under mu_. The references Supports()
-  // and Triangles() return outlive the critical section on purpose — once
-  // a cache is filled it is never mutated again, so post-initialization
-  // readers need no lock (the fill happens-before the return that handed
-  // them the reference).
+  // and TriangleIndex() return outlive the critical section on purpose —
+  // once a cache is filled it is never mutated again, so
+  // post-initialization readers need no lock (the fill happens-before the
+  // return that handed them the reference).
   mutable Mutex mu_;
   mutable std::optional<std::vector<uint32_t>> supports_ TKC_GUARDED_BY(mu_);
-  mutable std::optional<std::vector<Triangle>> triangles_ TKC_GUARDED_BY(mu_);
+  mutable std::optional<TrianglePartnerIndex> triangle_index_
+      TKC_GUARDED_BY(mu_);
   mutable uint64_t triangle_count_ TKC_GUARDED_BY(mu_) = 0;
   mutable uint32_t max_support_ TKC_GUARDED_BY(mu_) = 0;
 };

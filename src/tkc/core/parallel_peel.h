@@ -8,31 +8,14 @@ namespace tkc {
 
 class AnalysisContext;
 
-/// Round-synchronous parallel formulation of Algorithm 1 (the PKT scheme
-/// adapted from k-truss to triangle k-cores): levels k are processed in
-/// increasing order; within a level the frontier — unpeeled edges whose
-/// remaining support has reached k — is peeled in parallel rounds until the
-/// level drains. Support decrements are atomic CAS loops clamped at the
-/// current level, and the unique k+1 → k transition inserts an edge into a
-/// per-thread next-frontier buffer exactly once.
-///
-/// κ(e) is bit-identical to the serial ComputeTriangleCores peel at any
-/// thread count (the decomposition is unique). `order`/`peel_sequence` are
-/// deterministic across thread counts — levels ascending, rounds in
-/// discovery order, edge ids ascending within a round — but follow the
-/// round structure rather than the serial bucket queue, so they are a
-/// *valid* peel order, not the serial one.
-///
-/// `threads` follows the ResolveThreads convention (0 = process default
-/// from --threads, 1 = serial rounds on the calling thread). Emits the
-/// `peel.rounds` (per level) and `peel.frontier_edges` (per round)
-/// histograms; at TKC_CHECK_LEVEL >= 2 the result is gated by the κ
-/// soundness+maximality certificate.
+/// Forwarders to the one Algorithm-1 peel, ComputeTriangleCores in its
+/// default kStoreTriangles mode: `threads` (ResolveThreads convention) runs
+/// the support count and the triangle-partner index fill; the bucket peel
+/// over the index is serial. Results are identical at any thread count.
 TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,
                                                 int threads = 0);
 
-/// Same peel, with the initial supports taken from the context's shared
-/// cache (computed once per context) and `threads` from ctx.threads().
+/// Same, over the context's cached supports and index.
 TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx);
 
 }  // namespace tkc

@@ -1,13 +1,19 @@
 #include "tkc/core/triangle_core.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "tkc/core/analysis_context.h"
+#include "tkc/core/parallel_peel.h"
 #include "tkc/graph/delta_csr.h"
-#include "tkc/graph/triangle.h"
+#include "tkc/graph/intersect_simd.h"
+#include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
+#include "tkc/obs/perf_counters.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
 
@@ -22,24 +28,25 @@ namespace {
 // Bucket queue over live edges keyed by their current κ̃ (remaining
 // support). Mirrors the Batagelj–Zaversnik structure: `order_` holds the
 // edges sorted by key, `bucket_[d]` is the index in `order_` of the first
-// edge with key d, and a decrement is an O(1) swap-to-bucket-front.
+// edge with key d, and a decrement is an O(1) swap-to-bucket-front. Once
+// the peel has walked it front to back, `order_` is the peel sequence and
+// `position_` each edge's rank in it, so both move straight into the result.
 class EdgeBucketQueue {
  public:
-  EdgeBucketQueue(const std::vector<EdgeId>& live,
-                  const std::vector<uint32_t>& key, size_t edge_capacity) {
+  EdgeBucketQueue(const CsrGraph& g, const std::vector<uint32_t>& key) {
     uint32_t max_key = 0;
-    for (EdgeId e : live) max_key = std::max(max_key, key[e]);
+    g.ForEachEdge(
+        [&](EdgeId e, const Edge&) { max_key = std::max(max_key, key[e]); });
     bucket_.assign(max_key + 2, 0);
-    for (EdgeId e : live) ++bucket_[key[e] + 1];
+    g.ForEachEdge([&](EdgeId e, const Edge&) { ++bucket_[key[e] + 1]; });
     for (size_t d = 1; d < bucket_.size(); ++d) bucket_[d] += bucket_[d - 1];
-    order_.resize(live.size());
-    position_.assign(edge_capacity, 0);
+    order_.resize(g.NumEdges());
+    position_.assign(g.EdgeCapacity(), kInvalidOrder);
     std::vector<uint32_t> cursor(bucket_.begin(), bucket_.end() - 1);
-    for (EdgeId e : live) {
-      position_[e] = cursor[key[e]];
+    g.ForEachEdge([&](EdgeId e, const Edge&) {
+      position_[e] = cursor[key[e]]++;
       order_[position_[e]] = e;
-      ++cursor[key[e]];
-    }
+    });
     bucket_.pop_back();  // keep bucket_[d] = start index of key d
   }
 
@@ -60,83 +67,104 @@ class EdgeBucketQueue {
     ++bucket_[d];
   }
 
+  // Hands the walked queue over as `peel_sequence` and `order`.
+  void MoveInto(TriangleCoreResult& result) && {
+    result.peel_sequence = std::move(order_);
+    result.order = std::move(position_);
+  }
+
  private:
   std::vector<EdgeId> order_;
   std::vector<uint32_t> position_;
   std::vector<uint32_t> bucket_;
 };
 
-// Per-edge lists of the two partner edges of each incident triangle, the
-// kStoreTriangles representation.
-using StoredTriangleLists =
-    std::vector<std::vector<std::pair<EdgeId, EdgeId>>>;
+// Flag or'ed into a peeled edge's κ̃ entry, so the relax step learns "T is
+// already processed" from the support reads it makes anyway (a support
+// never reaches 2^31).
+constexpr uint32_t kProcessed = uint32_t{1} << 31;
 
-// Steps 7-18 of Algorithm 1, shared by every entry point: bucket-sorts the
-// live edges by the initial κ̃ in `support` and peels. `support` is consumed
-// (lowered in place); `stored` is only read in kStoreTriangles mode.
-template <typename GraphT>
-void PeelCore(const GraphT& g, TriangleStorageMode mode,
-              const std::vector<EdgeId>& live,
-              std::vector<uint32_t>& support,
-              const StoredTriangleLists& stored,
-              TriangleCoreResult& result) {
-  const size_t cap = g.EdgeCapacity();
-  result.peel_sequence.reserve(live.size());
+// Algorithm 1 over a context's snapshot. Steps 1-5 (κ̃(e) = number of
+// triangles on e) come from the context's shared support cache; steps 7-18
+// bucket-sort the live edges by κ̃ and peel. In kStoreTriangles mode each
+// peeled edge reads its triangles from the context's partner index; in
+// kRecomputeTriangles mode it re-intersects the endpoints' adjacency.
+TriangleCoreResult Peel(const AnalysisContext& ctx, TriangleStorageMode mode) {
+  TKC_SPAN_MEM("core.decompose");
+  const CsrGraph& g = ctx.csr();
+  std::vector<uint32_t> support = ctx.Supports();
+  const TrianglePartnerIndex* index =
+      mode == TriangleStorageMode::kStoreTriangles ? &ctx.TriangleIndex()
+                                                   : nullptr;
+  TriangleCoreResult result;
+  result.triangle_count = ctx.TriangleCount();
+  result.kappa.assign(g.EdgeCapacity(), 0);
 
   // Step 7: bucket sort edges by κ̃.
-  std::vector<bool> processed(cap, false);
   EdgeBucketQueue queue = [&] {
     TKC_SPAN("bucket_init");
-    return EdgeBucketQueue(live, support, cap);
+    return EdgeBucketQueue(g, support);
   }();
 
-  // Steps 8-18: peel in increasing κ̃ order.
+  // Steps 8-18: peel in increasing κ̃ order, one timeline slice per level.
   std::vector<uint64_t> peeled_per_level;
   uint64_t relaxations = 0;
   {
-    TKC_SPAN("peel");
+    TKC_SPAN_PERF("peel");
+    std::optional<obs::TimelineScope> level_scope;
+    auto close_level = [&] {
+      if (!level_scope) return;
+      level_scope->AddArg("edges", peeled_per_level.back());
+      level_scope.reset();
+    };
     for (size_t i = 0; i < queue.Size(); ++i) {
       const EdgeId et = queue.At(i);
       const uint32_t k = support[et];
+      support[et] = k | kProcessed;
       result.kappa[et] = k;
-      result.max_kappa = std::max(result.max_kappa, k);
-      result.order[et] = static_cast<uint32_t>(i);
-      result.peel_sequence.push_back(et);
-      processed[et] = true;
-      if (peeled_per_level.size() <= k) peeled_per_level.resize(k + 1, 0);
+      if (peeled_per_level.size() <= k) {
+        close_level();
+        peeled_per_level.resize(k + 1, 0);
+        result.max_kappa = k;
+        level_scope.emplace("peel.level");
+        level_scope->AddArg("level", k);
+      }
       ++peeled_per_level[k];
 
       // For each *unprocessed* triangle T on et, lower the κ̃ of T's other
       // edges that still exceed κ(et) (steps 10-17). A triangle is
       // processed iff any of its edges is processed.
       auto relax = [&](EdgeId e1, EdgeId e2) {
-        if (processed[e1] || processed[e2]) return;
-        if (support[e1] > k) {
-          queue.Decrement(e1, support[e1]);
-          --support[e1];
+        const uint32_t s1 = support[e1];
+        const uint32_t s2 = support[e2];
+        if ((s1 | s2) & kProcessed) return;
+        if (s1 > k) {
+          queue.Decrement(e1, s1);
+          support[e1] = s1 - 1;
           ++relaxations;
         }
-        if (support[e2] > k) {
-          queue.Decrement(e2, support[e2]);
-          --support[e2];
+        if (s2 > k) {
+          queue.Decrement(e2, s2);
+          support[e2] = s2 - 1;
           ++relaxations;
         }
       };
-      if (mode == TriangleStorageMode::kStoreTriangles) {
-        for (const auto& [e1, e2] : stored[et]) relax(e1, e2);
+      if (index != nullptr) {
+        for (const auto& [e1, e2] : index->Of(et)) relax(e1, e2);
       } else {
-        Edge edge = g.GetEdge(et);
+        const Edge edge = g.GetEdge(et);
         IntersectNeighbors(g, edge.u, edge.v,
                            [&](VertexId, EdgeId e1, EdgeId e2) {
                              relax(e1, e2);
                            });
       }
     }
-    TKC_SPAN_COUNTER("edges_peeled", live.size());
+    close_level();
+    TKC_SPAN_COUNTER("edges_peeled", queue.Size());
     TKC_SPAN_COUNTER("support_relaxations", relaxations);
   }
   auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("core.peel.edges_peeled").Add(live.size());
+  registry.GetCounter("core.peel.edges_peeled").Add(queue.Size());
   registry.GetCounter("core.peel.support_relaxations").Add(relaxations);
   registry.GetGauge("core.peel.max_kappa").Set(result.max_kappa);
   for (size_t k = 0; k < peeled_per_level.size(); ++k) {
@@ -144,123 +172,56 @@ void PeelCore(const GraphT& g, TriangleStorageMode mode,
     registry.GetCounter("core.peel.level." + std::to_string(k))
         .Add(peeled_per_level[k]);
   }
+  std::move(queue).MoveInto(result);
+  return result;
 }
 
-// Full Algorithm 1 over a self-contained graph: count supports inline
-// (steps 1-5), then peel.
-template <typename GraphT>
-TriangleCoreResult PeelTriangleCores(const GraphT& g,
-                                     TriangleStorageMode mode) {
-  TKC_SPAN("core.decompose");
-  const size_t cap = g.EdgeCapacity();
-  TriangleCoreResult result;
-  result.kappa.assign(cap, 0);
-  result.order.assign(cap, kInvalidOrder);
-
-  std::vector<EdgeId> live;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { live.push_back(e); });
-
-  // Steps 1-5: κ̃(e) = number of triangles on e (the upper bound), each
-  // triangle discovered once at its lexicographically smallest edge.
-  std::vector<uint32_t> support(cap, 0);
-  StoredTriangleLists stored;
-  if (mode == TriangleStorageMode::kStoreTriangles) stored.resize(cap);
-  {
-    TKC_SPAN("support_count");
-    uint64_t wedges = 0;
-    g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-      wedges += std::min(g.Degree(edge.u), g.Degree(edge.v));
-      IntersectNeighbors(g, edge.u, edge.v,
-                              [&](VertexId w, EdgeId uw, EdgeId vw) {
-                                if (w <= edge.v) return;
-                                ++support[e];
-                                ++support[uw];
-                                ++support[vw];
-                                ++result.triangle_count;
-                                if (mode ==
-                                    TriangleStorageMode::kStoreTriangles) {
-                                  stored[e].emplace_back(uw, vw);
-                                  stored[uw].emplace_back(e, vw);
-                                  stored[vw].emplace_back(e, uw);
-                                }
-                              });
-    });
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("triangle.wedges_examined").Add(wedges);
-    registry.GetCounter("triangle.triangles_found")
-        .Add(result.triangle_count);
-    TKC_SPAN_COUNTER("wedges_examined", wedges);
-    TKC_SPAN_COUNTER("triangles_found", result.triangle_count);
-  }
-
-  PeelCore(g, mode, live, support, stored, result);
-  return result;
+// A non-owning handle on a caller's snapshot (aliasing constructor with an
+// empty owner), so the CsrGraph overload peels it in place without a copy.
+std::shared_ptr<const CsrGraph> Borrow(const CsrGraph& g) {
+  return std::shared_ptr<const CsrGraph>(std::shared_ptr<const CsrGraph>(),
+                                         &g);
 }
 
 }  // namespace
 
+TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
+                                        TriangleStorageMode mode) {
+  TriangleCoreResult result = Peel(ctx, mode);
+  TKC_VERIFY_L2(verify::CheckOrDie(
+      verify::CheckKappaCertificate(ctx.csr(), result.kappa),
+      "ComputeTriangleCores"));
+  return result;
+}
+
 TriangleCoreResult ComputeTriangleCores(const Graph& g,
                                         TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckKappaCertificate(g, result.kappa),
-      "ComputeTriangleCores(Graph)"));
-  return result;
+  return ComputeTriangleCores(AnalysisContext(g), mode);
 }
 
 TriangleCoreResult ComputeTriangleCores(const CsrGraph& g,
                                         TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckKappaCertificate(g, result.kappa),
-      "ComputeTriangleCores(CsrGraph)"));
-  return result;
+  return ComputeTriangleCores(AnalysisContext(Borrow(g)), mode);
 }
 
 TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g,
                                         TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckKappaCertificate(g, result.kappa),
-      "ComputeTriangleCores(DeltaCsr)"));
-  return result;
+  // A clean view is exactly its base snapshot; pending edits are frozen
+  // into a fresh one (EdgeIds preserved, holes included).
+  return ComputeTriangleCores(
+      AnalysisContext(g.Dirty() ? std::make_shared<const CsrGraph>(
+                                      CsrGraph::Freeze(g))
+                                : g.base_ptr()),
+      mode);
 }
 
-TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
-                                        TriangleStorageMode mode) {
-  TKC_SPAN("core.decompose");
-  const CsrGraph& g = ctx.csr();
-  const size_t cap = g.EdgeCapacity();
-  TriangleCoreResult result;
-  result.kappa.assign(cap, 0);
-  result.order.assign(cap, kInvalidOrder);
+TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,
+                                                int threads) {
+  return ComputeTriangleCores(AnalysisContext(Borrow(g), threads));
+}
 
-  std::vector<EdgeId> live;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { live.push_back(e); });
-
-  // Initial κ̃ from the context's shared support cache (first use computes
-  // it under a nested "support_count" span; later uses are free).
-  std::vector<uint32_t> support = ctx.Supports();
-  result.triangle_count = ctx.TriangleCount();
-
-  // In store mode, replay the materialized triangle list into the same
-  // per-edge partner lists (and order) the inline pass would have built,
-  // so the peel visits triangles identically.
-  StoredTriangleLists stored;
-  if (mode == TriangleStorageMode::kStoreTriangles) {
-    stored.resize(cap);
-    for (const Triangle& t : ctx.Triangles()) {
-      stored[t.ab].emplace_back(t.ac, t.bc);
-      stored[t.ac].emplace_back(t.ab, t.bc);
-      stored[t.bc].emplace_back(t.ab, t.ac);
-    }
-  }
-
-  PeelCore(g, mode, live, support, stored, result);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckKappaCertificate(g, result.kappa),
-      "ComputeTriangleCores(AnalysisContext)"));
-  return result;
+TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx) {
+  return ComputeTriangleCores(ctx);
 }
 
 uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r) {

@@ -15,12 +15,14 @@ inline constexpr uint32_t kInvalidOrder = UINT32_MAX;
 /// How Algorithm 1 obtains the triangles incident to an edge during the
 /// peel (Section IV-A, last paragraph of the correctness discussion):
 enum class TriangleStorageMode {
-  /// Materialize every triangle once up front (3 entries per triangle).
-  /// Fastest, O(|Tri|) extra memory.
+  /// Read them from the context's flat edge → triangle-partner index
+  /// (core/triangle_index.h, 3 entries per triangle), built once up front.
+  /// Fastest, O(|Tri|) extra memory; the default.
   kStoreTriangles,
   /// Re-intersect adjacency lists when an edge is processed; triangles are
   /// recognized as unprocessed by checking their edges' processed flags.
-  /// The paper's mode for graphs whose triangle set does not fit in memory.
+  /// The paper's O(|E|)-memory mode for graphs whose triangle set does not
+  /// fit in memory.
   kRecomputeTriangles,
 };
 
@@ -44,40 +46,40 @@ struct TriangleCoreResult {
 /// Algorithm 1: computes κ(e) for every live edge of `g` by peeling edges in
 /// increasing order of their remaining triangle count (a bucket queue gives
 /// the paper's O(|E|) sort and O(1) reposition). Total cost is
-/// O(triangle-listing + |Tri|).
+/// O(triangle-listing + |Tri|). Every overload freezes (or borrows) a
+/// snapshot and runs the AnalysisContext overload, so κ, `order` and
+/// `peel_sequence` are identical across overloads; in kStoreTriangles mode
+/// they are also identical across thread counts and vertex relabelings.
 TriangleCoreResult ComputeTriangleCores(
     const Graph& g,
-    TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
+    TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
 
-/// Same peel over a frozen CSR snapshot (identical EdgeIds, so the result
-/// is interchangeable with the dynamic-graph overload); the contiguous
-/// adjacency makes this the faster path for large static graphs.
+/// Same peel over a frozen CSR snapshot, read in place (no copy).
 TriangleCoreResult ComputeTriangleCores(
     const CsrGraph& g,
-    TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
+    TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
 
 class DeltaCsr;
 
 /// Same peel over the engine's DeltaCsr overlay view (base CSR + pending
-/// edits); EdgeIds and κ values are interchangeable with the other
-/// overloads. This is the scratch-recompute reference the batched
-/// maintainer is differentially tested against, and the initializer the
-/// engine uses when adopting a view whose decomposition is unknown.
+/// edits; a clean view peels its base in place, a dirty one is frozen
+/// first). This is the scratch-recompute reference the batched maintainer
+/// is differentially tested against, and the initializer the engine uses
+/// when adopting a view whose decomposition is unknown.
 TriangleCoreResult ComputeTriangleCores(
     const DeltaCsr& g,
-    TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
+    TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
 
 class AnalysisContext;
 
 /// Same peel over a shared AnalysisContext: the initial κ̃ comes from the
-/// context's cached support array (computed once per context by the
-/// parallel kernel) and, in kStoreTriangles mode, the triangle lists come
-/// from the context's materialized triangles — so repeated decompositions
-/// and other consumers never recount supports. Results are bit-for-bit
-/// identical to both other overloads.
+/// context's cached support array and, in kStoreTriangles mode, the
+/// triangles from its cached partner index — each computed once per
+/// context by the parallel oriented enumeration, so repeated
+/// decompositions and other consumers never recount.
 TriangleCoreResult ComputeTriangleCores(
     const AnalysisContext& ctx,
-    TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
+    TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
 
 /// Largest κ over live edges of a precomputed result (0 on empty graphs).
 uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r);

@@ -34,7 +34,7 @@ namespace tkc {
 ///
 /// The read API is the common Graph/CsrGraph surface (NumVertices, Degree,
 /// Neighbors, GetEdge, FindEdge, ForEachCommonNeighbor, ForEachEdge, ...),
-/// so the template algorithms — PeelTriangleCores, ForEachTriangleOnEdge,
+/// so the template algorithms — CsrGraph::Freeze, ForEachTriangleOnEdge,
 /// the κ-certificate — run on it unchanged. Not thread-safe for concurrent
 /// mutation.
 class DeltaCsr {

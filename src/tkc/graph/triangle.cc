@@ -66,76 +66,6 @@ uint64_t MergeCommonNeighbors(const GraphT& g, VertexId u, VertexId v,
   return steps;
 }
 
-// Oriented support pass over the edge-id range [begin, end): each triangle
-// is discovered exactly once, at the edge joining its two lowest-rank
-// vertices, by intersecting the endpoints' out-lists through `kernel`
-// (already resolved — never kAuto). Support increments land at arbitrary
-// edge ids, so callers that parallelize this give each worker a full-size
-// `support` shard.
-void OrientedSupportRange(const CsrGraph& g, IntersectKernel kernel,
-                          EdgeId begin, EdgeId end, uint32_t* support,
-                          IntersectStats& stats, uint64_t& triangles) {
-  for (EdgeId e = begin; e < end; ++e) {
-    if (!g.IsEdgeAlive(e)) continue;
-    const Edge oe = g.OrientedEdge(e);
-    IntersectDispatch(kernel, g.OutNeighborsBegin(oe.u),
-                      g.OutNeighborsEnd(oe.u), g.OutNeighborsBegin(oe.v),
-                      g.OutNeighborsEnd(oe.v), stats,
-                      [&](VertexId, EdgeId aw, EdgeId bw) {
-                        ++support[e];
-                        ++support[aw];
-                        ++support[bw];
-                        ++triangles;
-                      });
-  }
-}
-
-// Vertex-centric twin of OrientedSupportRange for the bitmap kernel, over
-// the vertex range [begin, end). Iterating each (v, e_uv) in Out(u) visits
-// every live edge exactly once at its lower-rank endpoint u, so the two
-// partitions discover the identical triangle set — only the work per
-// discovery differs. A hub u (OutDegree ≥ kBitmapHubCutoff) stamps its
-// out-list into the scratch bitmap once and probes each neighbor's
-// out-list against it — O(1) per probe instead of a merge re-walking
-// Out(u) per edge; below the cutoff the stamp doesn't amortize and the
-// dispatched per-edge intersection runs instead.
-void BitmapSupportRange(const CsrGraph& g, VertexId begin, VertexId end,
-                        uint32_t* support, IntersectStats& stats,
-                        uint64_t& triangles, VertexBitmap& bitmap) {
-  const IntersectKernel simd = ResolveKernel(IntersectKernel::kAuto);
-  for (VertexId u = begin; u < end; ++u) {
-    const auto out_u = g.OutNeighbors(u);
-    if (out_u.empty()) continue;
-    if (g.OutDegree(u) >= kBitmapHubCutoff) {
-      for (const Neighbor& nb : out_u) bitmap.Set(nb.vertex, nb.edge);
-      for (const Neighbor& nb : out_u) {
-        for (const Neighbor& vw : g.OutNeighbors(nb.vertex)) {
-          ++stats.bitmap_probes;
-          if (bitmap.Test(vw.vertex)) {
-            ++support[nb.edge];
-            ++support[bitmap.EdgeOf(vw.vertex)];
-            ++support[vw.edge];
-            ++triangles;
-          }
-        }
-      }
-      for (const Neighbor& nb : out_u) bitmap.Clear(nb.vertex);
-    } else {
-      for (const Neighbor& nb : out_u) {
-        IntersectDispatch(simd, out_u.begin(), out_u.end(),
-                          g.OutNeighborsBegin(nb.vertex),
-                          g.OutNeighborsEnd(nb.vertex), stats,
-                          [&](VertexId, EdgeId aw, EdgeId bw) {
-                            ++support[nb.edge];
-                            ++support[aw];
-                            ++support[bw];
-                            ++triangles;
-                          });
-      }
-    }
-  }
-}
-
 }  // namespace
 
 uint32_t EdgeSupport(const Graph& g, EdgeId e) {
@@ -168,33 +98,29 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
   threads = ResolveThreads(threads);
   kernel = kernel == IntersectKernel::kAuto ? CurrentKernel()
                                             : ResolveKernel(kernel);
-  const bool bitmap = kernel == IntersectKernel::kBitmap;
   const size_t cap = g.EdgeCapacity();
-  // The bitmap kernel partitions the vertex space (each edge owned by its
-  // unique lower-rank endpoint); the others partition the edge-id space.
-  const size_t domain = bitmap ? g.NumVertices() : cap;
+  const size_t domain = OrientedTriangleDomain(g, kernel);
   std::vector<uint32_t> support(cap, 0);
   uint64_t triangles = 0;
   IntersectStats stats;
 
   if (threads <= 1 || domain == 0) {
-    if (bitmap && domain > 0) {
-      VertexBitmap scratch(g.NumVertices());
-      BitmapSupportRange(g, 0, g.NumVertices(), support.data(), stats,
-                         triangles, scratch);
-    } else {
-      OrientedSupportRange(g, kernel, 0, static_cast<EdgeId>(cap),
-                           support.data(), stats, triangles);
-    }
+    ForEachOrientedTriangleInRange(g, kernel, 0, domain, stats,
+                                   [&](EdgeId e, EdgeId aw, EdgeId bw) {
+                                     ++support[e];
+                                     ++support[aw];
+                                     ++support[bw];
+                                     ++triangles;
+                                   });
     RecordEnumeration(stats, triangles);
     return support;
   }
 
   // Each worker owns a full-size partial-support shard and discovers the
-  // triangles whose lowest-rank edge falls in its static chunk of the
-  // partition domain; a second pass reduces the shards in fixed worker
-  // order. Plain uint32 additions commute exactly, so the output is
-  // identical to the serial path for any thread count.
+  // triangles owned by its static chunk of the partition domain; a second
+  // pass reduces the shards in fixed worker order. Plain uint32 additions
+  // commute exactly, so the output is identical to the serial path for any
+  // thread count.
   struct Shard {
     std::vector<uint32_t> support;
     uint64_t triangles = 0;
@@ -204,16 +130,14 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
   ParallelFor(threads, domain, [&](int worker, size_t begin, size_t end) {
     Shard& shard = shards[static_cast<size_t>(worker)];
     shard.support.assign(cap, 0);
-    if (bitmap) {
-      VertexBitmap scratch(g.NumVertices());
-      BitmapSupportRange(g, static_cast<VertexId>(begin),
-                         static_cast<VertexId>(end), shard.support.data(),
-                         shard.stats, shard.triangles, scratch);
-    } else {
-      OrientedSupportRange(g, kernel, static_cast<EdgeId>(begin),
-                           static_cast<EdgeId>(end), shard.support.data(),
-                           shard.stats, shard.triangles);
-    }
+    uint32_t* partial = shard.support.data();
+    ForEachOrientedTriangleInRange(g, kernel, begin, end, shard.stats,
+                                   [&](EdgeId e, EdgeId aw, EdgeId bw) {
+                                     ++partial[e];
+                                     ++partial[aw];
+                                     ++partial[bw];
+                                     ++shard.triangles;
+                                   });
   });
   ParallelFor(threads, cap, [&](int, size_t begin, size_t end) {
     for (size_t e = begin; e < end; ++e) {

@@ -2,6 +2,7 @@
 #define TKC_GRAPH_TRIANGLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tkc/graph/csr.h"
@@ -52,6 +53,72 @@ std::vector<uint32_t> ComputeEdgeSupports(const Graph& g);
 std::vector<uint32_t> ComputeEdgeSupports(
     const CsrGraph& g, int threads = 1,
     IntersectKernel kernel = IntersectKernel::kAuto);
+
+/// Size of the partition domain the oriented enumeration splits across
+/// workers under the resolved `kernel`: vertex ids for kBitmap (each edge
+/// is owned by its lower-rank endpoint), edge ids otherwise.
+inline size_t OrientedTriangleDomain(const CsrGraph& g,
+                                     IntersectKernel kernel) {
+  return kernel == IntersectKernel::kBitmap ? g.NumVertices()
+                                            : g.EdgeCapacity();
+}
+
+/// The oriented enumeration behind ComputeEdgeSupports(const CsrGraph&):
+/// invokes `fn(EdgeId e, EdgeId e1, EdgeId e2)` exactly once per triangle
+/// owned by [begin, end) of OrientedTriangleDomain(g, kernel), with `e` the
+/// edge joining the triangle's two lowest-rank vertices. Disjoint ranges
+/// covering the domain visit every triangle exactly once, whichever
+/// (resolved, never kAuto) `kernel` runs. kBitmap walks vertices: a hub u
+/// (OutDegree ≥ kBitmapHubCutoff) stamps its out-list into a scratch bitmap
+/// once and probes each neighbor's out-list against it — O(1) per probe
+/// instead of a merge re-walking Out(u) per edge; below the cutoff the
+/// stamp doesn't amortize and the SIMD per-edge intersection runs instead.
+template <typename Fn>
+void ForEachOrientedTriangleInRange(const CsrGraph& g, IntersectKernel kernel,
+                                    size_t begin, size_t end,
+                                    IntersectStats& stats, Fn&& fn) {
+  if (kernel != IntersectKernel::kBitmap) {
+    for (EdgeId e = static_cast<EdgeId>(begin); e < end; ++e) {
+      if (!g.IsEdgeAlive(e)) continue;
+      const Edge oe = g.OrientedEdge(e);
+      IntersectDispatch(kernel, g.OutNeighborsBegin(oe.u),
+                        g.OutNeighborsEnd(oe.u), g.OutNeighborsBegin(oe.v),
+                        g.OutNeighborsEnd(oe.v), stats,
+                        [&](VertexId, EdgeId aw, EdgeId bw) { fn(e, aw, bw); });
+    }
+    return;
+  }
+  const IntersectKernel simd = ResolveKernel(IntersectKernel::kAuto);
+  // Allocated at the range's first hub. Callers give each worker one range
+  // (ParallelFor), so this is one O(|V|) scratch per worker at most.
+  std::optional<VertexBitmap> bitmap;
+  for (VertexId u = static_cast<VertexId>(begin); u < end; ++u) {
+    const auto out_u = g.OutNeighbors(u);
+    if (out_u.empty()) continue;
+    if (g.OutDegree(u) >= kBitmapHubCutoff) {
+      if (!bitmap) bitmap.emplace(g.NumVertices());
+      for (const Neighbor& nb : out_u) bitmap->Set(nb.vertex, nb.edge);
+      for (const Neighbor& nb : out_u) {
+        for (const Neighbor& vw : g.OutNeighbors(nb.vertex)) {
+          ++stats.bitmap_probes;
+          if (bitmap->Test(vw.vertex)) {
+            fn(nb.edge, bitmap->EdgeOf(vw.vertex), vw.edge);
+          }
+        }
+      }
+      for (const Neighbor& nb : out_u) bitmap->Clear(nb.vertex);
+    } else {
+      for (const Neighbor& nb : out_u) {
+        IntersectDispatch(simd, out_u.begin(), out_u.end(),
+                          g.OutNeighborsBegin(nb.vertex),
+                          g.OutNeighborsEnd(nb.vertex), stats,
+                          [&](VertexId, EdgeId aw, EdgeId bw) {
+                            fn(nb.edge, aw, bw);
+                          });
+      }
+    }
+  }
+}
 
 /// Reference support pass over the *full* (undirected) adjacency — the
 /// pre-oriented kernel, kept as the differential baseline for tests and the

@@ -211,19 +211,24 @@ TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
   EXPECT_EQ(counter.Value(), 2u);
 }
 
-TEST(AnalysisContextTest, TrianglesMaterializedOnceAndComplete) {
+TEST(AnalysisContextTest, TriangleIndexBuiltOnceAndComplete) {
   Graph g = MakeTestGraph(60);
-  auto& counter = obs::MetricsRegistry::Global().GetCounter(
-      "analysis.triangle_materializations");
+  auto& registry = obs::MetricsRegistry::Global();
+  auto& counter = registry.GetCounter("analysis.triangle_index_builds");
   counter.Reset();
 
   AnalysisContext ctx(g, 1);
-  const auto& tris = ctx.Triangles();
-  ctx.Triangles();
+  EXPECT_EQ(counter.Value(), 0u);  // construction does not build
+  const TrianglePartnerIndex& index = ctx.TriangleIndex();
+  ctx.TriangleIndex();
   ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
+  ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
   EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(tris.size()), CountTriangles(g));
-  EXPECT_EQ(static_cast<uint64_t>(tris.size()), ctx.TriangleCount());
+  EXPECT_EQ(static_cast<uint64_t>(index.NumEntries()), 3 * CountTriangles(g));
+  EXPECT_EQ(static_cast<uint64_t>(index.NumEntries()),
+            3 * ctx.TriangleCount());
+  EXPECT_EQ(registry.GetGauge("mem.triangle_index_bytes").Value(),
+            static_cast<double>(index.Bytes()));
 }
 
 TEST(AnalysisContextTest, AdoptsExistingSnapshot) {

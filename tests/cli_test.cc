@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -150,7 +151,77 @@ TEST_F(CliTest, DecomposeMetricsOut) {
   }
   EXPECT_NE(std::find(phases.begin(), phases.end(), "support_count"),
             phases.end());
+  EXPECT_NE(std::find(phases.begin(), phases.end(), "triangle_index"),
+            phases.end());
   EXPECT_NE(std::find(phases.begin(), phases.end(), "peel"), phases.end());
+  EXPECT_NE(doc->FindPath("metrics.gauges")->Find("mem.triangle_index_bytes"),
+            nullptr);
+}
+
+// Every span name in a tkc.metrics.v1 phase tree, recursively.
+void CollectSpanNames(const obs::JsonValue& node, std::set<std::string>* out) {
+  out->insert(node.Find("name")->Str());
+  const obs::JsonValue* children = node.Find("children");
+  if (children == nullptr) return;
+  for (const obs::JsonValue& child : children->Items()) {
+    CollectSpanNames(child, out);
+  }
+}
+
+TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
+  std::string big_path = TempPath("cli_schema_edges.txt");
+  Rng rng(99);
+  ASSERT_TRUE(WriteEdgeListFile(PowerLawCluster(400, 4, 0.5, rng), big_path));
+  std::set<std::string> spans[2], counters[2];
+  const char* threads[2] = {"--threads=1", "--threads=4"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string metrics_path =
+        TempPath(std::string("cli_schema_") + std::to_string(i) + ".json");
+    std::string out;
+    ASSERT_EQ(RunTool({"decompose", big_path, threads[i],
+                       "--metrics-out=" + metrics_path},
+                      &out),
+              0);
+    std::ifstream in(metrics_path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto doc = obs::JsonValue::Parse(buf.str());
+    ASSERT_TRUE(doc.has_value());
+    for (const obs::JsonValue& top : doc->Find("trace")->Items()) {
+      CollectSpanNames(top, &spans[i]);
+    }
+    for (const auto& [key, value] :
+         doc->FindPath("metrics.counters")->Members()) {
+      counters[i].insert(key);
+    }
+  }
+  EXPECT_EQ(spans[0], spans[1]);
+  EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_TRUE(spans[0].count("triangle_index"));
+}
+
+TEST_F(CliTest, DecomposeRecomputeModeMatchesDefaultAtAnyThreads) {
+  std::string big_path = TempPath("cli_mode_edges.txt");
+  Rng rng(7);
+  ASSERT_TRUE(WriteEdgeListFile(PowerLawCluster(300, 4, 0.5, rng), big_path));
+  std::string base;
+  ASSERT_EQ(RunTool({"decompose", big_path}, &base), 0);
+  base = base.substr(0, base.rfind("# edges"));
+  for (const char* threads : {"--threads=1", "--threads=4"}) {
+    for (const char* mode : {"--mode=recompute", "--mode=store"}) {
+      std::string out;
+      ASSERT_EQ(RunTool({"decompose", big_path, mode, threads}, &out), 0);
+      EXPECT_EQ(out.substr(0, out.rfind("# edges")), base)
+          << mode << ' ' << threads;
+    }
+  }
+}
+
+TEST_F(CliTest, DecomposeRejectsUnknownMode) {
+  std::string out, err;
+  EXPECT_EQ(
+      RunTool({"decompose", edges_path_, "--mode=stor"}, &out, &err), 2);
+  EXPECT_NE(err.find("--mode"), std::string::npos);
 }
 
 TEST_F(CliTest, LogLevelFlag) {
@@ -527,22 +598,21 @@ TEST_F(CliTest, TraceOutArtifact) {
   }
   EXPECT_GE(workers_seen, 2);
 
-  // Chrome-trace body: per-round peel slices with level/round args and a
-  // thread_name metadata record per track.
+  // Chrome-trace body: one peel slice per κ level with level/edges args
+  // and a thread_name metadata record per track.
   const obs::JsonValue* events = doc->Find("traceEvents");
   ASSERT_TRUE(events != nullptr && events->IsArray());
-  bool saw_round = false;
+  bool saw_level = false;
   size_t metadata = 0;
   for (const obs::JsonValue& e : events->Items()) {
     if (e.Find("ph")->Str() == "M") ++metadata;
-    if (e.Find("name")->Str() == "peel.round") {
-      saw_round = true;
+    if (e.Find("name")->Str() == "peel.level") {
+      saw_level = true;
       EXPECT_NE(e.FindPath("args.level"), nullptr);
-      EXPECT_NE(e.FindPath("args.round"), nullptr);
-      EXPECT_NE(e.FindPath("args.frontier"), nullptr);
+      EXPECT_NE(e.FindPath("args.edges"), nullptr);
     }
   }
-  EXPECT_TRUE(saw_round);
+  EXPECT_TRUE(saw_level);
   EXPECT_EQ(metadata, tracks->Items().size());
 
   // Without --trace-out the recorder stays off and no stale state leaks

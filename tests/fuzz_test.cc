@@ -17,12 +17,12 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "scoped_default_kernel.h"
 #include "tkc/core/analysis_context.h"
 #include "tkc/io/edge_list.h"
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/ordered_core.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/intersect_simd.h"
@@ -175,21 +175,23 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
   });
 }
 
-// --- Differential driver: storage modes × threads × peel mode ----------
+// --- Differential fuzz: storage modes × threads × entry point ---------
 
-enum class PeelMode { kSerial, kParallel };
+// Which overload recomputes: the AnalysisContext one at the parameterized
+// thread count, or the Graph one (which freezes into its own context).
+enum class Entry { kContext, kGraph };
 
 class DifferentialFuzzTest
     : public ::testing::TestWithParam<
-          std::tuple<TriangleStorageMode, int, PeelMode>> {};
+          std::tuple<TriangleStorageMode, int, Entry>> {};
 
 TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
-  const auto [mode, threads, peel] = GetParam();
+  const auto [mode, threads, entry] = GetParam();
   // Seed folds in the parameters so each configuration walks a different
   // trajectory while staying reproducible.
   Rng rng(1000003 * (mode == TriangleStorageMode::kStoreTriangles ? 1 : 2) +
           static_cast<uint64_t>(threads) +
-          (peel == PeelMode::kParallel ? 31 : 0));
+          (entry == Entry::kGraph ? 31 : 0));
   Graph base = PowerLawCluster(90, 3, 0.55, rng);
   DynamicTriangleCore dyn(base);
 
@@ -207,16 +209,19 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
     }
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
-    // Oracle 1: Algorithm-1 recompute through the parallel CSR read path
-    // in the parameterized storage mode / thread count / peel mode.
+    // Oracle 1: Algorithm-1 recompute in the parameterized storage mode
+    // (index or recompute) / thread count / entry point.
     AnalysisContext ctx(dyn.graph(), threads);
-    TriangleCoreResult fresh = peel == PeelMode::kParallel
-                                   ? ComputeTriangleCoresParallel(ctx)
+    TriangleCoreResult fresh = entry == Entry::kGraph
+                                   ? ComputeTriangleCores(dyn.graph(), mode)
                                    : ComputeTriangleCores(ctx, mode);
     dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
       ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
           << "step " << step << " edge (" << edge.u << "," << edge.v << ")";
     });
+    if (mode == TriangleStorageMode::kStoreTriangles) {
+      ASSERT_EQ(ctx.TriangleIndex().NumEntries(), 3 * fresh.triangle_count);
+    }
     // Oracle 2: the code-independent κ-certificate (soundness +
     // maximality by direct recount).
     verify::VerifyReport cert =
@@ -228,21 +233,20 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StorageModesThreadsAndPeel, DifferentialFuzzTest,
+    StorageModesThreadsAndEntry, DifferentialFuzzTest,
     ::testing::Combine(
         ::testing::Values(TriangleStorageMode::kStoreTriangles,
                           TriangleStorageMode::kRecomputeTriangles),
         ::testing::Values(1, 4),
-        ::testing::Values(PeelMode::kSerial, PeelMode::kParallel)),
+        ::testing::Values(Entry::kContext, Entry::kGraph)),
     [](const ::testing::TestParamInfo<DifferentialFuzzTest::ParamType>&
            info) {
       std::string name =
           std::get<0>(info.param) == TriangleStorageMode::kStoreTriangles
-              ? "store"
+              ? "index"
               : "recompute";
       name += "_t" + std::to_string(std::get<1>(info.param));
-      name += std::get<2>(info.param) == PeelMode::kParallel ? "_parpeel"
-                                                             : "_serialpeel";
+      name += std::get<2>(info.param) == Entry::kGraph ? "_graph" : "_context";
       return name;
     });
 
@@ -254,18 +258,6 @@ INSTANTIATE_TEST_SUITE_P(
 // path actually fires) and periodically holds per-kernel supports to the
 // single-threaded scalar recount, and the full decomposition to the
 // κ-certificate with the kernel installed process-wide.
-
-class ScopedDefaultKernel {
- public:
-  explicit ScopedDefaultKernel(IntersectKernel kernel)
-      : saved_(DefaultKernel()) {
-    SetDefaultKernel(kernel);
-  }
-  ~ScopedDefaultKernel() { SetDefaultKernel(saved_); }
-
- private:
-  IntersectKernel saved_;
-};
 
 class KernelDifferentialFuzzTest
     : public ::testing::TestWithParam<std::tuple<IntersectKernel, int>> {};
@@ -302,13 +294,15 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
         << "step " << step;
 
     // Full decomposition with the kernel installed as the process default —
-    // serial and parallel peel both route through IntersectNeighbors.
+    // the index fill and the recompute peel's IntersectNeighbors both run
+    // through it.
     ScopedDefaultKernel scoped(kernel);
     AnalysisContext ctx(g, threads);
-    TriangleCoreResult serial = ComputeTriangleCores(ctx);
-    TriangleCoreResult parallel = ComputeTriangleCoresParallel(ctx);
-    ASSERT_EQ(serial.kappa, parallel.kappa) << "step " << step;
-    verify::VerifyReport cert = verify::CheckKappaCertificate(g, serial.kappa);
+    TriangleCoreResult indexed = ComputeTriangleCores(ctx);
+    TriangleCoreResult recomputed =
+        ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+    ASSERT_EQ(indexed.kappa, recomputed.kappa) << "step " << step;
+    verify::VerifyReport cert = verify::CheckKappaCertificate(g, indexed.kappa);
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;

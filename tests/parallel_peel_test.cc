@@ -1,8 +1,8 @@
-// Round-synchronous parallel peel (ComputeTriangleCoresParallel) against
-// the serial Algorithm-1 peel on adversarial shapes: κ must be bit-identical
-// at every thread count, order/peel_sequence must be identical *across*
-// thread counts (the round structure is deterministic), and the returned
-// order must itself be a valid peel.
+// The ComputeTriangleCoresParallel forwarders (the one index peel, with the
+// support count and index fill at `threads`) against the recompute-mode
+// peel on adversarial shapes: κ must be bit-identical at every thread
+// count, the result must be identical *across* thread counts, and the
+// returned order must itself be a valid peel.
 
 #include <algorithm>
 #include <vector>
@@ -20,13 +20,18 @@
 namespace tkc {
 namespace {
 
-// κ from the parallel peel must equal the serial peel's for every thread
-// count, and the parallel result must be internally consistent.
+// κ from the forwarder must equal the recompute-mode peel's for every
+// thread count, the result must be internally consistent, and it must not
+// depend on the thread count.
 void ExpectMatchesSerial(const Graph& g, const char* where) {
   const CsrGraph csr(g);
-  const TriangleCoreResult serial = ComputeTriangleCores(csr);
+  const TriangleCoreResult serial =
+      ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
+  const TriangleCoreResult one = ComputeTriangleCoresParallel(csr, 1);
   for (int threads : {1, 2, 4, 7}) {
     const TriangleCoreResult par = ComputeTriangleCoresParallel(csr, threads);
+    EXPECT_EQ(par.order, one.order) << where << " threads=" << threads;
+    EXPECT_EQ(par.peel_sequence, one.peel_sequence) << where;
     ASSERT_EQ(par.kappa.size(), serial.kappa.size()) << where;
     g.ForEachEdge([&](EdgeId e, const Edge& edge) {
       ASSERT_EQ(par.kappa[e], serial.kappa[e])
@@ -62,7 +67,7 @@ TEST(ParallelPeelTest, EmptyGraph) {
 
 TEST(ParallelPeelTest, TriangleFreeGraph) {
   // A cycle plus chords that never close triangles: every edge peels at
-  // level 0 in one round.
+  // level 0.
   Graph g(12);
   for (VertexId v = 0; v < 12; ++v) g.AddEdge(v, (v + 1) % 12);
   for (VertexId v = 0; v < 6; ++v) g.AddEdge(v, v + 6);
@@ -107,7 +112,7 @@ TEST(ParallelPeelTest, SkewedDegreeGraph) {
 
 TEST(ParallelPeelTest, PowerLawChurnedGraph) {
   // Generated graph with edge-id holes: remove every 7th edge so dead ids
-  // pepper the edge space the frontier scans skip over.
+  // pepper the edge space the support and index passes skip over.
   Rng rng(90210);
   Graph g = PowerLawCluster(200, 4, 0.5, rng);
   auto live = g.EdgeIds();
@@ -141,20 +146,6 @@ TEST(ParallelPeelTest, AnalysisContextOverloadUsesCachedSupports) {
   EXPECT_EQ(computations.Value(), before + 1);  // computed exactly once
   EXPECT_EQ(par.kappa, serial.kappa);
   EXPECT_EQ(par.triangle_count, serial.triangle_count);
-}
-
-TEST(ParallelPeelTest, EmitsRoundAndFrontierHistograms) {
-  auto& registry = obs::MetricsRegistry::Global();
-  auto& rounds = registry.GetHistogram("peel.rounds");
-  auto& frontier = registry.GetHistogram("peel.frontier_edges");
-  const uint64_t rounds_before = rounds.Count();
-  const uint64_t frontier_before = frontier.Count();
-  Graph g(6);
-  PlantClique(g, {0, 1, 2, 3, 4, 5});
-  ComputeTriangleCoresParallel(CsrGraph(g), 2);
-  // One level (κ = 4 everywhere) peeled in one round of 15 edges.
-  EXPECT_EQ(rounds.Count(), rounds_before + 1);
-  EXPECT_EQ(frontier.Count(), frontier_before + 1);
 }
 
 }  // namespace

@@ -34,11 +34,11 @@ run_one() {
   echo "== $sanitizer: ctest =="
   (cd "$build_dir" && UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --output-on-failure)
-  echo "== $sanitizer: parallel peel CLI =="
-  # Drive the round-synchronous parallel peel through the CLI so the TSan
-  # leg exercises the concurrent frontier rounds (atomic decrements,
-  # per-thread next buffers) on a real generated graph, not just the unit
-  # tests' small shapes.
+  echo "== $sanitizer: parallel support + index CLI =="
+  # Drive the parallel support count and triangle-index fill through the
+  # CLI so the TSan leg exercises the concurrent passes (per-worker
+  # shards, atomic slot claims) on a real generated graph, not just the
+  # unit tests' small shapes.
   local smoke_dir
   smoke_dir="$(mktemp -d)"
   "$build_dir/tools/tkc" generate plc --out="$smoke_dir/g.txt" \
@@ -55,7 +55,7 @@ run_one() {
   # The trailing summary line embeds wall time; compare κ rows only.
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
             <(grep -v '^#' "$smoke_dir/kappa_ser.txt"); then
-    echo "!! parallel peel kappa differs from serial" >&2
+    echo "!! 4-thread kappa differs from 1-thread kappa" >&2
     exit 1
   fi
   echo "== $sanitizer: kernel + relabel CLI =="
