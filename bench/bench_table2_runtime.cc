@@ -54,7 +54,7 @@ int Run(int argc, char** argv) {
     // Phase split on the shared CSR read path: support pass in both
     // enumeration modes (full adjacency vs oriented out-lists), then the
     // peel against the context's pre-forced support cache — recompute mode
-    // vs the default index mode (index fill at cfg.threads + peel).
+    // vs the default index mode (index build at cfg.threads + peel).
     AnalysisContext ctx(g, cfg.threads);
     t.Restart();
     auto support_full = ComputeEdgeSupportsFullScan(ctx.csr());

@@ -30,42 +30,52 @@ const std::vector<uint32_t>& AnalysisContext::Supports() const {
   MutexLock lock(mu_);
   if (!supports_.has_value()) {
     TKC_SPAN_PERF("support_count");
-    obs::MetricsRegistry::Global()
-        .GetCounter("analysis.support_computations")
-        .Add(1);
-    supports_ = ComputeEdgeSupports(*csr_, threads_);
-    // L2 oracle: the parallel kernel must agree with a serial per-edge
-    // common-neighbor recount. (No TKC_SPAN here — we hold mu_ and the
-    // tracer is single-threaded.)
-    TKC_VERIFY_L2(csr_->ForEachEdge([&](EdgeId e, const Edge& edge) {
-      TKC_CHECK_MSG(
-          (*supports_)[e] == csr_->CountCommonNeighbors(edge.u, edge.v),
-          "AnalysisContext::Supports: parallel support kernel disagrees "
-          "with per-edge recount");
-    }));
-    uint64_t total = 0;
-    uint32_t max_support = 0;
-    for (uint32_t s : *supports_) {
-      total += s;
-      max_support = std::max(max_support, s);
-    }
-    triangle_count_ = total / 3;
-    max_support_ = max_support;
+    CacheSupports(ComputeEdgeSupports(*csr_, threads_));
   }
   return *supports_;
 }
 
+void AnalysisContext::CacheSupports(std::vector<uint32_t> supports) const {
+  obs::MetricsRegistry::Global()
+      .GetCounter("analysis.support_computations")
+      .Add(1);
+  supports_ = std::move(supports);
+  // L2 oracle: the parallel enumeration must agree with a serial per-edge
+  // common-neighbor recount. (No TKC_SPAN here — we hold mu_ and the
+  // tracer is single-threaded.)
+  TKC_VERIFY_L2(csr_->ForEachEdge([&](EdgeId e, const Edge& edge) {
+    TKC_CHECK_MSG(
+        (*supports_)[e] == csr_->CountCommonNeighbors(edge.u, edge.v),
+        "AnalysisContext: parallel triangle enumeration disagrees with "
+        "per-edge recount");
+  }));
+  uint64_t total = 0;
+  uint32_t max_support = 0;
+  for (uint32_t s : *supports_) {
+    total += s;
+    max_support = std::max(max_support, s);
+  }
+  triangle_count_ = total / 3;
+  max_support_ = max_support;
+}
+
 const TrianglePartnerIndex& AnalysisContext::TriangleIndex() const {
-  const std::vector<uint32_t>& support = Supports();
   MutexLock lock(mu_);
   if (!triangle_index_.has_value()) {
-    TKC_SPAN("triangle_index");
     auto& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("analysis.triangle_index_builds").Add(1);
-    triangle_index_ = TrianglePartnerIndex::Build(*csr_, support, threads_);
+    triangle_index_ = TrianglePartnerIndex::Build(*csr_, threads_);
     registry.GetGauge("mem.triangle_index_bytes")
         .Set(static_cast<double>(triangle_index_->Bytes()));
-    TKC_SPAN_COUNTER("partner_entries", triangle_index_->NumEntries());
+    // The build enumerated every triangle, so it also yields the supports.
+    if (!supports_.has_value()) {
+      CacheSupports(triangle_index_->Supports());
+    } else {
+      TKC_VERIFY_L2(TKC_CHECK_MSG(
+          triangle_index_->Supports() == *supports_,
+          "AnalysisContext::TriangleIndex: index disagrees with the cached "
+          "supports"));
+    }
   }
   return *triangle_index_;
 }

@@ -17,7 +17,8 @@ namespace tkc {
 /// snapshot plus the derived data the algorithms share — the per-edge
 /// triangle-support array and (on demand) the triangle-partner index the
 /// peel reads. Both are computed lazily, at most once per context, by the
-/// parallel oriented enumeration; the `analysis.support_computations` /
+/// parallel oriented enumeration (one enumeration for both when the index
+/// is asked for first); the `analysis.support_computations` /
 /// `analysis.triangle_index_builds` counters make "computed once"
 /// checkable in tests.
 ///
@@ -54,9 +55,11 @@ class AnalysisContext {
   /// Computed on first use by the shared parallel kernel, then cached.
   const std::vector<uint32_t>& Supports() const;
 
-  /// The edge → triangle-partner index (forces Supports(), which sizes
-  /// it). Built on first use by the parallel oriented enumeration, then
-  /// cached; identical for every thread count.
+  /// The edge → triangle-partner index. Built on first use from one
+  /// parallel oriented enumeration, then cached; identical for every
+  /// thread count. On a context whose supports are not yet computed, the
+  /// same build fills the support cache, so asking for the index first
+  /// enumerates the triangles once in all.
   const TrianglePartnerIndex& TriangleIndex() const;
 
   /// Total triangle count (= sum of supports / 3); forces Supports().
@@ -67,6 +70,9 @@ class AnalysisContext {
   uint32_t MaxSupport() const;
 
  private:
+  // Fills the support cache and its totals (with the L2 recount check).
+  void CacheSupports(std::vector<uint32_t> supports) const TKC_REQUIRES(mu_);
+
   std::shared_ptr<const CsrGraph> csr_;
   int threads_;
   // Lazy caches: filled at most once, under mu_. The references Supports()

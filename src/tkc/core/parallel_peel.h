@@ -10,8 +10,9 @@ class AnalysisContext;
 
 /// Forwarders to the one Algorithm-1 peel, ComputeTriangleCores in its
 /// default kStoreTriangles mode: `threads` (ResolveThreads convention) runs
-/// the support count and the triangle-partner index fill; the bucket peel
-/// over the index is serial. Results are identical at any thread count.
+/// the triangle-partner index build, whose one enumeration also yields the
+/// supports; the bucket peel over the index is serial. Results are
+/// identical at any thread count.
 TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,
                                                 int threads = 0);
 

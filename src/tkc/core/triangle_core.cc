@@ -86,16 +86,20 @@ constexpr uint32_t kProcessed = uint32_t{1} << 31;
 
 // Algorithm 1 over a context's snapshot. Steps 1-5 (κ̃(e) = number of
 // triangles on e) come from the context's shared support cache; steps 7-18
-// bucket-sort the live edges by κ̃ and peel. In kStoreTriangles mode each
-// peeled edge reads its triangles from the context's partner index; in
-// kRecomputeTriangles mode it re-intersects the endpoints' adjacency.
+// bucket-sort the live edges by κ̃ and peel. In kStoreTriangles mode the
+// supports and each peeled edge's triangles come from the context's
+// partner index, built from one recorded enumeration; in
+// kRecomputeTriangles mode the supports are counted and each peeled edge
+// re-intersects the endpoints' adjacency.
 TriangleCoreResult Peel(const AnalysisContext& ctx, TriangleStorageMode mode) {
   TKC_SPAN_MEM("core.decompose");
   const CsrGraph& g = ctx.csr();
-  std::vector<uint32_t> support = ctx.Supports();
+  // The index first: its build also fills the support cache, so store
+  // mode enumerates the triangles once.
   const TrianglePartnerIndex* index =
       mode == TriangleStorageMode::kStoreTriangles ? &ctx.TriangleIndex()
                                                    : nullptr;
+  std::vector<uint32_t> support = ctx.Supports();
   TriangleCoreResult result;
   result.triangle_count = ctx.TriangleCount();
   result.kappa.assign(g.EdgeCapacity(), 0);

@@ -1,10 +1,10 @@
 #include "tkc/core/triangle_index.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "tkc/graph/intersect_simd.h"
 #include "tkc/graph/triangle.h"
+#include "tkc/obs/perf_counters.h"
+#include "tkc/obs/trace.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -12,43 +12,39 @@ namespace tkc {
 namespace {
 
 using Partners = TrianglePartnerIndex::Partners;
+using Record = std::vector<std::vector<OrientedTriangle>>;
 
-// Prefix-sums `support` into `offsets`, then scatters each triangle's three
-// (min, max) partner pairs with the oriented enumeration. offsets[e] serves
-// as e's fill cursor (claimed with a relaxed fetch_add when several workers
-// fill), so after the scatter it holds the end of e's segment; one shift
-// turns the ends back into starts. Sorting each short segment then makes the
-// result independent of which worker found which triangle first.
+// Derives the CSR from the recorded triangles. offsets[e + 1] first counts
+// the triangles on e, and the prefix sum turns the counts into segment
+// starts. offsets[e] then serves as e's fill cursor while each triangle's
+// three (min, max) partner pairs are scattered, so it ends at the end of
+// e's segment; one shift turns the ends back into starts. The count and
+// the scatter are serial: a few writes per triangle, and per-edge atomic
+// cursors measured slower at 4 threads. The record is freed before the
+// segments are sorted, in parallel; the sort makes the result independent
+// of which worker found which triangle first.
 template <typename Offset>
-void Fill(const CsrGraph& g, const std::vector<uint32_t>& support,
-          int threads, IntersectKernel kernel, std::vector<Offset>& offsets,
-          std::vector<Partners>& partners) {
-  const size_t cap = g.EdgeCapacity();
-  offsets.resize(cap + 1);
-  offsets[0] = 0;
-  for (size_t e = 0; e < cap; ++e) offsets[e + 1] = offsets[e] + support[e];
-  Partners* out = partners.data();
-
-  auto scatter = [&](auto claim) {
-    ParallelFor(threads, OrientedTriangleDomain(g, kernel),
-                [&](int, size_t begin, size_t end) {
-      IntersectStats stats;
-      ForEachOrientedTriangleInRange(
-          g, kernel, begin, end, stats, [&](EdgeId e, EdgeId a, EdgeId b) {
-            out[claim(e)] = std::minmax(a, b);
-            out[claim(a)] = std::minmax(e, b);
-            out[claim(b)] = std::minmax(e, a);
-          });
-    });
-  };
-  if (threads > 1) {
-    scatter([&](EdgeId e) {
-      return std::atomic_ref<Offset>(offsets[e]).fetch_add(
-          1, std::memory_order_relaxed);
-    });
-  } else {
-    scatter([&](EdgeId e) { return offsets[e]++; });
+void Derive(Record& record, size_t cap, int threads,
+            std::vector<Offset>& offsets, std::vector<Partners>& partners) {
+  offsets.assign(cap + 1, 0);
+  for (const auto& list : record) {
+    for (const OrientedTriangle& t : list) {
+      ++offsets[t.e + 1];
+      ++offsets[t.e1 + 1];
+      ++offsets[t.e2 + 1];
+    }
   }
+  for (size_t e = 0; e < cap; ++e) offsets[e + 1] += offsets[e];
+
+  Partners* out = partners.data();
+  for (const auto& list : record) {
+    for (const OrientedTriangle& t : list) {
+      out[offsets[t.e]++] = std::minmax(t.e1, t.e2);
+      out[offsets[t.e1]++] = std::minmax(t.e, t.e2);
+      out[offsets[t.e2]++] = std::minmax(t.e, t.e1);
+    }
+  }
+  record.clear();
   if (cap > 0) {
     std::copy_backward(offsets.begin(), offsets.begin() + (cap - 1),
                        offsets.begin() + cap);
@@ -66,20 +62,37 @@ void Fill(const CsrGraph& g, const std::vector<uint32_t>& support,
 
 }  // namespace
 
-TrianglePartnerIndex TrianglePartnerIndex::Build(
-    const CsrGraph& g, const std::vector<uint32_t>& support, int threads) {
+TrianglePartnerIndex TrianglePartnerIndex::Build(const CsrGraph& g,
+                                                 int threads) {
   threads = ResolveThreads(threads);
-  const IntersectKernel kernel = CurrentKernel();
+  Record record;
+  {
+    TKC_SPAN_PERF("support_count");
+    record = RecordOrientedTriangles(g, threads);
+  }
+  TKC_SPAN("triangle_index");
   uint64_t entries = 0;
-  for (uint32_t s : support) entries += s;
+  for (const auto& list : record) entries += 3 * list.size();
   TrianglePartnerIndex index;
   index.partners_.resize(entries);
   if (entries <= UINT32_MAX) {
-    Fill(g, support, threads, kernel, index.offsets32_, index.partners_);
+    Derive(record, g.EdgeCapacity(), threads, index.offsets32_,
+           index.partners_);
   } else {
-    Fill(g, support, threads, kernel, index.offsets64_, index.partners_);
+    Derive(record, g.EdgeCapacity(), threads, index.offsets64_,
+           index.partners_);
   }
+  TKC_SPAN_COUNTER("partner_entries", entries);
   return index;
+}
+
+std::vector<uint32_t> TrianglePartnerIndex::Supports() const {
+  const size_t offsets = std::max(offsets32_.size(), offsets64_.size());
+  std::vector<uint32_t> support(offsets == 0 ? 0 : offsets - 1);
+  for (size_t e = 0; e < support.size(); ++e) {
+    support[e] = static_cast<uint32_t>(Of(static_cast<EdgeId>(e)).size());
+  }
+  return support;
 }
 
 }  // namespace tkc

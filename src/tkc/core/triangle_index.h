@@ -25,14 +25,16 @@ class TrianglePartnerIndex {
 
   TrianglePartnerIndex() = default;
 
-  /// Sizes the index from `support` (the per-edge triangle counts of `g`)
-  /// by a prefix sum, then fills it with the oriented enumeration and
-  /// kernel dispatch of ComputeEdgeSupports(g, threads), under the
-  /// process-wide CurrentKernel(). `threads` follows the ResolveThreads
-  /// convention.
-  static TrianglePartnerIndex Build(const CsrGraph& g,
-                                    const std::vector<uint32_t>& support,
-                                    int threads);
+  /// Enumerates the triangles of `g` once (RecordOrientedTriangles, under
+  /// the `support_count` span), then derives the index from that record
+  /// alone, under the `triangle_index` span: per-edge counts, their prefix
+  /// sum, the scattered partner pairs and a sort of each segment. `threads`
+  /// follows the ResolveThreads convention.
+  static TrianglePartnerIndex Build(const CsrGraph& g, int threads);
+
+  /// Per-edge supports read off the segment lengths (size =
+  /// g.EdgeCapacity(), dead ids hold 0): equal to ComputeEdgeSupports(g).
+  std::vector<uint32_t> Supports() const;
 
   /// The partner pairs of the triangles on `e` (empty for dead ids).
   std::span<const Partners> Of(EdgeId e) const {

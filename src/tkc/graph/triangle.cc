@@ -156,6 +156,31 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
   return support;
 }
 
+std::vector<std::vector<OrientedTriangle>> RecordOrientedTriangles(
+    const CsrGraph& g, int threads) {
+  TKC_SPAN("triangle.supports");
+  threads = ResolveThreads(threads);
+  const IntersectKernel kernel = CurrentKernel();
+  std::vector<std::vector<OrientedTriangle>> record(
+      static_cast<size_t>(threads));
+  std::vector<IntersectStats> partial(static_cast<size_t>(threads));
+  ParallelFor(threads, OrientedTriangleDomain(g, kernel),
+              [&](int worker, size_t begin, size_t end) {
+    std::vector<OrientedTriangle>& list = record[static_cast<size_t>(worker)];
+    ForEachOrientedTriangleInRange(
+        g, kernel, begin, end, partial[static_cast<size_t>(worker)],
+        [&](EdgeId e, EdgeId e1, EdgeId e2) { list.push_back({e, e1, e2}); });
+  });
+  uint64_t triangles = 0;
+  IntersectStats stats;
+  for (size_t t = 0; t < record.size(); ++t) {
+    triangles += record[t].size();
+    stats += partial[t];
+  }
+  RecordEnumeration(stats, triangles);
+  return record;
+}
+
 std::vector<uint32_t> ComputeEdgeSupportsFullScan(const CsrGraph& g) {
   TKC_SPAN("triangle.supports_full");
   std::vector<uint32_t> support(g.EdgeCapacity(), 0);

@@ -120,6 +120,22 @@ void ForEachOrientedTriangleInRange(const CsrGraph& g, IntersectKernel kernel,
   }
 }
 
+/// One triangle as the oriented enumeration reports it: `e` joins the
+/// triangle's two lowest-rank vertices, `e1` and `e2` are its other edges.
+struct OrientedTriangle {
+  EdgeId e, e1, e2;
+};
+
+/// The oriented enumeration of ComputeEdgeSupports(g, threads), under the
+/// process-wide CurrentKernel(), recording each triangle instead of
+/// counting it: list t holds the triangles of worker t's static chunk of
+/// OrientedTriangleDomain, in enumeration order, and every triangle is in
+/// exactly one list. Emits the same `triangle.*` counters and
+/// `triangle.supports` span as the counting pass. `threads` follows the
+/// ResolveThreads convention.
+std::vector<std::vector<OrientedTriangle>> RecordOrientedTriangles(
+    const CsrGraph& g, int threads);
+
 /// Reference support pass over the *full* (undirected) adjacency — the
 /// pre-oriented kernel, kept as the differential baseline for tests and the
 /// full-vs-oriented comparison in bench_micro. Output is value-identical to

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "tkc/baselines/csv.h"
@@ -211,24 +212,37 @@ TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
   EXPECT_EQ(counter.Value(), 2u);
 }
 
+// Asked for first on a fresh context, the index build is the one triangle
+// enumeration: it also fills the support cache and its totals.
 TEST(AnalysisContextTest, TriangleIndexBuiltOnceAndComplete) {
   Graph g = MakeTestGraph(60);
+  const uint64_t triangles = CountTriangles(g);
+  const std::vector<uint32_t> supports = ComputeEdgeSupports(g);
   auto& registry = obs::MetricsRegistry::Global();
-  auto& counter = registry.GetCounter("analysis.triangle_index_builds");
-  counter.Reset();
-
-  AnalysisContext ctx(g, 1);
-  EXPECT_EQ(counter.Value(), 0u);  // construction does not build
-  const TrianglePartnerIndex& index = ctx.TriangleIndex();
-  ctx.TriangleIndex();
-  ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
-  ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
-  EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(index.NumEntries()), 3 * CountTriangles(g));
-  EXPECT_EQ(static_cast<uint64_t>(index.NumEntries()),
-            3 * ctx.TriangleCount());
-  EXPECT_EQ(registry.GetGauge("mem.triangle_index_bytes").Value(),
-            static_cast<double>(index.Bytes()));
+  for (int threads : {1, 4}) {
+    registry.Reset();
+    AnalysisContext ctx(g, threads);
+    EXPECT_EQ(registry.GetCounter("analysis.triangle_index_builds").Value(),
+              0u);  // construction does not build
+    const TrianglePartnerIndex& index = ctx.TriangleIndex();
+    ctx.TriangleIndex();
+    EXPECT_EQ(ctx.Supports(), supports);
+    EXPECT_EQ(index.Supports(), supports);
+    EXPECT_EQ(ctx.TriangleCount(), triangles);
+    EXPECT_EQ(ctx.MaxSupport(),
+              *std::max_element(supports.begin(), supports.end()));
+    ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
+    ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+    EXPECT_EQ(registry.GetCounter("analysis.triangle_index_builds").Value(),
+              1u);
+    EXPECT_EQ(registry.GetCounter("analysis.support_computations").Value(),
+              1u);
+    EXPECT_EQ(registry.GetCounter("triangle.triangles_found").Value(),
+              triangles);
+    EXPECT_EQ(static_cast<uint64_t>(index.NumEntries()), 3 * triangles);
+    EXPECT_EQ(registry.GetGauge("mem.triangle_index_bytes").Value(),
+              static_cast<double>(index.Bytes()));
+  }
 }
 
 TEST(AnalysisContextTest, AdoptsExistingSnapshot) {

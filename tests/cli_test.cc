@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +169,10 @@ void CollectSpanNames(const obs::JsonValue& node, std::set<std::string>* out) {
   }
 }
 
+// Also checks that store mode enumerates the triangles once at any
+// --threads: the support count records them and the index is derived from
+// that record, so the enumeration counter equals the summary's triangle
+// count and core.decompose has exactly the four phases.
 TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
   std::string big_path = TempPath("cli_schema_edges.txt");
   Rng rng(99);
@@ -187,13 +192,33 @@ TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
     buf << in.rdbuf();
     auto doc = obs::JsonValue::Parse(buf.str());
     ASSERT_TRUE(doc.has_value());
+    std::vector<std::string> phases;
     for (const obs::JsonValue& top : doc->Find("trace")->Items()) {
       CollectSpanNames(top, &spans[i]);
+      for (const obs::JsonValue& child : top.Find("children")->Items()) {
+        if (child.Find("name")->Str() != "core.decompose") continue;
+        for (const obs::JsonValue& phase : child.Find("children")->Items()) {
+          phases.push_back(phase.Find("name")->Str());
+        }
+      }
     }
+    EXPECT_EQ(phases, (std::vector<std::string>{"support_count",
+                                                "triangle_index",
+                                                "bucket_init", "peel"}))
+        << threads[i];
     for (const auto& [key, value] :
          doc->FindPath("metrics.counters")->Members()) {
       counters[i].insert(key);
     }
+    const size_t at = out.find(" triangles=");
+    ASSERT_NE(at, std::string::npos);
+    const double triangles = std::stod(out.substr(at + 11));
+    EXPECT_GT(triangles, 0.0);
+    EXPECT_EQ(doc->FindPath("metrics.counters")
+                  ->Find("triangle.triangles_found")
+                  ->Number(),
+              triangles)
+        << threads[i];
   }
   EXPECT_EQ(spans[0], spans[1]);
   EXPECT_EQ(counters[0], counters[1]);

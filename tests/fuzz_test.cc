@@ -294,7 +294,7 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
         << "step " << step;
 
     // Full decomposition with the kernel installed as the process default —
-    // the index fill and the recompute peel's IntersectNeighbors both run
+    // the index build and the recompute peel's IntersectNeighbors both run
     // through it.
     ScopedDefaultKernel scoped(kernel);
     AnalysisContext ctx(g, threads);

@@ -1,6 +1,6 @@
 // The ComputeTriangleCoresParallel forwarders (the one index peel, with the
-// support count and index fill at `threads`) against the recompute-mode
-// peel on adversarial shapes: κ must be bit-identical at every thread
+// index build at `threads`) against the recompute-mode peel on
+// adversarial shapes: κ must be bit-identical at every thread
 // count, the result must be identical *across* thread counts, and the
 // returned order must itself be a valid peel.
 

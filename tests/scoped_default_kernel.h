@@ -1,6 +1,6 @@
 // Test helper: installs an intersection kernel as the process-wide default
 // for one scope, so kAuto callers (the support count, the triangle-partner
-// index fill, the recompute peel) all run through it.
+// index build, the recompute peel) all run through it.
 
 #ifndef TKC_TESTS_SCOPED_DEFAULT_KERNEL_H_
 #define TKC_TESTS_SCOPED_DEFAULT_KERNEL_H_

@@ -1,10 +1,13 @@
-// The flat edge → triangle-partner index (core/triangle_index.h) against a
-// full-adjacency recount, and its determinism: contents and the peel order
-// built on it depend only on EdgeIds, never on threads, kernel or relabel.
+// The flat edge → triangle-partner index (core/triangle_index.h), built
+// from one recorded oriented enumeration, against a reference built from
+// the full-adjacency triangle list, and its determinism: contents and the
+// peel order built on it depend only on EdgeIds, never on threads, kernel
+// or relabel.
 
 #include "tkc/core/triangle_index.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,33 +38,52 @@ Graph MakeHoledGraph(uint64_t seed) {
   return g;
 }
 
+// The partner lists a correct index must hold, built independently of the
+// oriented enumeration: every triangle of the full-adjacency ListTriangles
+// contributes its other two edges to each of its three edges.
+std::vector<std::vector<TrianglePartnerIndex::Partners>> ReferencePartners(
+    const Graph& g) {
+  std::vector<std::vector<TrianglePartnerIndex::Partners>> want(
+      g.EdgeCapacity());
+  for (const Triangle& t : ListTriangles(CsrGraph(g))) {
+    want[t.ab].push_back(std::minmax(t.ac, t.bc));
+    want[t.ac].push_back(std::minmax(t.ab, t.bc));
+    want[t.bc].push_back(std::minmax(t.ab, t.ac));
+  }
+  for (auto& list : want) std::sort(list.begin(), list.end());
+  return want;
+}
+
+void ExpectMatchesReference(const Graph& g, const TrianglePartnerIndex& index,
+                            const std::string& what) {
+  const auto want = ReferencePartners(g);
+  for (EdgeId e = 0; e < g.EdgeCapacity(); ++e) {
+    const auto got = index.Of(e);
+    ASSERT_EQ(std::vector<TrianglePartnerIndex::Partners>(got.begin(),
+                                                          got.end()),
+              want[e])
+        << what << " edge " << e;
+  }
+  EXPECT_EQ(index.Supports(), ComputeEdgeSupports(CsrGraph(g), 1)) << what;
+}
+
 TEST(TriangleIndexTest, PartnersAreExactlyTheFullAdjacencyTriangles) {
   for (uint64_t seed : {1, 2, 3}) {
     const Graph g = MakeHoledGraph(seed);
-    const CsrGraph csr(g);
-    const std::vector<uint32_t> support = ComputeEdgeSupports(csr, 1);
-    for (IntersectKernel kernel :
-         {IntersectKernel::kScalar, IntersectKernel::kBitmap,
-          IntersectKernel::kAuto}) {
-      ScopedDefaultKernel scoped(kernel);
-      const TrianglePartnerIndex index =
-          TrianglePartnerIndex::Build(csr, support, 2);
-      for (EdgeId e = 0; e < g.EdgeCapacity(); ++e) {
-        std::vector<TrianglePartnerIndex::Partners> want;
-        if (g.IsEdgeAlive(e)) {
-          const Edge edge = g.GetEdge(e);
-          g.ForEachCommonNeighbor(edge.u, edge.v,
-                                  [&](VertexId, EdgeId uw, EdgeId vw) {
-                                    want.push_back(std::minmax(uw, vw));
-                                  });
-          std::sort(want.begin(), want.end());
+    for (RelabelMode relabel : {RelabelMode::kNone, RelabelMode::kDegree}) {
+      const CsrGraph csr = CsrGraph::Freeze(g, relabel);
+      for (int threads : {1, 2, 8}) {
+        for (IntersectKernel kernel :
+             {IntersectKernel::kScalar, IntersectKernel::kAvx2,
+              IntersectKernel::kBitmap}) {
+          ScopedDefaultKernel scoped(kernel);
+          ExpectMatchesReference(
+              g, TrianglePartnerIndex::Build(csr, threads),
+              "seed " + std::to_string(seed) +
+                  " relabeled=" + std::to_string(csr.IsRelabeled()) +
+                  " threads=" + std::to_string(threads) +
+                  " kernel=" + KernelName(kernel));
         }
-        const auto got = index.Of(e);
-        ASSERT_EQ(std::vector<TrianglePartnerIndex::Partners>(got.begin(),
-                                                              got.end()),
-                  want)
-            << "seed " << seed << " kernel " << KernelName(kernel)
-            << " edge " << e;
       }
     }
   }
@@ -71,9 +93,7 @@ TEST(TriangleIndexTest, IdenticalAcrossThreadsKernelsAndRelabel) {
   const Graph g = MakeHoledGraph(7);
   const CsrGraph plain = CsrGraph::Freeze(g);
   const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
-  const std::vector<uint32_t> support = ComputeEdgeSupports(plain, 1);
-  const TrianglePartnerIndex base =
-      TrianglePartnerIndex::Build(plain, support, 1);
+  const TrianglePartnerIndex base = TrianglePartnerIndex::Build(plain, 1);
   EXPECT_EQ(base.NumEntries(), 3 * CountTriangles(g));
   for (const CsrGraph* csr : {&plain, &relabeled}) {
     for (int threads : {1, 2, 8}) {
@@ -81,8 +101,7 @@ TEST(TriangleIndexTest, IdenticalAcrossThreadsKernelsAndRelabel) {
            {IntersectKernel::kScalar, IntersectKernel::kBitmap,
             IntersectKernel::kAuto}) {
         ScopedDefaultKernel scoped(kernel);
-        EXPECT_TRUE(TrianglePartnerIndex::Build(*csr, support, threads) ==
-                    base)
+        EXPECT_TRUE(TrianglePartnerIndex::Build(*csr, threads) == base)
             << "relabeled=" << csr->IsRelabeled() << " threads=" << threads
             << " kernel=" << KernelName(kernel);
       }
@@ -110,19 +129,26 @@ TEST(TriangleIndexTest, PeelOrderIdenticalAcrossThreadsRelabelAndEntry) {
 }
 
 TEST(TriangleIndexTest, EmptyAndTriangleFreeGraphs) {
-  const CsrGraph empty{Graph(0)};
-  const TrianglePartnerIndex none =
-      TrianglePartnerIndex::Build(empty, ComputeEdgeSupports(empty, 1), 4);
-  EXPECT_EQ(none.NumEntries(), 0u);
-
   Graph cycle(8);
   for (VertexId v = 0; v < 8; ++v) cycle.AddEdge(v, (v + 1) % 8);
-  const CsrGraph csr(cycle);
-  const TrianglePartnerIndex index =
-      TrianglePartnerIndex::Build(csr, ComputeEdgeSupports(csr, 1), 4);
-  EXPECT_EQ(index.NumEntries(), 0u);
-  for (EdgeId e = 0; e < csr.EdgeCapacity(); ++e) {
-    EXPECT_TRUE(index.Of(e).empty());
+  const CsrGraph empty{Graph(0)};
+  const CsrGraph triangle_free(cycle);
+  for (const CsrGraph* csr : {&empty, &triangle_free}) {
+    for (int threads : {1, 2, 8}) {
+      for (IntersectKernel kernel :
+           {IntersectKernel::kScalar, IntersectKernel::kAvx2,
+            IntersectKernel::kBitmap}) {
+        ScopedDefaultKernel scoped(kernel);
+        const TrianglePartnerIndex index =
+            TrianglePartnerIndex::Build(*csr, threads);
+        EXPECT_EQ(index.NumEntries(), 0u);
+        for (EdgeId e = 0; e < csr->EdgeCapacity(); ++e) {
+          EXPECT_TRUE(index.Of(e).empty());
+        }
+        EXPECT_EQ(index.Supports(),
+                  std::vector<uint32_t>(csr->EdgeCapacity(), 0));
+      }
+    }
   }
 }
 
