@@ -5,10 +5,11 @@
 // One mixed event stream (>= 10k events at size-factor 1) is replayed at
 // batch sizes 1 / 16 / 256; each run streams the identical events and ends
 // in an identical decomposition (cross-checked by endpoints, exit 3 on any
-// mismatch). Expected shape: batching amortizes the coalescer, the shared
-// removal pump, and the deduplicated insert levels, so batch=16/256 beat
-// batch=1 on wall clock while staying bit-identical — and every mode beats
-// scratch recompute per refresh by orders of magnitude. The artifact also
+// mismatch). Expected shape: batching amortizes the coalescer and the
+// shared removal pump (inserts take one k-order walk each at any batch
+// size), so batch=16/256 beat batch=1 on wall clock while staying
+// bit-identical — and every mode beats scratch recompute per refresh by
+// orders of magnitude. The artifact also
 // pins engine.snapshot_copies == 0: snapshot handoff never copies a CSR.
 
 #include <cstdio>

@@ -593,6 +593,8 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   engine::TkcEngine engine =
       src->csr ? engine::TkcEngine(src->csr, options)
                : engine::TkcEngine(*src->graph, options);
+  // The engine owns its own frozen copy; the parsed graph is not read again.
+  src->graph.reset();
 
   obs::JsonValue batches_json = obs::JsonValue::Array();
   Timer total;
@@ -615,7 +617,6 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
         .Set("net_inserts", stats.net_inserts)
         .Set("net_removes", stats.net_removes)
         .Set("levels", stats.levels)
-        .Set("sweeps", stats.sweeps)
         .Set("candidate_edges", stats.work.candidate_edges)
         .Set("triangles_scanned", stats.work.triangles_scanned)
         .Set("seconds", seconds);

@@ -1,10 +1,12 @@
 #include "tkc/core/dynamic_core.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <memory>
 #include <ostream>
 #include <utility>
 
+#include "tkc/core/analysis_context.h"
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
@@ -19,6 +21,28 @@
 namespace tkc {
 
 namespace {
+
+// flag_ states. A walk moves level-k edges idle → queued → candidate (or
+// back to idle), the repeel moves candidates to evicted, and a removal
+// marks demoted edges and then placed ones.
+enum Flag : uint8_t {
+  kIdle = 0,
+  kQueued,
+  kCandidate,
+  kEvicted,
+  kDemoted,
+  kPlaced,
+};
+
+// A frozen snapshot of the substrate whose EdgeIds match it (holes
+// included), for the constructors' one-off peel and triangle index.
+AnalysisContext FrozenContext(const Graph& g) { return AnalysisContext(g); }
+
+AnalysisContext FrozenContext(const DeltaCsr& g) {
+  return AnalysisContext(
+      g.Dirty() ? std::make_shared<const CsrGraph>(CsrGraph::Freeze(g))
+                : g.base_ptr());
+}
 
 // Folds the per-event UpdateStats into the process-wide registry: shared
 // work counters plus per-kind latency and affected-region histograms (the
@@ -65,7 +89,6 @@ void RecordBatch(double seconds, const BatchStats& b) {
   static obs::Counter& inserts = registry.GetCounter("dyn.batch.net_inserts");
   static obs::Counter& removes = registry.GetCounter("dyn.batch.net_removes");
   static obs::Counter& levels = registry.GetCounter("dyn.batch.levels");
-  static obs::Counter& sweeps = registry.GetCounter("dyn.batch.sweeps");
   static obs::Counter& candidates =
       registry.GetCounter("dyn.candidate_edges");
   static obs::Counter& promoted = registry.GetCounter("dyn.promoted_edges");
@@ -82,7 +105,6 @@ void RecordBatch(double seconds, const BatchStats& b) {
   inserts.Add(b.net_inserts);
   removes.Add(b.net_removes);
   levels.Add(b.levels);
-  sweeps.Add(b.sweeps);
   candidates.Add(b.work.candidate_edges);
   promoted.Add(b.work.promoted_edges);
   demoted.Add(b.work.demoted_edges);
@@ -112,8 +134,7 @@ std::string BatchStats::ToString() const {
          " coalesced=" + std::to_string(coalesced_events) +
          " inserts=" + std::to_string(net_inserts) +
          " removes=" + std::to_string(net_removes) +
-         " levels=" + std::to_string(levels) +
-         " sweeps=" + std::to_string(sweeps) + " " + work.ToString();
+         " levels=" + std::to_string(levels) + " " + work.ToString();
 }
 
 std::ostream& operator<<(std::ostream& os, const BatchStats& stats) {
@@ -123,35 +144,96 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats) {
 template <typename GraphT>
 DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(GraphT graph)
     : graph_(std::move(graph)) {
-  TriangleCoreResult initial = ComputeTriangleCores(graph_);
+  const AnalysisContext ctx = FrozenContext(graph_);
+  TriangleCoreResult initial = ComputeTriangleCores(ctx);
   kappa_ = std::move(initial.kappa);
-  GrowArrays();
+  InitOrder(initial, ctx.TriangleIndex());
+}
+
+template <typename GraphT>
+DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(GraphT graph,
+                                                   TriangleCoreResult initial)
+    : graph_(std::move(graph)), kappa_(std::move(initial.kappa)) {
+  const AnalysisContext ctx = FrozenContext(graph_);
+  InitOrder(initial, ctx.TriangleIndex());
 }
 
 template <typename GraphT>
 DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(
-    GraphT graph, const TriangleCoreResult& initial)
-    : graph_(std::move(graph)), kappa_(initial.kappa) {
+    GraphT graph, TriangleCoreResult initial,
+    const TrianglePartnerIndex& index)
+    : graph_(std::move(graph)), kappa_(std::move(initial.kappa)) {
+  InitOrder(initial, index);
+}
+
+template <typename GraphT>
+void DynamicTriangleCoreT<GraphT>::InitOrder(
+    TriangleCoreResult& initial, const TrianglePartnerIndex& index) {
   TKC_CHECK(kappa_.size() == graph_.EdgeCapacity());
+  TKC_CHECK(initial.order.size() == kappa_.size());
+  // The peel sequence is not needed; free it before the order arrays grow.
+  std::vector<EdgeId>().swap(initial.peel_sequence);
+  // Headroom for the ids later inserts allocate, so the first of them does
+  // not reallocate and copy every per-edge array (untouched capacity costs
+  // no resident memory).
+  const size_t headroom = kappa_.size() + kappa_.size() / 4;
+  kappa_.reserve(headroom);
+  label_.reserve(headroom);
+  rem_.reserve(headroom);
+  flag_.reserve(headroom);
+  cand_support_.reserve(headroom);
+  queued_.reserve(headroom);
   GrowArrays();
+  // Algorithm 1 peels in non-decreasing κ, so its rank is a valid label,
+  // and the next tail label of a level follows its last-peeled edge.
+  graph_.ForEachEdge([&](EdgeId e, const Edge&) {
+    label_[e] = initial.order[e];
+    int64_t& tail = Ends(kappa_[e]).tail;
+    tail = std::max(tail, label_[e]);
+  });
+  // rem(e) is the support e still had when the peel took it, without the
+  // triangles whose relaxations the κ floor absorbed; so rem <= κ. The
+  // rank alone orders the edges here, since κ never decreases along it.
+  const std::vector<uint32_t>& order = initial.order;
+  for (EdgeId e = 0; e < kappa_.size(); ++e) {
+    const uint32_t rank = order[e];
+    uint32_t r = 0;
+    for (const auto& [p, q] : index.Of(e)) {
+      r += static_cast<uint32_t>(order[p] > rank) &
+           static_cast<uint32_t>(order[q] > rank);
+    }
+    rem_[e] = r;
+    TKC_CHECK_MSG(r <= kappa_[e],
+                  "DynamicTriangleCore: initial order is not a peel of κ");
+  }
 }
 
 template <typename GraphT>
 void DynamicTriangleCoreT<GraphT>::GrowArrays() {
   const size_t cap = graph_.EdgeCapacity();
   if (kappa_.size() < cap) kappa_.resize(cap, 0);
-  if (flag_.size() < cap) flag_.resize(cap, 0);
+  if (label_.size() < cap) label_.resize(cap, 0);
+  if (rem_.size() < cap) rem_.resize(cap, 0);
+  if (flag_.size() < cap) flag_.resize(cap, kIdle);
   if (cand_support_.size() < cap) cand_support_.resize(cap, 0);
   if (queued_.size() < cap) queued_.resize(cap, 0);
-  if (seed_flag_.size() < cap) seed_flag_.resize(cap, 0);
 }
 
 template <typename GraphT>
-uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) const {
+typename DynamicTriangleCoreT<GraphT>::LevelEnds&
+DynamicTriangleCoreT<GraphT>::Ends(uint32_t k) {
+  if (ends_.size() <= k) ends_.resize(k + 1);
+  return ends_[k];
+}
+
+template <typename GraphT>
+uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) {
   // h-index over min(κ(e1), κ(e2)) of e0's triangles: the largest k such
   // that at least k triangles have partner-min >= k.
-  std::vector<uint32_t> mins;
+  std::vector<uint32_t>& mins = hist_;
+  mins.clear();
   ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId e1, EdgeId e2) {
+    ++last_stats_.triangles_scanned;
     mins.push_back(std::min(kappa_[e1], kappa_[e2]));
   });
   std::sort(mins.begin(), mins.end(), std::greater<uint32_t>());
@@ -171,33 +253,7 @@ EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
   Timer latency;
   GrowArrays();
   last_stats_ = UpdateStats{};
-
-  const uint32_t k1 = InsertionBound(e0);
-  kappa_[e0] = k1;
-
-  // Per-level Rule-0 regions are independent (a level-k promotion depends
-  // only on edges with κ > k, which other levels never produce), so all
-  // levels are evaluated against pre-insertion κ values and the +1
-  // promotions are applied at the end. Only levels that can seed a
-  // candidate region need processing: a level-k region is reachable only
-  // through a triangle on e0 whose partner minimum is exactly k (that
-  // partner is the seed), plus level k1 where e0 itself is the candidate.
-  std::vector<uint32_t> levels;
-  ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId e1, EdgeId e2) {
-    uint32_t m = std::min(kappa_[e1], kappa_[e2]);
-    if (m <= k1) levels.push_back(m);
-  });
-  levels.push_back(k1);
-  std::sort(levels.begin(), levels.end());
-  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
-
-  std::vector<EdgeId> promotions;
-  for (uint32_t k : levels) {
-    ProcessInsertLevel(e0, k, &promotions);
-  }
-  for (EdgeId e : promotions) ++kappa_[e];
-  last_stats_.promoted_edges = promotions.size();
-
+  InsertInternal(e0);
   total_stats_.candidate_edges += last_stats_.candidate_edges;
   total_stats_.promoted_edges += last_stats_.promoted_edges;
   total_stats_.triangles_scanned += last_stats_.triangles_scanned;
@@ -207,169 +263,212 @@ EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
 }
 
 template <typename GraphT>
+uint64_t DynamicTriangleCoreT<GraphT>::InsertInternal(EdgeId e0) {
+  static obs::Histogram& walk_edges =
+      obs::MetricsRegistry::Global().GetHistogram("dyn.insert.walk_edges");
+  const uint64_t popped_before = last_stats_.candidate_edges;
+
+  // Step 1: κ(e0) = k1 at the tail of level k1. Then rem(e0) counts the
+  // triangles whose partners both sit above level k1, fewer than k1 + 1
+  // by the h-index definition.
+  const uint32_t k1 = InsertionBound(e0);
+  kappa_[e0] = k1;
+  label_[e0] = ++Ends(k1).tail;
+  rem_[e0] = 0;
+
+  // Step 2: every new triangle belongs to its first edge. An edge shares
+  // at most one triangle with e0, so its rem grows by at most one and a
+  // seed has rem = κ + 1.
+  std::vector<EdgeId> seeds;
+  ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId p, EdgeId q) {
+    ++last_stats_.triangles_scanned;
+    const EdgeId first = Before(p, q) ? p : q;
+    if (Before(e0, first)) {
+      ++rem_[e0];
+    } else if (++rem_[first] > kappa_[first]) {
+      seeds.push_back(first);
+    }
+  });
+  TKC_DCHECK(rem_[e0] <= k1);
+
+  // Step 3-4, per seed level, highest first. A level-k walk changes rem
+  // and labels only inside levels k and k+1 and promotes only to k+1, so
+  // the seeds of lower levels stay valid.
+  std::sort(seeds.begin(), seeds.end(),
+            [&](EdgeId a, EdgeId b) { return Before(b, a); });
+  uint64_t levels = 0;
+  for (size_t i = 0; i < seeds.size();) {
+    const uint32_t k = kappa_[seeds[i]];
+    size_t j = i;
+    while (j < seeds.size() && kappa_[seeds[j]] == k) ++j;
+    WalkLevel(k, std::span<const EdgeId>(seeds.data() + i, j - i));
+    ++levels;
+    i = j;
+  }
+  walk_edges.Observe(last_stats_.candidate_edges - popped_before);
+  return levels;
+}
+
+template <typename GraphT>
+void DynamicTriangleCoreT<GraphT>::WalkLevel(uint32_t k,
+                                             std::span<const EdgeId> seeds) {
+  // --- Walk: pop level-k edges in label order; cand_support_ holds d*(x),
+  // the triangles on x handed over by earlier candidates. A triangle is
+  // counted by x iff each partner comes later than x or is a candidate.
+  // Hand-overs only go forward, so the heap pops in increasing label.
+  using Entry = std::pair<int64_t, EdgeId>;
+  std::vector<Entry> heap;
+  auto push = [&](EdgeId f) {
+    flag_[f] = kQueued;
+    heap.emplace_back(label_[f], f);
+    std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
+  };
+  for (EdgeId s : seeds) push(s);
+  std::vector<EdgeId> cands;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
+    const EdgeId x = heap.back().second;
+    heap.pop_back();
+    ++last_stats_.candidate_edges;
+    if (rem_[x] + cand_support_[x] <= k) {
+      // No slack: x stays, and is now the first edge of what it was handed.
+      rem_[x] += cand_support_[x];
+      cand_support_[x] = 0;
+      flag_[x] = kIdle;
+      continue;
+    }
+    flag_[x] = kCandidate;
+    cands.push_back(x);
+    ForEachTriangleOnEdge(graph_, x, [&](VertexId, EdgeId p, EdgeId q) {
+      ++last_stats_.triangles_scanned;
+      auto counted = [&](EdgeId r) {
+        return flag_[r] == kCandidate || Before(x, r);
+      };
+      if (!counted(p) || !counted(q)) return;
+      // The triangle moves on to its first level-k non-candidate; those
+      // all come after x, since x counted the triangle.
+      auto open = [&](EdgeId r) {
+        return kappa_[r] == k && flag_[r] != kCandidate;
+      };
+      EdgeId next = open(p) ? p : kInvalidEdge;
+      if (open(q) && (next == kInvalidEdge || label_[q] < label_[next])) {
+        next = q;
+      }
+      if (next == kInvalidEdge) return;
+      ++cand_support_[next];
+      if (flag_[next] == kIdle) push(next);
+    });
+  }
+  if (cands.empty()) return;
+
+  // --- Repeel: a candidate is promoted to k+1 iff it keeps >= k+1
+  // triangles whose partners have κ > k or are surviving candidates.
+  auto qual = [&](EdgeId f) {
+    return kappa_[f] > k || flag_[f] == kCandidate;
+  };
+  std::vector<EdgeId> evicted;
+  for (EdgeId c : cands) {
+    uint32_t s = 0;
+    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
+      ++last_stats_.triangles_scanned;
+      if (qual(f1) && qual(f2)) ++s;
+    });
+    cand_support_[c] = s;
+    if (s <= k) evicted.push_back(c);
+  }
+  // `evicted` doubles as the eviction queue: entries are evicted in order.
+  size_t placed = 0;
+  for (size_t head = 0; head < evicted.size(); ++head) {
+    const EdgeId c = evicted[head];
+    if (flag_[c] != kCandidate) continue;
+    flag_[c] = kEvicted;
+    evicted[placed++] = c;
+    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
+      ++last_stats_.triangles_scanned;
+      auto drop = [&](EdgeId cand, EdgeId other) {
+        if (flag_[cand] != kCandidate || !qual(other)) return;
+        if (--cand_support_[cand] == k) evicted.push_back(cand);
+      };
+      drop(f1, f2);
+      drop(f2, f1);
+    });
+  }
+  evicted.resize(placed);
+
+  // --- Place: survivors at the head of level k+1 in walk order, evicted
+  // candidates at the tail of level k in eviction order. An evicted edge's
+  // final repeel count covers exactly the partners that now come after
+  // it, so it is its rem; survivors are recounted.
+  for (auto it = cands.rbegin(); it != cands.rend(); ++it) {
+    if (flag_[*it] != kCandidate) continue;
+    label_[*it] = --Ends(k + 1).head;
+    ++kappa_[*it];
+    ++last_stats_.promoted_edges;
+  }
+  for (EdgeId c : evicted) {
+    label_[c] = ++Ends(k).tail;
+    rem_[c] = cand_support_[c];
+  }
+  for (EdgeId c : cands) {
+    if (flag_[c] == kCandidate) {
+      uint32_t r = 0;
+      ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
+        ++last_stats_.triangles_scanned;
+        if (Before(c, f1) && Before(c, f2)) ++r;
+      });
+      rem_[c] = r;
+    }
+    TKC_DCHECK(rem_[c] <= kappa_[c]);
+    flag_[c] = kIdle;
+    cand_support_[c] = 0;
+  }
+}
+
+template <typename GraphT>
 void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
 #if TKC_CHECK_LEVEL >= 2
   if (in_batch_) return;
   verify::CheckOrDie(verify::CheckKappaCertificate(graph_, kappa_), where);
+  std::string failure;
+  if (!OrderInvariantHolds(&failure)) {
+    failure = std::string(where) + ": " + failure;
+    TKC_CHECK_MSG(false, failure.c_str());
+  }
 #else
   (void)where;
 #endif
 }
 
 template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::ProcessInsertLevel(
-    EdgeId e0, uint32_t k, std::vector<EdgeId>* promotions) {
-  // --- Region growth (Rule 0): edges with κ == k triangle-connected to e0
-  // through triangles whose other two edges have κ >= k. Only candidates
-  // (κ == k) propagate the search; κ > k edges are stable walls.
-  std::vector<EdgeId> cands;
-  std::deque<EdgeId> frontier;
-  auto consider = [&](EdgeId f) {
-    if (kappa_[f] == k && flag_[f] == 0) {
-      flag_[f] = 1;
-      cands.push_back(f);
-      frontier.push_back(f);
+bool DynamicTriangleCoreT<GraphT>::OrderInvariantHolds(
+    std::string* failure) const {
+  std::vector<std::pair<uint32_t, int64_t>> keys;
+  keys.reserve(graph_.NumEdges());
+  std::string why;
+  graph_.ForEachEdge([&](EdgeId e, const Edge& edge) {
+    if (!why.empty()) return;
+    uint32_t r = 0;
+    ForEachTriangleOnEdge(graph_, e, [&](VertexId, EdgeId p, EdgeId q) {
+      if (Before(e, p) && Before(e, q)) ++r;
+    });
+    if (r != rem_[e] || rem_[e] > kappa_[e]) {
+      why = "edge " + std::to_string(e) + " = (" + std::to_string(edge.u) +
+            "," + std::to_string(edge.v) + "): rem " +
+            std::to_string(rem_[e]) + ", recount " + std::to_string(r) +
+            ", kappa " + std::to_string(kappa_[e]);
     }
-  };
-  auto expand = [&](EdgeId x) {
-    ForEachTriangleOnEdge(graph_, x, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      if (kappa_[f1] < k || kappa_[f2] < k) return;
-      consider(f1);
-      consider(f2);
-    });
-  };
-  // e0 participates in the region by fiat; if its tentative κ equals k
-  // (k == k1) it is itself a promotion candidate.
-  if (kappa_[e0] == k) {
-    flag_[e0] = 1;
-    cands.push_back(e0);
-  }
-  expand(e0);
-  while (!frontier.empty()) {
-    EdgeId c = frontier.front();
-    frontier.pop_front();
-    if (c != e0) expand(c);
-  }
-  last_stats_.candidate_edges += cands.size();
-
-  // --- Repeel: a candidate is promoted to k+1 iff it retains >= k+1
-  // triangles whose partners have κ > k or are surviving candidates.
-  // `Qual` evaluates partner eligibility under the current eviction state.
-  auto qual = [&](EdgeId f) { return kappa_[f] > k || flag_[f] == 1; };
-  std::deque<EdgeId> evict_queue;
-  for (EdgeId c : cands) {
-    uint32_t s = 0;
-    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      if (qual(f1) && qual(f2)) ++s;
-    });
-    cand_support_[c] = s;
-    if (s < k + 1) evict_queue.push_back(c);
-  }
-  while (!evict_queue.empty()) {
-    EdgeId c = evict_queue.front();
-    evict_queue.pop_front();
-    if (flag_[c] != 1) continue;  // already evicted
-    if (cand_support_[c] >= k + 1) continue;  // support was restored? never
-    flag_[c] = 2;
-    // Triangles that counted for a candidate partner stop counting.
-    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      auto drop = [&](EdgeId cand, EdgeId other) {
-        if (flag_[cand] != 1) return;
-        if (!(kappa_[other] > k || flag_[other] == 1)) return;
-        // Triangle (c, cand, other) previously counted toward cand.
-        if (--cand_support_[cand] < k + 1) evict_queue.push_back(cand);
-      };
-      drop(f1, f2);
-      drop(f2, f1);
-    });
-  }
-  for (EdgeId c : cands) {
-    if (flag_[c] == 1) promotions->push_back(c);
-    flag_[c] = 0;  // reset scratch
-    cand_support_[c] = 0;
-  }
-}
-
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::ProcessBatchInsertLevel(
-    const std::vector<EdgeId>& seeds, uint32_t k,
-    std::vector<EdgeId>* promotions) {
-  // The multi-seed generalization of ProcessInsertLevel: one Rule-0 region
-  // is grown from every seed at once and repeeled once, instead of one
-  // region per inserted edge. Seeds are marked in seed_flag_ and expanded
-  // up front; the frontier never re-expands them. A seed only contributes
-  // at levels k <= κ(seed) — above that its own κ disqualifies every
-  // triangle through it — so cheaper seeds are skipped outright.
-  std::vector<EdgeId> cands;
-  std::deque<EdgeId> frontier;
-  auto consider = [&](EdgeId f) {
-    if (kappa_[f] == k && flag_[f] == 0) {
-      flag_[f] = 1;
-      cands.push_back(f);
-      frontier.push_back(f);
-    }
-  };
-  auto expand = [&](EdgeId x) {
-    ForEachTriangleOnEdge(graph_, x, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      if (kappa_[f1] < k || kappa_[f2] < k) return;
-      consider(f1);
-      consider(f2);
-    });
-  };
-  for (EdgeId s : seeds) {
-    if (kappa_[s] == k && flag_[s] == 0) {
-      flag_[s] = 1;
-      cands.push_back(s);
+    keys.emplace_back(kappa_[e], label_[e]);
+  });
+  if (why.empty()) {
+    std::sort(keys.begin(), keys.end());
+    const auto dup = std::adjacent_find(keys.begin(), keys.end());
+    if (dup != keys.end()) {
+      why = "label " + std::to_string(dup->second) + " repeats in level " +
+            std::to_string(dup->first);
     }
   }
-  for (EdgeId s : seeds) {
-    if (kappa_[s] >= k) expand(s);
-  }
-  while (!frontier.empty()) {
-    EdgeId c = frontier.front();
-    frontier.pop_front();
-    if (!seed_flag_[c]) expand(c);
-  }
-  last_stats_.candidate_edges += cands.size();
-
-  // Repeel, identical to the single-seed path.
-  auto qual = [&](EdgeId f) { return kappa_[f] > k || flag_[f] == 1; };
-  std::deque<EdgeId> evict_queue;
-  for (EdgeId c : cands) {
-    uint32_t s = 0;
-    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      if (qual(f1) && qual(f2)) ++s;
-    });
-    cand_support_[c] = s;
-    if (s < k + 1) evict_queue.push_back(c);
-  }
-  while (!evict_queue.empty()) {
-    EdgeId c = evict_queue.front();
-    evict_queue.pop_front();
-    if (flag_[c] != 1) continue;
-    if (cand_support_[c] >= k + 1) continue;
-    flag_[c] = 2;
-    ForEachTriangleOnEdge(graph_, c, [&](VertexId, EdgeId f1, EdgeId f2) {
-      ++last_stats_.triangles_scanned;
-      auto drop = [&](EdgeId cand, EdgeId other) {
-        if (flag_[cand] != 1) return;
-        if (!(kappa_[other] > k || flag_[other] == 1)) return;
-        if (--cand_support_[cand] < k + 1) evict_queue.push_back(cand);
-      };
-      drop(f1, f2);
-      drop(f2, f1);
-    });
-  }
-  for (EdgeId c : cands) {
-    if (flag_[c] == 1) promotions->push_back(c);
-    flag_[c] = 0;
-    cand_support_[c] = 0;
-  }
+  if (failure != nullptr) *failure = why;
+  return why.empty();
 }
 
 template <typename GraphT>
@@ -406,10 +505,11 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
     return a.seq < b.seq;
   });
   std::vector<Edge> net_inserts;
-  std::vector<Edge> net_removes;
+  std::vector<EdgeId> net_removes;
   for (size_t i = 0; i < keyed.size();) {
     size_t j = i;
-    const bool exists0 = graph_.HasEdge(keyed[i].u, keyed[i].v);
+    const EdgeId existing = graph_.FindEdge(keyed[i].u, keyed[i].v);
+    const bool exists0 = existing != kInvalidEdge;
     bool exists = exists0;
     while (j < keyed.size() && keyed[j].u == keyed[i].u &&
            keyed[j].v == keyed[i].v) {
@@ -417,8 +517,11 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
       ++j;
     }
     if (exists != exists0) {
-      (exists ? net_inserts : net_removes)
-          .push_back(Edge{keyed[i].u, keyed[i].v});
+      if (exists) {
+        net_inserts.push_back(Edge{keyed[i].u, keyed[i].v});
+      } else {
+        net_removes.push_back(existing);
+      }
     }
     i = j;
   }
@@ -427,86 +530,24 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
   batch.coalesced_events =
       batch.events - batch.net_inserts - batch.net_removes;
 
-  // --- Removal phase: structurally remove every net-removed edge first,
-  // seeding the partners of each destroyed triangle under the pre-batch κ
-  // values (each destroyed triangle is enumerated exactly once, at the
-  // first of its edges to be removed), then run ONE demotion pump over the
-  // fully mutated graph. The pump recomputes h(f) from the final
-  // adjacency, so a single queue pass absorbs the combined effect of all
-  // removals, and its decreasing iteration converges to the exact
-  // decomposition of the intermediate graph.
-  std::vector<EdgeId> queue;
-  std::vector<std::pair<EdgeId, EdgeId>> destroyed;
-  for (const Edge& r : net_removes) {
-    const EdgeId e0 = graph_.FindEdge(r.u, r.v);
-    TKC_CHECK(e0 != kInvalidEdge);
-    const uint32_t k0 = kappa_[e0];
-    destroyed.clear();
-    ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId e1, EdgeId e2) {
-      ++last_stats_.triangles_scanned;
-      destroyed.emplace_back(e1, e2);
-    });
-    graph_.RemoveEdgeById(e0);
-    kappa_[e0] = 0;
-    auto seed = [&](EdgeId f, EdgeId other) {
-      if (kappa_[f] == 0 || queued_[f]) return;
-      if (std::min(k0, kappa_[other]) >= kappa_[f]) {
-        queued_[f] = 1;
-        queue.push_back(f);
-      }
-    };
-    for (const auto& [e1, e2] : destroyed) {
-      seed(e1, e2);
-      seed(e2, e1);
-    }
+  // --- Removal phase: every net removal, then ONE demotion pump over the
+  // fully mutated graph and one order repair.
+  {
+    TKC_SPAN("dyn.remove");
+    RemoveInternal(net_removes);
   }
-  PumpDemotions(queue);
 
-  // --- Insert phase: structurally insert everything, bound each new edge
-  // below by its insertion h-index (valid because the current κ array is
-  // pointwise <= the final decomposition, and the edge set
-  // {final κ >= h(e)} ∪ {e} supports e at level h(e)), then iterate
-  // level-deduplicated multi-seed promotion sweeps until no edge moves.
-  // Each sweep's promoted set seeds the next, so cascades that per-event
-  // application would discover one insertion at a time are found in
-  // κ-increment-bounded rounds.
-  std::vector<EdgeId> fresh;
-  fresh.reserve(net_inserts.size());
-  for (const Edge& ins : net_inserts) {
-    bool inserted = false;
-    const EdgeId e0 = graph_.AddEdge(ins.u, ins.v, &inserted);
-    TKC_CHECK(inserted);
-    fresh.push_back(e0);
-  }
-  GrowArrays();
-  for (EdgeId e0 : fresh) kappa_[e0] = InsertionBound(e0);
-
-  std::vector<EdgeId> seeds = std::move(fresh);
-  while (!seeds.empty()) {
-    ++batch.sweeps;
-    std::vector<uint32_t> levels;
-    for (EdgeId s : seeds) {
-      const uint32_t ks = kappa_[s];
-      ForEachTriangleOnEdge(graph_, s, [&](VertexId, EdgeId f1, EdgeId f2) {
-        ++last_stats_.triangles_scanned;
-        const uint32_t m = std::min(kappa_[f1], kappa_[f2]);
-        if (m <= ks) levels.push_back(m);
-      });
-      levels.push_back(ks);
+  // --- Insert phase: one walk per inserted edge, each against the exact
+  // decomposition and order of the graph before it.
+  {
+    TKC_SPAN("dyn.insert");
+    for (const Edge& ins : net_inserts) {
+      bool inserted = false;
+      const EdgeId e0 = graph_.AddEdge(ins.u, ins.v, &inserted);
+      TKC_CHECK(inserted);
+      GrowArrays();
+      batch.levels += InsertInternal(e0);
     }
-    std::sort(levels.begin(), levels.end());
-    levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
-    batch.levels += levels.size();
-
-    for (EdgeId s : seeds) seed_flag_[s] = 1;
-    std::vector<EdgeId> promotions;
-    for (uint32_t k : levels) {
-      ProcessBatchInsertLevel(seeds, k, &promotions);
-    }
-    for (EdgeId s : seeds) seed_flag_[s] = 0;
-    for (EdgeId e : promotions) ++kappa_[e];
-    last_stats_.promoted_edges += promotions.size();
-    seeds = std::move(promotions);
   }
 
   in_batch_ = false;
@@ -560,47 +601,17 @@ template <typename GraphT>
 bool DynamicTriangleCoreT<GraphT>::RemoveEdge(VertexId u, VertexId v) {
   EdgeId e0 = graph_.FindEdge(u, v);
   if (e0 == kInvalidEdge) return false;
-  RemoveEdgeInternal(e0);
+  RemoveEdgeById(e0);
   return true;
 }
 
 template <typename GraphT>
 void DynamicTriangleCoreT<GraphT>::RemoveEdgeById(EdgeId e0) {
   TKC_CHECK(graph_.IsEdgeAlive(e0));
-  RemoveEdgeInternal(e0);
-}
-
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RemoveEdgeInternal(EdgeId e0) {
   TKC_SPAN("dyn.remove");
   Timer latency;
   last_stats_ = UpdateStats{};
-  const uint32_t k0 = kappa_[e0];
-
-  // Partners of every destroyed triangle whose κ could drop (Rule 0: the
-  // triangle supported f's level iff the other two edges both had κ >=
-  // κ(f)).
-  std::vector<std::pair<EdgeId, EdgeId>> destroyed;
-  ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId e1, EdgeId e2) {
-    destroyed.emplace_back(e1, e2);
-  });
-  graph_.RemoveEdgeById(e0);
-  kappa_[e0] = 0;
-
-  std::vector<EdgeId> queue;
-  auto seed = [&](EdgeId f, EdgeId other) {
-    if (kappa_[f] == 0 || queued_[f]) return;
-    if (std::min(k0, kappa_[other]) >= kappa_[f]) {
-      queued_[f] = 1;
-      queue.push_back(f);
-    }
-  };
-  for (const auto& [e1, e2] : destroyed) {
-    seed(e1, e2);
-    seed(e2, e1);
-  }
-  PumpDemotions(queue);
-
+  RemoveInternal(std::span<const EdgeId>(&e0, 1));
   total_stats_.candidate_edges += last_stats_.candidate_edges;
   total_stats_.demoted_edges += last_stats_.demoted_edges;
   total_stats_.triangles_scanned += last_stats_.triangles_scanned;
@@ -609,7 +620,52 @@ void DynamicTriangleCoreT<GraphT>::RemoveEdgeInternal(EdgeId e0) {
 }
 
 template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::PumpDemotions(std::vector<EdgeId>& queue) {
+void DynamicTriangleCoreT<GraphT>::RemoveInternal(
+    std::span<const EdgeId> edges) {
+  // Structurally remove every edge first. Each destroyed triangle is
+  // enumerated once, at the first of its edges to go: it leaves rem of
+  // its first edge, and the partners whose κ it may have supported (Rule
+  // 0: both other edges had κ >= κ(f)) are queued under the pre-removal
+  // κ values.
+  std::vector<EdgeId> queue;
+  std::vector<std::pair<EdgeId, EdgeId>> destroyed;
+  for (const EdgeId e0 : edges) {
+    const uint32_t k0 = kappa_[e0];
+    destroyed.clear();
+    ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId e1, EdgeId e2) {
+      ++last_stats_.triangles_scanned;
+      destroyed.emplace_back(e1, e2);
+    });
+    for (const auto& [e1, e2] : destroyed) {
+      const EdgeId first = Before(e1, e2) ? e1 : e2;
+      if (Before(first, e0)) --rem_[first];
+    }
+    graph_.RemoveEdgeById(e0);
+    kappa_[e0] = 0;
+    rem_[e0] = 0;
+    auto seed = [&](EdgeId f, EdgeId other) {
+      if (kappa_[f] == 0 || queued_[f]) return;
+      if (std::min(k0, kappa_[other]) >= kappa_[f]) {
+        queued_[f] = 1;
+        queue.push_back(f);
+      }
+    };
+    for (const auto& [e1, e2] : destroyed) {
+      seed(e1, e2);
+      seed(e2, e1);
+    }
+  }
+  // The pump recomputes h(f) from the final adjacency, so one queue pass
+  // absorbs the combined effect of all removals, and its decreasing
+  // iteration converges to the exact decomposition.
+  std::vector<EdgeId> demoted;
+  PumpDemotions(queue, demoted);
+  RepairOrder(demoted);
+}
+
+template <typename GraphT>
+void DynamicTriangleCoreT<GraphT>::PumpDemotions(
+    std::vector<EdgeId>& queue, std::vector<EdgeId>& demoted) {
   // Asynchronous decreasing iteration: κ(f) <- h(f) where h(f) is the
   // largest k such that f keeps >= k triangles with partner-min >= k.
   // Starting from valid upper bounds this converges exactly to the
@@ -644,6 +700,11 @@ void DynamicTriangleCoreT<GraphT>::PumpDemotions(std::vector<EdgeId>& queue) {
     }
     if (h >= kf) continue;  // support intact, no change
 
+    if (flag_[f] == kIdle) {
+      flag_[f] = kDemoted;
+      cand_support_[f] = kf;
+      demoted.push_back(f);
+    }
     kappa_[f] = h;
     ++last_stats_.demoted_edges;
     // Theorem-1 neighbors whose qualified count may have used f at a level
@@ -657,6 +718,90 @@ void DynamicTriangleCoreT<GraphT>::PumpDemotions(std::vector<EdgeId>& queue) {
         }
       }
     });
+  }
+}
+
+template <typename GraphT>
+void DynamicTriangleCoreT<GraphT>::RepairOrder(
+    const std::vector<EdgeId>& demoted) {
+  if (demoted.empty()) return;
+  // --- rem of the edges that stay: only demoted keys moved, and each moved
+  // earlier, so a kept edge y loses exactly the triangles it was first of
+  // in which a demoted edge now precedes it — one whose new level is
+  // below κ(y), since a demoted edge joins its level at the tail. Old keys
+  // are (cand_support_, label_) for demoted edges. Each triangle is
+  // visited from its smallest-id demoted edge.
+  auto old_before = [&](EdgeId a, EdgeId b) {
+    const uint32_t ka = flag_[a] == kDemoted ? cand_support_[a] : kappa_[a];
+    const uint32_t kb = flag_[b] == kDemoted ? cand_support_[b] : kappa_[b];
+    return ka != kb ? ka < kb : label_[a] < label_[b];
+  };
+  for (const EdgeId f : demoted) {
+    ForEachTriangleOnEdge(graph_, f, [&](VertexId, EdgeId p, EdgeId q) {
+      ++last_stats_.triangles_scanned;
+      const bool dp = flag_[p] == kDemoted;
+      const bool dq = flag_[q] == kDemoted;
+      if ((dp && p < f) || (dq && q < f)) return;
+      EdgeId first = old_before(p, q) ? p : q;
+      if (old_before(f, first)) first = f;
+      if (flag_[first] == kDemoted) return;  // rebuilt below
+      uint32_t low = kappa_[f];
+      if (dp) low = std::min(low, kappa_[p]);
+      if (dq) low = std::min(low, kappa_[q]);
+      if (low < kappa_[first]) --rem_[first];
+    });
+  }
+
+  // --- The demoted edges of each new level h join its tail in the order
+  // of a local peel at threshold h+1 over themselves and the edges above
+  // h: an edge is placed once at most h of its triangles have both
+  // partners above h or still unplaced, and that count is its rem. Exact
+  // κ makes the peel place every one (none is in the (h+1)-core).
+  std::vector<EdgeId> by_level = demoted;
+  std::stable_sort(by_level.begin(), by_level.end(),
+                   [&](EdgeId a, EdgeId b) { return kappa_[a] < kappa_[b]; });
+  std::vector<EdgeId> ready;
+  for (size_t i = 0; i < by_level.size();) {
+    const uint32_t h = kappa_[by_level[i]];
+    size_t j = i;
+    while (j < by_level.size() && kappa_[by_level[j]] == h) ++j;
+    auto later = [&](EdgeId r) {
+      return kappa_[r] > h || (kappa_[r] == h && flag_[r] == kDemoted);
+    };
+    ready.clear();
+    for (size_t x = i; x < j; ++x) {
+      const EdgeId f = by_level[x];
+      uint32_t count = 0;
+      ForEachTriangleOnEdge(graph_, f, [&](VertexId, EdgeId p, EdgeId q) {
+        ++last_stats_.triangles_scanned;
+        if (later(p) && later(q)) ++count;
+      });
+      rem_[f] = count;
+      if (count <= h) ready.push_back(f);
+    }
+    for (size_t r = 0; r < ready.size(); ++r) {
+      const EdgeId f = ready[r];
+      flag_[f] = kPlaced;
+      label_[f] = ++Ends(h).tail;
+      ForEachTriangleOnEdge(graph_, f, [&](VertexId, EdgeId p, EdgeId q) {
+        ++last_stats_.triangles_scanned;
+        auto drop = [&](EdgeId peer, EdgeId other) {
+          if (kappa_[peer] != h || flag_[peer] != kDemoted || !later(other)) {
+            return;
+          }
+          if (--rem_[peer] == h) ready.push_back(peer);
+        };
+        drop(p, q);
+        drop(q, p);
+      });
+    }
+    TKC_CHECK_MSG(ready.size() == j - i,
+                  "DynamicTriangleCore: demoted edges left unplaced");
+    i = j;
+  }
+  for (const EdgeId f : demoted) {
+    flag_[f] = kIdle;
+    cand_support_[f] = 0;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "tkc/core/triangle_core.h"
+#include "tkc/core/triangle_index.h"
 #include "tkc/graph/edge_event.h"
 #include "tkc/graph/graph.h"
 
@@ -30,72 +31,90 @@ struct UpdateStats {
 std::ostream& operator<<(std::ostream& os, const UpdateStats& stats);
 
 /// Outcome of one ApplyBatch call: the shared work counters plus the
-/// batch-shape numbers (how much the coalescer elided, how many region
-/// searches actually ran) that make the amortization measurable.
+/// batch-shape numbers (how much the coalescer elided, how many insert
+/// walks actually ran) that make the amortization measurable.
 struct BatchStats {
   UpdateStats work;
   uint64_t events = 0;            // events handed in
   uint64_t coalesced_events = 0;  // elided by net-effect coalescing
   uint64_t net_inserts = 0;       // structural inserts applied
   uint64_t net_removes = 0;       // structural removals applied
-  uint64_t levels = 0;            // deduplicated insert levels processed
-  uint64_t sweeps = 0;            // promotion sweeps until fixpoint
+  uint64_t levels = 0;            // seed levels walked by the inserts
 
-  /// "events=N coalesced=N inserts=N removes=N levels=N sweeps=N" + work.
+  /// "events=N coalesced=N inserts=N removes=N levels=N" + work.
   std::string ToString() const;
 };
 
 std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 
 /// Incrementally maintained Triangle K-Core decomposition (the paper's
-/// Algorithm 2, with the appendix's Algorithms 5-7 realized as a local
-/// affected-region search + repeel), templated over the graph substrate:
-/// the legacy adjacency-list `Graph` or the engine's `DeltaCsr` overlay
-/// view (use the `DynamicTriangleCore` alias for the former).
+/// Algorithm 2), templated over the graph substrate: the legacy
+/// adjacency-list `Graph` or the engine's `DeltaCsr` overlay view (use the
+/// `DynamicTriangleCore` alias for the former).
 ///
 /// Semantics maintained as an invariant after every call: `kappa()[e]`
 /// equals the κ(e) that `ComputeTriangleCores(graph())` would produce — the
 /// maximum Triangle K-Core number of every live edge.
 ///
-/// Update strategy (per inserted edge e0 = (u,v)):
-///   1. k1 = max k such that e0 lies in >= k triangles whose other two
-///      edges have κ >= k (an h-index over partner minima). Then
-///      κ(e0) ∈ {k1, k1+1} and every other edge changes by at most one,
-///      and only edges with κ <= k1 can change (the paper's Rule 0 /
-///      Lemmas 1-2).
-///   2. For each level k <= k1, grow the Rule-0 affected region: edges with
-///      κ == k triangle-connected to e0 through triangles whose other
-///      edges have κ >= k.
-///   3. Peel the region: a candidate survives (κ += 1) iff it keeps >= k+1
-///      triangles whose partners have κ > k or are surviving candidates —
-///      a cascading eviction identical in spirit to Algorithm 1 restricted
-///      to the region.
-/// Per removed edge: partners of each destroyed triangle seed a cascading
-/// "support re-check" queue; an edge whose remaining Theorem-1-qualified
-/// support drops below κ(e) is demoted to its local h-value and its
-/// triangle neighbors re-checked. This decreasing iteration provably
-/// converges to the exact decomposition from any valid upper bound.
+/// The maintainer keeps a k-order beside κ (order-based core maintenance,
+/// Zhang et al., ICDE 2017, transposed from vertices to edges): a total
+/// order of the live edges by the key (κ(e), label(e)), where the int64
+/// labels come from Algorithm 1's `order` and later only from the head or
+/// the tail of a level, so no edge is ever relabeled. rem(e) counts the
+/// triangles on e whose two partner edges both come later in the order;
+/// the order is a valid peel, rem(e) <= κ(e) for every edge.
 ///
-/// `ApplyBatch` amortizes the same machinery over an event batch: events
-/// are coalesced to their net effect per edge, all net removals share one
-/// demotion pump over the fully mutated graph, and all net insertions
-/// share level-deduplicated region searches iterated to fixpoint. κ is a
-/// function of the final graph alone, so the result is identical to
-/// per-event application at any batch size.
+/// Per inserted edge e0 (ApplyBatch inserts its net inserts one at a time
+/// through the same routine as InsertEdge):
+///   1. κ(e0) = k1, the h-index over the partner minima of e0's triangles,
+///      and e0 joins the tail of level k1. Only edges with κ <= k1 can
+///      change, each by at most one (the paper's Rule 0 / Lemmas 1-2).
+///   2. Each new triangle adds 1 to rem of its first edge; an edge whose
+///      rem now exceeds κ seeds a walk at its level.
+///   3. Per seed level K, highest first, a label-ordered walk pops edges
+///      that received support: x is a candidate iff rem(x) + d*(x) > K,
+///      where d*(x) counts triangles handed over by earlier candidates.
+///      A candidate hands each triangle it counted on to the triangle's
+///      first non-candidate level-K edge; a non-candidate keeps them
+///      (rem += d*). The walk stops where no edge has slack.
+///   4. The candidates are repeeled at threshold K+1; survivors move to
+///      the head of level K+1 (κ += 1) and get rem recounted, evicted ones
+///      move to the tail of K and keep their final repeel count as rem.
+/// Removals run a cascading demotion pump: partners of each destroyed
+/// triangle are re-checked, an edge whose Theorem-1-qualified support
+/// drops below κ(e) is demoted to its local h-value and its neighbors
+/// re-checked (a decreasing iteration that converges to the exact
+/// decomposition). Each destroyed triangle first takes 1 off rem of its
+/// first edge; afterwards every demoted edge joins the tail of its new
+/// level in the order of a local peel, and rem is repaired for the
+/// triangles whose first edge moved.
+///
+/// `ApplyBatch` coalesces an event batch to its net effect per edge, runs
+/// all net removals through one shared pump, then inserts. κ is a function
+/// of the final graph alone, so the result is identical to per-event
+/// application at any batch size.
 template <typename GraphT>
 class DynamicTriangleCoreT {
  public:
-  /// Takes ownership of `graph` and runs Algorithm 1 once to initialize κ.
+  /// Takes ownership of `graph` and runs Algorithm 1 once to initialize κ
+  /// and the k-order.
   explicit DynamicTriangleCoreT(GraphT graph);
 
-  /// Starts from an already-computed decomposition (must match `graph`).
-  DynamicTriangleCoreT(GraphT graph, const TriangleCoreResult& initial);
+  /// Starts from an already-computed decomposition (must match `graph`,
+  /// including its `order`); enumerates the triangles once to derive rem.
+  DynamicTriangleCoreT(GraphT graph, TriangleCoreResult initial);
+
+  /// Starts from a decomposition and the triangle index its peel read
+  /// (both must match `graph`): the k-order is derived in one linear pass
+  /// over the index, with no triangle enumeration.
+  DynamicTriangleCoreT(GraphT graph, TriangleCoreResult initial,
+                       const TrianglePartnerIndex& index);
 
   const GraphT& graph() const { return graph_; }
 
   /// Maintenance-only escape hatch for the owning engine (compaction needs
   /// to mutate the substrate without touching κ). Callers must preserve
-  /// the topology–κ invariant.
+  /// the topology–κ invariant and keep EdgeIds stable.
   GraphT& MutableGraphForMaintenance() { return graph_; }
 
   /// κ per EdgeId; sized graph().EdgeCapacity(); dead ids hold 0.
@@ -119,12 +138,12 @@ class DynamicTriangleCoreT {
   UpdateStats ApplyEvents(const std::vector<EdgeEvent>& events);
 
   /// Applies an event batch through the amortized path (see class
-  /// comment): coalesce → shared removal pump → shared insert sweeps.
-  /// Self-loop events are rejected with a check failure (the hardened io
-  /// parser filters them before they get here). The resulting κ(e) per
-  /// live edge equals per-event application; note that when coalescing
-  /// elides a remove+reinsert pair the *id* of that edge keeps its old
-  /// value instead of being reallocated.
+  /// comment): coalesce → shared removal pump → inserts. Self-loop events
+  /// are rejected with a check failure (the hardened io parser filters
+  /// them before they get here). The resulting κ(e) per live edge equals
+  /// per-event application; note that when coalescing elides a
+  /// remove+reinsert pair the *id* of that edge keeps its old value
+  /// instead of being reallocated.
   BatchStats ApplyBatch(std::span<const EdgeEvent> events);
 
   /// Removes every edge incident to `v` (the paper's dynamic model treats
@@ -138,36 +157,67 @@ class DynamicTriangleCoreT {
   /// Cumulative counters since construction.
   const UpdateStats& total_stats() const { return total_stats_; }
 
+  /// Checks the k-order bookkeeping against a recount: for every live
+  /// edge rem(e) equals the number of triangles whose partners both come
+  /// later in the order, rem(e) <= κ(e), and labels are unique within each
+  /// κ level. On failure, describes the first violation in `failure`.
+  bool OrderInvariantHolds(std::string* failure = nullptr) const;
+
  private:
   void GrowArrays();
+  // Derives labels from the peel's order and rem from the index.
+  void InitOrder(TriangleCoreResult& initial,
+                 const TrianglePartnerIndex& index);
+  // True iff `a` precedes `b` in the k-order.
+  bool Before(EdgeId a, EdgeId b) const {
+    return kappa_[a] != kappa_[b] ? kappa_[a] < kappa_[b]
+                                  : label_[a] < label_[b];
+  }
+  // The labels last issued at the head and the tail of a level; a fresh
+  // head label is --head, a fresh tail label ++tail.
+  struct LevelEnds {
+    int64_t head = 0;
+    int64_t tail = 0;
+  };
+  LevelEnds& Ends(uint32_t k);
   // Computes the h-bound k1 for freshly inserted edge e0.
-  uint32_t InsertionBound(EdgeId e0) const;
-  // Rule-0 region growth + repeel for a single level; appends survivors.
-  void ProcessInsertLevel(EdgeId e0, uint32_t k,
-                          std::vector<EdgeId>* promotions);
-  // Multi-seed variant for ApplyBatch: one region growth + repeel per
-  // level shared by every seed (seed_flag_ marks the by-fiat members).
-  void ProcessBatchInsertLevel(const std::vector<EdgeId>& seeds, uint32_t k,
-                               std::vector<EdgeId>* promotions);
-  void RemoveEdgeInternal(EdgeId e0);
+  uint32_t InsertionBound(EdgeId e0);
+  // Steps 1-4 of the class comment for the just-added edge e0; returns
+  // the number of seed levels walked.
+  uint64_t InsertInternal(EdgeId e0);
+  // Steps 3-4 for one seed level: walk, repeel, place, recount.
+  void WalkLevel(uint32_t k, std::span<const EdgeId> seeds);
+  // Removes live `edges` structurally, runs one demotion pump over the
+  // result and repairs the order.
+  void RemoveInternal(std::span<const EdgeId> edges);
   // Cascading demotion queue pump; entries of `queued_` touched by `queue`
-  // are reset before returning.
-  void PumpDemotions(std::vector<EdgeId>& queue);
+  // are reset before returning. Every demoted edge is appended once to
+  // `demoted`, with its pre-pump κ parked in cand_support_.
+  void PumpDemotions(std::vector<EdgeId>& queue,
+                     std::vector<EdgeId>& demoted);
+  // Moves the demoted edges to the tails of their new levels and repairs
+  // rem; resets their scratch.
+  void RepairOrder(const std::vector<EdgeId>& demoted);
   // TKC_CHECK_LEVEL >= 2 oracle: certifies kappa_ against the independent
-  // recount after a mutation; suppressed mid-batch so ApplyEvents /
-  // RemoveVertexEdges pay for one certificate per batch, not per event.
+  // recount and the k-order bookkeeping after a mutation; suppressed
+  // mid-batch so ApplyEvents / RemoveVertexEdges pay for one check per
+  // batch, not per event.
   void VerifyAfterUpdate(const char* where);
 
   GraphT graph_;
   std::vector<uint32_t> kappa_;
+  // The k-order: (κ, label) and rem per edge, the label ends per level.
+  std::vector<int64_t> label_;
+  std::vector<uint32_t> rem_;
+  std::vector<LevelEnds> ends_;
   bool in_batch_ = false;
   // Scratch (lazily grown to EdgeCapacity, cleaned after every update):
-  // 0 = untouched, 1 = live candidate, 2 = evicted candidate.
+  // flag_ holds a Flag state; cand_support_ holds d* during a walk, the
+  // repeel counts after it, and a demoted edge's old κ during a removal.
   std::vector<uint8_t> flag_;
   std::vector<uint32_t> cand_support_;
   std::vector<uint8_t> queued_;
-  std::vector<uint8_t> seed_flag_;  // batch sweep seeds (already expanded)
-  std::vector<uint32_t> hist_;      // partner-min histogram scratch
+  std::vector<uint32_t> hist_;  // partner-min list / histogram scratch
   UpdateStats last_stats_;
   UpdateStats total_stats_;
 };

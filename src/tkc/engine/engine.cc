@@ -19,32 +19,23 @@ namespace tkc::engine {
 
 namespace {
 
-// Builds the maintainer for the constructor: freeze the base once, run
-// Algorithm 1 on the shared snapshot, and adopt both. The CSR is never
-// copied again — the DeltaCsr overlays it and every snapshot shares it.
-DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(const Graph& base,
+// Builds the maintainer for the constructor: Algorithm 1 runs once on the
+// view's frozen base, and the maintainer adopts its κ, its peel order and
+// the triangle index the peel read, so the k-order needs no second
+// triangle enumeration. The CSR is never copied again — the DeltaCsr
+// overlays it and every snapshot shares it.
+DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(DeltaCsr view,
                                                const EngineOptions& options) {
-  DeltaCsr view(base);
-  TriangleCoreResult initial = ComputeTriangleCores(view);
-  (void)options;
-  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), initial);
-}
-
-// Cache-served variant: the frozen snapshot (typically loaded from a .tkcg
-// graph cache) becomes epoch 0 directly — no re-freeze, no copy — and
-// Algorithm 1 runs once against it through the overlay.
-DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(
-    std::shared_ptr<const CsrGraph> base, const EngineOptions& options) {
-  DeltaCsr view(std::move(base));
-  TriangleCoreResult initial = ComputeTriangleCores(view);
-  (void)options;
-  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), initial);
+  const AnalysisContext ctx(view.base_ptr(), options.threads);
+  TriangleCoreResult initial = ComputeTriangleCores(ctx);
+  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), std::move(initial),
+                                        ctx.TriangleIndex());
 }
 
 }  // namespace
 
 TkcEngine::TkcEngine(const Graph& base, EngineOptions options)
-    : options_(options), dyn_(MakeInitialCore(base, options)) {
+    : options_(options), dyn_(MakeInitialCore(DeltaCsr(base), options)) {
   // The snapshot-copy counter exists from construction so "no copies ever
   // happened" is a checkable == 0 assertion, not a missing metric.
   obs::MetricsRegistry::Global().GetCounter("engine.snapshot_copies").Add(0);
@@ -52,7 +43,8 @@ TkcEngine::TkcEngine(const Graph& base, EngineOptions options)
 
 TkcEngine::TkcEngine(std::shared_ptr<const CsrGraph> base,
                      EngineOptions options)
-    : options_(options), dyn_(MakeInitialCore(std::move(base), options)) {
+    : options_(options),
+      dyn_(MakeInitialCore(DeltaCsr(std::move(base)), options)) {
   obs::MetricsRegistry::Global().GetCounter("engine.snapshot_copies").Add(0);
 }
 

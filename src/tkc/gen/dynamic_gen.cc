@@ -1,6 +1,8 @@
 #include "tkc/gen/dynamic_gen.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 
 #include "tkc/graph/triangle.h"
 #include "tkc/util/check.h"
@@ -43,6 +45,53 @@ std::vector<EdgeEvent> RandomChurn(const Graph& g, size_t num_removals,
   // from pairs absent in g — the only conflict would be insert-then-remove
   // or remove-then-insert of the *same* pair, which the disjoint sampling
   // above rules out.
+  return events;
+}
+
+std::vector<EdgeEvent> WedgeClosingChurn(const Graph& g, size_t count,
+                                         Rng& rng) {
+  Graph shadow = g;
+  auto key = [](VertexId u, VertexId v) {
+    return (static_cast<uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
+  };
+  // Live edges in a vector for uniform picks; `slot` finds an edge's
+  // position so a removal can swap the last one into its place.
+  std::vector<Edge> live;
+  std::unordered_map<uint64_t, size_t> slot;
+  shadow.ForEachEdge([&](EdgeId, const Edge& e) {
+    slot[key(e.u, e.v)] = live.size();
+    live.push_back(e);
+  });
+  std::vector<EdgeEvent> events;
+  events.reserve(count);
+  while (events.size() < count && !live.empty()) {
+    if (rng.NextBool(0.5)) {
+      const size_t i = static_cast<size_t>(rng.NextBounded(live.size()));
+      const Edge e = live[i];
+      slot[key(live.back().u, live.back().v)] = i;
+      live[i] = live.back();
+      live.pop_back();
+      slot.erase(key(e.u, e.v));
+      shadow.RemoveEdge(e.u, e.v);
+      events.push_back({EdgeEvent::Kind::kRemove, e.u, e.v});
+      continue;
+    }
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      const Edge e = live[rng.NextBounded(live.size())];
+      VertexId u = e.u;
+      VertexId w = e.v;
+      if (rng.NextBool(0.5)) std::swap(u, w);
+      const auto& around = shadow.Neighbors(w);
+      const VertexId v = around[rng.NextBounded(around.size())].vertex;
+      if (v == u || shadow.HasEdge(u, v)) continue;
+      shadow.AddEdge(u, v);
+      const Edge added{std::min(u, v), std::max(u, v)};
+      slot[key(added.u, added.v)] = live.size();
+      live.push_back(added);
+      events.push_back({EdgeEvent::Kind::kInsert, added.u, added.v});
+      break;
+    }
+  }
   return events;
 }
 

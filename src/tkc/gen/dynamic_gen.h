@@ -17,6 +17,16 @@ namespace tkc {
 std::vector<EdgeEvent> RandomChurn(const Graph& g, size_t num_removals,
                                    size_t num_insertions, Rng& rng);
 
+/// Draws `count` events of triadic-closure churn against `g`: each event
+/// removes a uniformly chosen live edge with probability 1/2, and otherwise
+/// inserts a wedge-closing edge (pick a live edge u–w, then a neighbor v of
+/// w, and add u–v; up to 64 tries). Unlike RandomChurn's uniform inserts,
+/// nearly every insert closes a triangle, so it exercises promotion and
+/// demotion alike. Stops early if the graph runs out of edges. The events
+/// are valid when applied in order to a copy of `g`.
+std::vector<EdgeEvent> WedgeClosingChurn(const Graph& g, size_t count,
+                                         Rng& rng);
+
 /// Applies `events` in order; returns the mutated copy.
 Graph ApplyEvents(Graph g, const std::vector<EdgeEvent>& events);
 

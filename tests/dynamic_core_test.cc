@@ -1,9 +1,13 @@
 #include "tkc/core/dynamic_core.h"
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "tkc/gen/dynamic_gen.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/gen/generators.h"
 #include "tkc/util/random.h"
 
@@ -11,8 +15,15 @@ namespace tkc {
 namespace {
 
 // Compares the incrementally maintained κ with a from-scratch Algorithm 1
-// run over the current graph; reports the first mismatching live edge.
-::testing::AssertionResult InvariantHolds(const DynamicTriangleCore& dyn) {
+// run over the current graph and checks the k-order bookkeeping; reports
+// the first mismatching live edge.
+template <typename GraphT>
+::testing::AssertionResult InvariantHolds(
+    const DynamicTriangleCoreT<GraphT>& dyn) {
+  std::string order_failure;
+  if (!dyn.OrderInvariantHolds(&order_failure)) {
+    return ::testing::AssertionFailure() << "k-order: " << order_failure;
+  }
   TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
   ::testing::AssertionResult result = ::testing::AssertionSuccess();
   bool ok = true;
@@ -266,6 +277,68 @@ TEST(DynamicCoreTest, MatchesStaticAfterBulkChurn) {
       dyn.RemoveEdge(ev.u, ev.v);
     }
   }
+  EXPECT_TRUE(InvariantHolds(dyn));
+}
+
+// ---------- Triadic-closure churn: the workload that floods Rule 0 ----------
+
+// A PLC graph with half its events wedge-closing inserts: nearly every
+// insert closes a triangle, the case where a Rule-0 region search grows
+// over the whole κ class of the seed.
+struct WedgeChurn {
+  Graph base;
+  std::vector<EdgeEvent> events;
+};
+
+WedgeChurn MakeWedgeChurn() {
+  Rng rng(4242);
+  WedgeChurn churn;
+  churn.base = PowerLawCluster(1500, 4, 0.5, rng);
+  churn.events = WedgeClosingChurn(churn.base, 500, rng);
+  return churn;
+}
+
+class WedgeChurnBatches : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(WedgeChurnBatches, KappaAndOrderExactAfterEveryBatch) {
+  const size_t batch_size = GetParam();
+  const WedgeChurn churn = MakeWedgeChurn();
+  DynamicTriangleCoreT<DeltaCsr> dyn{DeltaCsr(churn.base)};
+  ASSERT_TRUE(InvariantHolds(dyn));
+  for (size_t off = 0; off < churn.events.size(); off += batch_size) {
+    const size_t count = std::min(batch_size, churn.events.size() - off);
+    dyn.ApplyBatch(
+        std::span<const EdgeEvent>(churn.events.data() + off, count));
+    ASSERT_TRUE(InvariantHolds(dyn)) << "after the batch at event " << off;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, WedgeChurnBatches,
+                         ::testing::Values(1, 64, 4096),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "batch" + std::to_string(info.param);
+                         });
+
+TEST(DynamicCoreTest, WedgeClosingInsertsStayLocal) {
+  // Order-based maintenance walks only edges that can still be promoted,
+  // so an insert touches a bounded neighborhood even where the seed's κ
+  // class spans most of the graph.
+  const WedgeChurn churn = MakeWedgeChurn();
+  DynamicTriangleCore dyn(churn.base);
+  uint64_t inserts = 0;
+  for (size_t off = 0; off < churn.events.size(); off += 64) {
+    const size_t count = std::min<size_t>(64, churn.events.size() - off);
+    inserts += dyn.ApplyBatch(std::span<const EdgeEvent>(
+                                  churn.events.data() + off, count))
+                   .net_inserts;
+  }
+  ASSERT_GT(inserts, 0u);
+  const double per_insert =
+      static_cast<double>(dyn.total_stats().candidate_edges) /
+      static_cast<double>(inserts);
+  EXPECT_LT(per_insert, 0.01 * static_cast<double>(dyn.graph().NumEdges()))
+      << "candidate_edges=" << dyn.total_stats().candidate_edges
+      << " inserts=" << inserts << " edges=" << dyn.graph().NumEdges();
   EXPECT_TRUE(InvariantHolds(dyn));
 }
 
