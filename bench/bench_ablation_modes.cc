@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "tkc/core/dynamic_core.h"
-#include "tkc/core/ordered_core.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/dynamic_gen.h"
 #include "tkc/util/random.h"
@@ -99,42 +98,6 @@ int Run(int argc, char** argv) {
   std::printf("\nTouched edges per event stays flat as churn grows — the\n"
               "Rule 0 region depends on local structure, not graph size.\n");
 
-  std::printf("\n=== Ablation 3: update granularity — batch levels vs "
-              "per-triangle bookkeeping ===\n\n");
-  TablePrinter t3({14, 12, 16, 20});
-  t3.Row({"dataset", "events", "batch updater(s)", "per-triangle(s)"});
-  t3.Rule();
-  for (const char* name : {"ppi", "dblp"}) {
-    Dataset d = MakeDataset(name, cfg.seed, cfg.size_factor);
-    Rng rng(cfg.seed + 7);
-    size_t each = std::max<size_t>(1, d.graph.NumEdges() / 200);
-    std::vector<EdgeEvent> events = RandomChurn(d.graph, each, each, rng);
-    DynamicTriangleCore batch(d.graph);
-    Timer tt;
-    batch.ApplyEvents(events);
-    double batch_s = tt.Seconds();
-    OrderedDynamicCore ordered(d.graph);
-    tt.Restart();
-    ordered.ApplyEvents(events);
-    double ordered_s = tt.Seconds();
-    bool agree = true;
-    ordered.graph().ForEachEdge([&](EdgeId e, const Edge&) {
-      agree = agree && ordered.kappa()[e] == batch.kappa()[e];
-    });
-    t3.Row({name, FmtCount(events.size()), Fmt(batch_s, 4),
-            Fmt(ordered_s, 4) + (agree ? "" : "  !! disagree")});
-    report.AddRow(tkc::obs::JsonValue::Object()
-                      .Set("ablation", "update_granularity")
-                      .Set("dataset", name)
-                      .Set("events", events.size())
-                      .Set("batch_seconds", batch_s)
-                      .Set("ordered_seconds", ordered_s)
-                      .Set("agree", agree));
-  }
-  t3.Rule();
-  std::printf("\nThe per-triangle variant additionally maintains the booked\n"
-              "core content (IsInCore queries) — the paper's Algorithms 5-7\n"
-              "bookkeeping — at a modest time premium.\n");
   return report.Finish(0);
 }
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (size_t step = 0; step < stream->deltas.size(); ++step) {
     Graph before = dyn.graph();
     const auto& delta = stream->deltas[step];
-    UpdateStats stats = dyn.ApplyEvents(delta);
+    const UpdateStats stats = dyn.ApplyBatch(delta).work;
     std::printf("snapshot %zu -> %zu: %zu events, touched %llu edges, "
                 "promoted %llu, demoted %llu\n",
                 step, step + 1, delta.size(),

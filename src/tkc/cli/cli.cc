@@ -450,7 +450,9 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   DynamicTriangleCore dyn(std::move(*src->graph));
   src->graph.reset();
   Timer t;
-  UpdateStats stats = dyn.ApplyEvents(*events);
+  // One batch: the coalescer elides events whose net effect is nil, and a
+  // removed-then-reinserted edge keeps its id (and so its output row).
+  const UpdateStats stats = dyn.ApplyBatch(*events).work;
   double update_s = t.Seconds();
   t.Restart();
   // The check runs the O(|E|)-memory recompute peel: it needs κ once, and

@@ -44,42 +44,8 @@ AnalysisContext FrozenContext(const DeltaCsr& g) {
                 : g.base_ptr());
 }
 
-// Folds the per-event UpdateStats into the process-wide registry: shared
-// work counters plus per-kind latency and affected-region histograms (the
-// Rule-0 locality claim, measurable).
-void RecordUpdate(bool is_insert, double seconds, const UpdateStats& s) {
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Counter& inserts = registry.GetCounter("dyn.insert.count");
-  static obs::Counter& removes = registry.GetCounter("dyn.remove.count");
-  static obs::Counter& candidates =
-      registry.GetCounter("dyn.candidate_edges");
-  static obs::Counter& promoted = registry.GetCounter("dyn.promoted_edges");
-  static obs::Counter& demoted = registry.GetCounter("dyn.demoted_edges");
-  static obs::Counter& triangles =
-      registry.GetCounter("dyn.triangles_scanned");
-  static obs::Histogram& insert_latency =
-      registry.GetHistogram("dyn.insert.latency_ns");
-  static obs::Histogram& remove_latency =
-      registry.GetHistogram("dyn.remove.latency_ns");
-  static obs::Histogram& insert_affected =
-      registry.GetHistogram("dyn.insert.affected_edges");
-  static obs::Histogram& remove_affected =
-      registry.GetHistogram("dyn.remove.affected_edges");
-  (is_insert ? inserts : removes).Add(1);
-  candidates.Add(s.candidate_edges);
-  promoted.Add(s.promoted_edges);
-  demoted.Add(s.demoted_edges);
-  triangles.Add(s.triangles_scanned);
-  (is_insert ? insert_latency : remove_latency).ObserveSeconds(seconds);
-  (is_insert ? insert_affected : remove_affected).Observe(s.candidate_edges);
-  TKC_SPAN_COUNTER("candidate_edges", s.candidate_edges);
-  TKC_SPAN_COUNTER("triangles_scanned", s.triangles_scanned);
-}
-
-// The batched counterpart: one record per ApplyBatch. The shared dyn.*
-// work counters keep accumulating (so metrics artifacts show the same
-// candidates/promoted/demoted/triangles_scanned series for either path)
-// plus batch-shape counters and a per-batch latency histogram.
+// Folds one ApplyBatch into the process-wide registry: the shared dyn.*
+// work counters, batch-shape counters and a per-batch latency histogram.
 void RecordBatch(double seconds, const BatchStats& b) {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Counter& batches = registry.GetCounter("dyn.batch.count");
@@ -242,24 +208,6 @@ uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) {
     if (mins[i] >= i + 1) k1 = static_cast<uint32_t>(i + 1);
   }
   return k1;
-}
-
-template <typename GraphT>
-EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
-  bool inserted = false;
-  EdgeId e0 = graph_.AddEdge(u, v, &inserted);
-  if (!inserted) return e0;
-  TKC_SPAN("dyn.insert");
-  Timer latency;
-  GrowArrays();
-  last_stats_ = UpdateStats{};
-  InsertInternal(e0);
-  total_stats_.candidate_edges += last_stats_.candidate_edges;
-  total_stats_.promoted_edges += last_stats_.promoted_edges;
-  total_stats_.triangles_scanned += last_stats_.triangles_scanned;
-  RecordUpdate(/*is_insert=*/true, latency.Seconds(), last_stats_);
-  VerifyAfterUpdate("DynamicTriangleCore::InsertEdge");
-  return e0;
 }
 
 template <typename GraphT>
@@ -427,7 +375,6 @@ void DynamicTriangleCoreT<GraphT>::WalkLevel(uint32_t k,
 template <typename GraphT>
 void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
 #if TKC_CHECK_LEVEL >= 2
-  if (in_batch_) return;
   verify::CheckOrDie(verify::CheckKappaCertificate(graph_, kappa_), where);
   std::string failure;
   if (!OrderInvariantHolds(&failure)) {
@@ -479,7 +426,6 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
   BatchStats batch;
   batch.events = events.size();
   last_stats_ = UpdateStats{};
-  in_batch_ = true;
 
   // --- Coalesce to the net effect per endpoint pair. κ is a function of
   // the final graph alone, so replaying only net changes yields the same
@@ -550,7 +496,6 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
     }
   }
 
-  in_batch_ = false;
   batch.work = last_stats_;
   total_stats_.candidate_edges += batch.work.candidate_edges;
   total_stats_.promoted_edges += batch.work.promoted_edges;
@@ -562,61 +507,16 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
 }
 
 template <typename GraphT>
-UpdateStats DynamicTriangleCoreT<GraphT>::ApplyEvents(
-    const std::vector<EdgeEvent>& events) {
-  TKC_SPAN("dyn.apply_events");
-  UpdateStats batch;
-  in_batch_ = true;
-  for (const EdgeEvent& ev : events) {
-    if (ev.kind == EdgeEvent::Kind::kInsert) {
-      InsertEdge(ev.u, ev.v);
-    } else {
-      RemoveEdge(ev.u, ev.v);
-    }
-    batch.candidate_edges += last_stats_.candidate_edges;
-    batch.promoted_edges += last_stats_.promoted_edges;
-    batch.demoted_edges += last_stats_.demoted_edges;
-    batch.triangles_scanned += last_stats_.triangles_scanned;
-  }
-  in_batch_ = false;
-  VerifyAfterUpdate("DynamicTriangleCore::ApplyEvents");
-  return batch;
-}
-
-template <typename GraphT>
-size_t DynamicTriangleCoreT<GraphT>::RemoveVertexEdges(VertexId v) {
-  if (v >= graph_.NumVertices()) return 0;
-  std::vector<EdgeId> incident;
-  for (const Neighbor& nb : graph_.Neighbors(v)) incident.push_back(nb.edge);
-  in_batch_ = true;
-  for (EdgeId e : incident) RemoveEdgeById(e);
-  in_batch_ = false;
-  if (!incident.empty()) {
-    VerifyAfterUpdate("DynamicTriangleCore::RemoveVertexEdges");
-  }
-  return incident.size();
+EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
+  const EdgeEvent ev{EdgeEvent::Kind::kInsert, u, v};
+  ApplyBatch(std::span<const EdgeEvent>(&ev, 1));
+  return graph_.FindEdge(u, v);
 }
 
 template <typename GraphT>
 bool DynamicTriangleCoreT<GraphT>::RemoveEdge(VertexId u, VertexId v) {
-  EdgeId e0 = graph_.FindEdge(u, v);
-  if (e0 == kInvalidEdge) return false;
-  RemoveEdgeById(e0);
-  return true;
-}
-
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RemoveEdgeById(EdgeId e0) {
-  TKC_CHECK(graph_.IsEdgeAlive(e0));
-  TKC_SPAN("dyn.remove");
-  Timer latency;
-  last_stats_ = UpdateStats{};
-  RemoveInternal(std::span<const EdgeId>(&e0, 1));
-  total_stats_.candidate_edges += last_stats_.candidate_edges;
-  total_stats_.demoted_edges += last_stats_.demoted_edges;
-  total_stats_.triangles_scanned += last_stats_.triangles_scanned;
-  RecordUpdate(/*is_insert=*/false, latency.Seconds(), last_stats_);
-  VerifyAfterUpdate("DynamicTriangleCore::RemoveEdge");
+  const EdgeEvent ev{EdgeEvent::Kind::kRemove, u, v};
+  return ApplyBatch(std::span<const EdgeEvent>(&ev, 1)).net_removes == 1;
 }
 
 template <typename GraphT>

@@ -14,7 +14,7 @@
 
 namespace tkc {
 
-/// Counters describing the work done by the last insert/remove call; the
+/// Counters describing the work done by one ApplyBatch call; the
 /// Table III benchmark reports these alongside the timings to show why the
 /// incremental algorithm beats re-computation (it touches a tiny,
 /// κ-bounded neighborhood — Rule 0 — instead of every edge).
@@ -64,8 +64,8 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 /// triangles on e whose two partner edges both come later in the order;
 /// the order is a valid peel, rem(e) <= κ(e) for every edge.
 ///
-/// Per inserted edge e0 (ApplyBatch inserts its net inserts one at a time
-/// through the same routine as InsertEdge):
+/// Per inserted edge e0 (ApplyBatch inserts its net inserts one at a
+/// time):
 ///   1. κ(e0) = k1, the h-index over the partner minima of e0's triangles,
 ///      and e0 joins the tail of level k1. Only edges with κ <= k1 can
 ///      change, each by at most one (the paper's Rule 0 / Lemmas 1-2).
@@ -89,10 +89,11 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 /// level in the order of a local peel, and rem is repaired for the
 /// triangles whose first edge moved.
 ///
-/// `ApplyBatch` coalesces an event batch to its net effect per edge, runs
-/// all net removals through one shared pump, then inserts. κ is a function
-/// of the final graph alone, so the result is identical to per-event
-/// application at any batch size.
+/// `ApplyBatch` is the only update routine: it coalesces an event batch to
+/// its net effect per edge, runs all net removals through one shared pump,
+/// then inserts. κ is a function of the final graph alone, so the result
+/// is identical at any batch size; `InsertEdge` and `RemoveEdge` are
+/// one-event batches.
 template <typename GraphT>
 class DynamicTriangleCoreT {
  public:
@@ -122,36 +123,24 @@ class DynamicTriangleCoreT {
 
   uint32_t KappaOf(EdgeId e) const { return kappa_[e]; }
 
-  /// Inserts {u,v} and restores the invariant. Returns the edge id (the
+  /// Applies an event batch (see class comment): coalesce → shared
+  /// removal pump → inserts. Self-loop events are rejected with a check
+  /// failure (the hardened io parser filters them before they get here).
+  /// The resulting κ(e) per live edge equals per-event application; note
+  /// that when coalescing elides a remove+reinsert pair the *id* of that
+  /// edge keeps its old value instead of being reallocated. Vertex
+  /// departure (the paper's dynamic model) is a batch of removals of the
+  /// vertex's edges.
+  BatchStats ApplyBatch(std::span<const EdgeEvent> events);
+
+  /// One-event ApplyBatch of inserting {u,v}. Returns the edge id (the
   /// existing id if the edge was already present — a no-op update).
   EdgeId InsertEdge(VertexId u, VertexId v);
 
-  /// Removes {u,v} and restores the invariant. Returns false if absent.
+  /// One-event ApplyBatch of removing {u,v}. Returns false if absent.
   bool RemoveEdge(VertexId u, VertexId v);
 
-  /// Removes a live edge by id and restores the invariant.
-  void RemoveEdgeById(EdgeId e);
-
-  /// Applies a mixed event stream in order (each event through the
-  /// single-edge path, as the paper processes changes triangle-by-
-  /// triangle). Returns the aggregate work counters for the batch.
-  UpdateStats ApplyEvents(const std::vector<EdgeEvent>& events);
-
-  /// Applies an event batch through the amortized path (see class
-  /// comment): coalesce → shared removal pump → inserts. Self-loop events
-  /// are rejected with a check failure (the hardened io parser filters
-  /// them before they get here). The resulting κ(e) per live edge equals
-  /// per-event application; note that when coalescing elides a
-  /// remove+reinsert pair the *id* of that edge keeps its old value
-  /// instead of being reallocated.
-  BatchStats ApplyBatch(std::span<const EdgeEvent> events);
-
-  /// Removes every edge incident to `v` (the paper's dynamic model treats
-  /// vertex departure as the deletion of its edges). Returns the number of
-  /// edges removed.
-  size_t RemoveVertexEdges(VertexId v);
-
-  /// Work counters for the most recent insert/remove/batch.
+  /// Work counters for the most recent batch.
   const UpdateStats& last_update_stats() const { return last_stats_; }
 
   /// Cumulative counters since construction.
@@ -199,9 +188,7 @@ class DynamicTriangleCoreT {
   // rem; resets their scratch.
   void RepairOrder(const std::vector<EdgeId>& demoted);
   // TKC_CHECK_LEVEL >= 2 oracle: certifies kappa_ against the independent
-  // recount and the k-order bookkeeping after a mutation; suppressed
-  // mid-batch so ApplyEvents / RemoveVertexEdges pay for one check per
-  // batch, not per event.
+  // recount and the k-order bookkeeping once per batch.
   void VerifyAfterUpdate(const char* where);
 
   GraphT graph_;
@@ -210,7 +197,6 @@ class DynamicTriangleCoreT {
   std::vector<int64_t> label_;
   std::vector<uint32_t> rem_;
   std::vector<LevelEnds> ends_;
-  bool in_batch_ = false;
   // Scratch (lazily grown to EdgeCapacity, cleaned after every update):
   // flag_ holds a Flag state; cand_support_ holds d* during a walk, the
   // repeel counts after it, and a demoted edge's old κ during a removal.

@@ -1,11 +1,11 @@
 #include "tkc/verify/oracle.h"
 
-#include <optional>
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
 #include "tkc/core/dynamic_core.h"
-#include "tkc/core/ordered_core.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/verify/certificate.h"
 
@@ -46,69 +46,24 @@ VerifyReport ReplayEventLog(const Graph& base,
                             " check_every=" +
                             std::to_string(options.check_every);
 
+  // Each checkpoint interval is one ApplyBatch, the coalescing path
+  // `tkc replay` runs; check_every = 1 replays event by event.
   DynamicTriangleCore dyn(base);
-  std::optional<OrderedDynamicCore> ordered;
-  if (options.check_ordered) ordered.emplace(base);
-
-  bool batch_ok = true, ordered_ok = true, bookkeeping_ok = true;
-  Counterexample batch_ce, ordered_ce, bookkeeping_ce;
-
-  auto apply = [](auto& maintainer, const EdgeEvent& ev) {
-    if (ev.kind == EdgeEvent::Kind::kInsert) {
-      maintainer.InsertEdge(ev.u, ev.v);
-    } else {
-      maintainer.RemoveEdge(ev.u, ev.v);
-    }
-  };
-
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (batch_ok) apply(dyn, events[i]);
-    if (ordered.has_value() && (ordered_ok || bookkeeping_ok)) {
-      apply(*ordered, events[i]);
-    }
-    const size_t step = i + 1;
-    const bool checkpoint =
-        step == events.size() ||
-        (options.check_every != 0 && step % options.check_every == 0);
-    if (!checkpoint) continue;
-    if (batch_ok &&
-        !DiffAgainstRecompute(dyn.graph(), dyn.kappa(), step, &batch_ce)) {
-      batch_ok = false;
-    }
-    if (ordered.has_value()) {
-      if (ordered_ok && !DiffAgainstRecompute(ordered->graph(),
-                                              ordered->kappa(), step,
-                                              &ordered_ce)) {
-        ordered_ok = false;
-      }
-      if (bookkeeping_ok && !ordered->CheckInvariants()) {
-        bookkeeping_ce = {kInvalidEdge,
-                          kInvalidVertex,
-                          kInvalidVertex,
-                          static_cast<uint32_t>(step),
-                          0,
-                          1,
-                          "OrderedDynamicCore bookkeeping invariants "
-                          "violated after event " +
-                              std::to_string(step)};
-        bookkeeping_ok = false;
-      }
-    }
-    if (batch_ok && options.certificate_at_checkpoints) {
+  const size_t interval =
+      options.check_every == 0 ? events.size() : options.check_every;
+  bool ok = true;
+  Counterexample ce;
+  for (size_t off = 0; ok && off < events.size(); off += interval) {
+    const size_t count = std::min(interval, events.size() - off);
+    dyn.ApplyBatch(std::span<const EdgeEvent>(events.data() + off, count));
+    ok = DiffAgainstRecompute(dyn.graph(), dyn.kappa(), off + count, &ce);
+    if (ok && options.certificate_at_checkpoints) {
       VerifyReport cert = CheckKappaCertificate(dyn.graph(), dyn.kappa());
       if (!cert.AllPassed()) report.Merge(std::move(cert));
     }
   }
-
-  report.Add(batch_ok ? Pass("dynamic.replay", scope)
-                      : Fail("dynamic.replay", scope, batch_ce));
-  if (ordered.has_value()) {
-    report.Add(ordered_ok ? Pass("dynamic.replay_ordered", scope)
-                          : Fail("dynamic.replay_ordered", scope, ordered_ce));
-    report.Add(bookkeeping_ok
-                   ? Pass("dynamic.bookkeeping", scope)
-                   : Fail("dynamic.bookkeeping", scope, bookkeeping_ce));
-  }
+  report.Add(ok ? Pass("dynamic.replay", scope)
+                : Fail("dynamic.replay", scope, ce));
   return report;
 }
 

@@ -15,23 +15,19 @@ struct ReplayOptions {
   /// Cross-check the maintained κ against an Algorithm-1 recompute every
   /// this many events (and always after the last one). 0 = final-only.
   size_t check_every = 1;
-  /// Also replay through OrderedDynamicCore (the per-triangle maintainer)
-  /// and hold it to the same recompute, plus its own bookkeeping
-  /// invariants.
-  bool check_ordered = false;
   /// Additionally run the full κ-certificate at every checkpoint (slower;
   /// the recompute diff alone already pins divergence to an event).
   bool certificate_at_checkpoints = false;
 };
 
 /// Replays `events` on a copy of `base` through DynamicTriangleCore
-/// (Algorithms 2/5/6/7) and, at every checkpoint, diffs the maintained κ
-/// map against a from-scratch Algorithm-1 recompute of the current graph —
-/// the paper's own ground truth for the maintenance rules. Emits
-/// "dynamic.replay" (and "dynamic.replay_ordered" / "dynamic.bookkeeping"
-/// when check_ordered is set); a divergence counterexample carries the
-/// edge, the event index it surfaced at (level field), the maintained
-/// value (observed) and the recomputed value (expected).
+/// (Algorithm 2), applying each checkpoint interval as one ApplyBatch, and
+/// at every checkpoint diffs the maintained κ map against a from-scratch
+/// Algorithm-1 recompute of the current graph — the paper's own ground
+/// truth for the maintenance rules. Emits "dynamic.replay"; a divergence
+/// counterexample carries the edge, the event index it surfaced at (level
+/// field), the maintained value (observed) and the recomputed value
+/// (expected).
 VerifyReport ReplayEventLog(const Graph& base,
                             const std::vector<EdgeEvent>& events,
                             const ReplayOptions& options = {});

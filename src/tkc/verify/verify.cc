@@ -88,7 +88,6 @@ VerifyReport RunFullVerification(const Graph& g,
     TKC_SPAN("verify.replay");
     ReplayOptions replay;
     replay.check_every = options.check_every;
-    replay.check_ordered = true;
     report.Merge(ReplayEventLog(g, options.events, replay));
   }
   return report;

@@ -20,20 +20,16 @@ DualViewResult BuildDualView(const Graph& old_graph,
   });
   result.before = BuildDensityPlot(old_graph, old_co);
 
-  // Step 4: apply additions through the incremental updater.
+  // Step 4: apply additions through the incremental updater, as one batch.
   DynamicTriangleCore dyn(old_graph, old_cores);
-  std::vector<EdgeId> new_edges;
   for (const EdgeEvent& ev : additions) {
     TKC_CHECK_MSG(ev.kind == EdgeEvent::Kind::kInsert,
                   "dual view handles edge additions");
-    EdgeId e = dyn.InsertEdge(ev.u, ev.v);
-    new_edges.push_back(e);
-    result.update_stats.candidate_edges +=
-        dyn.last_update_stats().candidate_edges;
-    result.update_stats.promoted_edges +=
-        dyn.last_update_stats().promoted_edges;
-    result.update_stats.triangles_scanned +=
-        dyn.last_update_stats().triangles_scanned;
+  }
+  result.update_stats = dyn.ApplyBatch(additions).work;
+  std::vector<EdgeId> new_edges;
+  for (const EdgeEvent& ev : additions) {
+    new_edges.push_back(dyn.graph().FindEdge(ev.u, ev.v));
   }
 
   // Steps 5-6: plot(b) from new-edge co_clique_size only. Old edges get 0,

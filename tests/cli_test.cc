@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -157,6 +158,19 @@ TEST_F(CliTest, DecomposeMetricsOut) {
   EXPECT_NE(std::find(phases.begin(), phases.end(), "peel"), phases.end());
   EXPECT_NE(doc->FindPath("metrics.gauges")->Find("mem.triangle_index_bytes"),
             nullptr);
+}
+
+// The first span called `name` in a tkc.metrics.v1 phase tree, depth
+// first; nullptr if there is none.
+const obs::JsonValue* FindSpan(const obs::JsonValue& node,
+                               const std::string& name) {
+  if (node.Find("name")->Str() == name) return &node;
+  const obs::JsonValue* children = node.Find("children");
+  if (children == nullptr) return nullptr;
+  for (const obs::JsonValue& child : children->Items()) {
+    if (const obs::JsonValue* hit = FindSpan(child, name)) return hit;
+  }
+  return nullptr;
 }
 
 // Every span name in a tkc.metrics.v1 phase tree, recursively.
@@ -374,6 +388,75 @@ TEST_F(CliTest, UpdateWritesUpdateStatsIntoMetricsArtifact) {
   EXPECT_NE(stats->Find("promoted_edges"), nullptr);
   EXPECT_NE(stats->Find("demoted_edges"), nullptr);
   EXPECT_NE(stats->Find("triangles_scanned"), nullptr);
+
+  // The stream runs as one batch: dyn.apply_batch with its removal and
+  // insert phases are the only maintainer spans.
+  std::set<std::string> spans, dyn_spans;
+  const obs::JsonValue* batch = nullptr;
+  for (const obs::JsonValue& top : doc->Find("trace")->Items()) {
+    CollectSpanNames(top, &spans);
+    if (batch == nullptr) batch = FindSpan(top, "dyn.apply_batch");
+  }
+  for (const std::string& name : spans) {
+    if (name.rfind("dyn.", 0) == 0) dyn_spans.insert(name);
+  }
+  EXPECT_EQ(dyn_spans, (std::set<std::string>{"dyn.apply_batch", "dyn.insert",
+                                              "dyn.remove"}));
+  ASSERT_NE(batch, nullptr);
+  std::set<std::string> phases;
+  for (const obs::JsonValue& child : batch->Find("children")->Items()) {
+    phases.insert(child.Find("name")->Str());
+  }
+  EXPECT_EQ(phases, (std::set<std::string>{"dyn.insert", "dyn.remove"}));
+}
+
+// Parses `u v kappa ...` rows (comments skipped) into κ per (u,v).
+std::map<std::pair<VertexId, VertexId>, uint32_t> KappaRows(
+    const std::string& text) {
+  std::map<std::pair<VertexId, VertexId>, uint32_t> rows;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream row(line);
+    VertexId u = 0, v = 0;
+    uint32_t kappa = 0;
+    row >> u >> v >> kappa;
+    rows[{u, v}] = kappa;
+  }
+  return rows;
+}
+
+TEST_F(CliTest, UpdateCoalescesRemoveReinsertAndNoOps) {
+  // BC is removed and re-inserted, AD inserted, DE (present) inserted and
+  // AE (absent) removed; the batch's net effect is the single insert AD.
+  std::string events_path = TempPath("cli_coalesce_events.txt");
+  {
+    std::ofstream ev(events_path);
+    ev << "- 1 2\n+ 0 3\n+ 2 1\n+ 3 4\n- 0 4\n";
+  }
+  std::string out;
+  ASSERT_EQ(RunTool({"update", edges_path_, events_path}, &out), 0);
+  EXPECT_NE(out.find("events=5"), std::string::npos);
+  EXPECT_NE(out.find(" verified=yes"), std::string::npos);
+  // Rows follow EdgeId order, and BC kept its id through the coalescer,
+  // so it stays the third row.
+  std::istringstream rows(out);
+  std::string line;
+  std::vector<std::string> data;
+  while (std::getline(rows, line)) {
+    if (!line.empty() && line[0] != '#') data.push_back(line);
+  }
+  ASSERT_EQ(data.size(), 9u);
+  EXPECT_EQ(data[2].substr(0, 4), "1 2 ");
+
+  Graph final_graph = PaperFigure2Graph();
+  final_graph.AddEdge(0, 3);
+  const std::string final_path = TempPath("cli_coalesce_final.txt");
+  ASSERT_TRUE(WriteEdgeListFile(final_graph, final_path));
+  std::string decomposed;
+  ASSERT_EQ(RunTool({"decompose", final_path}, &decomposed), 0);
+  EXPECT_EQ(KappaRows(out), KappaRows(decomposed));
 }
 
 TEST_F(CliTest, ReplayStreamsEventsThroughEngine) {

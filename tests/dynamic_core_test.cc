@@ -176,19 +176,35 @@ TEST(DynamicCoreTest, DismantleCliqueEdgeByEdge) {
   EXPECT_EQ(dyn.graph().NumEdges(), 0u);
 }
 
+// Vertex departure in the paper's model: one batch removing every edge
+// incident to `v` (none if `v` is out of range).
+std::vector<EdgeEvent> DepartureOf(const Graph& g, VertexId v) {
+  std::vector<EdgeEvent> events;
+  if (v >= g.NumVertices()) return events;
+  for (const Neighbor& nb : g.Neighbors(v)) {
+    events.push_back({EdgeEvent::Kind::kRemove, v, nb.vertex});
+  }
+  return events;
+}
+
 TEST(DynamicCoreTest, RemoveVertexEdges) {
-  // Vertex departure = removal of its incident edges (paper's model).
   Graph g = CompleteGraph(6);
   g.EnsureVertices(8);
   DynamicTriangleCore dyn(std::move(g));
-  EXPECT_EQ(dyn.RemoveVertexEdges(0), 5u);
+  EXPECT_EQ(dyn.ApplyBatch(DepartureOf(dyn.graph(), 0)).net_removes, 5u);
   EXPECT_EQ(dyn.graph().Degree(0), 0u);
   EXPECT_TRUE(InvariantHolds(dyn));
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(dyn.KappaOf(e), 3u);  // K5 remains
   });
-  EXPECT_EQ(dyn.RemoveVertexEdges(7), 0u);   // isolated vertex
-  EXPECT_EQ(dyn.RemoveVertexEdges(99), 0u);  // out of range
+  const std::vector<uint32_t> kappa = dyn.kappa();
+  // An isolated vertex has no edges to remove; an out-of-range one has
+  // none either, so a removal naming it is a no-op.
+  EXPECT_EQ(dyn.ApplyBatch(DepartureOf(dyn.graph(), 7)).net_removes, 0u);
+  EXPECT_TRUE(DepartureOf(dyn.graph(), 99).empty());
+  EXPECT_FALSE(dyn.RemoveEdge(99, 1));
+  EXPECT_EQ(dyn.kappa(), kappa);
+  EXPECT_EQ(dyn.graph().NumEdges(), 10u);
 }
 
 TEST(DynamicCoreTest, StatsAccumulate) {
@@ -247,8 +263,8 @@ TEST_P(DynamicMatchesStatic, AfterEveryMutation) {
       dyn.InsertEdge(u, v);
     } else {
       std::vector<EdgeId> live = g.EdgeIds();
-      EdgeId victim = live[rng.NextBounded(live.size())];
-      dyn.RemoveEdgeById(victim);
+      const Edge victim = g.GetEdge(live[rng.NextBounded(live.size())]);
+      dyn.RemoveEdge(victim.u, victim.v);
     }
     ASSERT_TRUE(InvariantHolds(dyn))
         << "model=" << p.model << " seed=" << p.seed << " step=" << step;

@@ -1,4 +1,4 @@
-// Long randomized stress runs over both dynamic maintainers with periodic
+// Long randomized stress runs over the dynamic maintainer with periodic
 // full cross-checks, plus adversarial topologies designed to maximize
 // promotion/demotion cascades (overlapping cliques, barbells, clique
 // growth/decay cycles). Complements dynamic_core_test's per-step sweeps
@@ -22,7 +22,6 @@
 #include "tkc/io/edge_list.h"
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/core/dynamic_core.h"
-#include "tkc/core/ordered_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/intersect_simd.h"
@@ -54,7 +53,8 @@ TEST(FuzzTest, LongMixedChurnWithPeriodicChecks) {
       if (u != v && !g.HasEdge(u, v)) dyn.InsertEdge(u, v);
     } else if (g.NumEdges() > 0) {
       auto live = g.EdgeIds();
-      dyn.RemoveEdgeById(live[rng.NextBounded(live.size())]);
+      const Edge victim = g.GetEdge(live[rng.NextBounded(live.size())]);
+      dyn.RemoveEdge(victim.u, victim.v);
     }
     if (step % 50 == 0) ExpectMatchesStatic(dyn, "periodic");
   }
@@ -74,7 +74,9 @@ TEST(FuzzTest, CliqueGrowthAndDecayCycles) {
   Rng rng(5);
   while (dyn.graph().NumEdges() > 0) {
     auto live = dyn.graph().EdgeIds();
-    dyn.RemoveEdgeById(live[rng.NextBounded(live.size())]);
+    const Edge victim =
+        dyn.graph().GetEdge(live[rng.NextBounded(live.size())]);
+    dyn.RemoveEdge(victim.u, victim.v);
     if (dyn.graph().NumEdges() % 8 == 0) ExpectMatchesStatic(dyn, "decay");
   }
 }
@@ -124,32 +126,6 @@ TEST(FuzzTest, BarbellBridgeChurn) {
     // Lobe edges stay at κ = 5 throughout.
     EXPECT_GE(dyn.KappaOf(dyn.graph().FindEdge(0, 1)), 5u);
     EXPECT_GE(dyn.KappaOf(dyn.graph().FindEdge(9, 10)), 5u);
-  }
-}
-
-TEST(FuzzTest, OrderedCoreLongRun) {
-  Rng rng(424242);
-  Graph base = GnmRandom(60, 110, rng);
-  PlantRandomClique(base, 8, rng);
-  OrderedDynamicCore dyn(base);
-  for (int step = 1; step <= 150; ++step) {
-    const Graph& g = dyn.graph();
-    if (rng.NextBool(0.5)) {
-      VertexId u = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-      VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-      if (u != v && !g.HasEdge(u, v)) dyn.InsertEdge(u, v);
-    } else if (g.NumEdges() > 0) {
-      auto live = g.EdgeIds();
-      Edge victim = g.GetEdge(live[rng.NextBounded(live.size())]);
-      dyn.RemoveEdge(victim.u, victim.v);
-    }
-    if (step % 25 == 0) {
-      ASSERT_TRUE(dyn.CheckInvariants()) << "step " << step;
-      TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
-      dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
-        ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e]) << "step " << step;
-      });
-    }
   }
 }
 
@@ -510,7 +486,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FuzzTest, ReplayOracleOverGeneratedEventLog) {
   // Random mixed event log driven through the verify-layer replay oracle:
-  // both maintainers, certificate at every checkpoint.
+  // each 10-event interval is one coalescing batch, certificate at every
+  // checkpoint.
   Rng rng(60601);
   Graph base = PowerLawCluster(70, 3, 0.5, rng);
   std::vector<EdgeEvent> events;
@@ -529,7 +506,6 @@ TEST(FuzzTest, ReplayOracleOverGeneratedEventLog) {
   }
   verify::ReplayOptions options;
   options.check_every = 10;
-  options.check_ordered = true;
   options.certificate_at_checkpoints = true;
   verify::VerifyReport report = verify::ReplayEventLog(base, events, options);
   EXPECT_TRUE(report.AllPassed())

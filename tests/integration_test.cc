@@ -64,7 +64,7 @@ TEST(IntegrationTest, FullDynamicPipelineOverSnapshotStream) {
 
   DynamicTriangleCore dyn(reloaded->base);
   for (size_t s = 0; s < reloaded->deltas.size(); ++s) {
-    dyn.ApplyEvents(reloaded->deltas[s]);
+    dyn.ApplyBatch(reloaded->deltas[s]);
     TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
     dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
       ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e]) << "snapshot " << s + 1;
@@ -158,7 +158,7 @@ TEST(IntegrationTest, DatasetChurnTableThreePipeline) {
   size_t churn = std::max<size_t>(1, ds.graph.NumEdges() / 200);
   auto events = RandomChurn(ds.graph, churn, churn, rng);
   DynamicTriangleCore dyn(ds.graph);
-  UpdateStats stats = dyn.ApplyEvents(events);
+  const UpdateStats stats = dyn.ApplyBatch(events).work;
   TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
     ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e]);

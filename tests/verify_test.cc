@@ -62,12 +62,9 @@ TEST(VerifyTest, FullVerificationWithEventsRunsReplayOracles) {
   options.check_every = 2;
   VerifyReport report = RunFullVerification(g, options);
   EXPECT_TRUE(report.AllPassed());
-  for (const char* name :
-       {"dynamic.replay", "dynamic.replay_ordered", "dynamic.bookkeeping"}) {
-    const InvariantCheck* check = report.Find(name);
-    ASSERT_NE(check, nullptr) << name;
-    EXPECT_TRUE(check->passed) << name;
-  }
+  const InvariantCheck* check = report.Find("dynamic.replay");
+  ASSERT_NE(check, nullptr);
+  EXPECT_TRUE(check->passed);
 }
 
 // --- Seeded faults: each oracle provably catches its corruption --------
@@ -215,7 +212,6 @@ TEST(VerifyTest, ReplayEventLogMatchesRecomputeAtEveryStep) {
 
   ReplayOptions options;
   options.check_every = 1;
-  options.check_ordered = true;
   VerifyReport report = ReplayEventLog(base, events, options);
   EXPECT_TRUE(report.AllPassed())
       << report.FirstFailure()->name << ": " << report.FirstFailure()->detail;
