@@ -30,22 +30,18 @@ namespace tkc::bench {
 ///   --trace-out=<file> record a Chrome-trace timeline of the run
 ///   --threads=<n>      workers for the parallel kernels (0 = hardware
 ///                      default, 1 = serial; results are identical)
-///   --kernel=<k>       intersection kernel for the triangle hot path
-///                      (scalar|sse|avx2|bitmap|auto; results identical)
 struct BenchConfig {
   double size_factor = 1.0;
   uint64_t seed = 2012;
   std::string json_out;
   std::string trace_out;
   int threads = 0;
-  std::string kernel = "auto";
 };
 
 inline void PrintBenchUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--size-factor=F] [--quick] [--seed=N] "
-               "[--json-out=FILE] [--trace-out=FILE] [--threads=N] "
-               "[--kernel=K]\n",
+               "[--json-out=FILE] [--trace-out=FILE] [--threads=N]\n",
                argv0);
 }
 
@@ -71,8 +67,6 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
         std::fprintf(stderr, "--threads must be >= 0\n");
         std::exit(2);
       }
-    } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      cfg.kernel = arg + 9;
     } else if (std::strcmp(arg, "--help") == 0) {
       PrintBenchUsage(argv[0]);
       std::exit(0);
@@ -83,18 +77,6 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
     }
   }
   SetDefaultThreads(cfg.threads == 0 ? HardwareThreads() : cfg.threads);
-  IntersectKernel kernel = IntersectKernel::kAuto;
-  if (!ParseKernel(cfg.kernel, &kernel)) {
-    std::fprintf(stderr, "unknown --kernel: %s\n", cfg.kernel.c_str());
-    PrintBenchUsage(argv[0]);
-    std::exit(2);
-  }
-  if (!KernelIsaSupported(kernel)) {
-    std::fprintf(stderr, "--kernel=%s not supported by this CPU; "
-                 "falling back to scalar\n", cfg.kernel.c_str());
-    kernel = IntersectKernel::kScalar;
-  }
-  SetDefaultKernel(kernel);
   return cfg;
 }
 
@@ -165,11 +147,10 @@ class BenchReporter {
         rows_(obs::JsonValue::Array()), notes_(obs::JsonValue::Object()) {
     obs::MetricsRegistry::Global().Reset();
     obs::PhaseTracer::Global().Reset();
-    // The reset wiped the gauges ParseArgs set; restore them so the
-    // artifact records the worker count and kernel the run actually used.
+    // The reset wiped the gauge ParseArgs set; restore it so the artifact
+    // records the worker count the run actually used.
     obs::MetricsRegistry::Global().GetGauge("tkc.threads")
         .Set(DefaultThreads());
-    SetDefaultKernel(DefaultKernel());
     if (!cfg_.trace_out.empty()) {
       obs::TimelineRecorder::Global().Start();
     } else {
@@ -205,7 +186,6 @@ class BenchReporter {
         .Set("size_factor", cfg_.size_factor)
         .Set("seed", cfg_.seed)
         .Set("threads", static_cast<int64_t>(DefaultThreads()))
-        .Set("kernel", KernelName(CurrentKernel()))
         .Set("total_seconds", total_.Seconds())
         .Set("exit_code", code);
     for (auto& [key, value] : notes_.Members()) {

@@ -94,41 +94,6 @@ void BM_SupportCount_CsrFull(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportCount_CsrFull)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Per-kernel support pass, serial, kernel identity in the benchmark name so
-// the checked-in baseline rows are keyable by bench_compare. A kernel whose
-// ISA this CPU lacks is skipped (reported, not silently run as scalar).
-void SupportCountKernel(benchmark::State& state, IntersectKernel kernel) {
-  if (!KernelIsaSupported(kernel)) {
-    state.SkipWithError("ISA not supported on this CPU");
-    return;
-  }
-  Graph g = MakeGraph(state.range(0));
-  CsrGraph csr(g);
-  for (auto _ : state) {
-    std::vector<uint32_t> support =
-        ComputeEdgeSupports(csr, /*threads=*/1, kernel);
-    benchmark::DoNotOptimize(support.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(csr.NumEdges()));
-}
-void BM_SupportCount_Scalar(benchmark::State& state) {
-  SupportCountKernel(state, IntersectKernel::kScalar);
-}
-void BM_SupportCount_Sse(benchmark::State& state) {
-  SupportCountKernel(state, IntersectKernel::kSse);
-}
-void BM_SupportCount_Avx2(benchmark::State& state) {
-  SupportCountKernel(state, IntersectKernel::kAvx2);
-}
-void BM_SupportCount_Bitmap(benchmark::State& state) {
-  SupportCountKernel(state, IntersectKernel::kBitmap);
-}
-BENCHMARK(BM_SupportCount_Scalar)->Arg(10000)->Arg(50000);
-BENCHMARK(BM_SupportCount_Sse)->Arg(10000)->Arg(50000);
-BENCHMARK(BM_SupportCount_Avx2)->Arg(10000)->Arg(50000);
-BENCHMARK(BM_SupportCount_Bitmap)->Arg(10000)->Arg(50000);
-
 // Same serial pass on a degree-relabeled snapshot — the delta against
 // BM_SupportCount_Csr (same kernel, original labeling) is the locality
 // payoff of packing hubs into low vertex ids. Freeze cost is outside the
@@ -357,8 +322,7 @@ int WriteBenchEnvelope(const std::string& raw_path,
   tkc::obs::JsonValue doc = tkc::obs::JsonValue::Object();
   doc.Set("schema", "tkc.bench.v1")
       .Set("bench", "bench_micro")
-      .Set("threads", static_cast<long long>(tkc::DefaultThreads()))
-      .Set("kernel", tkc::KernelName(tkc::CurrentKernel()));
+      .Set("threads", static_cast<long long>(tkc::DefaultThreads()));
   if (const tkc::obs::JsonValue* context = raw->Find("context")) {
     doc.Set("machine_context", *context);
   }
@@ -396,21 +360,7 @@ int main(int argc, char** argv) {
     constexpr std::string_view kJsonOut = "--json-out=";
     constexpr std::string_view kTraceOut = "--trace-out=";
     constexpr std::string_view kThreads = "--threads=";
-    constexpr std::string_view kKernel = "--kernel=";
-    if (arg.substr(0, kKernel.size()) == kKernel) {
-      tkc::IntersectKernel kernel = tkc::IntersectKernel::kAuto;
-      const std::string name(arg.substr(kKernel.size()));
-      if (!tkc::ParseKernel(name, &kernel)) {
-        std::fprintf(stderr, "unknown --kernel: %s\n", name.c_str());
-        return 2;
-      }
-      if (!tkc::KernelIsaSupported(kernel)) {
-        std::fprintf(stderr, "--kernel=%s not supported by this CPU; "
-                     "falling back to scalar\n", name.c_str());
-        kernel = tkc::IntersectKernel::kScalar;
-      }
-      tkc::SetDefaultKernel(kernel);
-    } else if (arg.substr(0, kJsonOut.size()) == kJsonOut) {
+    if (arg.substr(0, kJsonOut.size()) == kJsonOut) {
       json_out = std::string(arg.substr(kJsonOut.size()));
       args.emplace_back("--benchmark_out=" + json_out + ".raw");
       args.emplace_back("--benchmark_out_format=json");

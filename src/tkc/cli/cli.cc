@@ -19,7 +19,6 @@
 #include "tkc/core/triangle_core.h"
 #include "tkc/engine/engine.h"
 #include "tkc/gen/generators.h"
-#include "tkc/graph/intersect_simd.h"
 #include "tkc/graph/kcore.h"
 #include "tkc/graph/stats.h"
 #include "tkc/io/edge_list.h"
@@ -855,7 +854,7 @@ int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 void PrintUsage(std::ostream& err) {
   err << "usage: tkc <command> ... [--log-level=L] [--metrics-out=FILE]\n"
          "                         [--trace-out=FILE] [--threads=N]\n"
-         "                         [--kernel=K] [--ingest-threads=N]\n"
+         "                         [--ingest-threads=N]\n"
          "  decompose <edges.txt> [--mode=store|recompute] (default store)\n"
          "            [--relabel=none|degree] [--graph-cache=FILE]\n"
          "  kcore     <edges.txt> [--graph-cache=FILE]\n"
@@ -889,12 +888,6 @@ void PrintUsage(std::ostream& err) {
          "parallel kernels\n"
          "                                      (0 = all hardware threads; "
          "1 = serial)\n"
-         "  --kernel=scalar|sse|avx2|bitmap|auto intersection kernel for "
-         "the triangle\n"
-         "                                      hot path (auto = widest "
-         "supported ISA;\n"
-         "                                      all kernels are "
-         "bit-identical in output)\n"
          "  --ingest-threads=N                  worker threads for parsing "
          "and freeze\n"
          "                                      (0 = follow --threads; "
@@ -938,7 +931,7 @@ bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
   for (const auto& [key, value] : parsed.flags) {
     if (key == "log-level" || key == "log-timestamps" ||
         key == "metrics-out" || key == "trace-out" || key == "threads" ||
-        key == "kernel" || key == "ingest-threads") {
+        key == "ingest-threads") {
       continue;
     }
     if (std::find(it->second.begin(), it->second.end(), key) ==
@@ -1040,24 +1033,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     obs::MetricsRegistry::Global().GetCounter(name).Add(0);
   }
 
-  // Intersection kernel for the triangle/support hot path. Like the thread
-  // count, set after the registry reset so the triangle.kernel gauge
-  // survives into the dump. An unsupported ISA degrades to scalar with a
-  // warning rather than failing — results are identical by contract, so a
-  // pinned --kernel in a script stays portable across machines.
-  const std::string kernel_text = parsed.Flag("kernel", "auto");
-  IntersectKernel kernel_flag = IntersectKernel::kAuto;
-  if (!ParseKernel(kernel_text, &kernel_flag)) {
-    err << "error: unknown --kernel '" << kernel_text << "'\n";
-    return 2;
-  }
-  if (!KernelIsaSupported(kernel_flag)) {
-    logger.Warn("kernel.isa_unsupported",
-                {{"requested", kernel_text}, {"fallback", "scalar"}});
-    kernel_flag = IntersectKernel::kScalar;
-  }
-  SetDefaultKernel(kernel_flag);
-
   const std::string& cmd = parsed.positional[0];
   g_update_stats_json.reset();  // only dynamic commands repopulate it
   int code;
@@ -1071,7 +1046,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     doc.Set("schema", "tkc.metrics.v1")
         .Set("command", cmd)
         .Set("exit_code", code)
-        .Set("kernel", KernelName(CurrentKernel()))
         .Set("metrics", obs::MetricsRegistry::Global().ToJson())
         .Set("trace", obs::PhaseTracer::Global().ToJson());
     if (g_update_stats_json.has_value()) {

@@ -9,7 +9,7 @@
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/parallel_peel.h"
 #include "tkc/graph/delta_csr.h"
-#include "tkc/graph/intersect_simd.h"
+#include "tkc/graph/intersect.h"
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/perf_counters.h"

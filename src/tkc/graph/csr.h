@@ -189,22 +189,10 @@ class CsrGraph {
   /// Invokes fn(w, uw_edge, vw_edge) per common neighbor (sorted merge).
   template <typename Fn>
   void ForEachCommonNeighbor(VertexId u, VertexId v, Fn&& fn) const {
-    const Neighbor* a = NeighborsBegin(u);
-    const Neighbor* ae = NeighborsEnd(u);
-    const Neighbor* b = NeighborsBegin(v);
-    const Neighbor* be = NeighborsEnd(v);
-    while (a != ae && b != be) {
-      if (a->vertex < b->vertex) {
-        ++a;
-      } else if (a->vertex > b->vertex) {
-        ++b;
-      } else {
-        fn(a->vertex, a->edge, b->edge);
-        ++a;
-        ++b;
-      }
-    }
+    MergeNeighbors(NeighborsBegin(u), NeighborsEnd(u), NeighborsBegin(v),
+                   NeighborsEnd(v), fn);
   }
+
 
   /// Invokes fn(EdgeId, Edge) for every edge, increasing id order.
   template <typename Fn>

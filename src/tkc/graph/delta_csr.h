@@ -103,23 +103,9 @@ class DeltaCsr {
   /// Invokes fn(w, uw_edge, vw_edge) per common neighbor (sorted merge).
   template <typename Fn>
   void ForEachCommonNeighbor(VertexId u, VertexId v, Fn&& fn) const {
-    NeighborSpan su = Neighbors(u);
-    NeighborSpan sv = Neighbors(v);
-    const Neighbor* a = su.begin();
-    const Neighbor* ae = su.end();
-    const Neighbor* b = sv.begin();
-    const Neighbor* be = sv.end();
-    while (a != ae && b != be) {
-      if (a->vertex < b->vertex) {
-        ++a;
-      } else if (a->vertex > b->vertex) {
-        ++b;
-      } else {
-        fn(a->vertex, a->edge, b->edge);
-        ++a;
-        ++b;
-      }
-    }
+    const NeighborSpan su = Neighbors(u);
+    const NeighborSpan sv = Neighbors(v);
+    MergeNeighbors(su.begin(), su.end(), sv.begin(), sv.end(), fn);
   }
 
   /// Number of common neighbors of `u` and `v`.

@@ -36,6 +36,30 @@ struct Neighbor {
   }
 };
 
+/// The sorted two-pointer merge of adjacency ranges [ab, ae) and [bb, be):
+/// invokes `fn(VertexId w, EdgeId ea, EdgeId eb)` per common vertex in
+/// ascending `w`, with `ea` from the first range and `eb` from the second.
+/// Returns the loop iterations spent (the `triangle.merge_steps` unit).
+/// Every common-neighbor query in the library ends in this loop.
+template <typename Fn>
+uint64_t MergeNeighbors(const Neighbor* ab, const Neighbor* ae,
+                        const Neighbor* bb, const Neighbor* be, Fn&& fn) {
+  uint64_t steps = 0;
+  while (ab != ae && bb != be) {
+    ++steps;
+    if (ab->vertex < bb->vertex) {
+      ++ab;
+    } else if (ab->vertex > bb->vertex) {
+      ++bb;
+    } else {
+      fn(ab->vertex, ab->edge, bb->edge);
+      ++ab;
+      ++bb;
+    }
+  }
+  return steps;
+}
+
 /// Dynamic undirected simple graph.
 ///
 /// This is the substrate every algorithm in the library runs on. Design
@@ -151,18 +175,8 @@ class Graph {
   void ForEachCommonNeighbor(VertexId u, VertexId v, Fn&& fn) const {
     const auto& a = Neighbors(u);
     const auto& b = Neighbors(v);
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i].vertex < b[j].vertex) {
-        ++i;
-      } else if (a[i].vertex > b[j].vertex) {
-        ++j;
-      } else {
-        fn(a[i].vertex, a[i].edge, b[j].edge);
-        ++i;
-        ++j;
-      }
-    }
+    MergeNeighbors(a.data(), a.data() + a.size(), b.data(), b.data() + b.size(),
+                   fn);
   }
 
   /// Number of common neighbors of `u` and `v`.

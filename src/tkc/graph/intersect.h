@@ -4,36 +4,30 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "tkc/graph/graph.h"
 
 namespace tkc {
 
-/// Work counters for one batch of sorted-adjacency intersections. The
-/// fields separate the kernels' regimes so the cutoffs are measurable:
-/// `merge_steps` counts loop iterations of the linear two-pointer merge,
+/// Work counters for one batch of sorted-adjacency intersections, one
+/// field per regime so the cutoff is measurable: `merge_steps` counts loop
+/// iterations of the linear two-pointer merge (MergeNeighbors) and
 /// `gallop_probes` counts element comparisons of the exponential-search
-/// path, `simd_lanes` counts lanes processed by the sse/avx2 block kernels
-/// (intersect_simd.h), and `bitmap_probes` counts membership tests by the
-/// hub-bitmap support kernel. Their sum is the actual intersection work —
-/// the value reported as `triangle.wedges_examined` (the old min-degree
-/// estimate over-charged oriented passes, which intersect out-lists far
-/// shorter than the full adjacency).
+/// path. Their sum is the actual intersection work — the value reported as
+/// `triangle.wedges_examined` (the old min-degree estimate over-charged
+/// oriented passes, which intersect out-lists far shorter than the full
+/// adjacency).
 struct IntersectStats {
   uint64_t merge_steps = 0;
   uint64_t gallop_probes = 0;
-  uint64_t simd_lanes = 0;
-  uint64_t bitmap_probes = 0;
 
-  uint64_t Total() const {
-    return merge_steps + gallop_probes + simd_lanes + bitmap_probes;
-  }
+  uint64_t Total() const { return merge_steps + gallop_probes; }
 
   IntersectStats& operator+=(const IntersectStats& o) {
     merge_steps += o.merge_steps;
     gallop_probes += o.gallop_probes;
-    simd_lanes += o.simd_lanes;
-    bitmap_probes += o.bitmap_probes;
     return *this;
   }
 };
@@ -126,18 +120,22 @@ void IntersectSortedHybrid(const Neighbor* ab, const Neighbor* ae,
     detail::IntersectGallop(ab, ae, bb, be, /*swapped=*/false, stats, fn);
     return;
   }
-  while (ab != ae && bb != be) {
-    ++stats.merge_steps;
-    if (ab->vertex < bb->vertex) {
-      ++ab;
-    } else if (ab->vertex > bb->vertex) {
-      ++bb;
-    } else {
-      fn(ab->vertex, ab->edge, bb->edge);
-      ++ab;
-      ++bb;
-    }
-  }
+  stats.merge_steps += MergeNeighbors(ab, ae, bb, be, fn);
+}
+
+/// Common-neighbor query on the hot paths (ForEachTriangleOnEdge, the
+/// peel's index-free fallback): IntersectSortedHybrid over the adjacency of
+/// `u` and `v`. GraphT is anything exposing Neighbors(v) as a contiguous
+/// range of Neighbor (Graph, CsrGraph, DeltaCsr).
+template <typename GraphT, typename Fn>
+void IntersectNeighbors(const GraphT& g, VertexId u, VertexId v, Fn&& fn) {
+  const auto& a = g.Neighbors(u);
+  const auto& b = g.Neighbors(v);
+  const Neighbor* ab = std::to_address(a.begin());
+  const Neighbor* bb = std::to_address(b.begin());
+  IntersectStats stats;
+  IntersectSortedHybrid(ab, ab + a.size(), bb, bb + b.size(), stats,
+                        std::forward<Fn>(fn));
 }
 
 }  // namespace tkc

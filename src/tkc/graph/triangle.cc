@@ -1,6 +1,7 @@
 #include "tkc/graph/triangle.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "tkc/graph/intersect.h"
 #include "tkc/obs/metrics.h"
@@ -25,17 +26,11 @@ void RecordEnumeration(const IntersectStats& stats, uint64_t triangles) {
       registry.GetCounter("triangle.merge_steps");
   static obs::Counter& gallop_counter =
       registry.GetCounter("triangle.gallop_probes");
-  static obs::Counter& simd_counter =
-      registry.GetCounter("triangle.simd_lanes_used");
-  static obs::Counter& bitmap_counter =
-      registry.GetCounter("triangle.bitmap_probes");
   static obs::Counter& triangle_counter =
       registry.GetCounter("triangle.triangles_found");
   wedge_counter.Add(stats.Total());
   merge_counter.Add(stats.merge_steps);
   gallop_counter.Add(stats.gallop_probes);
-  simd_counter.Add(stats.simd_lanes);
-  bitmap_counter.Add(stats.bitmap_probes);
   triangle_counter.Add(triangles);
   TKC_SPAN_COUNTER("wedges_examined", stats.Total());
   TKC_SPAN_COUNTER("triangles_found", triangles);
@@ -49,21 +44,9 @@ uint64_t MergeCommonNeighbors(const GraphT& g, VertexId u, VertexId v,
                               Fn&& fn) {
   const auto& a = g.Neighbors(u);
   const auto& b = g.Neighbors(v);
-  size_t i = 0, j = 0;
-  uint64_t steps = 0;
-  while (i < a.size() && j < b.size()) {
-    ++steps;
-    if (a[i].vertex < b[j].vertex) {
-      ++i;
-    } else if (a[i].vertex > b[j].vertex) {
-      ++j;
-    } else {
-      fn(a[i].vertex, a[i].edge, b[j].edge);
-      ++i;
-      ++j;
-    }
-  }
-  return steps;
+  const Neighbor* ab = std::to_address(a.begin());
+  const Neighbor* bb = std::to_address(b.begin());
+  return MergeNeighbors(ab, ab + a.size(), bb, bb + b.size(), fn);
 }
 
 }  // namespace
@@ -92,20 +75,16 @@ std::vector<uint32_t> ComputeEdgeSupports(const Graph& g) {
   return support;
 }
 
-std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
-                                          IntersectKernel kernel) {
+std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads) {
   TKC_SPAN("triangle.supports");
   threads = ResolveThreads(threads);
-  kernel = kernel == IntersectKernel::kAuto ? CurrentKernel()
-                                            : ResolveKernel(kernel);
   const size_t cap = g.EdgeCapacity();
-  const size_t domain = OrientedTriangleDomain(g, kernel);
   std::vector<uint32_t> support(cap, 0);
   uint64_t triangles = 0;
   IntersectStats stats;
 
-  if (threads <= 1 || domain == 0) {
-    ForEachOrientedTriangleInRange(g, kernel, 0, domain, stats,
+  if (threads <= 1 || cap == 0) {
+    ForEachOrientedTriangleInRange(g, 0, cap, stats,
                                    [&](EdgeId e, EdgeId aw, EdgeId bw) {
                                      ++support[e];
                                      ++support[aw];
@@ -117,21 +96,21 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
   }
 
   // Each worker owns a full-size partial-support shard and discovers the
-  // triangles owned by its static chunk of the partition domain; a second
-  // pass reduces the shards in fixed worker order. Plain uint32 additions
-  // commute exactly, so the output is identical to the serial path for any
-  // thread count.
+  // triangles owned by its static chunk of edge ids; a second pass reduces
+  // the shards in fixed worker order. Plain uint32 additions commute
+  // exactly, so the output is identical to the serial path for any thread
+  // count.
   struct Shard {
     std::vector<uint32_t> support;
     uint64_t triangles = 0;
     IntersectStats stats;
   };
   std::vector<Shard> shards(static_cast<size_t>(threads));
-  ParallelFor(threads, domain, [&](int worker, size_t begin, size_t end) {
+  ParallelFor(threads, cap, [&](int worker, size_t begin, size_t end) {
     Shard& shard = shards[static_cast<size_t>(worker)];
     shard.support.assign(cap, 0);
     uint32_t* partial = shard.support.data();
-    ForEachOrientedTriangleInRange(g, kernel, begin, end, shard.stats,
+    ForEachOrientedTriangleInRange(g, begin, end, shard.stats,
                                    [&](EdgeId e, EdgeId aw, EdgeId bw) {
                                      ++partial[e];
                                      ++partial[aw];
@@ -160,15 +139,14 @@ std::vector<std::vector<OrientedTriangle>> RecordOrientedTriangles(
     const CsrGraph& g, int threads) {
   TKC_SPAN("triangle.supports");
   threads = ResolveThreads(threads);
-  const IntersectKernel kernel = CurrentKernel();
   std::vector<std::vector<OrientedTriangle>> record(
       static_cast<size_t>(threads));
   std::vector<IntersectStats> partial(static_cast<size_t>(threads));
-  ParallelFor(threads, OrientedTriangleDomain(g, kernel),
+  ParallelFor(threads, g.EdgeCapacity(),
               [&](int worker, size_t begin, size_t end) {
     std::vector<OrientedTriangle>& list = record[static_cast<size_t>(worker)];
     ForEachOrientedTriangleInRange(
-        g, kernel, begin, end, partial[static_cast<size_t>(worker)],
+        g, begin, end, partial[static_cast<size_t>(worker)],
         [&](EdgeId e, EdgeId e1, EdgeId e2) { list.push_back({e, e1, e2}); });
   });
   uint64_t triangles = 0;
@@ -213,61 +191,21 @@ uint64_t CountTriangles(const Graph& g) {
   return n;
 }
 
-uint64_t CountTriangles(const CsrGraph& g, int threads,
-                        IntersectKernel kernel) {
+uint64_t CountTriangles(const CsrGraph& g, int threads) {
   TKC_SPAN("triangle.count");
   threads = ResolveThreads(threads);
-  kernel = kernel == IntersectKernel::kAuto ? CurrentKernel()
-                                            : ResolveKernel(kernel);
   struct Partial {
     uint64_t triangles = 0;
     IntersectStats stats;
   };
   std::vector<Partial> partial(static_cast<size_t>(std::max(threads, 1)));
-  if (kernel == IntersectKernel::kBitmap) {
-    // Vertex-centric count (see BitmapSupportRange): hubs stamp their
-    // out-list once and count bitmap hits; the rest run the dispatched
-    // count-only kernel per out-edge.
-    const IntersectKernel simd = ResolveKernel(IntersectKernel::kAuto);
-    ParallelFor(threads, g.NumVertices(),
-                [&](int worker, size_t begin, size_t end) {
-      Partial& p = partial[static_cast<size_t>(worker)];
-      VertexBitmap bitmap(g.NumVertices());
-      for (VertexId u = static_cast<VertexId>(begin); u < end; ++u) {
-        const auto out_u = g.OutNeighbors(u);
-        if (out_u.empty()) continue;
-        if (g.OutDegree(u) >= kBitmapHubCutoff) {
-          for (const Neighbor& nb : out_u) bitmap.Set(nb.vertex, nb.edge);
-          for (const Neighbor& nb : out_u) {
-            for (const Neighbor& vw : g.OutNeighbors(nb.vertex)) {
-              ++p.stats.bitmap_probes;
-              p.triangles += bitmap.Test(vw.vertex);
-            }
-          }
-          for (const Neighbor& nb : out_u) bitmap.Clear(nb.vertex);
-        } else {
-          for (const Neighbor& nb : out_u) {
-            p.triangles += IntersectDispatchCount(
-                simd, out_u.begin(), out_u.end(),
-                g.OutNeighborsBegin(nb.vertex), g.OutNeighborsEnd(nb.vertex),
-                p.stats);
-          }
-        }
-      }
-    });
-  } else {
-    ParallelFor(threads, g.EdgeCapacity(),
-                [&](int worker, size_t begin, size_t end) {
-      Partial& p = partial[static_cast<size_t>(worker)];
-      for (EdgeId e = static_cast<EdgeId>(begin); e < end; ++e) {
-        if (!g.IsEdgeAlive(e)) continue;
-        const Edge oe = g.OrientedEdge(e);
-        p.triangles += IntersectDispatchCount(
-            kernel, g.OutNeighborsBegin(oe.u), g.OutNeighborsEnd(oe.u),
-            g.OutNeighborsBegin(oe.v), g.OutNeighborsEnd(oe.v), p.stats);
-      }
-    });
-  }
+  ParallelFor(threads, g.EdgeCapacity(),
+              [&](int worker, size_t begin, size_t end) {
+    Partial& p = partial[static_cast<size_t>(worker)];
+    ForEachOrientedTriangleInRange(
+        g, begin, end, p.stats,
+        [&](EdgeId, EdgeId, EdgeId) { ++p.triangles; });
+  });
   uint64_t n = 0;
   IntersectStats stats;
   for (const Partial& p : partial) {

@@ -72,37 +72,35 @@ TEST_F(CliTest, DecomposeStoreModeAgrees) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(CliTest, DecomposeKernelAndRelabelAgreeWithDefaults) {
-  // A bigger graph than Figure 2 so every kernel (including the hub
-  // bitmap) does real work; all kernel/relabel combinations must emit
-  // byte-identical κ output.
-  std::string big_path = TempPath("cli_kernel_edges.txt");
+TEST_F(CliTest, DecomposeThreadsAndRelabelAgreeWithDefaults) {
+  // A bigger graph than Figure 2 so the parallel support pass splits real
+  // work; every --threads × --relabel row must emit byte-identical κ
+  // output to the default run.
+  std::string big_path = TempPath("cli_matrix_edges.txt");
   Rng rng(2012);
   Graph g = PowerLawCluster(200, 4, 0.5, rng);
   ASSERT_TRUE(WriteEdgeListFile(g, big_path));
   std::string base;
   ASSERT_EQ(RunTool({"decompose", big_path}, &base), 0);
   base = base.substr(0, base.rfind("# edges"));
-  for (const char* kernel :
-       {"--kernel=scalar", "--kernel=sse", "--kernel=avx2", "--kernel=bitmap",
-        "--kernel=auto"}) {
-    std::string out;
-    ASSERT_EQ(RunTool({"decompose", big_path, kernel}, &out), 0) << kernel;
-    out = out.substr(0, out.rfind("# edges"));
-    EXPECT_EQ(out, base) << kernel;
+  for (const char* threads : {"--threads=1", "--threads=4"}) {
+    for (const char* relabel : {"--relabel=none", "--relabel=degree"}) {
+      std::string out;
+      ASSERT_EQ(RunTool({"decompose", big_path, threads, relabel}, &out), 0)
+          << threads << " " << relabel;
+      out = out.substr(0, out.rfind("# edges"));
+      EXPECT_EQ(out, base) << threads << " " << relabel;
+    }
   }
-  std::string relabeled;
-  ASSERT_EQ(
-      RunTool({"decompose", big_path, "--relabel=degree"}, &relabeled), 0);
-  relabeled = relabeled.substr(0, relabeled.rfind("# edges"));
-  EXPECT_EQ(relabeled, base);
 }
 
 TEST_F(CliTest, UnknownKernelRejected) {
+  // The intersection-kernel flag is gone; naming it is a usage error, not
+  // a silently ignored knob.
   std::string out, err;
-  EXPECT_EQ(RunTool({"decompose", edges_path_, "--kernel=bogus"}, &out, &err),
+  EXPECT_EQ(RunTool({"decompose", edges_path_, "--kernel=avx2"}, &out, &err),
             2);
-  EXPECT_NE(err.find("unknown --kernel"), std::string::npos);
+  EXPECT_NE(err.find("unknown flag '--kernel'"), std::string::npos);
 }
 
 TEST_F(CliTest, UnknownRelabelRejected) {

@@ -17,14 +17,12 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "scoped_default_kernel.h"
 #include "tkc/core/analysis_context.h"
 #include "tkc/io/edge_list.h"
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/delta_csr.h"
-#include "tkc/graph/intersect_simd.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/util/random.h"
 #include "tkc/verify/certificate.h"
@@ -226,22 +224,20 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// --- Kernel axis: every intersection kernel against the scalar oracle ---
+// --- Threads axis: the parallel support pass against the serial oracle ---
 //
-// The SIMD/bitmap kernels promise bit-identical supports and κ at any
-// thread count. This driver churns a power-law graph with a planted
-// 40-clique (out-degrees well past kBitmapHubCutoff, so the hub-bitmap
-// path actually fires) and periodically holds per-kernel supports to the
-// single-threaded scalar recount, and the full decomposition to the
-// κ-certificate with the kernel installed process-wide.
+// The support pass and the triangle index promise bit-identical output at
+// any thread count. This driver churns a power-law graph with a planted
+// 40-clique (so a few out-lists are long and the gallop regime engages)
+// and periodically holds the N-thread supports to the serial pass and to
+// the full-adjacency reference, and the full decomposition to the
+// κ-certificate.
 
-class KernelDifferentialFuzzTest
-    : public ::testing::TestWithParam<std::tuple<IntersectKernel, int>> {};
+class ThreadsDifferentialFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
-  const auto [kernel, threads] = GetParam();
-  Rng rng(2012 + static_cast<uint64_t>(ResolveKernel(kernel)) * 101 +
-          static_cast<uint64_t>(threads));
+TEST_P(ThreadsDifferentialFuzzTest, SupportsAndKappaMatchSerialOracle) {
+  const int threads = GetParam();
+  Rng rng(2012 + static_cast<uint64_t>(threads));
   Graph base = PowerLawCluster(120, 3, 0.55, rng);
   PlantRandomClique(base, 40, rng);
 
@@ -261,18 +257,15 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
 
     CsrGraph csr = CsrGraph::Freeze(g);
     const std::vector<uint32_t> oracle =
-        ComputeEdgeSupports(csr, /*threads=*/1, IntersectKernel::kScalar);
-    const std::vector<uint32_t> got = ComputeEdgeSupports(csr, threads, kernel);
-    ASSERT_EQ(got, oracle) << "step " << step << " kernel "
-                           << KernelName(kernel) << " threads " << threads;
-    ASSERT_EQ(CountTriangles(csr, threads, kernel),
-              CountTriangles(csr, 1, IntersectKernel::kScalar))
+        ComputeEdgeSupports(csr, /*threads=*/1);
+    ASSERT_EQ(ComputeEdgeSupportsFullScan(csr), oracle) << "step " << step;
+    const std::vector<uint32_t> got = ComputeEdgeSupports(csr, threads);
+    ASSERT_EQ(got, oracle) << "step " << step << " threads " << threads;
+    ASSERT_EQ(CountTriangles(csr, threads), CountTriangles(csr, 1))
         << "step " << step;
 
-    // Full decomposition with the kernel installed as the process default —
-    // the index build and the recompute peel's IntersectNeighbors both run
-    // through it.
-    ScopedDefaultKernel scoped(kernel);
+    // Full decomposition at this thread count: the index build and the
+    // recompute peel's IntersectNeighbors must agree.
     AnalysisContext ctx(g, threads);
     TriangleCoreResult indexed = ComputeTriangleCores(ctx);
     TriangleCoreResult recomputed =
@@ -285,19 +278,11 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KernelsAndThreads, KernelDifferentialFuzzTest,
-    ::testing::Combine(::testing::Values(IntersectKernel::kScalar,
-                                         IntersectKernel::kSse,
-                                         IntersectKernel::kAvx2,
-                                         IntersectKernel::kBitmap,
-                                         IntersectKernel::kAuto),
-                       ::testing::Values(1, 4)),
-    [](const ::testing::TestParamInfo<
-        KernelDifferentialFuzzTest::ParamType>& info) {
-      return std::string(KernelName(std::get<0>(info.param))) + "_t" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, ThreadsDifferentialFuzzTest,
+                         ::testing::Values(1, 2, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "_threads";
+                         });
 
 // --- Batch axis: ApplyBatch vs an Algorithm-1 recompute, by endpoints ---
 //

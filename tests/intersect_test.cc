@@ -1,8 +1,7 @@
-// Differential and edge-case coverage for the intersection kernels: the
-// merge/gallop hybrid (intersect.h) against the SSE/AVX2 block kernels and
-// the dispatch layer (intersect_simd.h). Every kernel must emit identical
-// (w, ea, eb) triples in identical order — the bit-identical contract the
-// whole triangle path rests on.
+// Differential and edge-case coverage for the one intersection kernel, the
+// merge/gallop hybrid (intersect.h). It must emit exactly the (w, ea, eb)
+// triples a naive nested loop finds, in ascending-w order, in both regimes
+// — the contract the whole triangle path rests on.
 
 #include "tkc/graph/intersect.h"
 
@@ -12,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "tkc/graph/intersect_simd.h"
 #include "tkc/util/random.h"
 
 namespace tkc {
@@ -34,17 +32,16 @@ std::vector<Triple> RunHybrid(const std::vector<Neighbor>& a,
   return out;
 }
 
-std::vector<Triple> RunDispatch(IntersectKernel kernel,
-                                const std::vector<Neighbor>& a,
-                                const std::vector<Neighbor>& b,
-                                IntersectStats* stats = nullptr) {
-  IntersectStats local;
-  IntersectStats& s = stats ? *stats : local;
+// Independent reference: every (a, b) pair compared, matches emitted in
+// a's (ascending) order.
+std::vector<Triple> NaiveIntersect(const std::vector<Neighbor>& a,
+                                   const std::vector<Neighbor>& b) {
   std::vector<Triple> out;
-  IntersectDispatch(
-      ResolveKernel(kernel), a.data(), a.data() + a.size(), b.data(),
-      b.data() + b.size(), s,
-      [&](VertexId w, EdgeId ea, EdgeId eb) { out.emplace_back(w, ea, eb); });
+  for (const Neighbor& x : a) {
+    for (const Neighbor& y : b) {
+      if (x.vertex == y.vertex) out.emplace_back(x.vertex, x.edge, y.edge);
+    }
+  }
   return out;
 }
 
@@ -73,20 +70,12 @@ std::vector<Neighbor> RandomSortedList(uint32_t n, uint32_t universe,
   return out;
 }
 
-const IntersectKernel kAllKernels[] = {
-    IntersectKernel::kScalar, IntersectKernel::kSse, IntersectKernel::kAvx2,
-    IntersectKernel::kBitmap, IntersectKernel::kAuto};
-
 TEST(IntersectHybridTest, EmptyLists) {
   const std::vector<Neighbor> empty;
   const auto some = MakeList(5, 0, 2, 1);
   EXPECT_TRUE(RunHybrid(empty, empty).empty());
   EXPECT_TRUE(RunHybrid(empty, some).empty());
   EXPECT_TRUE(RunHybrid(some, empty).empty());
-  for (IntersectKernel k : kAllKernels) {
-    EXPECT_TRUE(RunDispatch(k, empty, some).empty()) << KernelName(k);
-    EXPECT_TRUE(RunDispatch(k, some, empty).empty()) << KernelName(k);
-  }
 }
 
 TEST(IntersectHybridTest, SingleElementLists) {
@@ -144,74 +133,14 @@ TEST(IntersectHybridTest, CutoffKnobSelectsRegime) {
   EXPECT_EQ(merge_stats.gallop_probes, 0u);
 }
 
-TEST(IntersectSimdTest, KernelNameParseRoundTrip) {
-  for (IntersectKernel k : kAllKernels) {
-    IntersectKernel parsed = IntersectKernel::kScalar;
-    EXPECT_TRUE(ParseKernel(KernelName(k), &parsed)) << KernelName(k);
-    EXPECT_EQ(parsed, k);
-  }
-  IntersectKernel out = IntersectKernel::kAuto;
-  EXPECT_FALSE(ParseKernel("bogus", &out));
-  EXPECT_FALSE(ParseKernel("", &out));
-  EXPECT_FALSE(ParseKernel("AVX2", &out));  // names are lowercase
-  EXPECT_EQ(out, IntersectKernel::kAuto);   // untouched on failure
-}
-
-TEST(IntersectSimdTest, ResolveNeverReturnsAutoOrUnsupported) {
-  for (IntersectKernel k : kAllKernels) {
-    const IntersectKernel resolved = ResolveKernel(k);
-    EXPECT_NE(resolved, IntersectKernel::kAuto) << KernelName(k);
-    EXPECT_TRUE(KernelIsaSupported(resolved)) << KernelName(k);
-  }
-  // kAuto resolves to something runnable on this machine, and resolution
-  // is idempotent.
-  const IntersectKernel best = ResolveKernel(IntersectKernel::kAuto);
-  EXPECT_EQ(ResolveKernel(best), best);
-}
-
-TEST(IntersectSimdTest, DefaultKernelMirrorsSetter) {
-  const IntersectKernel saved = DefaultKernel();
-  SetDefaultKernel(IntersectKernel::kScalar);
-  EXPECT_EQ(DefaultKernel(), IntersectKernel::kScalar);
-  EXPECT_EQ(CurrentKernel(), IntersectKernel::kScalar);
-  SetDefaultKernel(saved);
-}
-
-TEST(IntersectSimdTest, AdversarialShapesMatchHybrid) {
-  // Shapes chosen to stress the block loop: disjoint (no matches, blocks
-  // always advance on compare-misses), identical (every lane matches),
-  // interleaved (matches never align within a block), and straddling
-  // (matches sit exactly on the 4/8-entry window boundaries).
-  struct Case {
-    const char* name;
-    std::vector<Neighbor> a, b;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"disjoint", MakeList(33, 0, 2, 1), MakeList(33, 1, 2, 2)});
-  cases.push_back({"identical", MakeList(40, 5, 3, 1), MakeList(40, 5, 3, 2)});
-  cases.push_back({"interleave", MakeList(64, 0, 3, 1), MakeList(64, 0, 5, 2)});
-  {
-    // Matches at multiples of 8 only → one hit per AVX2 block, straddling
-    // every window edge; list lengths offset so tails differ.
-    auto a = MakeList(61, 0, 1, 1);
-    auto b = MakeList(9, 0, 8, 2);
-    cases.push_back({"straddle", std::move(a), std::move(b)});
-  }
-  cases.push_back({"short_vs_blocky", MakeList(3, 10, 4, 1),
-                   MakeList(24, 0, 2, 2)});
-  for (const Case& c : cases) {
-    const auto expect = RunHybrid(c.a, c.b);
-    for (IntersectKernel k : kAllKernels) {
-      EXPECT_EQ(RunDispatch(k, c.a, c.b), expect)
-          << c.name << " via " << KernelName(k);
-      EXPECT_EQ(RunDispatch(k, c.b, c.a), RunHybrid(c.b, c.a))
-          << c.name << " (swapped) via " << KernelName(k);
-    }
-  }
-}
-
-TEST(IntersectSimdTest, RandomDifferentialAgainstHybrid) {
+TEST(IntersectHybridTest, RandomDifferentialAgainstNaive) {
+  // Cutoff 1 gallops on any length mismatch, kGallopCutoffRatio is the
+  // production mix, and a cutoff above every list length never gallops.
+  // Lengths are drawn independently, so skewed pairs come up at every
+  // cutoff; both argument orders run, which pins the (ea, eb) pairing.
+  constexpr size_t kNeverGallop = size_t{1} << 20;
   Rng rng(2012);
+  IntersectStats gallop_total, merge_total;
   for (int round = 0; round < 200; ++round) {
     const uint32_t universe =
         16 + static_cast<uint32_t>(rng.NextBounded(256));
@@ -219,68 +148,25 @@ TEST(IntersectSimdTest, RandomDifferentialAgainstHybrid) {
         static_cast<uint32_t>(rng.NextBounded(universe)), universe, 1, rng);
     const auto b = RandomSortedList(
         static_cast<uint32_t>(rng.NextBounded(universe)), universe, 2, rng);
-    const auto expect = RunHybrid(a, b);
-    for (IntersectKernel k : kAllKernels) {
+    const auto expect_ab = NaiveIntersect(a, b);
+    const auto expect_ba = NaiveIntersect(b, a);
+    for (size_t cutoff : {size_t{1}, kGallopCutoffRatio, kNeverGallop}) {
       IntersectStats stats;
-      EXPECT_EQ(RunDispatch(k, a, b, &stats), expect)
-          << "round " << round << " via " << KernelName(k);
-      // Count-only twin agrees with the emit variant.
-      IntersectStats count_stats;
-      EXPECT_EQ(IntersectDispatchCount(ResolveKernel(k), a.data(),
-                                       a.data() + a.size(), b.data(),
-                                       b.data() + b.size(), count_stats),
-                expect.size())
-          << "round " << round << " via " << KernelName(k);
+      EXPECT_EQ(RunHybrid(a, b, &stats, cutoff), expect_ab)
+          << "round " << round << " cutoff " << cutoff;
+      EXPECT_EQ(RunHybrid(b, a, &stats, cutoff), expect_ba)
+          << "round " << round << " cutoff " << cutoff << " (swapped)";
+      if (cutoff == kNeverGallop) {
+        EXPECT_EQ(stats.gallop_probes, 0u) << "round " << round;
+        merge_total += stats;
+      } else if (cutoff == 1) {
+        gallop_total += stats;
+      }
     }
   }
-}
-
-TEST(IntersectSimdTest, SimdLanesCountedWhenIsaPresent) {
-  // On hardware with SSE4.2/AVX2 the block kernels must actually engage on
-  // comparable-length lists (this is what triangle.simd_lanes_used reports).
-  const auto a = MakeList(64, 0, 2, 1);
-  const auto b = MakeList(64, 0, 3, 2);
-  for (IntersectKernel k : {IntersectKernel::kSse, IntersectKernel::kAvx2}) {
-    if (!KernelIsaSupported(k)) continue;
-    IntersectStats stats;
-    RunDispatch(k, a, b, &stats);
-    EXPECT_GT(stats.simd_lanes, 0u) << KernelName(k);
-  }
-}
-
-TEST(IntersectSimdTest, SkewedPairsDelegateToGallop) {
-  // Over the cutoff ratio the dispatch must take the galloping path no
-  // matter the kernel — block compares would walk the long list linearly.
-  const auto a = MakeList(1000, 0, 1, 1);
-  const auto b = MakeList(10, 0, 100, 2);
-  const auto expect = RunHybrid(a, b);
-  for (IntersectKernel k : kAllKernels) {
-    IntersectStats stats;
-    EXPECT_EQ(RunDispatch(k, a, b, &stats), expect) << KernelName(k);
-    EXPECT_GT(stats.gallop_probes, 0u) << KernelName(k);
-    EXPECT_EQ(stats.simd_lanes, 0u) << KernelName(k);
-  }
-}
-
-TEST(VertexBitmapTest, SetTestClearAndEdgeOf) {
-  VertexBitmap bitmap(200);
-  EXPECT_FALSE(bitmap.Test(0));
-  EXPECT_FALSE(bitmap.Test(199));
-  bitmap.Set(63, 7);   // word-boundary vertices
-  bitmap.Set(64, 8);
-  bitmap.Set(199, 9);
-  EXPECT_TRUE(bitmap.Test(63));
-  EXPECT_TRUE(bitmap.Test(64));
-  EXPECT_TRUE(bitmap.Test(199));
-  EXPECT_FALSE(bitmap.Test(62));
-  EXPECT_FALSE(bitmap.Test(65));
-  EXPECT_EQ(bitmap.EdgeOf(63), 7u);
-  EXPECT_EQ(bitmap.EdgeOf(64), 8u);
-  EXPECT_EQ(bitmap.EdgeOf(199), 9u);
-  bitmap.Clear(64);
-  EXPECT_FALSE(bitmap.Test(64));
-  EXPECT_TRUE(bitmap.Test(63));
-  EXPECT_TRUE(bitmap.Test(199));
+  // Both regimes really ran.
+  EXPECT_GT(gallop_total.gallop_probes, 0u);
+  EXPECT_GT(merge_total.merge_steps, 0u);
 }
 
 }  // namespace

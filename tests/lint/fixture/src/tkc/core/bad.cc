@@ -20,10 +20,10 @@ void Bad() {
   TKC_SPAN("Bad.Span_Name");  // TKC-L030: uppercase segment
 }
 
-#include <immintrin.h>  // TKC-L060: intrinsics header outside the kernel layer
+#include <immintrin.h>  // TKC-L060: intrinsics header
 
 void StraySimd() {
-  __m128i a = _mm_set1_epi32(1);  // TKC-L060: intrinsic outside the layer
+  __m128i a = _mm_set1_epi32(1);  // TKC-L060: x86 intrinsic
   (void)a;
 }
 

@@ -1,8 +1,8 @@
 // The flat edge → triangle-partner index (core/triangle_index.h), built
 // from one recorded oriented enumeration, against a reference built from
 // the full-adjacency triangle list, and its determinism: contents and the
-// peel order built on it depend only on EdgeIds, never on threads, kernel
-// or relabel.
+// peel order built on it depend only on EdgeIds, never on threads or
+// relabel.
 
 #include "tkc/core/triangle_index.h"
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "scoped_default_kernel.h"
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
@@ -23,9 +22,8 @@
 namespace tkc {
 namespace {
 
-// Power-law graph with a planted clique (out-degrees past
-// kBitmapHubCutoff, so the bitmap kernel's hub pass fires) and dead-id
-// holes from random removals.
+// Power-law graph with a planted clique (long out-lists, so the gallop
+// regime engages) and dead-id holes from random removals.
 Graph MakeHoledGraph(uint64_t seed) {
   Rng rng(seed);
   Graph g = PowerLawCluster(150, 4, 0.6, rng);
@@ -73,23 +71,17 @@ TEST(TriangleIndexTest, PartnersAreExactlyTheFullAdjacencyTriangles) {
     for (RelabelMode relabel : {RelabelMode::kNone, RelabelMode::kDegree}) {
       const CsrGraph csr = CsrGraph::Freeze(g, relabel);
       for (int threads : {1, 2, 8}) {
-        for (IntersectKernel kernel :
-             {IntersectKernel::kScalar, IntersectKernel::kAvx2,
-              IntersectKernel::kBitmap}) {
-          ScopedDefaultKernel scoped(kernel);
-          ExpectMatchesReference(
-              g, TrianglePartnerIndex::Build(csr, threads),
-              "seed " + std::to_string(seed) +
-                  " relabeled=" + std::to_string(csr.IsRelabeled()) +
-                  " threads=" + std::to_string(threads) +
-                  " kernel=" + KernelName(kernel));
-        }
+        ExpectMatchesReference(
+            g, TrianglePartnerIndex::Build(csr, threads),
+            "seed " + std::to_string(seed) +
+                " relabeled=" + std::to_string(csr.IsRelabeled()) +
+                " threads=" + std::to_string(threads));
       }
     }
   }
 }
 
-TEST(TriangleIndexTest, IdenticalAcrossThreadsKernelsAndRelabel) {
+TEST(TriangleIndexTest, IdenticalAcrossThreadsAndRelabel) {
   const Graph g = MakeHoledGraph(7);
   const CsrGraph plain = CsrGraph::Freeze(g);
   const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
@@ -97,14 +89,8 @@ TEST(TriangleIndexTest, IdenticalAcrossThreadsKernelsAndRelabel) {
   EXPECT_EQ(base.NumEntries(), 3 * CountTriangles(g));
   for (const CsrGraph* csr : {&plain, &relabeled}) {
     for (int threads : {1, 2, 8}) {
-      for (IntersectKernel kernel :
-           {IntersectKernel::kScalar, IntersectKernel::kBitmap,
-            IntersectKernel::kAuto}) {
-        ScopedDefaultKernel scoped(kernel);
-        EXPECT_TRUE(TrianglePartnerIndex::Build(*csr, threads) == base)
-            << "relabeled=" << csr->IsRelabeled() << " threads=" << threads
-            << " kernel=" << KernelName(kernel);
-      }
+      EXPECT_TRUE(TrianglePartnerIndex::Build(*csr, threads) == base)
+          << "relabeled=" << csr->IsRelabeled() << " threads=" << threads;
     }
   }
 }
@@ -135,19 +121,14 @@ TEST(TriangleIndexTest, EmptyAndTriangleFreeGraphs) {
   const CsrGraph triangle_free(cycle);
   for (const CsrGraph* csr : {&empty, &triangle_free}) {
     for (int threads : {1, 2, 8}) {
-      for (IntersectKernel kernel :
-           {IntersectKernel::kScalar, IntersectKernel::kAvx2,
-            IntersectKernel::kBitmap}) {
-        ScopedDefaultKernel scoped(kernel);
-        const TrianglePartnerIndex index =
-            TrianglePartnerIndex::Build(*csr, threads);
-        EXPECT_EQ(index.NumEntries(), 0u);
-        for (EdgeId e = 0; e < csr->EdgeCapacity(); ++e) {
-          EXPECT_TRUE(index.Of(e).empty());
-        }
-        EXPECT_EQ(index.Supports(),
-                  std::vector<uint32_t>(csr->EdgeCapacity(), 0));
+      const TrianglePartnerIndex index =
+          TrianglePartnerIndex::Build(*csr, threads);
+      EXPECT_EQ(index.NumEntries(), 0u);
+      for (EdgeId e = 0; e < csr->EdgeCapacity(); ++e) {
+        EXPECT_TRUE(index.Of(e).empty());
       }
+      EXPECT_EQ(index.Supports(),
+                std::vector<uint32_t>(csr->EdgeCapacity(), 0));
     }
   }
 }

@@ -159,23 +159,16 @@ TEST(TriangleTest, GallopPathEngagesOnSkewedOutLists) {
   auto& gallop = registry.GetCounter("triangle.gallop_probes");
   auto& wedges = registry.GetCounter("triangle.wedges_examined");
   auto& merges = registry.GetCounter("triangle.merge_steps");
-  auto& lanes = registry.GetCounter("triangle.simd_lanes_used");
-  auto& probes = registry.GetCounter("triangle.bitmap_probes");
   const uint64_t gallop_before = gallop.Value();
   const uint64_t wedges_before = wedges.Value();
   const uint64_t merges_before = merges.Value();
-  const uint64_t lanes_before = lanes.Value();
-  const uint64_t probes_before = probes.Value();
   CsrGraph csr(g);
   auto support = ComputeEdgeSupports(csr, 1);
   EXPECT_GT(gallop.Value(), gallop_before);
-  // wedges_examined reports the actual work: merge steps + gallop probes +
-  // SIMD lanes + bitmap probes, whatever kernel the dispatch resolved to.
+  // wedges_examined reports the actual work: merge steps + gallop probes.
   EXPECT_EQ(wedges.Value() - wedges_before,
             (merges.Value() - merges_before) +
-                (gallop.Value() - gallop_before) +
-                (lanes.Value() - lanes_before) +
-                (probes.Value() - probes_before));
+                (gallop.Value() - gallop_before));
   // And the skewed path still gets the values right.
   EXPECT_EQ(support, ComputeEdgeSupportsFullScan(csr));
   EXPECT_EQ(support[g.FindEdge(x, 0)], 1u);

@@ -63,9 +63,8 @@ RULES = {
     ),
     "TKC-L060": (
         "simd-containment",
-        "<immintrin.h> or x86 SIMD intrinsics outside "
-        "src/tkc/graph/intersect_simd.{h,cc} (ISA-specific code lives "
-        "behind the kernel dispatch layer)",
+        "<immintrin.h> or x86 SIMD intrinsics anywhere under src/ (the "
+        "library has one portable intersection kernel)",
     ),
 }
 NAME_TO_ID = {name: rid for rid, (name, _) in RULES.items()}
@@ -79,10 +78,6 @@ SPAN_USE_RE = re.compile(
     r"(?:TKC_SPAN(?:_PERF|_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
 NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![\w.])delete(?:\[\])?\b")
-SIMD_ALLOWED_FILES = {
-    "src/tkc/graph/intersect_simd.h",
-    "src/tkc/graph/intersect_simd.cc",
-}
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
 SIMD_INTRINSIC_RE = re.compile(r"\b(?:_mm\d*_\w+|__m\d+[di]?)\b")
 BANNED_RES = [
@@ -280,22 +275,18 @@ class Linter:
                         f"span name \"{name}\" is {len(name)} chars; the "
                         f"timeline buffer truncates past {SPAN_NAME_MAX}")
 
-            # TKC-L060: ISA-specific code stays in the kernel layer, so
-            # every other file is portable by construction and the dispatch
-            # layer is the single place CPUID gating has to be right.
-            if (str(rel).startswith("src/")
-                    and str(rel) not in SIMD_ALLOWED_FILES):
+            # TKC-L060: no ISA-specific code, so the library is portable
+            # by construction and needs no CPUID gating.
+            if str(rel).startswith("src/"):
                 if SIMD_INCLUDE_RE.search(raw):
                     self.report(
                         "TKC-L060", path, lines, i,
-                        "intrinsics header include outside "
-                        "src/tkc/graph/intersect_simd.{h,cc}")
+                        "intrinsics header include (the library has one "
+                        "portable intersection kernel)")
                 elif SIMD_INTRINSIC_RE.search(code):
                     self.report(
                         "TKC-L060", path, lines, i,
-                        "x86 SIMD intrinsic outside "
-                        "src/tkc/graph/intersect_simd.{h,cc} (route "
-                        "through IntersectDispatch)")
+                        "x86 SIMD intrinsic (use IntersectSortedHybrid)")
 
             # TKC-L050: unjustified thread-safety escape hatch.
             if ("TKC_NO_THREAD_SAFETY_ANALYSIS" in code
