@@ -11,6 +11,7 @@
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/dynamic_gen.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/util/random.h"
 
 namespace tkc::bench {
@@ -70,7 +71,7 @@ int Run(int argc, char** argv) {
     size_t each = std::max<size_t>(
         1, static_cast<size_t>(ds.graph.NumEdges() * churn / 2));
     std::vector<EdgeEvent> events = RandomChurn(ds.graph, each, each, rng);
-    DynamicTriangleCore dyn(ds.graph);
+    DynamicTriangleCore dyn{DeltaCsr(ds.graph)};
     t.Restart();
     for (const EdgeEvent& ev : events) {
       if (ev.kind == EdgeEvent::Kind::kInsert) {

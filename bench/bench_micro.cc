@@ -25,6 +25,7 @@
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/graph/kcore.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/util/parallel.h"
@@ -205,7 +206,7 @@ BENCHMARK(BM_Peel_Index)
 // library picks.
 void BM_DynamicInsertDelete(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
-  DynamicTriangleCore dyn(g);
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   Rng rng(11);
   const VertexId n = dyn.graph().NumVertices();
   std::deque<Edge> pending;
@@ -219,7 +220,7 @@ void BM_DynamicInsertDelete(benchmark::State& state) {
     do {
       u = static_cast<VertexId>(rng.NextBounded(n));
     } while (dyn.graph().Degree(u) == 0);
-    const auto& around = dyn.graph().Neighbors(u);
+    const DeltaCsr::NeighborSpan around = dyn.graph().Neighbors(u);
     const VertexId v = around[rng.NextBounded(around.size())].vertex;
     dyn.RemoveEdge(u, v);
     pending.push_back(Edge{u, v});

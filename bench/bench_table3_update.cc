@@ -13,6 +13,7 @@
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/dynamic_gen.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/util/random.h"
 
 namespace tkc::bench {
@@ -71,7 +72,7 @@ int Run(int argc, char** argv) {
                 : WedgeClosingChurn(g, 2 * churn_each, rng);
 
         // Incremental: apply each event through the updater.
-        DynamicTriangleCore dyn(g);
+        DynamicTriangleCore dyn{DeltaCsr(g)};
         Timer t;
         for (const EdgeEvent& ev : events) {
           if (ev.kind == EdgeEvent::Kind::kInsert) {
@@ -86,7 +87,7 @@ int Run(int argc, char** argv) {
 
         // Re-compute: one full peel of the final graph (the paper's
         // "Re-Compute" column = steps 8-18 of Algorithm 1 from scratch).
-        const Graph& final_graph = dyn.graph();
+        const DeltaCsr& final_graph = dyn.graph();
         t.Restart();
         TriangleCoreResult fresh = ComputeTriangleCores(final_graph);
         recompute_total += t.Seconds();

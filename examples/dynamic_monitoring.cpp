@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "tkc/core/dynamic_core.h"
 #include "tkc/gen/dynamic_gen.h"
 #include "tkc/gen/generators.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/patterns/events.h"
 #include "tkc/util/random.h"
 #include "tkc/util/timer.h"
@@ -28,19 +30,20 @@ int main(int argc, char** argv) {
   std::printf("monitoring network: %u vertices, %zu edges\n\n",
               current.NumVertices(), current.NumEdges());
 
-  DynamicTriangleCore dyn(current);
+  // `current` mirrors the maintainer's view as the Graph that the snapshot
+  // generator and the event screen read.
+  DynamicTriangleCore dyn{DeltaCsr(current)};
   for (int step = 1; step <= steps; ++step) {
     // Evolve: organic growth plus, on some steps, a planted incident.
-    Graph before = dyn.graph();
-    SnapshotPair pair = GrowSnapshot(before, 40, 2, rng);
+    SnapshotPair pair = GrowSnapshot(current, 40, 2, rng);
     if (step % 3 == 0) {
       // Incident: a brand-new collaboration ring between old strangers.
       std::vector<VertexId> ring;
       while (ring.size() < 5) {
         VertexId v = static_cast<VertexId>(
-            rng.NextBounded(before.NumVertices()));
+            rng.NextBounded(current.NumVertices()));
         bool fresh = true;
-        for (VertexId r : ring) fresh = fresh && !before.HasEdge(r, v);
+        for (VertexId r : ring) fresh = fresh && !current.HasEdge(r, v);
         if (fresh && std::find(ring.begin(), ring.end(), v) == ring.end()) {
           ring.push_back(v);
         }
@@ -67,8 +70,9 @@ int main(int argc, char** argv) {
     EventDetectorOptions opt;
     opt.min_clique_size = 5;
     std::vector<CliqueEvent> events =
-        DetectEvents(before, dyn.graph(), opt);
+        DetectEvents(current, pair.new_graph, opt);
     double detect_s = t.Seconds();
+    current = std::move(pair.new_graph);
 
     std::printf("step %d: +%zu edges (update %.4fs, screen %.3fs)\n", step,
                 pair.added.size(), update_s, detect_s);

@@ -12,6 +12,7 @@
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/viz/ascii_chart.h"
 #include "tkc/viz/density_plot.h"
 
@@ -41,7 +42,7 @@ int main() {
               core.k, core.vertices.size(), core.edges.size());
 
   // 4. Dynamic maintenance (Algorithm 2): drop an edge, κ updates locally.
-  DynamicTriangleCore dyn(g);
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.RemoveEdge(1, 2);  // remove BC
   std::printf("after removing BC: kappa(DE) = %u (touched %llu edges)\n",
               dyn.KappaOf(de),

@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "tkc/core/dynamic_core.h"
+#include "tkc/gen/dynamic_gen.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/io/snapshots.h"
 #include "tkc/viz/dual_view.h"
 
@@ -42,9 +45,10 @@ int main(int argc, char** argv) {
   std::printf("snapshots: %zu, base edges: %zu\n\n", stream->NumSnapshots(),
               stream->base.NumEdges());
 
-  DynamicTriangleCore dyn(stream->base);
+  DynamicTriangleCore dyn{DeltaCsr(stream->base)};
+  // The previous snapshot as a Graph, for the dual view.
+  Graph before = stream->base;
   for (size_t step = 0; step < stream->deltas.size(); ++step) {
-    Graph before = dyn.graph();
     const auto& delta = stream->deltas[step];
     const UpdateStats stats = dyn.ApplyBatch(delta).work;
     std::printf("snapshot %zu -> %zu: %zu events, touched %llu edges, "
@@ -67,6 +71,7 @@ int main(int argc, char** argv) {
                   "co_clique_size %u\n",
                   dual.after.points.size(), dual.after.MaxValue());
     }
+    before = ApplyEvents(std::move(before), delta);
     // Print the κ values over the live graph (small streams only).
     if (dyn.graph().NumEdges() <= 32) {
       dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {

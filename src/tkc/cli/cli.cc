@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "tkc/core/triangle_core.h"
 #include "tkc/engine/engine.h"
 #include "tkc/gen/generators.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/graph/kcore.h"
 #include "tkc/graph/stats.h"
 #include "tkc/io/edge_list.h"
@@ -42,7 +45,19 @@ namespace tkc {
 
 namespace {
 
-// Splits args into positionals and --key=value flags.
+// Parses all of `text` as a T: no leading '+' or whitespace, no trailing
+// characters, and within T's range.
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+// Splits args into positionals and --key=value flags. NumericFlagsValid
+// vets every numeric flag before a command reads one.
 struct ParsedArgs {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -53,11 +68,13 @@ struct ParsedArgs {
   }
   int64_t FlagInt(const std::string& key, int64_t fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoll(it->second);
+    return it == flags.end() ? fallback
+                             : ParseNumber<int64_t>(it->second).value();
   }
   double FlagDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback
+                             : ParseNumber<double>(it->second).value();
   }
 };
 
@@ -78,10 +95,29 @@ ParsedArgs Parse(const std::vector<std::string>& args) {
   return parsed;
 }
 
-// Ingest worker count: --ingest-threads when given, otherwise the shared
-// pool default (so plain --threads=N parallelizes ingest too).
-int IngestThreads(const ParsedArgs& args) {
-  return ResolveThreads(static_cast<int>(args.FlagInt("ingest-threads", 0)));
+// A numeric flag whose value is not a number, has trailing characters or
+// does not fit its type (`--threads` feeds an int) is a usage error.
+bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
+  static const std::set<std::string> kInt64Flags = {
+      "width", "height", "max-nodes", "check-every", "batch", "query-every",
+      "compact-edits", "min-size", "seed", "n", "m", "scale"};
+  for (const auto& [key, text] : parsed.flags) {
+    const char* want = nullptr;
+    if (key == "threads" && !ParseNumber<int>(text)) {
+      want = "an integer that fits an int";
+    } else if (kInt64Flags.count(key) > 0 && !ParseNumber<int64_t>(text)) {
+      want = "an integer that fits an int64";
+    } else if (key == "p" && !std::isfinite(
+                                 ParseNumber<double>(text).value_or(NAN))) {
+      want = "a finite number";
+    }
+    if (want != nullptr) {
+      err << "error: --" << key << " must be " << want << " (got '" << text
+          << "')\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 // "3,17,42" for the load warning — the recorded malformed line numbers
@@ -127,7 +163,7 @@ std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
 
 // How a subcommand received its graph under --graph-cache.
 struct GraphSource {
-  std::optional<Graph> graph;           // set when text was parsed or a thaw ran
+  std::optional<Graph> graph;           // set when text was parsed
   std::shared_ptr<const CsrGraph> csr;  // set when a frozen snapshot exists
   bool from_cache = false;
 };
@@ -140,17 +176,15 @@ struct GraphSource {
 //    (exit 2) — never a silent fallback onto a corrupt file.
 // Commands whose output or events are keyed by original vertex ids pass
 // `reject_relabeled` (a degree-relabeled snapshot would permute their
-// ids); `thaw_graph` additionally materializes a mutable Graph with
-// preserved EdgeIds for commands that mutate.
+// ids).
 std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
                                            const std::string& path,
                                            std::ostream& err,
                                            bool reject_relabeled,
-                                           bool thaw_graph,
                                            RelabelMode cache_relabel) {
   GraphSource src;
   const std::string cache_path = args.Flag("graph-cache", "");
-  const int ingest_threads = IngestThreads(args);
+  const int ingest_threads = ResolveThreads(0);
   if (!cache_path.empty()) {
     CacheStatus status = CacheStatus::kOk;
     std::string detail;
@@ -169,7 +203,6 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
                                   {"relabeled", csr->IsRelabeled() ? 1 : 0}});
       src.from_cache = true;
       auto shared = std::make_shared<const CsrGraph>(std::move(*csr));
-      if (thaw_graph) src.graph = shared->ThawPreservingIds();
       src.csr = std::move(shared);
       return src;
     }
@@ -227,8 +260,7 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   // translates back and EdgeIds are preserved), so a cache frozen with
   // either layout is servable — the stored layout wins over --relabel.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/false, /*thaw_graph=*/false,
-                             relabel);
+                             /*reject_relabeled=*/false, relabel);
   if (!src) return 2;
   Timer t;
   // --relabel=degree freezes a hub-packed snapshot for locality; κ, the
@@ -245,8 +277,8 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
     }
     ctx.emplace(src->csr);
   } else if (relabel == RelabelMode::kDegree) {
-    ctx.emplace(
-        CsrGraph::Freeze(*src->graph, RelabelMode::kDegree, IngestThreads(args)));
+    ctx.emplace(CsrGraph::Freeze(*src->graph, RelabelMode::kDegree,
+                                 ResolveThreads(0)));
   } else {
     ctx.emplace(*src->graph);
   }
@@ -297,12 +329,11 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
 int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Rows are keyed by vertex id, so a degree-relabeled cache is rejected.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/false,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
   std::optional<CsrGraph> local;
   if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
-                               IngestThreads(args));
+                               ResolveThreads(0));
   const CsrGraph& csr = src->csr ? *src->csr : *local;
   KCoreResult r = ComputeKCores(csr);
   out << "# v core\n";
@@ -317,12 +348,11 @@ int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Every stat is invariant under vertex renumbering, so any cache layout
   // is servable.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/false, /*thaw_graph=*/false,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/false, RelabelMode::kNone);
   if (!src) return 2;
   std::optional<CsrGraph> local;
   if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
-                               IngestThreads(args));
+                               ResolveThreads(0));
   GraphStats s = ComputeGraphStats(src->csr ? *src->csr : *local);
   out << "vertices:               " << s.num_vertices << '\n'
       << "edges:                  " << s.num_edges << '\n'
@@ -338,8 +368,7 @@ int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
 int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/false,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
   std::optional<AnalysisContext> ctx_storage;
   if (src->csr) {
@@ -372,8 +401,7 @@ int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 int CmdHierarchy(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/false,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
   std::optional<AnalysisContext> ctx_storage;
   if (src->csr) {
@@ -435,18 +463,16 @@ obs::JsonValue UpdateStatsJson(const UpdateStats& s) {
 std::optional<obs::JsonValue> g_update_stats_json;  // NOLINT
 
 int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Events arrive in original vertex ids and the maintainer mutates, so a
-  // relabeled cache is rejected and a hit is thawed back into a Graph.
+  // Events arrive in original vertex ids, so a relabeled cache is rejected.
+  // The maintainer overlays a frozen snapshot: a cache hit's (zero-copy)
+  // or, from text, one frozen from the parsed graph.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/true,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
-  auto events = LoadEvents(args.positional[2], err, IngestThreads(args));
+  auto events = LoadEvents(args.positional[2], err, ResolveThreads(0));
   if (!events) return 2;
-  // The maintainer takes the parsed graph over instead of copying it, so
-  // the initial decomposition's CSR and triangle index are the only extra
-  // copies alive next to it.
-  DynamicTriangleCore dyn(std::move(*src->graph));
+  DynamicTriangleCore dyn(src->csr ? DeltaCsr(src->csr)
+                                   : DeltaCsr(*src->graph));
   src->graph.reset();
   Timer t;
   // One batch: the coalescer elides events whose net effect is nil, and a
@@ -484,11 +510,11 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // hold, 3 an invariant failed (counterexample printed), 2 usage/I-O error.
 int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // The oracles (and any --events replay) work in original vertex ids on a
-  // mutable Graph, so a cache hit is thawed and relabeled caches rejected.
+  // Graph, so a cache hit is thawed and relabeled caches rejected.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/true,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
+  if (!src->graph) src->graph = src->csr->ThawPreservingIds();
   Graph& g = *src->graph;
 
   verify::VerifyOptions options;
@@ -508,7 +534,7 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
   const std::string events_path = args.Flag("events", "");
   if (!events_path.empty()) {
-    auto events = LoadEvents(events_path, err, IngestThreads(args));
+    auto events = LoadEvents(events_path, err, ResolveThreads(0));
     if (!events) return 2;
     options.events = std::move(*events);
   }
@@ -560,8 +586,7 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Events are keyed by original vertex ids; a cache hit feeds the engine's
   // zero-copy frozen-base constructor, a miss goes through text ingest.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/false,
-                             RelabelMode::kNone);
+                             /*reject_relabeled=*/true, RelabelMode::kNone);
   if (!src) return 2;
   const std::string events_path = args.Flag("events", "");
   if (events_path.empty()) {
@@ -584,7 +609,7 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   EventListStats estats;
-  auto events = LoadEvents(events_path, err, IngestThreads(args), &estats);
+  auto events = LoadEvents(events_path, err, ResolveThreads(0), &estats);
   if (!events) return 2;
 
   const bool verify = args.flags.count("verify") > 0;
@@ -709,8 +734,8 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
 int CmdTemplates(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
-  auto old_g = LoadGraph(args.positional[1], err, IngestThreads(args));
-  auto new_g = LoadGraph(args.positional[2], err, IngestThreads(args));
+  auto old_g = LoadGraph(args.positional[1], err, ResolveThreads(0));
+  auto new_g = LoadGraph(args.positional[2], err, ResolveThreads(0));
   if (!old_g || !new_g) return 2;
   std::string pattern = args.Flag("pattern", "newform");
   TemplateSpec spec;
@@ -795,7 +820,7 @@ int CmdGenerate(const ParsedArgs& args, std::ostream& out,
 // its header — the CLI face of the --graph-cache fast path.
 int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   const std::string& verb = args.positional[1];
-  const int ingest_threads = IngestThreads(args);
+  const int ingest_threads = ResolveThreads(0);
   if (verb == "build") {
     const std::string out_path = args.Flag("out", "");
     if (out_path.empty()) {
@@ -854,7 +879,6 @@ int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 void PrintUsage(std::ostream& err) {
   err << "usage: tkc <command> ... [--log-level=L] [--metrics-out=FILE]\n"
          "                         [--trace-out=FILE] [--threads=N]\n"
-         "                         [--ingest-threads=N]\n"
          "  decompose <edges.txt> [--mode=store|recompute] (default store)\n"
          "            [--relabel=none|degree] [--graph-cache=FILE]\n"
          "  kcore     <edges.txt> [--graph-cache=FILE]\n"
@@ -884,16 +908,13 @@ void PrintUsage(std::ostream& err) {
          "JSON\n"
          "                                      (open in chrome://tracing "
          "or Perfetto)\n"
-         "  --threads=N                         worker threads for the "
-         "parallel kernels\n"
-         "                                      (0 = all hardware threads; "
-         "1 = serial)\n"
-         "  --ingest-threads=N                  worker threads for parsing "
-         "and freeze\n"
-         "                                      (0 = follow --threads; "
-         "1 = serial;\n"
-         "                                      output is identical at any "
-         "count)\n"
+         "  --threads=N                         worker threads for parsing, "
+         "freeze and\n"
+         "                                      the parallel kernels (0 = all "
+         "hardware\n"
+         "                                      threads; 1 = serial; output is "
+         "identical\n"
+         "                                      at any count)\n"
          "  --graph-cache=FILE                  serve the graph from a "
          ".tkcg binary\n"
          "                                      snapshot; built from the "
@@ -930,8 +951,7 @@ bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
   if (it == kAllowed.end()) return true;  // unknown command: handled later
   for (const auto& [key, value] : parsed.flags) {
     if (key == "log-level" || key == "log-timestamps" ||
-        key == "metrics-out" || key == "trace-out" || key == "threads" ||
-        key == "ingest-threads") {
+        key == "metrics-out" || key == "trace-out" || key == "threads") {
       continue;
     }
     if (std::find(it->second.begin(), it->second.end(), key) ==
@@ -1011,8 +1031,10 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     obs::TimelineRecorder::Global().Reset();
   }
 
-  // Worker count for the parallel kernels; set after the registry reset so
-  // the tkc.threads gauge survives into the dump. 0 = hardware default.
+  if (!NumericFlagsValid(parsed, err)) return 2;
+  // Worker count for ingest and the parallel kernels; set after the
+  // registry reset so the tkc.threads gauge survives into the dump.
+  // 0 = hardware default.
   const int64_t threads_flag = parsed.FlagInt("threads", 0);
   if (threads_flag < 0) {
     err << "error: --threads must be >= 0\n";
@@ -1020,10 +1042,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   }
   SetDefaultThreads(threads_flag == 0 ? HardwareThreads()
                                       : static_cast<int>(threads_flag));
-  if (parsed.FlagInt("ingest-threads", 0) < 0) {
-    err << "error: --ingest-threads must be >= 0\n";
-    return 2;
-  }
 
   // The cache counters exist in every dump (pattern as for
   // engine.snapshot_copies): "no cache activity" is a checkable zero in the

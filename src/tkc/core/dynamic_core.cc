@@ -34,16 +34,6 @@ enum Flag : uint8_t {
   kPlaced,
 };
 
-// A frozen snapshot of the substrate whose EdgeIds match it (holes
-// included), for the constructors' one-off peel and triangle index.
-AnalysisContext FrozenContext(const Graph& g) { return AnalysisContext(g); }
-
-AnalysisContext FrozenContext(const DeltaCsr& g) {
-  return AnalysisContext(
-      g.Dirty() ? std::make_shared<const CsrGraph>(CsrGraph::Freeze(g))
-                : g.base_ptr());
-}
-
 // Folds one ApplyBatch into the process-wide registry: the shared dyn.*
 // work counters, batch-shape counters and a per-batch latency histogram.
 void RecordBatch(double seconds, const BatchStats& b) {
@@ -107,34 +97,23 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats) {
   return os << stats.ToString();
 }
 
-template <typename GraphT>
-DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(GraphT graph)
+DynamicTriangleCore::DynamicTriangleCore(DeltaCsr graph)
     : graph_(std::move(graph)) {
-  const AnalysisContext ctx = FrozenContext(graph_);
+  const AnalysisContext ctx(graph_.Frozen());
   TriangleCoreResult initial = ComputeTriangleCores(ctx);
   kappa_ = std::move(initial.kappa);
   InitOrder(initial, ctx.TriangleIndex());
 }
 
-template <typename GraphT>
-DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(GraphT graph,
-                                                   TriangleCoreResult initial)
-    : graph_(std::move(graph)), kappa_(std::move(initial.kappa)) {
-  const AnalysisContext ctx = FrozenContext(graph_);
-  InitOrder(initial, ctx.TriangleIndex());
-}
-
-template <typename GraphT>
-DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(
-    GraphT graph, TriangleCoreResult initial,
-    const TrianglePartnerIndex& index)
+DynamicTriangleCore::DynamicTriangleCore(DeltaCsr graph,
+                                         TriangleCoreResult initial,
+                                         const TrianglePartnerIndex& index)
     : graph_(std::move(graph)), kappa_(std::move(initial.kappa)) {
   InitOrder(initial, index);
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::InitOrder(
-    TriangleCoreResult& initial, const TrianglePartnerIndex& index) {
+void DynamicTriangleCore::InitOrder(TriangleCoreResult& initial,
+                                    const TrianglePartnerIndex& index) {
   TKC_CHECK(kappa_.size() == graph_.EdgeCapacity());
   TKC_CHECK(initial.order.size() == kappa_.size());
   // The peel sequence is not needed; free it before the order arrays grow.
@@ -174,8 +153,7 @@ void DynamicTriangleCoreT<GraphT>::InitOrder(
   }
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::GrowArrays() {
+void DynamicTriangleCore::GrowArrays() {
   const size_t cap = graph_.EdgeCapacity();
   if (kappa_.size() < cap) kappa_.resize(cap, 0);
   if (label_.size() < cap) label_.resize(cap, 0);
@@ -185,15 +163,12 @@ void DynamicTriangleCoreT<GraphT>::GrowArrays() {
   if (queued_.size() < cap) queued_.resize(cap, 0);
 }
 
-template <typename GraphT>
-typename DynamicTriangleCoreT<GraphT>::LevelEnds&
-DynamicTriangleCoreT<GraphT>::Ends(uint32_t k) {
+DynamicTriangleCore::LevelEnds& DynamicTriangleCore::Ends(uint32_t k) {
   if (ends_.size() <= k) ends_.resize(k + 1);
   return ends_[k];
 }
 
-template <typename GraphT>
-uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) {
+uint32_t DynamicTriangleCore::InsertionBound(EdgeId e0) {
   // h-index over min(κ(e1), κ(e2)) of e0's triangles: the largest k such
   // that at least k triangles have partner-min >= k.
   std::vector<uint32_t>& mins = hist_;
@@ -210,8 +185,7 @@ uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) {
   return k1;
 }
 
-template <typename GraphT>
-uint64_t DynamicTriangleCoreT<GraphT>::InsertInternal(EdgeId e0) {
+uint64_t DynamicTriangleCore::InsertInternal(EdgeId e0) {
   static obs::Histogram& walk_edges =
       obs::MetricsRegistry::Global().GetHistogram("dyn.insert.walk_edges");
   const uint64_t popped_before = last_stats_.candidate_edges;
@@ -257,9 +231,8 @@ uint64_t DynamicTriangleCoreT<GraphT>::InsertInternal(EdgeId e0) {
   return levels;
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::WalkLevel(uint32_t k,
-                                             std::span<const EdgeId> seeds) {
+void DynamicTriangleCore::WalkLevel(uint32_t k,
+                                    std::span<const EdgeId> seeds) {
   // --- Walk: pop level-k edges in label order; cand_support_ holds d*(x),
   // the triangles on x handed over by earlier candidates. A triangle is
   // counted by x iff each partner comes later than x or is a candidate.
@@ -372,8 +345,7 @@ void DynamicTriangleCoreT<GraphT>::WalkLevel(uint32_t k,
   }
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
+void DynamicTriangleCore::VerifyAfterUpdate(const char* where) {
 #if TKC_CHECK_LEVEL >= 2
   verify::CheckOrDie(verify::CheckKappaCertificate(graph_, kappa_), where);
   std::string failure;
@@ -386,9 +358,7 @@ void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
 #endif
 }
 
-template <typename GraphT>
-bool DynamicTriangleCoreT<GraphT>::OrderInvariantHolds(
-    std::string* failure) const {
+bool DynamicTriangleCore::OrderInvariantHolds(std::string* failure) const {
   std::vector<std::pair<uint32_t, int64_t>> keys;
   keys.reserve(graph_.NumEdges());
   std::string why;
@@ -418,9 +388,7 @@ bool DynamicTriangleCoreT<GraphT>::OrderInvariantHolds(
   return why.empty();
 }
 
-template <typename GraphT>
-BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
-    std::span<const EdgeEvent> events) {
+BatchStats DynamicTriangleCore::ApplyBatch(std::span<const EdgeEvent> events) {
   TKC_SPAN("dyn.apply_batch");
   Timer latency;
   BatchStats batch;
@@ -506,22 +474,18 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
   return batch;
 }
 
-template <typename GraphT>
-EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
+EdgeId DynamicTriangleCore::InsertEdge(VertexId u, VertexId v) {
   const EdgeEvent ev{EdgeEvent::Kind::kInsert, u, v};
   ApplyBatch(std::span<const EdgeEvent>(&ev, 1));
   return graph_.FindEdge(u, v);
 }
 
-template <typename GraphT>
-bool DynamicTriangleCoreT<GraphT>::RemoveEdge(VertexId u, VertexId v) {
+bool DynamicTriangleCore::RemoveEdge(VertexId u, VertexId v) {
   const EdgeEvent ev{EdgeEvent::Kind::kRemove, u, v};
   return ApplyBatch(std::span<const EdgeEvent>(&ev, 1)).net_removes == 1;
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RemoveInternal(
-    std::span<const EdgeId> edges) {
+void DynamicTriangleCore::RemoveInternal(std::span<const EdgeId> edges) {
   // Structurally remove every edge first. Each destroyed triangle is
   // enumerated once, at the first of its edges to go: it leaves rem of
   // its first edge, and the partners whose κ it may have supported (Rule
@@ -563,8 +527,7 @@ void DynamicTriangleCoreT<GraphT>::RemoveInternal(
   RepairOrder(demoted);
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::PumpDemotions(
+void DynamicTriangleCore::PumpDemotions(
     std::vector<EdgeId>& queue, std::vector<EdgeId>& demoted) {
   // Asynchronous decreasing iteration: κ(f) <- h(f) where h(f) is the
   // largest k such that f keeps >= k triangles with partner-min >= k.
@@ -621,9 +584,7 @@ void DynamicTriangleCoreT<GraphT>::PumpDemotions(
   }
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RepairOrder(
-    const std::vector<EdgeId>& demoted) {
+void DynamicTriangleCore::RepairOrder(const std::vector<EdgeId>& demoted) {
   if (demoted.empty()) return;
   // --- rem of the edges that stay: only demoted keys moved, and each moved
   // earlier, so a kept edge y loses exactly the triangles it was first of
@@ -704,8 +665,5 @@ void DynamicTriangleCoreT<GraphT>::RepairOrder(
     cand_support_[f] = 0;
   }
 }
-
-template class DynamicTriangleCoreT<Graph>;
-template class DynamicTriangleCoreT<DeltaCsr>;
 
 }  // namespace tkc

@@ -3,14 +3,16 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "tkc/core/triangle_core.h"
 #include "tkc/core/triangle_index.h"
+#include "tkc/graph/csr.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/graph/edge_event.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -48,9 +50,8 @@ struct BatchStats {
 std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 
 /// Incrementally maintained Triangle K-Core decomposition (the paper's
-/// Algorithm 2), templated over the graph substrate: the legacy
-/// adjacency-list `Graph` or the engine's `DeltaCsr` overlay view (use the
-/// `DynamicTriangleCore` alias for the former).
+/// Algorithm 2) over one evolving `DeltaCsr`: the overlay view the engine
+/// serves from and `tkc update` mutates.
 ///
 /// Semantics maintained as an invariant after every call: `kappa()[e]`
 /// equals the κ(e) that `ComputeTriangleCores(graph())` would produce — the
@@ -94,29 +95,25 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 /// then inserts. κ is a function of the final graph alone, so the result
 /// is identical at any batch size; `InsertEdge` and `RemoveEdge` are
 /// one-event batches.
-template <typename GraphT>
-class DynamicTriangleCoreT {
+class DynamicTriangleCore {
  public:
   /// Takes ownership of `graph` and runs Algorithm 1 once to initialize κ
   /// and the k-order.
-  explicit DynamicTriangleCoreT(GraphT graph);
-
-  /// Starts from an already-computed decomposition (must match `graph`,
-  /// including its `order`); enumerates the triangles once to derive rem.
-  DynamicTriangleCoreT(GraphT graph, TriangleCoreResult initial);
+  explicit DynamicTriangleCore(DeltaCsr graph);
 
   /// Starts from a decomposition and the triangle index its peel read
-  /// (both must match `graph`): the k-order is derived in one linear pass
-  /// over the index, with no triangle enumeration.
-  DynamicTriangleCoreT(GraphT graph, TriangleCoreResult initial,
-                       const TrianglePartnerIndex& index);
+  /// (both must match `graph`, including the decomposition's `order`): the
+  /// k-order is derived in one linear pass over the index, with no
+  /// triangle enumeration.
+  DynamicTriangleCore(DeltaCsr graph, TriangleCoreResult initial,
+                      const TrianglePartnerIndex& index);
 
-  const GraphT& graph() const { return graph_; }
+  const DeltaCsr& graph() const { return graph_; }
 
-  /// Maintenance-only escape hatch for the owning engine (compaction needs
-  /// to mutate the substrate without touching κ). Callers must preserve
-  /// the topology–κ invariant and keep EdgeIds stable.
-  GraphT& MutableGraphForMaintenance() { return graph_; }
+  /// Freezes the view into a new base CSR (DeltaCsr::Compact). EdgeIds are
+  /// preserved, so κ and the k-order carry over unchanged. Returns the new
+  /// shared base.
+  std::shared_ptr<const CsrGraph> Compact() { return graph_.Compact(); }
 
   /// κ per EdgeId; sized graph().EdgeCapacity(); dead ids hold 0.
   const std::vector<uint32_t>& kappa() const { return kappa_; }
@@ -191,7 +188,7 @@ class DynamicTriangleCoreT {
   // recount and the k-order bookkeeping once per batch.
   void VerifyAfterUpdate(const char* where);
 
-  GraphT graph_;
+  DeltaCsr graph_;
   std::vector<uint32_t> kappa_;
   // The k-order: (κ, label) and rem per edge, the label ends per level.
   std::vector<int64_t> label_;
@@ -207,11 +204,6 @@ class DynamicTriangleCoreT {
   UpdateStats last_stats_;
   UpdateStats total_stats_;
 };
-
-/// The legacy single-graph maintainer every existing call site uses.
-using DynamicTriangleCore = DynamicTriangleCoreT<Graph>;
-
-extern template class DynamicTriangleCoreT<Graph>;
 
 }  // namespace tkc
 

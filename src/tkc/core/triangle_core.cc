@@ -210,13 +210,7 @@ TriangleCoreResult ComputeTriangleCores(const CsrGraph& g,
 
 TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g,
                                         TriangleStorageMode mode) {
-  // A clean view is exactly its base snapshot; pending edits are frozen
-  // into a fresh one (EdgeIds preserved, holes included).
-  return ComputeTriangleCores(
-      AnalysisContext(g.Dirty() ? std::make_shared<const CsrGraph>(
-                                      CsrGraph::Freeze(g))
-                                : g.base_ptr()),
-      mode);
+  return ComputeTriangleCores(AnalysisContext(g.Frozen()), mode);
 }
 
 TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,

@@ -24,12 +24,12 @@ namespace {
 // the triangle index the peel read, so the k-order needs no second
 // triangle enumeration. The CSR is never copied again — the DeltaCsr
 // overlays it and every snapshot shares it.
-DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(DeltaCsr view,
-                                               const EngineOptions& options) {
+DynamicTriangleCore MakeInitialCore(DeltaCsr view,
+                                    const EngineOptions& options) {
   const AnalysisContext ctx(view.base_ptr(), options.threads);
   TriangleCoreResult initial = ComputeTriangleCores(ctx);
-  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), std::move(initial),
-                                        ctx.TriangleIndex());
+  return DynamicTriangleCore(std::move(view), std::move(initial),
+                             ctx.TriangleIndex());
 }
 
 }  // namespace
@@ -82,9 +82,8 @@ bool TkcEngine::Compact() {
 void TkcEngine::CompactNow() {
   TKC_SPAN("engine.compact");
   Timer timer;
-  DeltaCsr& g = dyn_.MutableGraphForMaintenance();
-  const size_t edits = g.EditsSinceCompaction();
-  std::shared_ptr<const CsrGraph> base = g.Compact();
+  const size_t edits = dyn_.graph().EditsSinceCompaction();
+  std::shared_ptr<const CsrGraph> base = dyn_.Compact();
   ++compactions_;
   {
     MutexLock lock(snapshot_mu_);

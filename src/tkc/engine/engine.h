@@ -117,7 +117,7 @@ class TkcEngine {
   // synchronized). The epoch counter lives in DeltaCsr and is published to
   // snapshot readers through the shared_ptr handoff, not through a lock.
   EngineOptions options_;
-  DynamicTriangleCoreT<DeltaCsr> dyn_;
+  DynamicTriangleCore dyn_;
   BatchStats last_batch_;
   size_t compactions_ = 0;
 

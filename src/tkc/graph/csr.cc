@@ -178,12 +178,6 @@ uint64_t CsrGraph::CountTriangles() const {
   return count;
 }
 
-Graph CsrGraph::ToGraph() const {
-  Graph g(NumVertices());
-  ForEachEdge([&](EdgeId, const Edge& edge) { g.AddEdge(edge.u, edge.v); });
-  return g;
-}
-
 Graph CsrGraph::ThawPreservingIds() const {
   const VertexId n = NumVertices();
   std::vector<std::vector<Neighbor>> adjacency(n);

@@ -210,12 +210,8 @@ class CsrGraph {
   /// Total triangle count.
   uint64_t CountTriangles() const;
 
-  /// Thaws back into a mutable Graph (EdgeIds are NOT preserved — the
-  /// result is a fresh graph with the same topology).
-  Graph ToGraph() const;
-
   /// Thaws back into a mutable Graph PRESERVING EdgeIds, holes included —
-  /// the cache-served path for commands that mutate. Note a relabeled
+  /// the cache-served path for `tkc verify`. Note a relabeled
   /// snapshot thaws in its relabeled vertex ids; callers that report
   /// original ids must reject relabeled snapshots first.
   Graph ThawPreservingIds() const;

@@ -129,6 +129,11 @@ void DeltaCsr::RemoveEdgeById(EdgeId e) {
   ++edits_since_compaction_;
 }
 
+std::shared_ptr<const CsrGraph> DeltaCsr::Frozen() const {
+  return Dirty() ? std::make_shared<const CsrGraph>(CsrGraph::Freeze(*this))
+                 : base_;
+}
+
 std::shared_ptr<const CsrGraph> DeltaCsr::Compact() {
   TKC_SPAN("delta_csr.compact");
   base_ = std::make_shared<const CsrGraph>(CsrGraph::Freeze(*this));

@@ -172,6 +172,11 @@ class DeltaCsr {
   const CsrGraph& base() const { return *base_; }
   std::shared_ptr<const CsrGraph> base_ptr() const { return base_; }
 
+  /// The overlaid view as a frozen snapshot: the base itself when clean
+  /// (zero-copy), otherwise a fresh freeze (EdgeIds preserved, holes
+  /// included). The view is left as it is.
+  std::shared_ptr<const CsrGraph> Frozen() const;
+
   /// Rebuilds the base CSR from the overlaid view through CsrGraph::Freeze
   /// (EdgeIds preserved, holes included), clears every overlay, and bumps
   /// the epoch. Returns the new shared base. O(|V| + |E| log) like any

@@ -7,6 +7,7 @@
 
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/triangle_core.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/verify/certificate.h"
 
 namespace tkc::verify {
@@ -16,8 +17,9 @@ namespace {
 // Diffs a maintained κ map against a fresh recompute of `g`; returns the
 // first divergent live edge as a counterexample, with `step` recorded in
 // the level field.
-bool DiffAgainstRecompute(const Graph& g, const std::vector<uint32_t>& kappa,
-                          size_t step, Counterexample* ce) {
+bool DiffAgainstRecompute(const DeltaCsr& g,
+                          const std::vector<uint32_t>& kappa, size_t step,
+                          Counterexample* ce) {
   TriangleCoreResult fresh = ComputeTriangleCores(g);
   bool ok = true;
   g.ForEachEdge([&](EdgeId e, const Edge& edge) {
@@ -48,7 +50,7 @@ VerifyReport ReplayEventLog(const Graph& base,
 
   // Each checkpoint interval is one ApplyBatch, the coalescing path
   // `tkc replay` runs; check_every = 1 replays event by event.
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   const size_t interval =
       options.check_every == 0 ? events.size() : options.check_every;
   bool ok = true;

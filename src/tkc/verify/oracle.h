@@ -20,7 +20,7 @@ struct ReplayOptions {
   bool certificate_at_checkpoints = false;
 };
 
-/// Replays `events` on a copy of `base` through DynamicTriangleCore
+/// Replays `events` on a DeltaCsr view of `base` through DynamicTriangleCore
 /// (Algorithm 2), applying each checkpoint interval as one ApplyBatch, and
 /// at every checkpoint diffs the maintained κ map against a from-scratch
 /// Algorithm-1 recompute of the current graph — the paper's own ground

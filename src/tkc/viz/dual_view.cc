@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "tkc/core/analysis_context.h"
+#include "tkc/core/dynamic_core.h"
 #include "tkc/core/triangle_core.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/util/check.h"
 
 namespace tkc {
@@ -11,17 +14,21 @@ DualViewResult BuildDualView(const Graph& old_graph,
                              const std::vector<EdgeEvent>& additions) {
   DualViewResult result;
 
-  // Steps 1-3: κ and plot(a) on the original graph.
-  TriangleCoreResult old_cores = ComputeTriangleCores(old_graph);
+  // Steps 1-3: κ and plot(a) on the original graph. One frozen snapshot
+  // serves the peel, plot(a) and the maintainer's k-order below.
+  DeltaCsr view(old_graph);
+  const AnalysisContext ctx(view.base_ptr());
+  TriangleCoreResult old_cores = ComputeTriangleCores(ctx);
   result.old_kappa = old_cores.kappa;
-  std::vector<uint32_t> old_co(old_graph.EdgeCapacity(), 0);
-  old_graph.ForEachEdge([&](EdgeId e, const Edge&) {
+  std::vector<uint32_t> old_co(ctx.csr().EdgeCapacity(), 0);
+  ctx.csr().ForEachEdge([&](EdgeId e, const Edge&) {
     old_co[e] = old_cores.kappa[e] + 2;
   });
-  result.before = BuildDensityPlot(old_graph, old_co);
+  result.before = BuildDensityPlot(ctx.csr(), old_co);
 
   // Step 4: apply additions through the incremental updater, as one batch.
-  DynamicTriangleCore dyn(old_graph, old_cores);
+  DynamicTriangleCore dyn(std::move(view), std::move(old_cores),
+                          ctx.TriangleIndex());
   for (const EdgeEvent& ev : additions) {
     TKC_CHECK_MSG(ev.kind == EdgeEvent::Kind::kInsert,
                   "dual view handles edge additions");
@@ -34,15 +41,16 @@ DualViewResult BuildDualView(const Graph& old_graph,
 
   // Steps 5-6: plot(b) from new-edge co_clique_size only. Old edges get 0,
   // so only the changed clique structure shows.
-  result.new_graph = dyn.graph();
+  result.new_graph = dyn.Compact();
   result.new_kappa = dyn.kappa();
-  std::vector<uint32_t> new_co(result.new_graph.EdgeCapacity(), 0);
+  const CsrGraph& new_graph = *result.new_graph;
+  std::vector<uint32_t> new_co(new_graph.EdgeCapacity(), 0);
   for (EdgeId e : new_edges) {
-    if (result.new_graph.IsEdgeAlive(e)) {
+    if (new_graph.IsEdgeAlive(e)) {
       new_co[e] = result.new_kappa[e] + 2;
     }
   }
-  result.after = BuildDensityPlot(result.new_graph, new_co,
+  result.after = BuildDensityPlot(new_graph, new_co,
                                   /*include_zero_vertices=*/false);
   return result;
 }

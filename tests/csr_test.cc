@@ -73,17 +73,6 @@ TEST(CsrTest, CommonNeighborMerge) {
   EXPECT_EQ(count, 4);
 }
 
-TEST(CsrTest, ToGraphRoundTripsTopology) {
-  Rng rng(6);
-  Graph g = GnmRandom(40, 90, rng);
-  g.RemoveEdgeById(g.EdgeIds()[5]);
-  Graph back = CsrGraph(g).ToGraph();
-  EXPECT_EQ(back.NumEdges(), g.NumEdges());
-  g.ForEachEdge([&](EdgeId, const Edge& e) {
-    EXPECT_TRUE(back.HasEdge(e.u, e.v));
-  });
-}
-
 TEST(CsrTest, EmptyGraph) {
   Graph g;
   CsrGraph csr(g);

@@ -33,8 +33,8 @@ TEST(DualViewTest, GrowingCliqueShowsInAfterPlot) {
   // plot(a) still shows the old 5-clique at height 5.
   EXPECT_EQ(dual.before.MaxValue(), 5u);
   // New κ values match a fresh decomposition (incremental step 4 worked).
-  TriangleCoreResult fresh = ComputeTriangleCores(dual.new_graph);
-  dual.new_graph.ForEachEdge([&](EdgeId e, const Edge&) {
+  TriangleCoreResult fresh = ComputeTriangleCores(*dual.new_graph);
+  dual.new_graph->ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(dual.new_kappa[e], fresh.kappa[e]);
   });
 }

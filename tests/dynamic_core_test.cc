@@ -17,9 +17,7 @@ namespace {
 // Compares the incrementally maintained κ with a from-scratch Algorithm 1
 // run over the current graph and checks the k-order bookkeeping; reports
 // the first mismatching live edge.
-template <typename GraphT>
-::testing::AssertionResult InvariantHolds(
-    const DynamicTriangleCoreT<GraphT>& dyn) {
+::testing::AssertionResult InvariantHolds(const DynamicTriangleCore& dyn) {
   std::string order_failure;
   if (!dyn.OrderInvariantHolds(&order_failure)) {
     return ::testing::AssertionFailure() << "k-order: " << order_failure;
@@ -42,7 +40,7 @@ template <typename GraphT>
 
 TEST(DynamicCoreTest, StartsFromStaticDecomposition) {
   Graph g = PaperFigure2Graph();
-  DynamicTriangleCore dyn(g);
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EXPECT_TRUE(InvariantHolds(dyn));
 }
 
@@ -59,9 +57,9 @@ TEST(DynamicCoreTest, PaperFigure3InsertionExample) {
   g.AddEdge(kC, kD);
   g.AddEdge(kC, kE);
   g.AddEdge(kD, kE);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   // Pre-insertion values from the paper.
-  const Graph& gr = dyn.graph();
+  const DeltaCsr& gr = dyn.graph();
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kA, kB)), 0u);
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kB, kC)), 0u);
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kA, kE)), 1u);
@@ -80,7 +78,7 @@ TEST(DynamicCoreTest, InsertCompletesClique) {
   // K5 minus one edge; inserting it must lift every edge from κ<=2 to 3.
   Graph g = CompleteGraph(5);
   g.RemoveEdge(0, 1);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.InsertEdge(0, 1);
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(dyn.KappaOf(e), 3u);
@@ -93,14 +91,14 @@ TEST(DynamicCoreTest, InsertBumpsBeyondBound) {
   // K4 missing an edge has all κ=1; the closing edge jumps to κ=2 = k1+1.
   Graph g = CompleteGraph(4);
   g.RemoveEdge(2, 3);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EdgeId e = dyn.InsertEdge(2, 3);
   EXPECT_EQ(dyn.KappaOf(e), 2u);
   EXPECT_TRUE(InvariantHolds(dyn));
 }
 
 TEST(DynamicCoreTest, RemoveFromClique) {
-  DynamicTriangleCore dyn(CompleteGraph(6));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(6))};
   EXPECT_TRUE(dyn.RemoveEdge(0, 1));
   EXPECT_TRUE(InvariantHolds(dyn));
   EXPECT_FALSE(dyn.RemoveEdge(0, 1));  // already gone
@@ -114,7 +112,7 @@ TEST(DynamicCoreTest, RemoveCascades) {
     g.AddEdge(v, v + 2);
   }
   g.AddEdge(6, 7);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.RemoveEdge(2, 3);
   EXPECT_TRUE(InvariantHolds(dyn));
   dyn.RemoveEdge(0, 1);
@@ -122,7 +120,7 @@ TEST(DynamicCoreTest, RemoveCascades) {
 }
 
 TEST(DynamicCoreTest, InsertExistingEdgeIsNoop) {
-  DynamicTriangleCore dyn(CompleteGraph(4));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(4))};
   auto before = dyn.kappa();
   dyn.InsertEdge(0, 1);
   EXPECT_EQ(dyn.kappa(), before);
@@ -131,7 +129,7 @@ TEST(DynamicCoreTest, InsertExistingEdgeIsNoop) {
 TEST(DynamicCoreTest, InsertIntoEmptyRegionIsCheap) {
   Graph g = CompleteGraph(30);
   g.EnsureVertices(40);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.InsertEdge(35, 36);  // far from the clique, no triangles
   EXPECT_EQ(dyn.KappaOf(dyn.graph().FindEdge(35, 36)), 0u);
   // Rule 0: nothing outside the new edge may be touched.
@@ -140,7 +138,7 @@ TEST(DynamicCoreTest, InsertIntoEmptyRegionIsCheap) {
 }
 
 TEST(DynamicCoreTest, GrowsIntoFreshVertices) {
-  DynamicTriangleCore dyn(CompleteGraph(3));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(3))};
   dyn.InsertEdge(0, 5);
   dyn.InsertEdge(1, 5);
   dyn.InsertEdge(2, 5);  // now K4
@@ -154,7 +152,7 @@ TEST(DynamicCoreTest, BuildCliqueEdgeByEdge) {
   // Insert all edges of K7 one at a time, checking the invariant after
   // every step — exercises multi-level promotion repeatedly.
   Graph empty(7);
-  DynamicTriangleCore dyn(std::move(empty));
+  DynamicTriangleCore dyn{DeltaCsr(empty)};
   for (VertexId u = 0; u < 7; ++u) {
     for (VertexId v = u + 1; v < 7; ++v) {
       dyn.InsertEdge(u, v);
@@ -165,7 +163,7 @@ TEST(DynamicCoreTest, BuildCliqueEdgeByEdge) {
 }
 
 TEST(DynamicCoreTest, DismantleCliqueEdgeByEdge) {
-  DynamicTriangleCore dyn(CompleteGraph(7));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(7))};
   std::vector<Edge> edges;
   dyn.graph().ForEachEdge([&](EdgeId, const Edge& e) { edges.push_back(e); });
   for (const Edge& e : edges) {
@@ -178,7 +176,7 @@ TEST(DynamicCoreTest, DismantleCliqueEdgeByEdge) {
 
 // Vertex departure in the paper's model: one batch removing every edge
 // incident to `v` (none if `v` is out of range).
-std::vector<EdgeEvent> DepartureOf(const Graph& g, VertexId v) {
+std::vector<EdgeEvent> DepartureOf(const DeltaCsr& g, VertexId v) {
   std::vector<EdgeEvent> events;
   if (v >= g.NumVertices()) return events;
   for (const Neighbor& nb : g.Neighbors(v)) {
@@ -190,7 +188,7 @@ std::vector<EdgeEvent> DepartureOf(const Graph& g, VertexId v) {
 TEST(DynamicCoreTest, RemoveVertexEdges) {
   Graph g = CompleteGraph(6);
   g.EnsureVertices(8);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EXPECT_EQ(dyn.ApplyBatch(DepartureOf(dyn.graph(), 0)).net_removes, 5u);
   EXPECT_EQ(dyn.graph().Degree(0), 0u);
   EXPECT_TRUE(InvariantHolds(dyn));
@@ -208,7 +206,7 @@ TEST(DynamicCoreTest, RemoveVertexEdges) {
 }
 
 TEST(DynamicCoreTest, StatsAccumulate) {
-  DynamicTriangleCore dyn(CompleteGraph(6));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(6))};
   dyn.RemoveEdge(0, 1);
   uint64_t after_one = dyn.total_stats().triangles_scanned;
   EXPECT_GT(after_one, 0u);
@@ -247,10 +245,10 @@ TEST_P(DynamicMatchesStatic, AfterEveryMutation) {
   const ChurnParam p = GetParam();
   Rng rng(p.seed);
   Graph base = MakeBase(p, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
 
   for (int step = 0; step < p.steps; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = dyn.graph();
     bool do_insert = rng.NextBool(0.55) || g.NumEdges() == 0;
     if (do_insert) {
       VertexId u = 0, v = 0;
@@ -285,7 +283,7 @@ TEST(DynamicCoreTest, MatchesStaticAfterBulkChurn) {
   Rng rng(999);
   Graph base = PowerLawCluster(400, 4, 0.6, rng);
   std::vector<EdgeEvent> events = RandomChurn(base, 20, 20, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   for (const EdgeEvent& ev : events) {
     if (ev.kind == EdgeEvent::Kind::kInsert) {
       dyn.InsertEdge(ev.u, ev.v);
@@ -319,12 +317,16 @@ class WedgeChurnBatches : public ::testing::TestWithParam<size_t> {};
 TEST_P(WedgeChurnBatches, KappaAndOrderExactAfterEveryBatch) {
   const size_t batch_size = GetParam();
   const WedgeChurn churn = MakeWedgeChurn();
-  DynamicTriangleCoreT<DeltaCsr> dyn{DeltaCsr(churn.base)};
+  DynamicTriangleCore dyn{DeltaCsr(churn.base)};
   ASSERT_TRUE(InvariantHolds(dyn));
+  size_t batches = 0;
   for (size_t off = 0; off < churn.events.size(); off += batch_size) {
     const size_t count = std::min(batch_size, churn.events.size() - off);
     dyn.ApplyBatch(
         std::span<const EdgeEvent>(churn.events.data() + off, count));
+    // Every other batch starts from a compacted base, so walks cross the
+    // epoch boundary with κ and the k-order carried over by EdgeId.
+    if (++batches % 2 == 0) dyn.Compact();
     ASSERT_TRUE(InvariantHolds(dyn)) << "after the batch at event " << off;
   }
 }
@@ -340,7 +342,7 @@ TEST(DynamicCoreTest, WedgeClosingInsertsStayLocal) {
   // so an insert touches a bounded neighborhood even where the seed's κ
   // class spans most of the graph.
   const WedgeChurn churn = MakeWedgeChurn();
-  DynamicTriangleCore dyn(churn.base);
+  DynamicTriangleCore dyn{DeltaCsr(churn.base)};
   uint64_t inserts = 0;
   for (size_t off = 0; off < churn.events.size(); off += 64) {
     const size_t count = std::min<size_t>(64, churn.events.size() - off);

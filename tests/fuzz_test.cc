@@ -31,51 +31,88 @@
 namespace tkc {
 namespace {
 
-void ExpectMatchesStatic(const DynamicTriangleCore& dyn, const char* where) {
-  TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
-  dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
-    ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
-        << where << " edge (" << edge.u << "," << edge.v << ")";
-  });
-}
+// The maintainer beside a shadow Graph that applies the same events. The
+// per-event tests hold κ to an Algorithm-1 recompute of the shadow, an
+// independent substrate: both allocate fresh dense EdgeIds in event order,
+// so κ is compared by id, and the endpoints of each id must agree.
+class Shadowed {
+ public:
+  explicit Shadowed(const Graph& base) : shadow_(base), dyn_(DeltaCsr(base)) {}
+
+  const DynamicTriangleCore& dyn() const { return dyn_; }
+  const DeltaCsr& graph() const { return dyn_.graph(); }
+  const Graph& shadow() const { return shadow_; }
+
+  void Insert(VertexId u, VertexId v) {
+    shadow_.AddEdge(u, v);
+    dyn_.InsertEdge(u, v);
+  }
+  void Remove(VertexId u, VertexId v) {
+    shadow_.RemoveEdge(u, v);
+    dyn_.RemoveEdge(u, v);
+  }
+  void Toggle(VertexId u, VertexId v) {
+    if (shadow_.HasEdge(u, v)) {
+      Remove(u, v);
+    } else {
+      Insert(u, v);
+    }
+  }
+
+  // Holds κ to `fresh`, a decomposition of the shadow.
+  void ExpectMatches(const TriangleCoreResult& fresh,
+                     const std::string& where) const {
+    ASSERT_EQ(graph().NumEdges(), shadow_.NumEdges()) << where;
+    shadow_.ForEachEdge([&](EdgeId e, const Edge& edge) {
+      ASSERT_EQ(graph().FindEdge(edge.u, edge.v), e)
+          << where << " edge (" << edge.u << "," << edge.v << ")";
+      ASSERT_EQ(dyn_.kappa()[e], fresh.kappa[e])
+          << where << " edge (" << edge.u << "," << edge.v << ")";
+    });
+  }
+  void ExpectMatchesStatic(const std::string& where) const {
+    ExpectMatches(ComputeTriangleCores(shadow_), where);
+  }
+
+ private:
+  Graph shadow_;
+  DynamicTriangleCore dyn_;
+};
 
 TEST(FuzzTest, LongMixedChurnWithPeriodicChecks) {
   Rng rng(31337);
-  Graph base = PowerLawCluster(150, 3, 0.6, rng);
-  DynamicTriangleCore dyn(base);
+  Shadowed s(PowerLawCluster(150, 3, 0.6, rng));
   for (int step = 1; step <= 400; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = s.graph();
     if (rng.NextBool(0.5)) {
       VertexId u = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
       VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-      if (u != v && !g.HasEdge(u, v)) dyn.InsertEdge(u, v);
+      if (u != v && !g.HasEdge(u, v)) s.Insert(u, v);
     } else if (g.NumEdges() > 0) {
       auto live = g.EdgeIds();
       const Edge victim = g.GetEdge(live[rng.NextBounded(live.size())]);
-      dyn.RemoveEdge(victim.u, victim.v);
+      s.Remove(victim.u, victim.v);
     }
-    if (step % 50 == 0) ExpectMatchesStatic(dyn, "periodic");
+    if (step % 50 == 0) s.ExpectMatchesStatic("periodic");
   }
-  ExpectMatchesStatic(dyn, "final");
+  s.ExpectMatchesStatic("final");
 }
 
 TEST(FuzzTest, CliqueGrowthAndDecayCycles) {
   // Grow a clique vertex by vertex to K12, then tear it down edge by edge
   // — maximal multi-level promotion and demotion cascades.
-  Graph g(12);
-  DynamicTriangleCore dyn(std::move(g));
+  Shadowed s(Graph(12));
   for (VertexId v = 1; v < 12; ++v) {
-    for (VertexId u = 0; u < v; ++u) dyn.InsertEdge(u, v);
-    ExpectMatchesStatic(dyn, "growth");
+    for (VertexId u = 0; u < v; ++u) s.Insert(u, v);
+    s.ExpectMatchesStatic("growth");
   }
-  EXPECT_EQ(dyn.KappaOf(dyn.graph().FindEdge(0, 1)), 10u);
+  EXPECT_EQ(s.dyn().KappaOf(s.graph().FindEdge(0, 1)), 10u);
   Rng rng(5);
-  while (dyn.graph().NumEdges() > 0) {
-    auto live = dyn.graph().EdgeIds();
-    const Edge victim =
-        dyn.graph().GetEdge(live[rng.NextBounded(live.size())]);
-    dyn.RemoveEdge(victim.u, victim.v);
-    if (dyn.graph().NumEdges() % 8 == 0) ExpectMatchesStatic(dyn, "decay");
+  while (s.graph().NumEdges() > 0) {
+    auto live = s.graph().EdgeIds();
+    const Edge victim = s.graph().GetEdge(live[rng.NextBounded(live.size())]);
+    s.Remove(victim.u, victim.v);
+    if (s.graph().NumEdges() % 8 == 0) s.ExpectMatchesStatic("decay");
   }
 }
 
@@ -86,19 +123,14 @@ TEST(FuzzTest, OverlappingCliquesChurn) {
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6});
   PlantClique(g, {4, 5, 6, 7, 8, 9, 10});
   PlantClique(g, {8, 9, 10, 11, 12, 13, 14});
-  DynamicTriangleCore dyn(std::move(g));
+  Shadowed s(g);
   Rng rng(77);
   for (int step = 0; step < 120; ++step) {
-    const Graph& graph = dyn.graph();
     VertexId u = static_cast<VertexId>(rng.NextBounded(15));
     VertexId v = static_cast<VertexId>(rng.NextBounded(15));
     if (u == v) continue;
-    if (graph.HasEdge(u, v)) {
-      dyn.RemoveEdge(u, v);
-    } else {
-      dyn.InsertEdge(u, v);
-    }
-    ExpectMatchesStatic(dyn, "overlap");
+    s.Toggle(u, v);
+    s.ExpectMatchesStatic("overlap");
   }
 }
 
@@ -108,22 +140,18 @@ TEST(FuzzTest, BarbellBridgeChurn) {
   Graph g(16);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6});
   PlantClique(g, {9, 10, 11, 12, 13, 14, 15});
-  DynamicTriangleCore dyn(std::move(g));
+  Shadowed s(g);
   Rng rng(99);
   for (int round = 0; round < 40; ++round) {
     // Randomly toggle bridge edges through the middle vertices 7, 8.
     VertexId mid = rng.NextBool(0.5) ? 7 : 8;
     VertexId far = static_cast<VertexId>(rng.NextBounded(16));
     if (far == mid) continue;
-    if (dyn.graph().HasEdge(mid, far)) {
-      dyn.RemoveEdge(mid, far);
-    } else {
-      dyn.InsertEdge(mid, far);
-    }
-    ExpectMatchesStatic(dyn, "barbell");
+    s.Toggle(mid, far);
+    s.ExpectMatchesStatic("barbell");
     // Lobe edges stay at κ = 5 throughout.
-    EXPECT_GE(dyn.KappaOf(dyn.graph().FindEdge(0, 1)), 5u);
-    EXPECT_GE(dyn.KappaOf(dyn.graph().FindEdge(9, 10)), 5u);
+    EXPECT_GE(s.dyn().KappaOf(s.graph().FindEdge(0, 1)), 5u);
+    EXPECT_GE(s.dyn().KappaOf(s.graph().FindEdge(9, 10)), 5u);
   }
 }
 
@@ -132,7 +160,7 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
   // mutated graph matches the maintained one exactly.
   Rng rng(8);
   Graph base = PowerLawCluster(100, 3, 0.5, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   for (int i = 0; i < 300; ++i) {
     VertexId u = static_cast<VertexId>(rng.NextBounded(100));
     VertexId v = static_cast<VertexId>(rng.NextBounded(100));
@@ -151,8 +179,9 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
 
 // --- Differential fuzz: storage modes × threads × entry point ---------
 
-// Which overload recomputes: the AnalysisContext one at the parameterized
-// thread count, or the Graph one (which freezes into its own context).
+// Which overload recomputes the shadow: the AnalysisContext one at the
+// parameterized thread count, or the Graph one (which freezes into its own
+// context).
 enum class Entry { kContext, kGraph };
 
 class DifferentialFuzzTest
@@ -166,40 +195,32 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
   Rng rng(1000003 * (mode == TriangleStorageMode::kStoreTriangles ? 1 : 2) +
           static_cast<uint64_t>(threads) +
           (entry == Entry::kGraph ? 31 : 0));
-  Graph base = PowerLawCluster(90, 3, 0.55, rng);
-  DynamicTriangleCore dyn(base);
+  Shadowed s(PowerLawCluster(90, 3, 0.55, rng));
 
   constexpr int kSteps = 240;
   constexpr int kCheckEvery = 24;
   for (int step = 1; step <= kSteps; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = s.graph();
     VertexId u = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     if (u == v) continue;
-    if (g.HasEdge(u, v)) {
-      dyn.RemoveEdge(u, v);
-    } else {
-      dyn.InsertEdge(u, v);
-    }
+    s.Toggle(u, v);
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
-    // Oracle 1: Algorithm-1 recompute in the parameterized storage mode
-    // (index or recompute) / thread count / entry point.
-    AnalysisContext ctx(dyn.graph(), threads);
+    // Oracle 1: Algorithm-1 recompute of the shadow in the parameterized
+    // storage mode (index or recompute) / thread count / entry point.
+    AnalysisContext ctx(s.shadow(), threads);
     TriangleCoreResult fresh = entry == Entry::kGraph
-                                   ? ComputeTriangleCores(dyn.graph(), mode)
+                                   ? ComputeTriangleCores(s.shadow(), mode)
                                    : ComputeTriangleCores(ctx, mode);
-    dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
-      ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
-          << "step " << step << " edge (" << edge.u << "," << edge.v << ")";
-    });
+    s.ExpectMatches(fresh, "step " + std::to_string(step));
     if (mode == TriangleStorageMode::kStoreTriangles) {
       ASSERT_EQ(ctx.TriangleIndex().NumEntries(), 3 * fresh.triangle_count);
     }
     // Oracle 2: the code-independent κ-certificate (soundness +
     // maximality by direct recount).
     verify::VerifyReport cert =
-        verify::CheckKappaCertificate(dyn.graph(), dyn.kappa());
+        verify::CheckKappaCertificate(s.graph(), s.dyn().kappa());
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;
@@ -333,7 +354,7 @@ TEST_P(BatchFuzzTest, BatchedEqualsRecomputeByEndpoints) {
   // Batched maintainer on the DeltaCsr overlay, compacting mid-stream to
   // cross epoch boundaries; the shadow replays the raw events.
   Graph reference = base;
-  DynamicTriangleCoreT<DeltaCsr> batched{DeltaCsr(base)};
+  DynamicTriangleCore batched{DeltaCsr(base)};
   size_t batches = 0;
   for (size_t off = 0; off < events.size(); off += batch_size) {
     const size_t count = std::min(batch_size, events.size() - off);
@@ -348,7 +369,7 @@ TEST_P(BatchFuzzTest, BatchedEqualsRecomputeByEndpoints) {
     batched.ApplyBatch(
         std::span<const EdgeEvent>(events.data() + off, count));
     ++batches;
-    if (batches % 3 == 0) batched.MutableGraphForMaintenance().Compact();
+    if (batches % 3 == 0) batched.Compact();
 
     ASSERT_EQ(reference.NumEdges(), batched.graph().NumEdges())
         << "batch " << batches;
@@ -366,7 +387,7 @@ TEST_P(BatchFuzzTest, BatchedEqualsRecomputeByEndpoints) {
 
   // Final compaction, then both oracles: Algorithm-1 scratch recompute on
   // the frozen base and the code-independent certificate.
-  batched.MutableGraphForMaintenance().Compact();
+  batched.Compact();
   TriangleCoreResult fresh = ComputeTriangleCores(batched.graph());
   batched.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
     ASSERT_EQ(batched.kappa()[e], fresh.kappa[e])

@@ -14,6 +14,7 @@
 #include "tkc/gen/datasets.h"
 #include "tkc/gen/dynamic_gen.h"
 #include "tkc/gen/generators.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/io/edge_list.h"
 #include "tkc/io/snapshots.h"
 #include "tkc/patterns/events.h"
@@ -62,7 +63,7 @@ TEST(IntegrationTest, FullDynamicPipelineOverSnapshotStream) {
   auto reloaded = ReadSnapshotStream(buffer);
   ASSERT_TRUE(reloaded.has_value());
 
-  DynamicTriangleCore dyn(reloaded->base);
+  DynamicTriangleCore dyn{DeltaCsr(reloaded->base)};
   for (size_t s = 0; s < reloaded->deltas.size(); ++s) {
     dyn.ApplyBatch(reloaded->deltas[s]);
     TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
@@ -133,7 +134,7 @@ TEST(IntegrationTest, DualViewPlusEventsTellTheSameStory) {
 
   EventDetectorOptions opt;
   opt.min_clique_size = 6;
-  auto events = DetectEvents(old_g, dual.new_graph, opt);
+  auto events = DetectEvents(old_g, dual.new_graph->ThawPreservingIds(), opt);
   ASSERT_FALSE(events.empty());
   const CliqueEvent* bridge = nullptr;
   for (const auto& ev : events) {
@@ -157,7 +158,7 @@ TEST(IntegrationTest, DatasetChurnTableThreePipeline) {
   Rng rng(6);
   size_t churn = std::max<size_t>(1, ds.graph.NumEdges() / 200);
   auto events = RandomChurn(ds.graph, churn, churn, rng);
-  DynamicTriangleCore dyn(ds.graph);
+  DynamicTriangleCore dyn{DeltaCsr(ds.graph)};
   const UpdateStats stats = dyn.ApplyBatch(events).work;
   TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {

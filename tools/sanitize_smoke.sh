@@ -70,16 +70,16 @@ run_one() {
   fi
   echo "== $sanitizer: ingest + graph cache CLI =="
   # Drive the mmap chunk parser and the .tkcg cache under the sanitizers:
-  # parallel chunked parse at 8 workers must match the serial parse row
-  # for row, and a cache round trip (build → read-through load) must
+  # chunked parse at 8 threads must match the 4-thread run row for row,
+  # and a cache round trip (build → read-through load) must
   # serve the identical decomposition. The TSan leg sees the per-chunk
   # tokenizer workers and the parallel Freeze scatter; ASan/UBSan cover
   # the mmap lifetime and the checksum/structure validation on load.
-  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
-    --ingest-threads=8 > "$smoke_dir/kappa_ingest8.txt"
+  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=8 \
+    > "$smoke_dir/kappa_ingest8.txt"
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
             <(grep -v '^#' "$smoke_dir/kappa_ingest8.txt"); then
-    echo "!! --ingest-threads=8 kappa differs from serial ingest" >&2
+    echo "!! --threads=8 kappa differs from --threads=4" >&2
     exit 1
   fi
   "$build_dir/tools/tkc" cache build "$smoke_dir/g.txt" \
