@@ -126,12 +126,12 @@ int main(int argc, char** argv) {
   add_row("BM_Parse_Ingest8", parse_ingest8, edges);
 
   const double freeze_serial = BestSeconds(reps, [&] {
-    edges = CsrGraph::Freeze(source, RelabelMode::kDegree, 1).NumEdges();
+    edges = CsrGraph::Freeze(source, 1).NumEdges();
   });
   add_row("BM_Freeze_Serial", freeze_serial, edges);
 
   const double freeze_parallel = BestSeconds(reps, [&] {
-    edges = CsrGraph::Freeze(source, RelabelMode::kDegree, 8).NumEdges();
+    edges = CsrGraph::Freeze(source, 8).NumEdges();
   });
   add_row("BM_Freeze_Parallel8", freeze_parallel, edges);
 
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
 
   const double pf_parallel = BestSeconds(reps, [&] {
     Graph g = ParseEdgeListBuffer(text, /*threads=*/8);
-    edges = CsrGraph::Freeze(g, RelabelMode::kNone, 8).NumEdges();
+    edges = CsrGraph::Freeze(g, 8).NumEdges();
   });
   add_row("BM_ParseFreeze_Parallel8", pf_parallel, edges);
 

@@ -95,22 +95,6 @@ void BM_SupportCount_CsrFull(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportCount_CsrFull)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Same serial pass on a degree-relabeled snapshot — the delta against
-// BM_SupportCount_Csr (same kernel, original labeling) is the locality
-// payoff of packing hubs into low vertex ids. Freeze cost is outside the
-// timed loop, like the CSR build above.
-void BM_SupportCount_CsrRelabel(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
-  CsrGraph csr = CsrGraph::Freeze(g, RelabelMode::kDegree);
-  for (auto _ : state) {
-    std::vector<uint32_t> support = ComputeEdgeSupports(csr, /*threads=*/1);
-    benchmark::DoNotOptimize(support.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(csr.NumEdges()));
-}
-BENCHMARK(BM_SupportCount_CsrRelabel)->Arg(10000)->Arg(50000);
-
 void BM_SupportCount_CsrParallel(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   CsrGraph csr(g);

@@ -96,11 +96,15 @@ ParsedArgs Parse(const std::vector<std::string>& args) {
 }
 
 // A numeric flag whose value is not a number, has trailing characters or
-// does not fit its type (`--threads` feeds an int) is a usage error.
+// does not fit its type (`--threads` feeds an int) is a usage error, and so
+// is a negative count or size (it would wrap when cast to an unsigned).
 bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
   static const std::set<std::string> kInt64Flags = {
       "width", "height", "max-nodes", "check-every", "batch", "query-every",
       "compact-edits", "min-size", "seed", "n", "m", "scale"};
+  static const std::set<std::string> kNonNegativeFlags = {
+      "threads", "width", "height", "max-nodes", "query-every",
+      "compact-edits", "min-size"};
   for (const auto& [key, text] : parsed.flags) {
     const char* want = nullptr;
     if (key == "threads" && !ParseNumber<int>(text)) {
@@ -114,6 +118,10 @@ bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
     if (want != nullptr) {
       err << "error: --" << key << " must be " << want << " (got '" << text
           << "')\n";
+      return false;
+    }
+    if (kNonNegativeFlags.count(key) > 0 && parsed.FlagInt(key, 0) < 0) {
+      err << "error: --" << key << " must be >= 0\n";
       return false;
     }
   }
@@ -165,7 +173,6 @@ std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
 struct GraphSource {
   std::optional<Graph> graph;           // set when text was parsed
   std::shared_ptr<const CsrGraph> csr;  // set when a frozen snapshot exists
-  bool from_cache = false;
 };
 
 // Loads the graph for a subcommand, honoring --graph-cache=FILE:
@@ -174,14 +181,9 @@ struct GraphSource {
 //    the next run (cache miss);
 //  * cache file present but invalid → hard error with the named reason
 //    (exit 2) — never a silent fallback onto a corrupt file.
-// Commands whose output or events are keyed by original vertex ids pass
-// `reject_relabeled` (a degree-relabeled snapshot would permute their
-// ids).
 std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
                                            const std::string& path,
-                                           std::ostream& err,
-                                           bool reject_relabeled,
-                                           RelabelMode cache_relabel) {
+                                           std::ostream& err) {
   GraphSource src;
   const std::string cache_path = args.Flag("graph-cache", "");
   const int ingest_threads = ResolveThreads(0);
@@ -190,18 +192,10 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
     std::string detail;
     auto csr = LoadGraphCache(cache_path, ingest_threads, &status, &detail);
     if (csr.has_value()) {
-      if (reject_relabeled && csr->IsRelabeled()) {
-        err << "error: graph cache '" << cache_path
-            << "' is degree-relabeled; this command reports original vertex "
-               "ids — rebuild the cache with --relabel=none\n";
-        return std::nullopt;
-      }
       obs::Logger::Global().Info("cache.loaded",
                                  {{"path", cache_path},
                                   {"vertices", csr->NumVertices()},
-                                  {"edges", csr->NumEdges()},
-                                  {"relabeled", csr->IsRelabeled() ? 1 : 0}});
-      src.from_cache = true;
+                                  {"edges", csr->NumEdges()}});
       auto shared = std::make_shared<const CsrGraph>(std::move(*csr));
       src.csr = std::move(shared);
       return src;
@@ -220,16 +214,13 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
   auto g = LoadGraph(path, err, ingest_threads);
   if (!g) return std::nullopt;
   if (!cache_path.empty()) {
-    CsrGraph csr = CsrGraph::Freeze(*g, cache_relabel, ingest_threads);
+    CsrGraph csr = CsrGraph::Freeze(*g, ingest_threads);
     std::string write_error;
     if (!WriteGraphCache(csr, cache_path, &write_error)) {
       err << "error: cannot write graph cache: " << write_error << '\n';
       return std::nullopt;
     }
-    obs::Logger::Global().Info(
-        "cache.written",
-        {{"path", cache_path},
-         {"relabeled", cache_relabel == RelabelMode::kDegree ? 1 : 0}});
+    obs::Logger::Global().Info("cache.written", {{"path", cache_path}});
     src.csr = std::make_shared<const CsrGraph>(std::move(csr));
   }
   src.graph = std::move(*g);
@@ -249,36 +240,12 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   const TriangleStorageMode mode =
       mode_text == "store" ? TriangleStorageMode::kStoreTriangles
                            : TriangleStorageMode::kRecomputeTriangles;
-  const std::string relabel_text = args.Flag("relabel", "none");
-  if (relabel_text != "none" && relabel_text != "degree") {
-    err << "error: unknown --relabel '" << relabel_text << "'\n";
-    return 2;
-  }
-  const RelabelMode relabel = relabel_text == "degree" ? RelabelMode::kDegree
-                                                       : RelabelMode::kNone;
-  // Decompose output is invariant under degree relabeling (OriginalEdge
-  // translates back and EdgeIds are preserved), so a cache frozen with
-  // either layout is servable — the stored layout wins over --relabel.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/false, relabel);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   Timer t;
-  // --relabel=degree freezes a hub-packed snapshot for locality; κ, the
-  // peel order, and the output rows are invariant under the renumbering
-  // (OriginalEdge translates back), so the bytes below never change.
   std::optional<AnalysisContext> ctx;
   if (src->csr) {
-    if (src->from_cache &&
-        src->csr->IsRelabeled() != (relabel == RelabelMode::kDegree)) {
-      obs::Logger::Global().Warn(
-          "cache.relabel_mismatch",
-          {{"requested", relabel_text},
-           {"stored", src->csr->IsRelabeled() ? "degree" : "none"}});
-    }
     ctx.emplace(src->csr);
-  } else if (relabel == RelabelMode::kDegree) {
-    ctx.emplace(CsrGraph::Freeze(*src->graph, RelabelMode::kDegree,
-                                 ResolveThreads(0)));
   } else {
     ctx.emplace(*src->graph);
   }
@@ -294,7 +261,6 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
                               {"max_kappa", r.max_kappa},
                               {"peel", mode_text == "store" ? "index"
                                                             : "recompute"},
-                              {"relabel", relabel_text},
                               {"seconds", seconds}});
   TKC_SPAN("output");
   out << "# u v kappa co_clique_size\n";
@@ -309,10 +275,9 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
     p = std::to_chars(p, p + 10, value).ptr;
     *p++ = sep;
   };
-  csr.ForEachEdge([&](EdgeId e, const Edge&) {
-    const Edge oe = csr.OriginalEdge(e);
-    put(oe.u, ' ');
-    put(oe.v, ' ');
+  csr.ForEachEdge([&](EdgeId e, const Edge& edge) {
+    put(edge.u, ' ');
+    put(edge.v, ' ');
     put(r.kappa[e], ' ');
     put(r.CocliqueSize(e), '\n');
     if (p >= limit) {
@@ -327,13 +292,10 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
 }
 
 int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Rows are keyed by vertex id, so a degree-relabeled cache is rejected.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   std::optional<CsrGraph> local;
-  if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
-                               ResolveThreads(0));
+  if (!src->csr) local.emplace(*src->graph, ResolveThreads(0));
   const CsrGraph& csr = src->csr ? *src->csr : *local;
   KCoreResult r = ComputeKCores(csr);
   out << "# v core\n";
@@ -345,14 +307,10 @@ int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 }
 
 int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Every stat is invariant under vertex renumbering, so any cache layout
-  // is servable.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/false, RelabelMode::kNone);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   std::optional<CsrGraph> local;
-  if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
-                               ResolveThreads(0));
+  if (!src->csr) local.emplace(*src->graph, ResolveThreads(0));
   GraphStats s = ComputeGraphStats(src->csr ? *src->csr : *local);
   out << "vertices:               " << s.num_vertices << '\n'
       << "edges:                  " << s.num_edges << '\n'
@@ -367,8 +325,7 @@ int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 }
 
 int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   std::optional<AnalysisContext> ctx_storage;
   if (src->csr) {
@@ -400,8 +357,7 @@ int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
 int CmdHierarchy(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   std::optional<AnalysisContext> ctx_storage;
   if (src->csr) {
@@ -463,11 +419,9 @@ obs::JsonValue UpdateStatsJson(const UpdateStats& s) {
 std::optional<obs::JsonValue> g_update_stats_json;  // NOLINT
 
 int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Events arrive in original vertex ids, so a relabeled cache is rejected.
   // The maintainer overlays a frozen snapshot: a cache hit's (zero-copy)
   // or, from text, one frozen from the parsed graph.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   auto events = LoadEvents(args.positional[2], err, ResolveThreads(0));
   if (!events) return 2;
@@ -509,10 +463,9 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // machine-readable tkc.verify.v1 artifact. Exit codes: 0 all invariants
 // hold, 3 an invariant failed (counterexample printed), 2 usage/I-O error.
 int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // The oracles (and any --events replay) work in original vertex ids on a
-  // Graph, so a cache hit is thawed and relabeled caches rejected.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  // The oracles (and any --events replay) work on a Graph, so a cache hit
+  // is thawed.
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   if (!src->graph) src->graph = src->csr->ThawPreservingIds();
   Graph& g = *src->graph;
@@ -583,10 +536,9 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // analytics queries off zero-copy snapshots between batches. Exit codes:
 // 0 ok, 3 a --verify check failed, 2 usage/I-O error.
 int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Events are keyed by original vertex ids; a cache hit feeds the engine's
-  // zero-copy frozen-base constructor, a miss goes through text ingest.
-  auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, RelabelMode::kNone);
+  // A cache hit feeds the engine's zero-copy frozen-base constructor, a
+  // miss goes through text ingest.
+  auto src = LoadGraphSource(args, args.positional[1], err);
   if (!src) return 2;
   const std::string events_path = args.Flag("events", "");
   if (events_path.empty()) {
@@ -599,15 +551,7 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const int64_t query_every = args.FlagInt("query-every", 0);
-  if (query_every < 0) {
-    err << "error: --query-every must be >= 0\n";
-    return 2;
-  }
   const int64_t compact_edits = args.FlagInt("compact-edits", 4096);
-  if (compact_edits < 0) {
-    err << "error: --compact-edits must be >= 0\n";
-    return 2;
-  }
   EventListStats estats;
   auto events = LoadEvents(events_path, err, ResolveThreads(0), &estats);
   if (!events) return 2;
@@ -827,27 +771,17 @@ int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       err << "error: cache build requires --out=FILE\n";
       return 2;
     }
-    const std::string relabel_text = args.Flag("relabel", "none");
-    if (relabel_text != "none" && relabel_text != "degree") {
-      err << "error: unknown --relabel '" << relabel_text << "'\n";
-      return 2;
-    }
     auto g = LoadGraph(args.positional[2], err, ingest_threads);
     if (!g) return 2;
     Timer t;
-    CsrGraph csr = CsrGraph::Freeze(*g,
-                                    relabel_text == "degree"
-                                        ? RelabelMode::kDegree
-                                        : RelabelMode::kNone,
-                                    ingest_threads);
+    CsrGraph csr = CsrGraph::Freeze(*g, ingest_threads);
     std::string write_error;
     if (!WriteGraphCache(csr, out_path, &write_error)) {
       err << "error: cannot write graph cache: " << write_error << '\n';
       return 2;
     }
     out << "wrote " << out_path << ": " << csr.NumVertices() << " vertices, "
-        << csr.NumEdges() << " edges, relabel=" << relabel_text
-        << " seconds=" << t.Seconds() << '\n';
+        << csr.NumEdges() << " edges seconds=" << t.Seconds() << '\n';
     return 0;
   }
   if (verb == "load") {
@@ -866,7 +800,6 @@ int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     out << "cache " << args.positional[2] << ": version=" << info.version
         << " vertices=" << csr->NumVertices()
         << " edges=" << csr->NumEdges()
-        << " relabeled=" << (csr->IsRelabeled() ? "yes" : "no")
         << " payload_bytes=" << info.payload_bytes
         << " seconds=" << t.Seconds() << '\n';
     return 0;
@@ -880,7 +813,7 @@ void PrintUsage(std::ostream& err) {
   err << "usage: tkc <command> ... [--log-level=L] [--metrics-out=FILE]\n"
          "                         [--trace-out=FILE] [--threads=N]\n"
          "  decompose <edges.txt> [--mode=store|recompute] (default store)\n"
-         "            [--relabel=none|degree] [--graph-cache=FILE]\n"
+         "            [--graph-cache=FILE]\n"
          "  kcore     <edges.txt> [--graph-cache=FILE]\n"
          "  stats     <edges.txt> [--graph-cache=FILE]\n"
          "  plot      <edges.txt> [--svg=FILE] [--width=N] [--height=N]\n"
@@ -896,7 +829,7 @@ void PrintUsage(std::ostream& err) {
          "  templates <old.txt> <new.txt> --pattern=newform|bridge|newjoin\n"
          "  generate  <er|gnm|ba|plc|ws|rmat|geometric|collab> --out=FILE\n"
          "            [--n=N] [--m=M] [--p=P] [--seed=S]\n"
-         "  cache     build <edges.txt> --out=FILE [--relabel=none|degree]\n"
+         "  cache     build <edges.txt> --out=FILE\n"
          "  cache     load <FILE.tkcg>\n"
          "global flags (any command):\n"
          "  --log-level=error|warn|info|debug   structured logs on stderr\n"
@@ -933,7 +866,7 @@ namespace {
 bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
                 std::ostream& err) {
   static const std::map<std::string, std::vector<std::string>> kAllowed = {
-      {"decompose", {"mode", "relabel", "graph-cache"}},
+      {"decompose", {"mode", "graph-cache"}},
       {"kcore", {"graph-cache"}},
       {"stats", {"graph-cache"}},
       {"plot", {"svg", "width", "height", "graph-cache"}},
@@ -945,7 +878,7 @@ bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
       {"verify", {"events", "check-every", "mode", "json-out", "graph-cache"}},
       {"templates", {"pattern", "min-size"}},
       {"generate", {"out", "seed", "n", "m", "p", "scale"}},
-      {"cache", {"out", "relabel"}},
+      {"cache", {"out"}},
   };
   auto it = kAllowed.find(cmd);
   if (it == kAllowed.end()) return true;  // unknown command: handled later
@@ -1036,10 +969,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   // registry reset so the tkc.threads gauge survives into the dump.
   // 0 = hardware default.
   const int64_t threads_flag = parsed.FlagInt("threads", 0);
-  if (threads_flag < 0) {
-    err << "error: --threads must be >= 0\n";
-    return 2;
-  }
   SetDefaultThreads(threads_flag == 0 ? HardwareThreads()
                                       : static_cast<int>(threads_flag));
 

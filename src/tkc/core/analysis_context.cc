@@ -5,7 +5,6 @@
 
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/perf_counters.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
 #include "tkc/util/parallel.h"
@@ -29,7 +28,7 @@ AnalysisContext::AnalysisContext(std::shared_ptr<const CsrGraph> csr,
 const std::vector<uint32_t>& AnalysisContext::Supports() const {
   MutexLock lock(mu_);
   if (!supports_.has_value()) {
-    TKC_SPAN_PERF("support_count");
+    TKC_SPAN("support_count");
     CacheSupports(ComputeEdgeSupports(*csr_, threads_));
   }
   return *supports_;

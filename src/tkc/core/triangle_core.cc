@@ -12,7 +12,6 @@
 #include "tkc/graph/intersect.h"
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/perf_counters.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
@@ -114,7 +113,7 @@ TriangleCoreResult Peel(const AnalysisContext& ctx, TriangleStorageMode mode) {
   std::vector<uint64_t> peeled_per_level;
   uint64_t relaxations = 0;
   {
-    TKC_SPAN_PERF("peel");
+    TKC_SPAN("peel");
     std::optional<obs::TimelineScope> level_scope;
     auto close_level = [&] {
       if (!level_scope) return;

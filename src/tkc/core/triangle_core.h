@@ -49,7 +49,7 @@ struct TriangleCoreResult {
 /// O(triangle-listing + |Tri|). Every overload freezes (or borrows) a
 /// snapshot and runs the AnalysisContext overload, so κ, `order` and
 /// `peel_sequence` are identical across overloads; in kStoreTriangles mode
-/// they are also identical across thread counts and vertex relabelings.
+/// they are also identical across thread counts.
 TriangleCoreResult ComputeTriangleCores(
     const Graph& g,
     TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);

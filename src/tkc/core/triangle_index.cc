@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tkc/graph/triangle.h"
-#include "tkc/obs/perf_counters.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/parallel.h"
 
@@ -67,7 +66,7 @@ TrianglePartnerIndex TrianglePartnerIndex::Build(const CsrGraph& g,
   threads = ResolveThreads(threads);
   Record record;
   {
-    TKC_SPAN_PERF("support_count");
+    TKC_SPAN("support_count");
     record = RecordOrientedTriangles(g, threads);
   }
   TKC_SPAN("triangle_index");

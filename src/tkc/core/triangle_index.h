@@ -17,8 +17,7 @@ namespace tkc {
 /// triangle). Offsets are uint32 while 3·|Tri| fits, uint64 beyond.
 ///
 /// Each edge's segment is sorted, so the contents and order depend only on
-/// EdgeIds: the index is identical at any thread count, any intersection
-/// kernel, any vertex relabeling and any entry point.
+/// EdgeIds: the index is identical at any thread count and any entry point.
 class TrianglePartnerIndex {
  public:
   using Partners = std::pair<EdgeId, EdgeId>;

@@ -69,8 +69,7 @@ class TkcEngine {
   explicit TkcEngine(const Graph& base, EngineOptions options = {});
 
   /// Adopts an already-frozen snapshot as epoch 0 — zero-copy, the
-  /// `--graph-cache` serving path — and runs Algorithm 1 once. The
-  /// snapshot must be unrelabeled (events arrive in original vertex ids).
+  /// `--graph-cache` serving path — and runs Algorithm 1 once.
   explicit TkcEngine(std::shared_ptr<const CsrGraph> base,
                      EngineOptions options = {});
 

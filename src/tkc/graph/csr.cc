@@ -14,30 +14,21 @@
 
 namespace tkc {
 
-CsrGraph::CsrGraph(const Graph& g, RelabelMode relabel, int threads) {
+CsrGraph::CsrGraph(const Graph& g, int threads) {
   InitFrom(g, threads);
-  if (relabel == RelabelMode::kDegree) ApplyDegreeRelabel(threads);
   FinishBuild(threads);
-  // The mirror oracle compares adjacency in source ids; a relabeled
-  // snapshot is intentionally a different labeling of the same graph, so
-  // only the structural self-audit in FinishBuild applies there.
-  if (!IsRelabeled()) {
-    TKC_VERIFY_L2(verify::CheckOrDie(verify::CheckMirrorConsistency(g, *this),
-                                     "CsrGraph::CsrGraph"));
-  }
+  TKC_VERIFY_L2(verify::CheckOrDie(verify::CheckMirrorConsistency(g, *this),
+                                   "CsrGraph::CsrGraph"));
 }
 
 CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
                                    std::vector<Neighbor> entries,
-                                   std::vector<Edge> edges,
-                                   std::vector<VertexId> orig_of,
-                                   int threads) {
+                                   std::vector<Edge> edges, int threads) {
   CsrGraph csr;
   csr.offsets_ = std::move(offsets);
   csr.entries_ = std::move(entries);
   csr.edges_ = std::move(edges);
   csr.edge_capacity_ = csr.edges_.size();
-  csr.orig_of_ = std::move(orig_of);
   csr.FinishBuild(threads);
   return csr;
 }
@@ -89,52 +80,6 @@ void CsrGraph::BuildOrientedView(int threads) {
       for (const Neighbor& nb : Neighbors(static_cast<VertexId>(v))) {
         if (rank_[nb.vertex] > rank_[v]) *out++ = nb;
       }
-    }
-  });
-}
-
-void CsrGraph::ApplyDegreeRelabel(int threads) {
-  const VertexId n = NumVertices();
-  orig_of_.resize(n);
-  std::iota(orig_of_.begin(), orig_of_.end(), VertexId{0});
-  // Hubs first: descending degree, ties by original id so the permutation
-  // is deterministic. This is the opposite end of the order from the
-  // oriented Rank() — relabeling packs the hot adjacency, ranking still
-  // orients edges low-degree → high-degree on the new ids.
-  std::sort(orig_of_.begin(), orig_of_.end(), [&](VertexId a, VertexId b) {
-    const uint32_t da = Degree(a), db = Degree(b);
-    return da != db ? da > db : a < b;
-  });
-  std::vector<VertexId> new_of(n);
-  for (VertexId i = 0; i < n; ++i) new_of[orig_of_[i]] = i;
-
-  std::vector<size_t> offsets(n + 1, 0);
-  for (VertexId i = 0; i < n; ++i) {
-    offsets[i + 1] = offsets[i] + Degree(orig_of_[i]);
-  }
-  // Per-new-vertex gather + sort writes a disjoint slice each, and the
-  // edge-endpoint remap touches disjoint ids — both split across the pool
-  // with the permutation itself (the ordering decision) already fixed.
-  std::vector<Neighbor> entries(entries_.size());
-  ParallelFor(threads, n, [&](int, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Neighbor* out = entries.data() + offsets[i];
-      for (const Neighbor& nb : Neighbors(orig_of_[i])) {
-        *out++ = Neighbor{new_of[nb.vertex], nb.edge};
-      }
-      std::sort(entries.begin() + static_cast<ptrdiff_t>(offsets[i]),
-                entries.begin() + static_cast<ptrdiff_t>(offsets[i + 1]));
-    }
-  });
-  offsets_ = std::move(offsets);
-  entries_ = std::move(entries);
-  ParallelFor(threads, edges_.size(), [&](int, size_t begin, size_t end) {
-    for (size_t e = begin; e < end; ++e) {
-      Edge& edge = edges_[e];
-      if (edge.u == kInvalidVertex) continue;
-      edge.u = new_of[edge.u];
-      edge.v = new_of[edge.v];
-      if (edge.u > edge.v) std::swap(edge.u, edge.v);
     }
   });
 }

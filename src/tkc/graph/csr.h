@@ -28,26 +28,12 @@ namespace tkc {
 /// graph's degeneracy — the standard route to making triangle enumeration
 /// O(Σ min-degree over oriented wedges) instead of intersecting full
 /// adjacency lists.
-/// Optional vertex relabeling applied while freezing. kDegree renumbers
-/// vertices by descending degree (ties by original id ascending), packing
-/// the hubs — the vertices every oriented intersection keeps touching —
-/// into the low end of the id space so their adjacency shares cache lines.
-/// EdgeIds are NOT remapped, so per-edge attribute arrays (support, κ,
-/// peel order) computed on a relabeled snapshot are directly comparable to
-/// ones computed without relabeling; only vertex ids move, and
-/// OriginalId/OriginalEdge translate results back for reporting.
-enum class RelabelMode {
-  kNone,
-  kDegree,
-};
-
 class CsrGraph {
  public:
-  /// Freezes `g`. O(|V| + |E|) (plus a sort of |V| when relabeling).
-  /// `threads` follows the ResolveThreads convention (0 = default); the
-  /// parallel freeze is bit-identical to the serial one at any count.
-  explicit CsrGraph(const Graph& g, RelabelMode relabel = RelabelMode::kNone,
-                    int threads = 1);
+  /// Freezes `g`. O(|V| + |E|). `threads` follows the ResolveThreads
+  /// convention (0 = default); the parallel freeze is bit-identical to the
+  /// serial one at any count.
+  explicit CsrGraph(const Graph& g, int threads = 1);
 
   /// Freezes any graph-like source exposing NumVertices/Degree/Neighbors/
   /// EdgeCapacity/ForEachEdge with live-only sorted adjacency (Graph,
@@ -58,12 +44,9 @@ class CsrGraph {
   /// oriented scatter); every ordering decision stays serial, so the
   /// result is bit-identical at any thread count.
   template <typename GraphT>
-  static CsrGraph Freeze(const GraphT& g,
-                         RelabelMode relabel = RelabelMode::kNone,
-                         int threads = 1) {
+  static CsrGraph Freeze(const GraphT& g, int threads = 1) {
     CsrGraph csr;
     csr.InitFrom(g, threads);
-    if (relabel == RelabelMode::kDegree) csr.ApplyDegreeRelabel(threads);
     csr.FinishBuild(threads);
     return csr;
   }
@@ -71,13 +54,10 @@ class CsrGraph {
   /// Reassembles a snapshot from its frozen arrays — the binary graph
   /// cache's load path (io/graph_cache). The inputs must be exactly what
   /// Raw*() of the cached snapshot returned; the oriented view is rebuilt
-  /// and the structural audit of FinishBuild applies. `orig_of` is empty
-  /// for an unrelabeled snapshot.
+  /// and the structural audit of FinishBuild applies.
   static CsrGraph FromFrozenParts(std::vector<size_t> offsets,
                                   std::vector<Neighbor> entries,
-                                  std::vector<Edge> edges,
-                                  std::vector<VertexId> orig_of,
-                                  int threads = 1);
+                                  std::vector<Edge> edges, int threads = 1);
 
   VertexId NumVertices() const {
     return static_cast<VertexId>(offsets_.size() - 1);
@@ -155,25 +135,9 @@ class CsrGraph {
     return e < edges_.size() && edges_[e].u != kInvalidVertex;
   }
 
-  /// Whether a relabeling pass renumbered the vertices of this snapshot.
-  bool IsRelabeled() const { return !orig_of_.empty(); }
-
-  /// Source-graph id of snapshot vertex `v` (identity when not relabeled).
-  /// Every user-facing surface — CLI rows, artifacts, hierarchies — must
-  /// report through this so relabeling stays an invisible layout detail.
-  VertexId OriginalId(VertexId v) const {
-    return orig_of_.empty() ? v : orig_of_[v];
-  }
-
-  /// Edge `e` with endpoints translated back to source-graph ids,
-  /// re-normalized u < v. EdgeIds themselves are never remapped.
-  Edge OriginalEdge(EdgeId e) const {
-    Edge edge = edges_[e];
-    edge.u = OriginalId(edge.u);
-    edge.v = OriginalId(edge.v);
-    if (edge.u > edge.v) std::swap(edge.u, edge.v);
-    return edge;
-  }
+  /// Same as GetEdge(e). Kept only because the benchmark harness
+  /// (perfbench/layers.cc) still calls it; delete it with that call.
+  Edge OriginalEdge(EdgeId e) const { return edges_[e]; }
 
   EdgeId FindEdge(VertexId u, VertexId v) const;
   bool HasEdge(VertexId u, VertexId v) const {
@@ -211,9 +175,7 @@ class CsrGraph {
   uint64_t CountTriangles() const;
 
   /// Thaws back into a mutable Graph PRESERVING EdgeIds, holes included —
-  /// the cache-served path for `tkc verify`. Note a relabeled
-  /// snapshot thaws in its relabeled vertex ids; callers that report
-  /// original ids must reject relabeled snapshots first.
+  /// the cache-served path for `tkc verify`.
   Graph ThawPreservingIds() const;
 
   /// Raw frozen arrays, exposed for the binary graph cache serializer
@@ -222,7 +184,6 @@ class CsrGraph {
   const std::vector<size_t>& RawOffsets() const { return offsets_; }
   const std::vector<Neighbor>& RawEntries() const { return entries_; }
   const std::vector<Edge>& RawEdges() const { return edges_; }
-  const std::vector<VertexId>& RawOriginalIds() const { return orig_of_; }
 
  private:
   CsrGraph() = default;
@@ -252,13 +213,11 @@ class CsrGraph {
 
   void FinishBuild(int threads);
   void BuildOrientedView(int threads);
-  void ApplyDegreeRelabel(int threads);
 
   std::vector<size_t> offsets_;    // |V|+1
   std::vector<Neighbor> entries_;  // 2|E|, sorted per vertex
-  std::vector<Edge> edges_;        // by original EdgeId (holes preserved)
+  std::vector<Edge> edges_;        // by EdgeId (holes preserved)
   size_t edge_capacity_ = 0;
-  std::vector<VertexId> orig_of_;  // |V| when relabeled, else empty
   // Degree-ordered orientation (see class comment).
   std::vector<uint32_t> rank_;              // |V|, permutation
   std::vector<size_t> oriented_offsets_;    // |V|+1

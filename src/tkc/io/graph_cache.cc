@@ -146,14 +146,12 @@ bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
   const std::vector<size_t>& offsets = csr.RawOffsets();
   const std::vector<Neighbor>& entries = csr.RawEntries();
   const std::vector<Edge>& edges = csr.RawEdges();
-  const std::vector<VertexId>& orig_of = csr.RawOriginalIds();
 
   // Assemble the payload in memory once: the checksum needs the exact
   // bytes, and offsets widen to a fixed u64 on disk so the format does not
   // depend on the host's size_t.
   std::vector<unsigned char> payload;
-  payload.reserve(offsets.size() * 8 + entries.size() * 8 + edges.size() * 8 +
-                  orig_of.size() * 4);
+  payload.reserve(offsets.size() * 8 + entries.size() * 8 + edges.size() * 8);
   auto append = [&payload](const void* data, size_t n) {
     const auto* bytes = static_cast<const unsigned char*>(data);
     payload.insert(payload.end(), bytes, bytes + n);
@@ -170,9 +168,6 @@ bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
     append(&e.u, sizeof(e.u));
     append(&e.v, sizeof(e.v));
   }
-  for (const VertexId v : orig_of) {
-    append(&v, sizeof(v));
-  }
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -184,7 +179,7 @@ bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
   Put64(out, csr.NumVertices());
   Put64(out, entries.size());
   Put64(out, edges.size());
-  Put32(out, csr.IsRelabeled() ? 1 : 0);
+  Put32(out, 0);  // reserved
   Put32(out, 0);  // reserved
   Put64(out, payload.size());
   Put64(out, XxHash64(payload.data(), payload.size(), kGraphCacheVersion));
@@ -225,10 +220,10 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
     return std::nullopt;
   }
   GraphCacheInfo header;
-  uint32_t relabeled = 0, reserved = 0;
+  uint32_t reserved[2] = {};
   if (!in.Take(&header.version, 4) || !in.Take(&header.num_vertices, 8) ||
       !in.Take(&header.num_edges, 8) || !in.Take(&header.edge_capacity, 8) ||
-      !in.Take(&relabeled, 4) || !in.Take(&reserved, 4) ||
+      !in.Take(reserved, sizeof(reserved)) ||
       !in.Take(&header.payload_bytes, 8) || !in.Take(&header.checksum, 8)) {
     Fail(CacheStatus::kTruncated, "file shorter than the header", status,
          error);
@@ -237,12 +232,17 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
   // The header stores the entry count; expose it as edges for reporting.
   const uint64_t num_entries = header.num_edges;
   header.num_edges = num_entries / 2;
-  header.relabeled = relabeled != 0;
   if (info != nullptr) *info = header;
   if (header.version != kGraphCacheVersion) {
     Fail(CacheStatus::kBadVersion,
          "format version " + std::to_string(header.version) +
-             " (this build speaks " + std::to_string(kGraphCacheVersion) + ")",
+             " (this build speaks " + std::to_string(kGraphCacheVersion) +
+             "); rebuild it with `tkc cache build`",
+         status, error);
+    return std::nullopt;
+  }
+  if (reserved[0] != 0 || reserved[1] != 0) {
+    Fail(CacheStatus::kBadStructure, "reserved header words are not zero",
          status, error);
     return std::nullopt;
   }
@@ -262,7 +262,7 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
   }
   const uint64_t expected_payload =
       (header.num_vertices + 1) * 8 + num_entries * 8 +
-      header.edge_capacity * 8 + (header.relabeled ? header.num_vertices * 4 : 0);
+      header.edge_capacity * 8;
   if (header.payload_bytes != expected_payload ||
       in.remaining < header.payload_bytes) {
     Fail(CacheStatus::kTruncated,
@@ -293,11 +293,6 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
     in.Take(&e.u, sizeof(e.u));
     in.Take(&e.v, sizeof(e.v));
   }
-  std::vector<VertexId> orig_of;
-  if (header.relabeled) {
-    orig_of.resize(num_vertices);
-    for (VertexId& v : orig_of) in.Take(&v, sizeof(v));
-  }
 
   // Cheap structural sanity before any array is trusted: the checksum
   // catches bit rot, this catches a well-checksummed file that was never a
@@ -325,17 +320,11 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
       return reject_structure("edge endpoints out of range");
     }
   }
-  for (const VertexId v : orig_of) {
-    if (v >= num_vertices) {
-      return reject_structure("relabel permutation out of range");
-    }
-  }
 
   registry.GetCounter("cache.hits").Add(1);
   registry.GetCounter("cache.bytes_loaded").Add(view.size());
   return CsrGraph::FromFrozenParts(std::move(offsets), std::move(entries),
-                                   std::move(edges), std::move(orig_of),
-                                   threads);
+                                   std::move(edges), threads);
 }
 
 }  // namespace tkc

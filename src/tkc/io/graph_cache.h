@@ -17,18 +17,20 @@ namespace tkc {
 ///
 /// Layout (fixed-width little-endian, native field order):
 ///   magic "TKCG" | u32 version | u64 num_vertices | u64 num_entries
-///   | u64 edge_capacity | u32 relabeled | u32 reserved
+///   | u64 edge_capacity | u32 reserved (0) | u32 reserved (0)
 ///   | u64 payload_bytes | u64 checksum | payload
 /// payload = offsets u64[V+1] ++ entries (u32 vertex, u32 edge)[num_entries]
 ///   ++ edges (u32 u, u32 v)[edge_capacity]  (tombstones preserved)
-///   ++ orig_of u32[V]                        (only when relabeled)
+///
+/// Vertices are stored in source ids. Version 1 files could also carry a
+/// vertex permutation; they are refused as kBadVersion.
 ///
 /// The checksum is XxHash64 over the payload, seeded with the format
 /// version, so corruption and truncation are both named rejections rather
 /// than downstream undefined behavior; a cheap structural scan (monotonic
 /// offsets, in-range ids) backs it up before any array is trusted.
 
-inline constexpr uint32_t kGraphCacheVersion = 1;
+inline constexpr uint32_t kGraphCacheVersion = 2;
 
 /// Why a load was refused (kOk when it was not). Every rejection maps to
 /// one named reason the CLI reports next to exit code 2.
@@ -52,7 +54,6 @@ struct GraphCacheInfo {
   uint64_t edge_capacity = 0;
   uint64_t payload_bytes = 0;
   uint64_t checksum = 0;
-  bool relabeled = false;
 };
 
 /// Serializes `csr` to `path`. Returns false (with `*error` describing the

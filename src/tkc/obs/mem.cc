@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "tkc/obs/metrics.h"
 
@@ -59,20 +58,6 @@ MemorySnapshot ReadMemorySnapshot() {
   return snap;
 }
 
-#if defined(TKC_COUNT_ALLOCATIONS)
-namespace alloc_hook {
-// Plain-old-data thread_local: no dynamic initialization, so the operator
-// new replacements below may touch it at any point of program startup.
-thread_local AllocationStats tls_alloc;
-}  // namespace alloc_hook
-
-bool AllocationCountingEnabled() { return true; }
-AllocationStats ThreadAllocationStats() { return alloc_hook::tls_alloc; }
-#else
-bool AllocationCountingEnabled() { return false; }
-AllocationStats ThreadAllocationStats() { return {}; }
-#endif
-
 ScopedMemSpan::~ScopedMemSpan() {
   const MemorySnapshot after = ReadMemorySnapshot();
   if (!after.available) return;
@@ -91,15 +76,6 @@ ScopedMemSpan::~ScopedMemSpan() {
   Attach("rss_before_bytes", before_.current_rss_bytes);
   Attach("rss_after_bytes", after.current_rss_bytes);
   Attach("rss_peak_bytes", after.peak_rss_bytes);
-  if (AllocationCountingEnabled()) {
-    const AllocationStats alloc = ThreadAllocationStats();
-    registry.GetCounter("mem.alloc.count")
-        .Add(alloc.count - alloc_before_.count);
-    registry.GetCounter("mem.alloc.bytes")
-        .Add(alloc.bytes - alloc_before_.bytes);
-    Attach("alloc_count", alloc.count - alloc_before_.count);
-    Attach("alloc_bytes", alloc.bytes - alloc_before_.bytes);
-  }
 }
 
 void ScopedMemSpan::Attach(std::string_view key, uint64_t value) {
@@ -108,76 +84,3 @@ void ScopedMemSpan::Attach(std::string_view key, uint64_t value) {
 }
 
 }  // namespace tkc::obs
-
-#if defined(TKC_COUNT_ALLOCATIONS)
-// Optional allocation-counting hook: replaces the global allocator with a
-// malloc-backed one that tallies per-thread count/bytes. Compiled in only
-// under -DTKC_COUNT_ALLOCATIONS=ON (it affects every binary linking tkc),
-// which is why the default build reports AllocationCountingEnabled()=false
-// instead of silently-zero counters.
-
-namespace {
-
-void* CountedAlloc(std::size_t size) {
-  tkc::obs::alloc_hook::tls_alloc.count += 1;
-  tkc::obs::alloc_hook::tls_alloc.bytes += size;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = CountedAlloc(size);
-  if (p == nullptr) std::abort();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace {
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  tkc::obs::alloc_hook::tls_alloc.count += 1;
-  tkc::obs::alloc_hook::tls_alloc.bytes += size;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     size == 0 ? 1 : size) != 0) {
-    return nullptr;
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-  if (p == nullptr) std::abort();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // TKC_COUNT_ALLOCATIONS

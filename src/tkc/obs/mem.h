@@ -19,31 +19,16 @@ struct MemorySnapshot {
 
 MemorySnapshot ReadMemorySnapshot();
 
-/// Thread-local allocation tally fed by the optional global operator
-/// new/delete hook (cmake -DTKC_COUNT_ALLOCATIONS=ON). With the hook
-/// compiled out (the default), counts are permanently zero and
-/// AllocationCountingEnabled() is false — callers gate on it instead of a
-/// preprocessor test.
-struct AllocationStats {
-  uint64_t count = 0;
-  uint64_t bytes = 0;
-};
-
-bool AllocationCountingEnabled();
-AllocationStats ThreadAllocationStats();
-
 /// TKC_SPAN plus per-phase memory accounting: on scope exit the RSS
-/// before/after/peak (and, when the hook is on, allocation deltas) are
-/// attached to the aggregated span node and the timeline slice, the
-/// `mem.current_rss_bytes` / `mem.peak_rss_bytes` gauges are refreshed,
-/// and the phase's RSS growth lands in the `mem.phase.rss_growth_bytes`
-/// histogram. Sampling reads /proc twice per span — use at phase
-/// granularity, not in loops.
+/// before/after/peak are attached to the aggregated span node and the
+/// timeline slice, the `mem.current_rss_bytes` / `mem.peak_rss_bytes`
+/// gauges are refreshed, and the phase's RSS growth lands in the
+/// `mem.phase.rss_growth_bytes` histogram. Sampling reads /proc twice per
+/// span — use at phase granularity, not in loops.
 class ScopedMemSpan {
  public:
   ScopedMemSpan(PhaseTracer& tracer, std::string_view name)
-      : span_(tracer, name), before_(ReadMemorySnapshot()),
-        alloc_before_(ThreadAllocationStats()) {}
+      : span_(tracer, name), before_(ReadMemorySnapshot()) {}
 
   ~ScopedMemSpan();
 
@@ -55,7 +40,6 @@ class ScopedMemSpan {
 
   ScopedSpan span_;
   MemorySnapshot before_;
-  AllocationStats alloc_before_;
 };
 
 }  // namespace tkc::obs

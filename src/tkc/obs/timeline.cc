@@ -6,7 +6,6 @@
 
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/perf_counters.h"
 
 namespace tkc::obs {
 
@@ -239,14 +238,12 @@ bool WriteTraceArtifact(const std::string& path, std::string_view source_key,
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", "tkc.trace.v1")
       .Set(std::string(source_key), std::string(source_name))
-      .Set("exit_code", exit_code)
-      .Set("perf", PerfAvailabilityJson());
+      .Set("exit_code", exit_code);
   const MemorySnapshot mem = ReadMemorySnapshot();
   doc.Set("mem", JsonValue::Object()
                      .Set("available", mem.available)
                      .Set("peak_rss_bytes", mem.peak_rss_bytes)
-                     .Set("current_rss_bytes", mem.current_rss_bytes)
-                     .Set("alloc_tracking", AllocationCountingEnabled()));
+                     .Set("current_rss_bytes", mem.current_rss_bytes));
   recorder.AppendTo(doc);
 
   std::ofstream file(path);

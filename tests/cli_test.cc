@@ -77,10 +77,10 @@ TEST_F(CliTest, DecomposeStoreModeAgrees) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(CliTest, DecomposeThreadsAndRelabelAgreeWithDefaults) {
+TEST_F(CliTest, DecomposeThreadsAgreeWithDefaults) {
   // A bigger graph than Figure 2 so the parallel support pass splits real
-  // work; every --threads × --relabel row must emit byte-identical κ
-  // output to the default run.
+  // work; every --threads row must emit byte-identical κ output to the
+  // default run.
   std::string big_path = TempPath("cli_matrix_edges.txt");
   Rng rng(2012);
   Graph g = PowerLawCluster(200, 4, 0.5, rng);
@@ -89,13 +89,10 @@ TEST_F(CliTest, DecomposeThreadsAndRelabelAgreeWithDefaults) {
   ASSERT_EQ(RunTool({"decompose", big_path}, &base), 0);
   base = base.substr(0, base.rfind("# edges"));
   for (const char* threads : {"--threads=1", "--threads=4"}) {
-    for (const char* relabel : {"--relabel=none", "--relabel=degree"}) {
-      std::string out;
-      ASSERT_EQ(RunTool({"decompose", big_path, threads, relabel}, &out), 0)
-          << threads << " " << relabel;
-      out = out.substr(0, out.rfind("# edges"));
-      EXPECT_EQ(out, base) << threads << " " << relabel;
-    }
+    std::string out;
+    ASSERT_EQ(RunTool({"decompose", big_path, threads}, &out), 0) << threads;
+    out = out.substr(0, out.rfind("# edges"));
+    EXPECT_EQ(out, base) << threads;
   }
 }
 
@@ -108,10 +105,19 @@ TEST_F(CliTest, UnknownKernelRejected) {
   EXPECT_NE(err.find("unknown flag '--kernel'"), std::string::npos);
 }
 
-TEST_F(CliTest, UnknownRelabelRejected) {
+TEST_F(CliTest, RelabelFlagRejected) {
+  // Vertices are always stored in source ids; the relabel flag is gone.
   std::string out, err;
-  EXPECT_EQ(RunTool({"decompose", edges_path_, "--relabel=bogus"}, &out, &err),
+  EXPECT_EQ(RunTool({"decompose", edges_path_, "--relabel=degree"}, &out, &err),
             2);
+  EXPECT_NE(err.find("unknown flag '--relabel'"), std::string::npos);
+  err.clear();
+  EXPECT_EQ(RunTool({"cache", "build", edges_path_,
+                 "--out=" + TempPath("cli_cache_relabel.tkcg"),
+                 "--relabel=degree"},
+                &out, &err),
+            2);
+  EXPECT_NE(err.find("unknown flag '--relabel'"), std::string::npos);
 }
 
 TEST_F(CliTest, DecomposeMetricsOut) {
@@ -681,18 +687,6 @@ TEST_F(CliTest, TraceOutArtifact) {
   EXPECT_EQ(doc->Find("command")->Str(), "decompose");
   EXPECT_EQ(doc->Find("exit_code")->Number(), 0.0);
 
-  // Perf block: explicit either way — available with a counter list, or a
-  // recorded reason (CI runs without perf privileges must stay green).
-  const obs::JsonValue* perf = doc->Find("perf");
-  ASSERT_NE(perf, nullptr);
-  ASSERT_NE(perf->Find("available"), nullptr);
-  if (perf->Find("available")->Bool()) {
-    EXPECT_NE(perf->Find("counters"), nullptr);
-  } else {
-    EXPECT_FALSE(perf->Find("reason")->Str().empty());
-  }
-  ASSERT_NE(doc->FindPath("mem.alloc_tracking"), nullptr);
-
   // Track summary: main is tid 0 and the pool contributes at least two
   // worker tracks at --threads=4 (the support kernel fans out even on the
   // Figure 2 graph).
@@ -821,7 +815,9 @@ TEST_F(CliTest, UpdateFromGraphCacheMatchesText) {
 
 TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
   // Each of these aborted with an uncaught std::stoll / std::stod
-  // exception, or silently narrowed --threads to an int.
+  // exception, silently narrowed --threads to an int, or (a negative size)
+  // wrapped when cast to an unsigned: --height=-1 built a chart of 2^64
+  // rows.
   const std::string events = "--events=" + edges_path_;
   const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
       {
@@ -847,6 +843,11 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
            "--p"},
           {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--n=1e3"},
            "--n"},
+          {{"plot", edges_path_, "--width=-1"}, "--width"},
+          {{"plot", edges_path_, "--height=-1"}, "--height"},
+          {{"hierarchy", edges_path_, "--max-nodes=-5"}, "--max-nodes"},
+          {{"templates", edges_path_, edges_path_, "--min-size=-1"},
+           "--min-size"},
       };
   for (const auto& [args, flag] : cases) {
     std::string out, err;
@@ -854,9 +855,17 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
     EXPECT_NE(err.find("error: " + flag + " must be"), std::string::npos)
         << args.back() << ": " << err;
   }
-  // In-range values still run.
-  std::string out;
+  std::string out, err;
+  RunTool({"plot", edges_path_, "--height=-1"}, &out, &err);
+  EXPECT_NE(err.find("error: --height must be >= 0\n"), std::string::npos);
+  // In-range values still run; a zero size is legal.
   EXPECT_EQ(RunTool({"decompose", edges_path_, "--threads=2"}, &out), 0);
+  EXPECT_EQ(RunTool({"plot", edges_path_, "--height=0"}, &out), 0);
+  EXPECT_NE(out.find("(empty plot)"), std::string::npos);
+  EXPECT_EQ(RunTool({"hierarchy", edges_path_, "--max-nodes=0"}, &out), 0);
+  EXPECT_EQ(RunTool({"templates", edges_path_, edges_path_, "--min-size=0"},
+                    &out),
+            0);
   EXPECT_EQ(RunTool({"generate", "plc", "--out=" + TempPath("cli_ok.txt"),
                  "--n=50", "--p=0.25"},
                 &out),
@@ -870,8 +879,7 @@ TEST_F(CliTest, CacheBuildLoadAndServe) {
             0);
   EXPECT_NE(out.find("wrote " + cache), std::string::npos);
   ASSERT_EQ(RunTool({"cache", "load", cache}, &out), 0);
-  EXPECT_NE(out.find("version=1"), std::string::npos);
-  EXPECT_NE(out.find("relabeled=no"), std::string::npos);
+  EXPECT_NE(out.find("version=2"), std::string::npos);
 
   // Rows served from the cache are byte-identical to text ingest.
   std::string text_rows, cache_rows;
@@ -924,24 +932,29 @@ TEST_F(CliTest, CorruptedGraphCacheIsHardErrorWithNamedReason) {
   EXPECT_NE(err.find("checksum_mismatch"), std::string::npos);
 }
 
-TEST_F(CliTest, RelabeledCacheRejectedByVertexKeyedCommands) {
-  const std::string cache = TempPath("cli_cache_degree.tkcg");
-  std::string out, err;
-  ASSERT_EQ(RunTool({"cache", "build", edges_path_, "--out=" + cache,
-                 "--relabel=degree"},
-                &out),
-            0);
-  EXPECT_EQ(RunTool({"kcore", edges_path_, "--graph-cache=" + cache}, &out,
-                &err),
-            2);
-  EXPECT_NE(err.find("degree-relabeled"), std::string::npos);
-  // decompose translates ids back, so the same cache serves it fine.
-  std::string text_rows, cache_rows;
-  ASSERT_EQ(RunTool({"decompose", edges_path_}, &text_rows), 0);
-  ASSERT_EQ(RunTool({"decompose", edges_path_, "--graph-cache=" + cache},
-                &cache_rows),
-            0);
-  EXPECT_EQ(DataRows(text_rows), DataRows(cache_rows));
+TEST_F(CliTest, VersionOneCacheRejected) {
+  // Version 1 caches could store a vertex permutation. Both a plain and a
+  // permuted v1 header are refused by name, never served.
+  const std::string cache = TempPath("cli_cache_v1.tkcg");
+  for (const char relabeled : {'\0', '\1'}) {
+    std::string out, err;
+    ASSERT_EQ(RunTool({"cache", "build", edges_path_, "--out=" + cache},
+                      &out),
+              0);
+    {
+      // Header: magic[4] | u32 version | 3 × u64 counts | u32 relabeled.
+      std::fstream file(cache, std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(4);
+      file.put('\1');
+      file.seekp(32);
+      file.put(relabeled);
+    }
+    EXPECT_EQ(RunTool({"decompose", edges_path_, "--graph-cache=" + cache},
+                      &out, &err),
+              2);
+    EXPECT_NE(err.find("rejected: bad_version"), std::string::npos) << err;
+    EXPECT_NE(err.find("tkc cache build"), std::string::npos) << err;
+  }
 }
 
 TEST_F(CliTest, ReplayWithGraphCacheReportsCacheStats) {

@@ -128,75 +128,5 @@ TEST(CsrTest, OrientedViewPartitionsAdjacency) {
   });
 }
 
-TEST(CsrRelabelTest, DegreeOrderWithOriginalIdPermutation) {
-  Rng rng(23);
-  Graph g = PowerLawCluster(90, 4, 0.5, rng);
-  g.RemoveEdgeById(g.EdgeIds()[5]);  // keep a dead-id hole in play
-  const CsrGraph plain = CsrGraph::Freeze(g);
-  const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
-
-  EXPECT_FALSE(plain.IsRelabeled());
-  EXPECT_TRUE(relabeled.IsRelabeled());
-  EXPECT_EQ(relabeled.NumVertices(), plain.NumVertices());
-  EXPECT_EQ(relabeled.NumEdges(), plain.NumEdges());
-  EXPECT_EQ(relabeled.EdgeCapacity(), plain.EdgeCapacity());
-
-  // New ids are degree-descending (ties by original id ascending), and
-  // OriginalId is a bijection back onto the input id space.
-  std::vector<bool> seen(relabeled.NumVertices(), false);
-  for (VertexId v = 0; v + 1 < relabeled.NumVertices(); ++v) {
-    const VertexId a = relabeled.OriginalId(v);
-    const VertexId b = relabeled.OriginalId(v + 1);
-    EXPECT_GE(g.Degree(a), g.Degree(b)) << "new ids " << v << "," << v + 1;
-    if (g.Degree(a) == g.Degree(b)) {
-      EXPECT_LT(a, b);
-    }
-  }
-  for (VertexId v = 0; v < relabeled.NumVertices(); ++v) {
-    const VertexId orig = relabeled.OriginalId(v);
-    ASSERT_LT(orig, relabeled.NumVertices());
-    EXPECT_FALSE(seen[orig]);
-    seen[orig] = true;
-    EXPECT_EQ(relabeled.Degree(v), g.Degree(orig));
-  }
-  // OriginalId on an unrelabeled graph is the identity.
-  for (VertexId v = 0; v < plain.NumVertices(); ++v) {
-    EXPECT_EQ(plain.OriginalId(v), v);
-  }
-}
-
-TEST(CsrRelabelTest, EdgeIdsAndOriginalEdgesPreserved) {
-  Rng rng(29);
-  Graph g = PowerLawCluster(70, 3, 0.55, rng);
-  const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
-  // Edge ids are NOT remapped: id e in the relabeled graph names the same
-  // input edge, recoverable via OriginalEdge (normalized u < v).
-  relabeled.ForEachEdge([&](EdgeId e, const Edge&) {
-    const Edge oe = relabeled.OriginalEdge(e);
-    EXPECT_LT(oe.u, oe.v);
-    const Edge in = g.GetEdge(e);
-    EXPECT_EQ(oe.u, std::min(in.u, in.v));
-    EXPECT_EQ(oe.v, std::max(in.u, in.v));
-  });
-}
-
-TEST(CsrRelabelTest, SupportsAndKappaInvariantUnderRelabel) {
-  Rng rng(31);
-  Graph g = PowerLawCluster(80, 4, 0.5, rng);
-  const CsrGraph plain = CsrGraph::Freeze(g);
-  const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
-  // Per-edge arrays are directly comparable because ids are preserved.
-  EXPECT_EQ(ComputeEdgeSupports(relabeled), ComputeEdgeSupports(plain));
-  EXPECT_EQ(CountTriangles(relabeled), CountTriangles(plain));
-  TriangleCoreResult a = ComputeTriangleCores(plain);
-  TriangleCoreResult b = ComputeTriangleCores(relabeled);
-  EXPECT_EQ(a.kappa, b.kappa);
-  // The default peel reads the triangle-partner index, whose segments are
-  // sorted by EdgeId, so even tie order inside a bucket survives the
-  // relabel.
-  EXPECT_EQ(a.order, b.order);
-  EXPECT_EQ(a.peel_sequence, b.peel_sequence);
-}
-
 }  // namespace
 }  // namespace tkc

@@ -412,15 +412,13 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, BatchFuzzTest,
 // count. This driver generates junk-injected edge-list text (malformed
 // rows, duplicates, reversed rows, self-loops, comments, missing final
 // newline) and holds the chunked parse + parallel freeze to the serial
-// path across a threads × relabel grid.
+// path across a grid of thread counts.
 
-class IngestFuzzTest
-    : public ::testing::TestWithParam<std::tuple<int, RelabelMode>> {};
+class IngestFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IngestFuzzTest, ChunkedParseAndFreezeMatchSerialOracle) {
-  const auto [threads, relabel] = GetParam();
-  Rng rng(7700001 + static_cast<uint64_t>(threads) * 13 +
-          (relabel == RelabelMode::kDegree ? 7 : 0));
+  const int threads = GetParam();
+  Rng rng(7700001 + static_cast<uint64_t>(threads) * 13);
   for (int round = 0; round < 6; ++round) {
     std::ostringstream text;
     const uint64_t n = 40 + rng.NextBounded(260);
@@ -460,10 +458,10 @@ TEST_P(IngestFuzzTest, ChunkedParseAndFreezeMatchSerialOracle) {
     });
 
     // Freeze determinism on the parsed graph: parallel freeze arrays are
-    // byte-identical to the serial freeze in the parameterized relabel
-    // mode, and κ is identical edge-for-edge.
-    CsrGraph serial = CsrGraph::Freeze(*oracle, relabel, /*threads=*/1);
-    CsrGraph parallel = CsrGraph::Freeze(parsed, relabel, threads);
+    // byte-identical to the serial freeze, and κ is identical
+    // edge-for-edge.
+    CsrGraph serial = CsrGraph::Freeze(*oracle, /*threads=*/1);
+    CsrGraph parallel = CsrGraph::Freeze(parsed, threads);
     ASSERT_EQ(serial.RawOffsets(), parallel.RawOffsets()) << "round " << round;
     ASSERT_EQ(serial.RawEntries().size(), parallel.RawEntries().size());
     for (size_t i = 0; i < serial.RawEntries().size(); ++i) {
@@ -472,7 +470,6 @@ TEST_P(IngestFuzzTest, ChunkedParseAndFreezeMatchSerialOracle) {
       ASSERT_EQ(serial.RawEntries()[i].edge, parallel.RawEntries()[i].edge)
           << "round " << round << " entry " << i;
     }
-    ASSERT_EQ(serial.RawOriginalIds(), parallel.RawOriginalIds());
     ASSERT_EQ(ComputeTriangleCores(serial).kappa,
               ComputeTriangleCores(parallel).kappa)
         << "round " << round;
@@ -480,14 +477,9 @@ TEST_P(IngestFuzzTest, ChunkedParseAndFreezeMatchSerialOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndRelabel, IngestFuzzTest,
-    ::testing::Combine(::testing::Values(1, 2, 8),
-                       ::testing::Values(RelabelMode::kNone,
-                                         RelabelMode::kDegree)),
-    [](const ::testing::TestParamInfo<IngestFuzzTest::ParamType>& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == RelabelMode::kDegree ? "_degree"
-                                                              : "_none");
+    Threads, IngestFuzzTest, ::testing::Values(1, 2, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "t" + std::to_string(info.param);
     });
 
 TEST(FuzzTest, ReplayOracleOverGeneratedEventLog) {

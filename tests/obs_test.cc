@@ -10,7 +10,6 @@
 #include "tkc/obs/log.h"
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/perf_counters.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/parallel.h"
@@ -446,45 +445,6 @@ TEST(TimelineTest, ParallelForTracksAreDeterministicAcrossRuns) {
   }
 }
 
-TEST(PerfCountersTest, DegradesGracefullyOrReads) {
-  // Counter availability is host policy; both outcomes must be sane.
-  PerfCounterGroup& group = ThreadPerfCounters();
-  if (group.available()) {
-    EXPECT_NE(group.counter_mask(), 0u);
-    PerfSample a = group.Read();
-    volatile uint64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + static_cast<uint64_t>(i);
-    PerfSample b = group.Read();
-    EXPECT_TRUE(a.available);
-    EXPECT_GE(b.cycles, a.cycles);
-  } else {
-    EXPECT_FALSE(PerfCountersAvailable());
-    EXPECT_FALSE(PerfUnavailableReason().empty());
-    EXPECT_EQ(group.Read().available, false);
-  }
-  JsonValue j = PerfAvailabilityJson();
-  ASSERT_NE(j.Find("available"), nullptr);
-  if (j.Find("available")->Bool()) {
-    EXPECT_NE(j.Find("counters"), nullptr);
-  } else {
-    EXPECT_FALSE(j.Find("reason")->Str().empty());
-  }
-}
-
-TEST(PerfCountersTest, ScopedPerfSpanIsSafeEitherWay) {
-  PhaseTracer tracer;
-  {
-    ScopedPerfSpan span(tracer, "probe");
-  }
-  const SpanNode* node = tracer.root().FindChild("probe");
-  ASSERT_NE(node, nullptr);
-  if (PerfCountersAvailable()) {
-    EXPECT_FALSE(node->counters.empty());
-  } else {
-    EXPECT_TRUE(node->counters.empty());
-  }
-}
-
 TEST(MemTest, SnapshotReportsRss) {
   MemorySnapshot snap = ReadMemorySnapshot();
 #if defined(__linux__)
@@ -518,8 +478,6 @@ TEST(MemTest, ScopedMemSpanPublishesGaugesAndSpanCounters) {
     if (key == "rss_peak_bytes") saw_peak = value > 0;
   }
   EXPECT_TRUE(saw_peak);
-  // Alloc counters appear only when the cmake hook is compiled in.
-  EXPECT_EQ(ThreadAllocationStats().count > 0, AllocationCountingEnabled());
 }
 
 }  // namespace

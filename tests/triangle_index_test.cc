@@ -1,8 +1,7 @@
 // The flat edge → triangle-partner index (core/triangle_index.h), built
 // from one recorded oriented enumeration, against a reference built from
 // the full-adjacency triangle list, and its determinism: contents and the
-// peel order built on it depend only on EdgeIds, never on threads or
-// relabel.
+// peel order built on it depend only on EdgeIds, never on threads.
 
 #include "tkc/core/triangle_index.h"
 
@@ -68,46 +67,37 @@ void ExpectMatchesReference(const Graph& g, const TrianglePartnerIndex& index,
 TEST(TriangleIndexTest, PartnersAreExactlyTheFullAdjacencyTriangles) {
   for (uint64_t seed : {1, 2, 3}) {
     const Graph g = MakeHoledGraph(seed);
-    for (RelabelMode relabel : {RelabelMode::kNone, RelabelMode::kDegree}) {
-      const CsrGraph csr = CsrGraph::Freeze(g, relabel);
-      for (int threads : {1, 2, 8}) {
-        ExpectMatchesReference(
-            g, TrianglePartnerIndex::Build(csr, threads),
-            "seed " + std::to_string(seed) +
-                " relabeled=" + std::to_string(csr.IsRelabeled()) +
-                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(TriangleIndexTest, IdenticalAcrossThreadsAndRelabel) {
-  const Graph g = MakeHoledGraph(7);
-  const CsrGraph plain = CsrGraph::Freeze(g);
-  const CsrGraph relabeled = CsrGraph::Freeze(g, RelabelMode::kDegree);
-  const TrianglePartnerIndex base = TrianglePartnerIndex::Build(plain, 1);
-  EXPECT_EQ(base.NumEntries(), 3 * CountTriangles(g));
-  for (const CsrGraph* csr : {&plain, &relabeled}) {
+    const CsrGraph csr = CsrGraph::Freeze(g);
     for (int threads : {1, 2, 8}) {
-      EXPECT_TRUE(TrianglePartnerIndex::Build(*csr, threads) == base)
-          << "relabeled=" << csr->IsRelabeled() << " threads=" << threads;
+      ExpectMatchesReference(g, TrianglePartnerIndex::Build(csr, threads),
+                             "seed " + std::to_string(seed) +
+                                 " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(TriangleIndexTest, PeelOrderIdenticalAcrossThreadsRelabelAndEntry) {
+TEST(TriangleIndexTest, IdenticalAcrossThreads) {
+  const Graph g = MakeHoledGraph(7);
+  const CsrGraph csr = CsrGraph::Freeze(g);
+  const TrianglePartnerIndex base = TrianglePartnerIndex::Build(csr, 1);
+  EXPECT_EQ(base.NumEntries(), 3 * CountTriangles(g));
+  for (int threads : {2, 8}) {
+    EXPECT_TRUE(TrianglePartnerIndex::Build(csr, threads) == base)
+        << "threads=" << threads;
+  }
+}
+
+TEST(TriangleIndexTest, PeelOrderIdenticalAcrossThreadsAndEntry) {
   const Graph g = MakeHoledGraph(11);
   const TriangleCoreResult base = ComputeTriangleCores(g);
-  for (RelabelMode relabel : {RelabelMode::kNone, RelabelMode::kDegree}) {
-    for (int threads : {1, 2, 8}) {
-      AnalysisContext ctx(CsrGraph::Freeze(g, relabel), threads);
-      const TriangleCoreResult r = ComputeTriangleCores(ctx);
-      EXPECT_EQ(r.kappa, base.kappa) << threads;
-      EXPECT_EQ(r.order, base.order) << threads;
-      EXPECT_EQ(r.peel_sequence, base.peel_sequence) << threads;
-      EXPECT_EQ(r.max_kappa, base.max_kappa);
-      EXPECT_EQ(r.triangle_count, base.triangle_count);
-    }
+  for (int threads : {1, 2, 8}) {
+    AnalysisContext ctx(CsrGraph::Freeze(g), threads);
+    const TriangleCoreResult r = ComputeTriangleCores(ctx);
+    EXPECT_EQ(r.kappa, base.kappa) << threads;
+    EXPECT_EQ(r.order, base.order) << threads;
+    EXPECT_EQ(r.peel_sequence, base.peel_sequence) << threads;
+    EXPECT_EQ(r.max_kappa, base.max_kappa);
+    EXPECT_EQ(r.triangle_count, base.triangle_count);
   }
   const TriangleCoreResult from_csr = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(from_csr.order, base.order);

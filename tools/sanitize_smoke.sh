@@ -58,16 +58,6 @@ run_one() {
     echo "!! 4-thread kappa differs from 1-thread kappa" >&2
     exit 1
   fi
-  echo "== $sanitizer: relabel CLI =="
-  # --relabel=degree drives the permutation/OriginalEdge path; it must
-  # reproduce the unrelabeled κ output byte for byte.
-  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
-    --relabel=degree > "$smoke_dir/kappa_relabel.txt"
-  if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
-            <(grep -v '^#' "$smoke_dir/kappa_relabel.txt"); then
-    echo "!! --relabel=degree kappa differs from unrelabeled" >&2
-    exit 1
-  fi
   echo "== $sanitizer: ingest + graph cache CLI =="
   # Drive the mmap chunk parser and the .tkcg cache under the sanitizers:
   # chunked parse at 8 threads must match the 4-thread run row for row,

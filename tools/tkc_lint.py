@@ -3,7 +3,7 @@
 
 A fast, AST-lite (regex + line-state) pass enforcing the conventions that
 the compiler cannot: metric names stay documented, allocation goes through
-the counting hook, library code stays stream/rand-free, span names fit the
+owning containers, library code stays stream/rand-free, span names fit the
 snake.case registry and the timeline's inline buffers, headers carry their
 canonical include guard, and every thread-safety escape hatch is justified.
 The rule catalog with examples lives in docs/static_analysis.md.
@@ -37,8 +37,8 @@ RULES = {
     ),
     "TKC-L010": (
         "raw-new-delete",
-        "raw new/delete outside src/tkc/obs/mem.cc (use containers, "
-        "make_unique, or justify a leaky singleton)",
+        "raw new/delete anywhere in src/ (use containers, make_unique, "
+        "or justify a leaky singleton)",
     ),
     "TKC-L020": (
         "banned-api",
@@ -75,7 +75,7 @@ ALLOW_RE = re.compile(r"tkc-lint:\s*allow\(([a-z0-9-]+)\)")
 METRIC_USE_RE = re.compile(
     r"Get(?:Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"(\s*\+)?")
 SPAN_USE_RE = re.compile(
-    r"(?:TKC_SPAN(?:_PERF|_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
+    r"(?:TKC_SPAN(?:_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
 NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![\w.])delete(?:\[\])?\b")
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
@@ -235,13 +235,12 @@ class Linter:
         self.files_scanned += 1
         in_library = str(rel).startswith("src/tkc/") and not str(
             rel).startswith("src/tkc/cli/")
-        is_mem_cc = str(rel) == "src/tkc/obs/mem.cc"
 
         for i, raw in enumerate(lines, 1):
             code = strip_code(raw)
 
-            # TKC-L010: raw allocation outside the counting hook.
-            if str(rel).startswith("src/") and not is_mem_cc:
+            # TKC-L010: raw allocation.
+            if str(rel).startswith("src/"):
                 code_nodecl = re.sub(r"=\s*delete\b|operator\s+(new|delete)",
                                      "", code)
                 if NEW_RE.search(code_nodecl):

@@ -17,7 +17,7 @@ endif()
 
 execute_process(
   COMMAND "${JSON_CHECK}" "${TRACE_OUT}"
-          --require=schema,traceEvents --require=tracks,perf,mem
+          --require=schema,traceEvents --require=tracks,mem
   RESULT_VARIABLE trace_rc)
 if(NOT trace_rc EQUAL 0)
   message(FATAL_ERROR "json_check rejected ${TRACE_OUT} (${trace_rc})")
