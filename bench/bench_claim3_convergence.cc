@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "tkc/baselines/dn_graph.h"
+#include "tkc/core/analysis_context.h"
 #include "tkc/core/triangle_core.h"
 
 namespace tkc::bench {
@@ -28,10 +29,11 @@ int Run(int argc, char** argv) {
     Dataset ds = MakeDataset(name, cfg.seed, cfg.size_factor);
     const Graph& g = ds.graph;
     Timer t;
-    TriangleCoreResult cores = ComputeTriangleCores(g);
+    const AnalysisContext ctx(g);
+    TriangleCoreResult cores = ComputeTriangleCores(ctx);
     double tkc_s = t.Seconds();
-    DnGraphResult tri = TriDn(g);
-    DnGraphResult bi = BiTriDn(g);
+    DnGraphResult tri = TriDn(ctx);
+    DnGraphResult bi = BiTriDn(ctx);
 
     uint64_t agree_tri = 0, agree_bi = 0, edges = 0;
     g.ForEachEdge([&](EdgeId e, const Edge&) {

@@ -130,7 +130,7 @@ inline std::string FmtCount(uint64_t v) {
 inline void PrintGraphSummary(const std::string& name, const Graph& g) {
   std::printf("[%s] |V|=%u |E|=%zu triangles=%llu\n", name.c_str(),
               g.NumVertices(), g.NumEdges(),
-              static_cast<unsigned long long>(CountTriangles(g)));
+              static_cast<unsigned long long>(CountTriangles(CsrGraph(g))));
 }
 
 /// Machine-readable companion to the human tables: collects result rows and

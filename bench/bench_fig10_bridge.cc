@@ -59,7 +59,7 @@ int Run(int argc, char** argv) {
 
   PrintGraphSummary("dblp 2003", year1);
   PrintGraphSummary("dblp 2004", year2);
-  ComponentResult comps = ConnectedComponents(year1);
+  ComponentResult comps = ConnectedComponents(CsrGraph(year1));
   std::printf("groups in distinct 2003 components: %s\n\n",
               comps.component_of[group1[0]] != comps.component_of[group2[0]]
                   ? "yes"
@@ -74,7 +74,7 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(det.characteristic_triangles),
               static_cast<unsigned long long>(det.possible_triangles));
 
-  DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+  DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph), det.co_clique_size,
                                       /*include_zero_vertices=*/false);
   auto plateaus = FindPlateaus(plot, 4, 3);
   TablePrinter table({10, 8, 8, 40});

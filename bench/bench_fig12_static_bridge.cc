@@ -70,7 +70,7 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(det.characteristic_triangles),
               static_cast<unsigned long long>(det.possible_triangles));
 
-  DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+  DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph), det.co_clique_size,
                                       /*include_zero_vertices=*/false);
   auto plateaus = FindPlateaus(plot, 5, 3);
   TablePrinter table({10, 8, 8, 44});

@@ -33,7 +33,7 @@ int Run(int argc, char** argv) {
 
   for (const char* name : {"synthetic", "stocks", "ppi", "dblp"}) {
     Dataset ds = MakeDataset(name, cfg.seed, cfg.size_factor);
-    const Graph& g = ds.graph;
+    const CsrGraph g(ds.graph);
 
     Timer t;
     CsvResult csv = ComputeCsv(g);
@@ -75,16 +75,17 @@ int Run(int argc, char** argv) {
   table.Rule();
 
   // Terminal rendering of one pair, like the paper's visual side-by-side.
-  Dataset ppi = MakeDataset("ppi", cfg.seed, cfg.size_factor * 0.3);
-  TriangleCoreResult cores = ComputeTriangleCores(ppi.graph);
-  std::vector<uint32_t> co(ppi.graph.EdgeCapacity(), 0);
-  ppi.graph.ForEachEdge([&](EdgeId e, const Edge&) {
+  const CsrGraph ppi(
+      MakeDataset("ppi", cfg.seed, cfg.size_factor * 0.3).graph);
+  TriangleCoreResult cores = ComputeTriangleCores(ppi);
+  std::vector<uint32_t> co(ppi.EdgeCapacity(), 0);
+  ppi.ForEachEdge([&](EdgeId e, const Edge&) {
     co[e] = cores.kappa[e] + 2;
   });
   AsciiChartOptions opt;
   opt.height = 12;
   std::printf("\nTriangle K-Core density plot, ppi (reduced):\n%s",
-              RenderAsciiChart(BuildDensityPlot(ppi.graph, co), opt).c_str());
+              RenderAsciiChart(BuildDensityPlot(ppi, co), opt).c_str());
   std::printf("\nSVGs written to %s/fig6_<dataset>.svg\n",
               ArtifactDir().c_str());
   return report.Finish(0);

@@ -68,12 +68,13 @@ int Run(int argc, char** argv) {
   PrintGraphSummary("ppi+planted", g);
 
   Timer t;
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult cores = ComputeTriangleCores(csr);
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = cores.kappa[e] + 2; });
   std::printf("decomposition time: %ss\n\n", Fmt(t.Seconds()).c_str());
 
-  DensityPlot plot = BuildDensityPlot(g, co);
+  DensityPlot plot = BuildDensityPlot(csr, co);
   auto plateaus = FindPlateaus(plot, 8, 6);
 
   TablePrinter table({10, 10, 10, 26, 16});
@@ -117,7 +118,8 @@ int Run(int argc, char** argv) {
 
   // The paper's specific observations, checked directly:
   bool c2_exact =
-      IsClique(g, clique2) && cores.kappa[g.FindEdge(clique2[0], clique2[1])] == 8;
+      IsClique(csr, clique2) &&
+      cores.kappa[g.FindEdge(clique2[0], clique2[1])] == 8;
   EdgeId c3_edge = g.FindEdge(clique3[2], clique3[3]);
   bool c3_at_9 = cores.kappa[c3_edge] + 2 == 9;
   std::printf("\nclique2 is an exact 10-vertex clique at height 10: %s\n",

@@ -68,7 +68,7 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(det.characteristic_triangles),
               det.special_edges.size());
 
-  DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+  DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph), det.co_clique_size,
                                       /*include_zero_vertices=*/false);
   auto plateaus = FindPlateaus(plot, 4, 3);
   TablePrinter table({10, 8, 8, 40});

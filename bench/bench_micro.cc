@@ -41,7 +41,7 @@ Graph MakeGraph(int64_t n) {
 }
 
 void BM_TriangleCount(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   uint64_t triangles = 0;
   for (auto _ : state) {
     triangles = CountTriangles(g);
@@ -53,21 +53,8 @@ void BM_TriangleCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleCount)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Support counting on the mutable Graph (pointer-chasing adjacency), the
-// CSR snapshot (serial), and the CSR snapshot with the parallel kernel —
-// the three entry points the AnalysisContext read path unifies. All three
-// produce identical per-edge arrays; only throughput differs.
-void BM_SupportCount_Graph(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
-  for (auto _ : state) {
-    std::vector<uint32_t> support = ComputeEdgeSupports(g);
-    benchmark::DoNotOptimize(support.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.NumEdges()));
-}
-BENCHMARK(BM_SupportCount_Graph)->Arg(1000)->Arg(10000)->Arg(50000);
-
+// Support counting on the CSR snapshot, serial and with the parallel
+// kernel. Both produce identical per-edge arrays; only throughput differs.
 void BM_SupportCount_Csr(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   CsrGraph csr(g);
@@ -113,7 +100,7 @@ BENCHMARK(BM_SupportCount_CsrParallel)
     ->Args({50000, 4});
 
 void BM_KCorePeel(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   for (auto _ : state) {
     KCoreResult r = ComputeKCores(g);
     benchmark::DoNotOptimize(r.max_core);
@@ -215,8 +202,10 @@ BENCHMARK(BM_DynamicInsertDelete)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_BiTriDnPass(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
+  AnalysisContext ctx(g, /*threads=*/1);
+  ctx.Supports();
   for (auto _ : state) {
-    DnGraphResult r = BiTriDn(g, 1);  // one synchronous pass
+    DnGraphResult r = BiTriDn(ctx, 1);  // one synchronous pass
     benchmark::DoNotOptimize(r.edge_updates);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -225,7 +214,7 @@ void BM_BiTriDnPass(benchmark::State& state) {
 BENCHMARK(BM_BiTriDnPass)->Arg(1000)->Arg(10000);
 
 void BM_DensityPlotBuild(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   TriangleCoreResult cores = ComputeTriangleCores(g);
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = cores.kappa[e] + 2; });

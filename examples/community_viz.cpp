@@ -27,10 +27,12 @@ int main(int argc, char** argv) {
 
   // A scale-free social network with three planted communities of
   // different cohesion.
-  Graph g = PowerLawCluster(2000, 3, 0.6, rng);
-  auto book_club = PlantRandomClique(g, 12, rng);
-  auto team = PlantRandomClique(g, 9, rng);
-  auto trio_plus = PlantRandomClique(g, 7, rng);
+  Graph network = PowerLawCluster(2000, 3, 0.6, rng);
+  auto book_club = PlantRandomClique(network, 12, rng);
+  auto team = PlantRandomClique(network, 9, rng);
+  auto trio_plus = PlantRandomClique(network, 7, rng);
+  // Every analytic below reads one frozen snapshot (EdgeIds carry over).
+  const CsrGraph g(network);
   std::printf("network: %u vertices, %zu edges, %llu triangles\n",
               g.NumVertices(), g.NumEdges(),
               static_cast<unsigned long long>(CountTriangles(g)));

@@ -26,8 +26,10 @@ int main() {
 
   // 2. Static decomposition (Algorithm 1): κ(e) = maximum Triangle K-Core
   // number of each edge; co_clique_size(e) = κ(e)+2 approximates the
-  // largest clique the edge participates in.
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  // largest clique the edge participates in. The analytics read a frozen
+  // snapshot of the graph, which keeps its EdgeIds.
+  const CsrGraph csr(g);
+  TriangleCoreResult cores = ComputeTriangleCores(csr);
   const char* names = "ABCDE";
   g.ForEachEdge([&](EdgeId e, const Edge& edge) {
     std::printf("  kappa(%c%c) = %u  (co-clique estimate %u)\n",
@@ -37,7 +39,7 @@ int main() {
 
   // 3. The maximum Triangle K-Core of edge DE: the 4 vertices B,C,D,E.
   EdgeId de = g.FindEdge(3, 4);
-  CoreSubgraph core = MaxTriangleCoreOf(g, cores.kappa, de);
+  CoreSubgraph core = MaxTriangleCoreOf(csr, cores.kappa, de);
   std::printf("max Triangle K-Core of DE: k=%u, %zu vertices, %zu edges\n",
               core.k, core.vertices.size(), core.edges.size());
 
@@ -55,12 +57,13 @@ int main() {
   Rng rng(7);
   Graph big = GnmRandom(120, 220, rng);
   PlantRandomClique(big, 8, rng);
-  TriangleCoreResult big_cores = ComputeTriangleCores(big);
-  std::vector<uint32_t> co(big.EdgeCapacity(), 0);
-  big.ForEachEdge([&](EdgeId e, const Edge&) {
+  const CsrGraph big_csr(big);
+  TriangleCoreResult big_cores = ComputeTriangleCores(big_csr);
+  std::vector<uint32_t> co(big_csr.EdgeCapacity(), 0);
+  big_csr.ForEachEdge([&](EdgeId e, const Edge&) {
     co[e] = big_cores.kappa[e] + 2;
   });
-  DensityPlot plot = BuildDensityPlot(big, co);
+  DensityPlot plot = BuildDensityPlot(big_csr, co);
   AsciiChartOptions opt;
   opt.height = 10;
   std::printf("\ndensity plot (the 8-high plateau is the planted clique):\n%s",

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   for (const TemplateSpec& spec :
        {NewFormSpec(), BridgeSpec(), NewJoinSpec()}) {
     TemplateDetectionResult det = DetectTemplateCliques(lg, spec);
-    DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+    DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph),
+                                        det.co_clique_size,
                                         /*include_zero_vertices=*/false);
     std::printf("--- %s: %llu characteristic, %llu possible triangles, "
                 "%zu special edges ---\n",

@@ -9,10 +9,7 @@
 
 namespace tkc {
 
-namespace {
-
-template <typename GraphT>
-CsvResult ComputeCsvImpl(const GraphT& g, const CsvOptions& options) {
+CsvResult ComputeCsv(const CsrGraph& g, const CsvOptions& options) {
   TKC_SPAN("baseline.csv");
   CsvResult result;
   result.co_clique_size.assign(g.EdgeCapacity(), 0);
@@ -122,16 +119,6 @@ CsvResult ComputeCsvImpl(const GraphT& g, const CsvOptions& options) {
   TKC_SPAN_COUNTER("search_nodes", result.search_nodes);
   TKC_SPAN_COUNTER("estimated_edges", result.estimated_edges);
   return result;
-}
-
-}  // namespace
-
-CsvResult ComputeCsv(const Graph& g, const CsvOptions& options) {
-  return ComputeCsvImpl(g, options);
-}
-
-CsvResult ComputeCsv(const CsrGraph& g, const CsvOptions& options) {
-  return ComputeCsvImpl(g, options);
 }
 
 }  // namespace tkc

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -34,10 +33,6 @@ struct CsvResult {
 /// (co_clique_size = 2 + ω(G[N(u) ∩ N(v)])). This reproduces the property
 /// the paper leans on: CSV computes (nearly) exact clique sizes but pays a
 /// per-edge search that dwarfs the single peel of Algorithm 1.
-CsvResult ComputeCsv(const Graph& g, const CsvOptions& options = {});
-
-/// Same estimator over the frozen CSR read path; output is identical
-/// (EdgeIds are shared between the representations).
 CsvResult ComputeCsv(const CsrGraph& g, const CsvOptions& options = {});
 
 }  // namespace tkc

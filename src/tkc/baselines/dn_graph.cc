@@ -16,8 +16,7 @@ namespace {
 
 // Largest k <= cap such that at least k of e's triangles have partner-min
 // >= k (the Definition 5 support test applied at every level at once).
-template <typename GraphT>
-uint32_t SupportedLevel(const GraphT& g, const std::vector<uint32_t>& lambda,
+uint32_t SupportedLevel(const CsrGraph& g, const std::vector<uint32_t>& lambda,
                         EdgeId e, uint32_t cap) {
   if (cap == 0) return 0;
   std::vector<uint32_t> hist(cap + 1, 0);
@@ -36,8 +35,8 @@ uint32_t SupportedLevel(const GraphT& g, const std::vector<uint32_t>& lambda,
 // Each synchronous pass reads only the previous iteration's λ̃ values, so
 // refine calls are independent and the live-edge sweep can be statically
 // partitioned across workers without changing any result.
-template <typename GraphT, typename Refine>
-DnGraphResult IterateToFixpoint(const GraphT& g, const char* span_name,
+template <typename Refine>
+DnGraphResult IterateToFixpoint(const CsrGraph& g, const char* span_name,
                                 uint32_t max_iterations,
                                 std::vector<uint32_t> initial_lambda,
                                 int threads, Refine&& refine) {
@@ -80,11 +79,12 @@ DnGraphResult IterateToFixpoint(const GraphT& g, const char* span_name,
   return result;
 }
 
-template <typename GraphT>
-DnGraphResult TriDnImpl(const GraphT& g, uint32_t max_iterations,
-                        std::vector<uint32_t> initial_lambda, int threads) {
+}  // namespace
+
+DnGraphResult TriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
+  const CsrGraph& g = ctx.csr();
   return IterateToFixpoint(
-      g, "baseline.tridn", max_iterations, std::move(initial_lambda), threads,
+      g, "baseline.tridn", max_iterations, ctx.Supports(), ctx.threads(),
       [&g](const std::vector<uint32_t>& lambda, EdgeId e) -> uint32_t {
         uint32_t current = lambda[e];
         if (current == 0) return 0;
@@ -98,43 +98,20 @@ DnGraphResult TriDnImpl(const GraphT& g, uint32_t max_iterations,
       });
 }
 
-template <typename GraphT>
-DnGraphResult BiTriDnImpl(const GraphT& g, uint32_t max_iterations,
-                          std::vector<uint32_t> initial_lambda, int threads) {
+DnGraphResult BiTriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
+  const CsrGraph& g = ctx.csr();
   return IterateToFixpoint(
-      g, "baseline.bitridn", max_iterations, std::move(initial_lambda),
-      threads,
+      g, "baseline.bitridn", max_iterations, ctx.Supports(), ctx.threads(),
       [&g](const std::vector<uint32_t>& lambda, EdgeId e) -> uint32_t {
         return SupportedLevel(g, lambda, e, lambda[e]);
       });
-}
-
-}  // namespace
-
-DnGraphResult TriDn(const Graph& g, uint32_t max_iterations) {
-  return TriDnImpl(g, max_iterations, ComputeEdgeSupports(g), /*threads=*/1);
-}
-
-DnGraphResult TriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
-  return TriDnImpl(ctx.csr(), max_iterations, ctx.Supports(), ctx.threads());
-}
-
-DnGraphResult BiTriDn(const Graph& g, uint32_t max_iterations) {
-  return BiTriDnImpl(g, max_iterations, ComputeEdgeSupports(g),
-                     /*threads=*/1);
-}
-
-DnGraphResult BiTriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
-  return BiTriDnImpl(ctx.csr(), max_iterations, ctx.Supports(),
-                     ctx.threads());
 }
 
 namespace {
 
 // Requirement (1) of the DN-Graph definition restricted to `members`:
 // every connected pair inside shares >= lambda neighbors inside.
-template <typename GraphT>
-bool SatisfiesDensity(const GraphT& g, const std::vector<bool>& inside,
+bool SatisfiesDensity(const CsrGraph& g, const std::vector<bool>& inside,
                       const std::vector<VertexId>& members,
                       uint32_t lambda) {
   for (VertexId u : members) {
@@ -151,9 +128,10 @@ bool SatisfiesDensity(const GraphT& g, const std::vector<bool>& inside,
   return true;
 }
 
-template <typename GraphT>
-std::vector<DnGraphCandidate> ExtractDnGraphsImpl(
-    const GraphT& g, const std::vector<uint32_t>& lambda,
+}  // namespace
+
+std::vector<DnGraphCandidate> ExtractDnGraphs(
+    const CsrGraph& g, const std::vector<uint32_t>& lambda,
     uint32_t min_lambda) {
   std::vector<DnGraphCandidate> candidates;
   std::vector<bool> inside(g.NumVertices(), false);
@@ -210,42 +188,14 @@ std::vector<DnGraphCandidate> ExtractDnGraphsImpl(
   return candidates;
 }
 
-template <typename GraphT>
-std::vector<bool> DnGraphCoverageImpl(const GraphT& g,
-                                      const std::vector<uint32_t>& lambda,
-                                      uint32_t min_lambda) {
-  std::vector<bool> covered(g.NumVertices(), false);
-  for (const DnGraphCandidate& cand :
-       ExtractDnGraphsImpl(g, lambda, min_lambda)) {
-    for (VertexId v : cand.vertices) covered[v] = true;
-  }
-  return covered;
-}
-
-}  // namespace
-
-std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const Graph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda) {
-  return ExtractDnGraphsImpl(g, lambda, min_lambda);
-}
-
-std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const CsrGraph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda) {
-  return ExtractDnGraphsImpl(g, lambda, min_lambda);
-}
-
-std::vector<bool> DnGraphCoverage(const Graph& g,
-                                  const std::vector<uint32_t>& lambda,
-                                  uint32_t min_lambda) {
-  return DnGraphCoverageImpl(g, lambda, min_lambda);
-}
-
 std::vector<bool> DnGraphCoverage(const CsrGraph& g,
                                   const std::vector<uint32_t>& lambda,
                                   uint32_t min_lambda) {
-  return DnGraphCoverageImpl(g, lambda, min_lambda);
+  std::vector<bool> covered(g.NumVertices(), false);
+  for (const DnGraphCandidate& cand : ExtractDnGraphs(g, lambda, min_lambda)) {
+    for (VertexId v : cand.vertices) covered[v] = true;
+  }
+  return covered;
 }
 
 }  // namespace tkc

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -30,20 +29,17 @@ struct DnGraphResult {
 /// decrement is what makes TriDN take many passes on large graphs (66 on
 /// Flickr per the paper) — the cost profile Table II reports.
 ///
-/// `max_iterations` = 0 means run to convergence.
-DnGraphResult TriDn(const Graph& g, uint32_t max_iterations = 0);
-
-/// Runs TriDN on the frozen CSR read path. λ̃ is seeded from the context's
-/// cached support array, and the synchronous passes fan out over
-/// ctx.threads() workers (each pass reads only the previous iteration's
-/// values, so the result is bit-for-bit identical at any thread count).
+/// λ̃ is seeded from the context's cached support array, and the
+/// synchronous passes fan out over ctx.threads() workers (each pass reads
+/// only the previous iteration's values, so the result is bit-for-bit
+/// identical at any thread count). `max_iterations` = 0 means run to
+/// convergence.
 DnGraphResult TriDn(const AnalysisContext& ctx, uint32_t max_iterations = 0);
 
 /// BiTriDN: the improved variant — each pass jumps an edge's λ̃ directly to
 /// the largest value its neighborhood currently supports (a bisection-style
 /// shortcut over TriDN's unit steps), converging in far fewer passes while
 /// reaching the same fixpoint.
-DnGraphResult BiTriDn(const Graph& g, uint32_t max_iterations = 0);
 DnGraphResult BiTriDn(const AnalysisContext& ctx,
                       uint32_t max_iterations = 0);
 
@@ -65,17 +61,11 @@ struct DnGraphCandidate {
 /// vertex incident only to λ = 0 edges belongs to no DN-Graph (Figure 5's
 /// vertex A).
 std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const Graph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda = 1);
-std::vector<DnGraphCandidate> ExtractDnGraphs(
     const CsrGraph& g, const std::vector<uint32_t>& lambda,
     uint32_t min_lambda = 1);
 
 /// Per-vertex coverage: true iff the vertex appears in some candidate with
 /// λ >= min_lambda.
-std::vector<bool> DnGraphCoverage(const Graph& g,
-                                  const std::vector<uint32_t>& lambda,
-                                  uint32_t min_lambda = 1);
 std::vector<bool> DnGraphCoverage(const CsrGraph& g,
                                   const std::vector<uint32_t>& lambda,
                                   uint32_t min_lambda = 1);

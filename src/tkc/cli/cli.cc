@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -97,14 +98,21 @@ ParsedArgs Parse(const std::vector<std::string>& args) {
 
 // A numeric flag whose value is not a number, has trailing characters or
 // does not fit its type (`--threads` feeds an int) is a usage error, and so
-// is a negative count or size (it would wrap when cast to an unsigned).
+// is a value outside its range: a negative count or size would wrap when
+// cast to an unsigned, `generate` takes --n and --m as uint32 counts, and
+// R-MAT's --scale is a vertex-count exponent of at most 30.
 bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
   static const std::set<std::string> kInt64Flags = {
       "width", "height", "max-nodes", "check-every", "batch", "query-every",
       "compact-edits", "min-size", "seed", "n", "m", "scale"};
-  static const std::set<std::string> kNonNegativeFlags = {
-      "threads", "width", "height", "max-nodes", "query-every",
-      "compact-edits", "min-size"};
+  constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kU32Max = std::numeric_limits<uint32_t>::max();
+  static const std::map<std::string, std::pair<int64_t, int64_t>> kRanges = {
+      {"threads", {0, kNoMax}},       {"width", {0, kNoMax}},
+      {"height", {0, kNoMax}},        {"max-nodes", {0, kNoMax}},
+      {"query-every", {0, kNoMax}},   {"compact-edits", {0, kNoMax}},
+      {"min-size", {0, kNoMax}},      {"n", {0, kU32Max}},
+      {"m", {0, kU32Max}},            {"scale", {1, 30}}};
   for (const auto& [key, text] : parsed.flags) {
     const char* want = nullptr;
     if (key == "threads" && !ParseNumber<int>(text)) {
@@ -120,8 +128,17 @@ bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
           << "')\n";
       return false;
     }
-    if (kNonNegativeFlags.count(key) > 0 && parsed.FlagInt(key, 0) < 0) {
-      err << "error: --" << key << " must be >= 0\n";
+    const auto range = kRanges.find(key);
+    if (range == kRanges.end()) continue;
+    const auto [lo, hi] = range->second;
+    const int64_t value = parsed.FlagInt(key, 0);
+    if (value < lo || value > hi) {
+      err << "error: --" << key << " must be ";
+      if (hi == kNoMax) {
+        err << ">= " << lo << '\n';
+      } else {
+        err << "in " << lo << ".." << hi << " (got " << value << ")\n";
+      }
       return false;
     }
   }
@@ -695,7 +712,7 @@ int CmdTemplates(const ParsedArgs& args, std::ostream& out,
   }
   LabeledGraph lg = LabelFromGraphs(*old_g, *new_g);
   TemplateDetectionResult det = DetectTemplateCliques(lg, spec);
-  DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+  DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph), det.co_clique_size,
                                       /*include_zero_vertices=*/false);
   auto plateaus = FindPlateaus(
       plot, static_cast<uint32_t>(args.FlagInt("min-size", 3)), 2);

@@ -23,8 +23,8 @@ namespace tkc {
 /// checkable in tests.
 ///
 /// EdgeIds are inherited from the source Graph unchanged, so κ/order/support
-/// arrays produced against a context are interchangeable with the dynamic
-/// Graph overloads' output.
+/// arrays produced against a context index that Graph, and a DeltaCsr built
+/// from it, alike.
 ///
 /// Thread-safe for concurrent readers (lazy initialization is locked); the
 /// snapshot itself is immutable.

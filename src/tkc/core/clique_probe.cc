@@ -11,7 +11,8 @@ std::vector<VertexId> CoreGuidedMaxClique(const Graph& g,
                                           uint64_t node_budget,
                                           CliqueProbeStats* stats) {
   CliqueProbeStats local;
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult cores = ComputeTriangleCores(csr);
   std::vector<VertexId> best;
   // Any edge at all is a 2-clique; a triangle a 3-clique. Seed the
   // incumbent so trivial graphs return correct answers.
@@ -26,7 +27,7 @@ std::vector<VertexId> CoreGuidedMaxClique(const Graph& g,
     if (best.size() >= static_cast<size_t>(k) + 2) break;
     ++local.levels_searched;
     for (const CoreSubgraph& core :
-         TriangleConnectedCores(g, cores.kappa, k)) {
+         TriangleConnectedCores(csr, cores.kappa, k)) {
       // Skip interiors already covered by a higher level: only search
       // components whose peak is exactly k.
       bool peak = false;
@@ -38,7 +39,7 @@ std::vector<VertexId> CoreGuidedMaxClique(const Graph& g,
       Graph induced(static_cast<VertexId>(core.vertices.size()));
       for (size_t i = 0; i < core.vertices.size(); ++i) {
         for (size_t j = i + 1; j < core.vertices.size(); ++j) {
-          if (g.HasEdge(core.vertices[i], core.vertices[j])) {
+          if (csr.HasEdge(core.vertices[i], core.vertices[j])) {
             induced.AddEdge(static_cast<VertexId>(i),
                             static_cast<VertexId>(j));
           }

@@ -11,8 +11,7 @@ namespace tkc {
 namespace {
 
 // Fills sub.vertices from sub.edges.
-template <typename GraphT>
-void CollectVertices(const GraphT& g, CoreSubgraph* sub) {
+void CollectVertices(const CsrGraph& g, CoreSubgraph* sub) {
   sub->vertices.clear();
   for (EdgeId e : sub->edges) {
     Edge edge = g.GetEdge(e);
@@ -27,8 +26,7 @@ void CollectVertices(const GraphT& g, CoreSubgraph* sub) {
 
 // BFS over the triangle-adjacency of edges whose κ >= k, starting at
 // `seed`. Marks visited edges in `visited` and returns them.
-template <typename GraphT>
-std::vector<EdgeId> TriangleBfs(const GraphT& g,
+std::vector<EdgeId> TriangleBfs(const CsrGraph& g,
                                 const std::vector<uint32_t>& kappa,
                                 uint32_t k, EdgeId seed,
                                 std::vector<bool>& visited) {
@@ -53,23 +51,23 @@ std::vector<EdgeId> TriangleBfs(const GraphT& g,
   return component;
 }
 
-template <typename GraphT>
-CoreSubgraph TriangleKCoreImpl(const GraphT& g,
-                               const std::vector<uint32_t>& kappa,
-                               uint32_t k) {
+}  // namespace
+
+CoreSubgraph TriangleKCore(const CsrGraph& g,
+                           const std::vector<uint32_t>& kappa, uint32_t k) {
   CoreSubgraph sub;
   sub.k = k;
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     if (kappa[e] >= k) sub.edges.push_back(e);
   });
   CollectVertices(g, &sub);
+  TKC_VERIFY_L2(TKC_CHECK_MSG(VerifyTriangleKCore(g, sub.edges, k),
+                              "TriangleKCore: Definition 3 violated"));
   return sub;
 }
 
-template <typename GraphT>
-CoreSubgraph MaxTriangleCoreOfImpl(const GraphT& g,
-                                   const std::vector<uint32_t>& kappa,
-                                   EdgeId e) {
+CoreSubgraph MaxTriangleCoreOf(const CsrGraph& g,
+                               const std::vector<uint32_t>& kappa, EdgeId e) {
   TKC_CHECK(g.IsEdgeAlive(e));
   CoreSubgraph sub;
   sub.k = kappa[e];
@@ -79,9 +77,8 @@ CoreSubgraph MaxTriangleCoreOfImpl(const GraphT& g,
   return sub;
 }
 
-template <typename GraphT>
-std::vector<CoreSubgraph> TriangleConnectedCoresImpl(
-    const GraphT& g, const std::vector<uint32_t>& kappa, uint32_t k) {
+std::vector<CoreSubgraph> TriangleConnectedCores(
+    const CsrGraph& g, const std::vector<uint32_t>& kappa, uint32_t k) {
   std::vector<CoreSubgraph> cores;
   std::vector<bool> visited(g.EdgeCapacity(), false);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
@@ -104,10 +101,8 @@ std::vector<CoreSubgraph> TriangleConnectedCoresImpl(
   return cores;
 }
 
-template <typename GraphT>
-bool VerifyTriangleKCoreImpl(const GraphT& g,
-                             const std::vector<EdgeId>& sub_edges,
-                             uint32_t k) {
+bool VerifyTriangleKCore(const CsrGraph& g,
+                         const std::vector<EdgeId>& sub_edges, uint32_t k) {
   std::vector<bool> member(g.EdgeCapacity(), false);
   for (EdgeId e : sub_edges) {
     if (!g.IsEdgeAlive(e)) return false;
@@ -123,8 +118,7 @@ bool VerifyTriangleKCoreImpl(const GraphT& g,
   return true;
 }
 
-template <typename GraphT>
-bool VerifyTheorem1Impl(const GraphT& g, const std::vector<uint32_t>& kappa) {
+bool VerifyTheorem1(const CsrGraph& g, const std::vector<uint32_t>& kappa) {
   bool ok = true;
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     uint32_t supported = 0;
@@ -136,9 +130,9 @@ bool VerifyTheorem1Impl(const GraphT& g, const std::vector<uint32_t>& kappa) {
   return ok;
 }
 
-template <typename GraphT>
-std::vector<CoreTriangle> CoreTrianglesOfImpl(
-    const GraphT& g, const TriangleCoreResult& result, EdgeId e) {
+std::vector<CoreTriangle> CoreTrianglesOf(const CsrGraph& g,
+                                          const TriangleCoreResult& result,
+                                          EdgeId e) {
   struct Entry {
     uint32_t process_time;
     CoreTriangle triangle;
@@ -163,91 +157,13 @@ std::vector<CoreTriangle> CoreTrianglesOfImpl(
   return core;
 }
 
-template <typename GraphT>
-bool IsCliqueImpl(const GraphT& g, const std::vector<VertexId>& vertices) {
+bool IsClique(const CsrGraph& g, const std::vector<VertexId>& vertices) {
   for (size_t i = 0; i < vertices.size(); ++i) {
     for (size_t j = i + 1; j < vertices.size(); ++j) {
       if (!g.HasEdge(vertices[i], vertices[j])) return false;
     }
   }
   return true;
-}
-
-}  // namespace
-
-CoreSubgraph TriangleKCore(const Graph& g, const std::vector<uint32_t>& kappa,
-                           uint32_t k) {
-  CoreSubgraph sub = TriangleKCoreImpl(g, kappa, k);
-  TKC_VERIFY_L2(TKC_CHECK_MSG(VerifyTriangleKCoreImpl(g, sub.edges, k),
-                              "TriangleKCore(Graph): Definition 3 violated"));
-  return sub;
-}
-
-CoreSubgraph TriangleKCore(const CsrGraph& g,
-                           const std::vector<uint32_t>& kappa, uint32_t k) {
-  CoreSubgraph sub = TriangleKCoreImpl(g, kappa, k);
-  TKC_VERIFY_L2(
-      TKC_CHECK_MSG(VerifyTriangleKCoreImpl(g, sub.edges, k),
-                    "TriangleKCore(CsrGraph): Definition 3 violated"));
-  return sub;
-}
-
-CoreSubgraph MaxTriangleCoreOf(const Graph& g,
-                               const std::vector<uint32_t>& kappa, EdgeId e) {
-  return MaxTriangleCoreOfImpl(g, kappa, e);
-}
-
-CoreSubgraph MaxTriangleCoreOf(const CsrGraph& g,
-                               const std::vector<uint32_t>& kappa, EdgeId e) {
-  return MaxTriangleCoreOfImpl(g, kappa, e);
-}
-
-std::vector<CoreSubgraph> TriangleConnectedCores(
-    const Graph& g, const std::vector<uint32_t>& kappa, uint32_t k) {
-  return TriangleConnectedCoresImpl(g, kappa, k);
-}
-
-std::vector<CoreSubgraph> TriangleConnectedCores(
-    const CsrGraph& g, const std::vector<uint32_t>& kappa, uint32_t k) {
-  return TriangleConnectedCoresImpl(g, kappa, k);
-}
-
-bool VerifyTriangleKCore(const Graph& g, const std::vector<EdgeId>& sub_edges,
-                         uint32_t k) {
-  return VerifyTriangleKCoreImpl(g, sub_edges, k);
-}
-
-bool VerifyTriangleKCore(const CsrGraph& g,
-                         const std::vector<EdgeId>& sub_edges, uint32_t k) {
-  return VerifyTriangleKCoreImpl(g, sub_edges, k);
-}
-
-bool VerifyTheorem1(const Graph& g, const std::vector<uint32_t>& kappa) {
-  return VerifyTheorem1Impl(g, kappa);
-}
-
-bool VerifyTheorem1(const CsrGraph& g, const std::vector<uint32_t>& kappa) {
-  return VerifyTheorem1Impl(g, kappa);
-}
-
-std::vector<CoreTriangle> CoreTrianglesOf(const Graph& g,
-                                          const TriangleCoreResult& result,
-                                          EdgeId e) {
-  return CoreTrianglesOfImpl(g, result, e);
-}
-
-std::vector<CoreTriangle> CoreTrianglesOf(const CsrGraph& g,
-                                          const TriangleCoreResult& result,
-                                          EdgeId e) {
-  return CoreTrianglesOfImpl(g, result, e);
-}
-
-bool IsClique(const Graph& g, const std::vector<VertexId>& vertices) {
-  return IsCliqueImpl(g, vertices);
-}
-
-bool IsClique(const CsrGraph& g, const std::vector<VertexId>& vertices) {
-  return IsCliqueImpl(g, vertices);
 }
 
 }  // namespace tkc

@@ -6,7 +6,6 @@
 
 #include "tkc/core/triangle_core.h"
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -20,10 +19,9 @@ struct CoreSubgraph {
 
 /// Edges of the *maximal* Triangle K-Core with number >= k: exactly the
 /// edges with κ(e) >= k (Claim 2's subgraph G_k). May be triangle- and even
-/// vertex-disconnected. Every function in this header has a CsrGraph
-/// overload producing identical output (EdgeIds are shared).
-CoreSubgraph TriangleKCore(const Graph& g, const std::vector<uint32_t>& kappa,
-                           uint32_t k);
+/// vertex-disconnected. Every function in this header reads a frozen
+/// CsrGraph; a caller holding a Graph freezes it once (`CsrGraph csr(g)`),
+/// which keeps its EdgeIds, so κ arrays index either.
 CoreSubgraph TriangleKCore(const CsrGraph& g,
                            const std::vector<uint32_t>& kappa, uint32_t k);
 
@@ -32,8 +30,6 @@ CoreSubgraph TriangleKCore(const CsrGraph& g,
 /// subgraph of edges with κ >= κ(e). Two edges are triangle-connected when
 /// a chain of triangles (each fully inside the subgraph) links them; this is
 /// the "community" the paper draws in its case studies.
-CoreSubgraph MaxTriangleCoreOf(const Graph& g,
-                               const std::vector<uint32_t>& kappa, EdgeId e);
 CoreSubgraph MaxTriangleCoreOf(const CsrGraph& g,
                                const std::vector<uint32_t>& kappa, EdgeId e);
 
@@ -41,15 +37,11 @@ CoreSubgraph MaxTriangleCoreOf(const CsrGraph& g,
 /// as its own CoreSubgraph. Components with no triangle (isolated edges of
 /// the subgraph) are skipped for k >= 1.
 std::vector<CoreSubgraph> TriangleConnectedCores(
-    const Graph& g, const std::vector<uint32_t>& kappa, uint32_t k);
-std::vector<CoreSubgraph> TriangleConnectedCores(
     const CsrGraph& g, const std::vector<uint32_t>& kappa, uint32_t k);
 
 /// Checks Definition 3: every edge of `sub` participates in at least `k`
 /// triangles formed entirely by edges of `sub`. Used by tests and by the
 /// benchmark harnesses to certify extracted cores.
-bool VerifyTriangleKCore(const Graph& g, const std::vector<EdgeId>& sub_edges,
-                         uint32_t k);
 bool VerifyTriangleKCore(const CsrGraph& g,
                          const std::vector<EdgeId>& sub_edges, uint32_t k);
 
@@ -57,11 +49,9 @@ bool VerifyTriangleKCore(const CsrGraph& g,
 /// least κ(e) triangles whose two partner edges both have κ >= κ(e) — i.e.,
 /// e's maximum Triangle K-Core is realizable from triangles that respect
 /// Theorem 1. (The decomposition is the maximum such assignment; see tests.)
-bool VerifyTheorem1(const Graph& g, const std::vector<uint32_t>& kappa);
 bool VerifyTheorem1(const CsrGraph& g, const std::vector<uint32_t>& kappa);
 
 /// True iff `vertices` form a clique in `g`.
-bool IsClique(const Graph& g, const std::vector<VertexId>& vertices);
 bool IsClique(const CsrGraph& g, const std::vector<VertexId>& vertices);
 
 /// Appendix Rule 1: without storing per-edge triangle sets, the κ(e)
@@ -73,9 +63,6 @@ struct CoreTriangle {
   VertexId apex;
   EdgeId e1, e2;
 };
-std::vector<CoreTriangle> CoreTrianglesOf(const Graph& g,
-                                          const TriangleCoreResult& result,
-                                          EdgeId e);
 std::vector<CoreTriangle> CoreTrianglesOf(const CsrGraph& g,
                                           const TriangleCoreResult& result,
                                           EdgeId e);

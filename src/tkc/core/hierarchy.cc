@@ -13,11 +13,8 @@
 
 namespace tkc {
 
-namespace {
-
-template <typename GraphT>
-CoreHierarchy BuildCoreHierarchyImpl(const GraphT& g,
-                                     const TriangleCoreResult& result) {
+CoreHierarchy BuildCoreHierarchy(const CsrGraph& g,
+                                 const TriangleCoreResult& result) {
   CoreHierarchy h;
   h.leaf_of_edge_.assign(g.EdgeCapacity(), UINT32_MAX);
   const uint32_t max_k = MaxKappa(g, result);
@@ -81,26 +78,8 @@ CoreHierarchy BuildCoreHierarchyImpl(const GraphT& g,
     });
     prev_node.swap(cur_node);
   }
-  return h;
-}
-
-}  // namespace
-
-CoreHierarchy BuildCoreHierarchy(const Graph& g,
-                                 const TriangleCoreResult& result) {
-  CoreHierarchy h = BuildCoreHierarchyImpl(g, result);
   TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckHierarchyNesting(h, g, result),
-      "BuildCoreHierarchy(Graph)"));
-  return h;
-}
-
-CoreHierarchy BuildCoreHierarchy(const CsrGraph& g,
-                                 const TriangleCoreResult& result) {
-  CoreHierarchy h = BuildCoreHierarchyImpl(g, result);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckHierarchyNesting(h, g, result),
-      "BuildCoreHierarchy(CsrGraph)"));
+      verify::CheckHierarchyNesting(h, g, result), "BuildCoreHierarchy"));
   return h;
 }
 

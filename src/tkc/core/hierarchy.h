@@ -7,7 +7,6 @@
 
 #include "tkc/core/triangle_core.h"
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -46,8 +45,6 @@ struct CoreHierarchy {
 /// triangle-connected (a chain of triangles whose edges all stay at κ >= k
 /// links the member edges). Cost: one triangle-BFS pass per level over the
 /// edges at that level.
-CoreHierarchy BuildCoreHierarchy(const Graph& g,
-                                 const TriangleCoreResult& result);
 CoreHierarchy BuildCoreHierarchy(const CsrGraph& g,
                                  const TriangleCoreResult& result);
 

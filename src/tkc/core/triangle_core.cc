@@ -221,12 +221,6 @@ TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx) {
   return ComputeTriangleCores(ctx);
 }
 
-uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r) {
-  uint32_t m = 0;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { m = std::max(m, r.kappa[e]); });
-  return m;
-}
-
 uint32_t MaxKappa(const CsrGraph& g, const TriangleCoreResult& r) {
   uint32_t m = 0;
   g.ForEachEdge([&](EdgeId e, const Edge&) { m = std::max(m, r.kappa[e]); });

@@ -50,6 +50,10 @@ struct TriangleCoreResult {
 /// snapshot and runs the AnalysisContext overload, so κ, `order` and
 /// `peel_sequence` are identical across overloads; in kStoreTriangles mode
 /// they are also identical across thread counts.
+///
+/// The Graph overload freezes `g` first. It stays only because the
+/// benchmark (perfbench/layers.cc) calls it; library code freezes itself.
+// tkc-lint: allow(graph-twin) -- perfbench/layers.cc calls this overload.
 TriangleCoreResult ComputeTriangleCores(
     const Graph& g,
     TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
@@ -82,7 +86,6 @@ TriangleCoreResult ComputeTriangleCores(
     TriangleStorageMode mode = TriangleStorageMode::kStoreTriangles);
 
 /// Largest κ over live edges of a precomputed result (0 on empty graphs).
-uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r);
 uint32_t MaxKappa(const CsrGraph& g, const TriangleCoreResult& r);
 
 }  // namespace tkc

@@ -122,7 +122,8 @@ SnapshotPair GrowSnapshot(const Graph& base, size_t num_grow,
 
   // (a) Densify around random triangles: connect each triangle vertex to a
   // random neighbor-of-neighbor, pulling near-cliques toward cliques.
-  std::vector<Triangle> triangles = ListTriangles(base);
+  std::vector<Triangle> triangles;
+  ForEachTriangle(base, [&](const Triangle& t) { triangles.push_back(t); });
   for (size_t i = 0; i < num_grow && !triangles.empty(); ++i) {
     const Triangle& t = triangles[rng.NextBounded(triangles.size())];
     VertexId corners[3] = {t.a, t.b, t.c};

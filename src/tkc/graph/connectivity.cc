@@ -4,11 +4,7 @@
 
 namespace tkc {
 
-namespace {
-
-// BFS labeling shared by the mutable and frozen representations.
-template <typename GraphT>
-ComponentResult LabelComponents(const GraphT& g) {
+ComponentResult ConnectedComponents(const CsrGraph& g) {
   const VertexId n = g.NumVertices();
   ComponentResult result;
   result.component_of.assign(n, kInvalidVertex);
@@ -32,8 +28,7 @@ ComponentResult LabelComponents(const GraphT& g) {
   return result;
 }
 
-template <typename GraphT>
-bool BfsSameComponent(const GraphT& g, VertexId u, VertexId v) {
+bool SameComponent(const CsrGraph& g, VertexId u, VertexId v) {
   if (u == v) return true;
   if (u >= g.NumVertices() || v >= g.NumVertices()) return false;
   std::vector<bool> visited(g.NumVertices(), false);
@@ -53,8 +48,7 @@ bool BfsSameComponent(const GraphT& g, VertexId u, VertexId v) {
   return false;
 }
 
-template <typename GraphT>
-std::vector<VertexId> BfsReachable(const GraphT& g, VertexId start) {
+std::vector<VertexId> ReachableFrom(const CsrGraph& g, VertexId start) {
   std::vector<VertexId> out;
   if (start >= g.NumVertices()) return out;
   std::vector<bool> visited(g.NumVertices(), false);
@@ -72,32 +66,6 @@ std::vector<VertexId> BfsReachable(const GraphT& g, VertexId start) {
     }
   }
   return out;
-}
-
-}  // namespace
-
-ComponentResult ConnectedComponents(const Graph& g) {
-  return LabelComponents(g);
-}
-
-ComponentResult ConnectedComponents(const CsrGraph& g) {
-  return LabelComponents(g);
-}
-
-bool SameComponent(const Graph& g, VertexId u, VertexId v) {
-  return BfsSameComponent(g, u, v);
-}
-
-bool SameComponent(const CsrGraph& g, VertexId u, VertexId v) {
-  return BfsSameComponent(g, u, v);
-}
-
-std::vector<VertexId> ReachableFrom(const Graph& g, VertexId start) {
-  return BfsReachable(g, start);
-}
-
-std::vector<VertexId> ReachableFrom(const CsrGraph& g, VertexId start) {
-  return BfsReachable(g, start);
 }
 
 }  // namespace tkc

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -16,16 +15,13 @@ struct ComponentResult {
   uint32_t num_components = 0;
 };
 
-ComponentResult ConnectedComponents(const Graph& g);
 ComponentResult ConnectedComponents(const CsrGraph& g);
 
 /// True iff `u` and `v` are in the same connected component of `g`.
 /// Convenience wrapper (one BFS); use ConnectedComponents for bulk queries.
-bool SameComponent(const Graph& g, VertexId u, VertexId v);
 bool SameComponent(const CsrGraph& g, VertexId u, VertexId v);
 
 /// Vertices reachable from `start` (including `start`).
-std::vector<VertexId> ReachableFrom(const Graph& g, VertexId start);
 std::vector<VertexId> ReachableFrom(const CsrGraph& g, VertexId start);
 
 }  // namespace tkc

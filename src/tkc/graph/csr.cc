@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
@@ -106,21 +105,6 @@ std::vector<EdgeId> CsrGraph::EdgeIds() const {
   ids.reserve(NumEdges());
   ForEachEdge([&](EdgeId e, const Edge&) { ids.push_back(e); });
   return ids;
-}
-
-std::vector<uint32_t> CsrGraph::ComputeSupports(int threads) const {
-  return ComputeEdgeSupports(*this, threads);
-}
-
-uint64_t CsrGraph::CountTriangles() const {
-  uint64_t count = 0;
-  ForEachEdge([&](EdgeId, const Edge& edge) {
-    ForEachCommonNeighbor(edge.u, edge.v,
-                          [&](VertexId w, EdgeId, EdgeId) {
-                            count += (w > edge.v);
-                          });
-  });
-  return count;
 }
 
 Graph CsrGraph::ThawPreservingIds() const {

@@ -166,14 +166,6 @@ class CsrGraph {
     }
   }
 
-  /// Per-edge triangle supports (same contract as ComputeEdgeSupports).
-  /// `threads` follows the ResolveThreads convention (0 = default); the
-  /// result is identical for every thread count.
-  std::vector<uint32_t> ComputeSupports(int threads = 1) const;
-
-  /// Total triangle count.
-  uint64_t CountTriangles() const;
-
   /// Thaws back into a mutable Graph PRESERVING EdgeIds, holes included —
   /// the cache-served path for `tkc verify`.
   Graph ThawPreservingIds() const;

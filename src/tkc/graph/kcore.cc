@@ -4,12 +4,7 @@
 
 namespace tkc {
 
-namespace {
-
-// Shared Batagelj–Zaversnik peel over any representation exposing
-// NumVertices / Degree / Neighbors (Graph and CsrGraph).
-template <typename GraphT>
-KCoreResult PeelKCores(const GraphT& g) {
+KCoreResult ComputeKCores(const CsrGraph& g) {
   const VertexId n = g.NumVertices();
   KCoreResult result;
   result.core_of.assign(n, 0);
@@ -67,12 +62,6 @@ KCoreResult PeelKCores(const GraphT& g) {
   }
   return result;
 }
-
-}  // namespace
-
-KCoreResult ComputeKCores(const Graph& g) { return PeelKCores(g); }
-
-KCoreResult ComputeKCores(const CsrGraph& g) { return PeelKCores(g); }
 
 std::vector<VertexId> KCoreMembers(const KCoreResult& r, uint32_t k) {
   std::vector<VertexId> members;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -23,10 +22,6 @@ struct KCoreResult {
   std::vector<VertexId> peel_order;
 };
 
-KCoreResult ComputeKCores(const Graph& g);
-
-/// Same decomposition over the frozen CSR read path (identical output —
-/// vertex ids are shared between the representations).
 KCoreResult ComputeKCores(const CsrGraph& g);
 
 /// Vertices of the maximal subgraph with minimum degree >= k (the k-core).

@@ -9,10 +9,7 @@
 
 namespace tkc {
 
-namespace {
-
-template <typename GraphT>
-double LocalClusteringImpl(const GraphT& g, VertexId v) {
+double LocalClustering(const CsrGraph& g, VertexId v) {
   uint64_t d = g.Degree(v);
   if (d < 2) return 0.0;
   // Triangles through v = sum over incident edges of common neighbors,
@@ -24,8 +21,7 @@ double LocalClusteringImpl(const GraphT& g, VertexId v) {
   return static_cast<double>(closed_twice) / (static_cast<double>(d) * (d - 1));
 }
 
-template <typename GraphT>
-GraphStats ComputeGraphStatsImpl(const GraphT& g) {
+GraphStats ComputeGraphStats(const CsrGraph& g) {
   GraphStats stats;
   stats.num_vertices = g.NumVertices();
   stats.num_edges = g.NumEdges();
@@ -49,7 +45,7 @@ GraphStats ComputeGraphStatsImpl(const GraphT& g) {
 
   double local_sum = 0.0;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    local_sum += LocalClusteringImpl(g, v);
+    local_sum += LocalClustering(g, v);
   }
   stats.mean_local_clustering = local_sum / stats.num_vertices;
 
@@ -58,8 +54,7 @@ GraphStats ComputeGraphStatsImpl(const GraphT& g) {
   return stats;
 }
 
-template <typename GraphT>
-std::vector<uint64_t> DegreeHistogramImpl(const GraphT& g) {
+std::vector<uint64_t> DegreeHistogram(const CsrGraph& g) {
   uint32_t max_degree = 0;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     max_degree = std::max(max_degree, g.Degree(v));
@@ -69,33 +64,7 @@ std::vector<uint64_t> DegreeHistogramImpl(const GraphT& g) {
   return hist;
 }
 
-}  // namespace
-
-GraphStats ComputeGraphStats(const Graph& g) {
-  return ComputeGraphStatsImpl(g);
-}
-
-GraphStats ComputeGraphStats(const CsrGraph& g) {
-  return ComputeGraphStatsImpl(g);
-}
-
-std::vector<uint64_t> DegreeHistogram(const Graph& g) {
-  return DegreeHistogramImpl(g);
-}
-
-std::vector<uint64_t> DegreeHistogram(const CsrGraph& g) {
-  return DegreeHistogramImpl(g);
-}
-
-double LocalClustering(const Graph& g, VertexId v) {
-  return LocalClusteringImpl(g, v);
-}
-
-double LocalClustering(const CsrGraph& g, VertexId v) {
-  return LocalClusteringImpl(g, v);
-}
-
-uint32_t Eccentricity(const Graph& g, VertexId source, VertexId* farthest) {
+uint32_t Eccentricity(const CsrGraph& g, VertexId source, VertexId* farthest) {
   std::vector<uint32_t> dist(g.NumVertices(), UINT32_MAX);
   std::deque<VertexId> queue{source};
   dist[source] = 0;
@@ -119,7 +88,7 @@ uint32_t Eccentricity(const Graph& g, VertexId source, VertexId* farthest) {
   return best;
 }
 
-uint32_t EstimateDiameter(const Graph& g, uint32_t samples, Rng& rng) {
+uint32_t EstimateDiameter(const CsrGraph& g, uint32_t samples, Rng& rng) {
   if (g.NumVertices() == 0) return 0;
   uint32_t best = 0;
   for (uint32_t i = 0; i < samples; ++i) {

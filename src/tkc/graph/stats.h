@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 #include "tkc/util/random.h"
 
 namespace tkc {
@@ -28,28 +27,23 @@ struct GraphStats {
   uint32_t num_components = 0;
 };
 
-GraphStats ComputeGraphStats(const Graph& g);
-
-/// Same statistics over the frozen CSR read path.
 GraphStats ComputeGraphStats(const CsrGraph& g);
 
 /// Degree histogram: result[d] = number of vertices with degree d.
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
 std::vector<uint64_t> DegreeHistogram(const CsrGraph& g);
 
 /// Local clustering coefficient of one vertex: triangles through v divided
 /// by C(deg(v), 2); 0 when deg < 2.
-double LocalClustering(const Graph& g, VertexId v);
 double LocalClustering(const CsrGraph& g, VertexId v);
 
 /// Estimates the diameter (longest shortest path) of the largest component
 /// by double-sweep BFS from `samples` random seeds; returns a lower bound
 /// that is exact on trees and typically tight on small-world graphs.
-uint32_t EstimateDiameter(const Graph& g, uint32_t samples, Rng& rng);
+uint32_t EstimateDiameter(const CsrGraph& g, uint32_t samples, Rng& rng);
 
 /// Exact single-source eccentricity (BFS depth) from `source`; unreachable
 /// vertices are ignored. Returns 0 for isolated sources.
-uint32_t Eccentricity(const Graph& g, VertexId source,
+uint32_t Eccentricity(const CsrGraph& g, VertexId source,
                       VertexId* farthest = nullptr);
 
 }  // namespace tkc

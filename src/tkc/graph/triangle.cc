@@ -38,9 +38,9 @@ void RecordEnumeration(const IntersectStats& stats, uint64_t triangles) {
 
 // Counted sorted-merge over the full adjacency of {u, v}: invokes
 // fn(w, uw_edge, vw_edge) per common neighbor and returns the number of
-// merge iterations actually spent. GraphT is Graph or CsrGraph.
-template <typename GraphT, typename Fn>
-uint64_t MergeCommonNeighbors(const GraphT& g, VertexId u, VertexId v,
+// merge iterations actually spent.
+template <typename Fn>
+uint64_t MergeCommonNeighbors(const CsrGraph& g, VertexId u, VertexId v,
                               Fn&& fn) {
   const auto& a = g.Neighbors(u);
   const auto& b = g.Neighbors(v);
@@ -50,30 +50,6 @@ uint64_t MergeCommonNeighbors(const GraphT& g, VertexId u, VertexId v,
 }
 
 }  // namespace
-
-uint32_t EdgeSupport(const Graph& g, EdgeId e) {
-  Edge edge = g.GetEdge(e);
-  return g.CountCommonNeighbors(edge.u, edge.v);
-}
-
-std::vector<uint32_t> ComputeEdgeSupports(const Graph& g) {
-  TKC_SPAN("triangle.supports");
-  std::vector<uint32_t> support(g.EdgeCapacity(), 0);
-  uint64_t triangles = 0;
-  IntersectStats stats;
-  g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-    stats.merge_steps += MergeCommonNeighbors(
-        g, edge.u, edge.v, [&](VertexId w, EdgeId uw, EdgeId vw) {
-          if (w <= edge.v) return;
-          ++support[e];
-          ++support[uw];
-          ++support[vw];
-          ++triangles;
-        });
-  });
-  RecordEnumeration(stats, triangles);
-  return support;
-}
 
 std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads) {
   TKC_SPAN("triangle.supports");
@@ -178,19 +154,6 @@ std::vector<uint32_t> ComputeEdgeSupportsFullScan(const CsrGraph& g) {
   return support;
 }
 
-uint64_t CountTriangles(const Graph& g) {
-  TKC_SPAN("triangle.count");
-  uint64_t n = 0;
-  IntersectStats stats;
-  g.ForEachEdge([&](EdgeId, const Edge& edge) {
-    stats.merge_steps += MergeCommonNeighbors(
-        g, edge.u, edge.v,
-        [&](VertexId w, EdgeId, EdgeId) { n += (w > edge.v); });
-  });
-  RecordEnumeration(stats, n);
-  return n;
-}
-
 uint64_t CountTriangles(const CsrGraph& g, int threads) {
   TKC_SPAN("triangle.count");
   threads = ResolveThreads(threads);
@@ -216,20 +179,6 @@ uint64_t CountTriangles(const CsrGraph& g, int threads) {
   return n;
 }
 
-std::vector<Triangle> ListTriangles(const Graph& g) {
-  TKC_SPAN("triangle.list");
-  std::vector<Triangle> out;
-  IntersectStats stats;
-  g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-    stats.merge_steps += MergeCommonNeighbors(
-        g, edge.u, edge.v, [&](VertexId w, EdgeId uw, EdgeId vw) {
-          if (w > edge.v) out.push_back(Triangle{edge.u, edge.v, w, e, uw, vw});
-        });
-  });
-  RecordEnumeration(stats, out.size());
-  return out;
-}
-
 std::vector<Triangle> ListTriangles(const CsrGraph& g) {
   TKC_SPAN("triangle.list");
   std::vector<Triangle> out;
@@ -244,7 +193,7 @@ std::vector<Triangle> ListTriangles(const CsrGraph& g) {
   return out;
 }
 
-TriangleStats ComputeTriangleStats(const Graph& g) {
+TriangleStats ComputeTriangleStats(const CsrGraph& g) {
   TriangleStats stats;
   std::vector<uint32_t> support = ComputeEdgeSupports(g);
   uint64_t total_support = 0;

@@ -26,24 +26,15 @@ void ForEachTriangleOnEdge(const GraphT& g, EdgeId e, Fn&& fn) {
   IntersectNeighbors(g, edge.u, edge.v, std::forward<Fn>(fn));
 }
 
-/// Number of triangles containing edge `e` (the edge's *support*).
-uint32_t EdgeSupport(const Graph& g, EdgeId e);
-
-/// Per-edge supports, indexed by EdgeId (size = g.EdgeCapacity(); dead ids
-/// hold 0). Each triangle is discovered once via the oriented (forward)
-/// algorithm and credited to its three edges, so the cost is
-/// O(sum over edges of min-degree) — the paper's "linear in |Tri|" regime.
-std::vector<uint32_t> ComputeEdgeSupports(const Graph& g);
-
-/// The shared support kernel over a frozen CSR snapshot, running on the
-/// degree-ordered oriented view: each triangle is found exactly once at the
-/// edge joining its two lowest-rank vertices by intersecting the endpoints'
-/// out-lists, so per-edge work is bounded by the out-degrees (≤ degeneracy)
-/// instead of min full degree. `threads` follows the ResolveThreads
-/// convention (0 = process default, 1 = serial); work is statically
-/// partitioned and per-thread partial supports are reduced in thread order,
-/// so the result is identical — bit for bit — for every thread count, and
-/// equal to the Graph overload's.
+/// Per-edge triangle supports, indexed by EdgeId (size = g.EdgeCapacity();
+/// dead ids hold 0). The support kernel runs on the degree-ordered
+/// oriented view: each triangle is found exactly once at the edge joining
+/// its two lowest-rank vertices by intersecting the endpoints' out-lists,
+/// so per-edge work is bounded by the out-degrees (≤ degeneracy) instead of
+/// min full degree. `threads` follows the ResolveThreads convention
+/// (0 = process default, 1 = serial); work is statically partitioned and
+/// per-thread partial supports are reduced in thread order, so the result
+/// is identical — bit for bit — for every thread count.
 std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads = 1);
 
 /// The oriented enumeration behind ComputeEdgeSupports(const CsrGraph&):
@@ -87,7 +78,6 @@ std::vector<std::vector<OrientedTriangle>> RecordOrientedTriangles(
 std::vector<uint32_t> ComputeEdgeSupportsFullScan(const CsrGraph& g);
 
 /// Total number of distinct triangles in the graph.
-uint64_t CountTriangles(const Graph& g);
 uint64_t CountTriangles(const CsrGraph& g, int threads = 1);
 
 /// Invokes `fn(const Triangle&)` exactly once per triangle in the graph.
@@ -108,7 +98,6 @@ void ForEachTriangle(const GraphT& g, Fn&& fn) {
 }
 
 /// Lists all triangles (see ForEachTriangle for ordering).
-std::vector<Triangle> ListTriangles(const Graph& g);
 std::vector<Triangle> ListTriangles(const CsrGraph& g);
 
 /// Global and per-vertex clustering statistics; used by generators and by
@@ -119,7 +108,7 @@ struct TriangleStats {
   double mean_edge_support = 0.0;
 };
 
-TriangleStats ComputeTriangleStats(const Graph& g);
+TriangleStats ComputeTriangleStats(const CsrGraph& g);
 
 }  // namespace tkc
 

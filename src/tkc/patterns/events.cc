@@ -32,7 +32,8 @@ void AppendEventsFor(const LabeledGraph& lg, const TemplateSpec& spec,
   uint32_t min_kappa = std::max(
       1u, options.min_clique_size >= 2 ? options.min_clique_size - 2 : 1u);
   std::vector<CoreSubgraph> cores =
-      TriangleConnectedCores(lg.graph, det.kappa_special, min_kappa);
+      TriangleConnectedCores(CsrGraph(lg.graph), det.kappa_special,
+                             min_kappa);
   // Keep only cores made of special edges (kappa_special is 0 elsewhere, so
   // min_kappa >= 1 guarantees this; at min_kappa == 0 skip non-special).
   std::vector<CliqueEvent> typed;

@@ -22,7 +22,7 @@ LabeledGraph LabelCommon(const Graph& old_graph, const Graph& new_graph,
        v < std::min(old_graph.NumVertices(), new_graph.NumVertices()); ++v) {
     lg.vertex_origin[v] = Origin::kOriginal;
   }
-  ComponentResult comps = ConnectedComponents(old_graph);
+  ComponentResult comps = ConnectedComponents(CsrGraph(old_graph));
   lg.old_component.assign(new_graph.NumVertices(), kInvalidVertex);
   for (VertexId v = 0; v < old_graph.NumVertices(); ++v) {
     lg.old_component[v] = comps.component_of[v];

@@ -60,7 +60,7 @@ TemplateDetectionResult DetectTemplateCliques(const LabeledGraph& lg,
   }
 
   // Step 8: Algorithm 1 on G_spe.
-  TriangleCoreResult cores = ComputeTriangleCores(spe);
+  TriangleCoreResult cores = ComputeTriangleCores(CsrGraph(spe));
 
   // Steps 9-13: map κ back; non-special edges stay at 0.
   spe.ForEachEdge([&](EdgeId se, const Edge&) {

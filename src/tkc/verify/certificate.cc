@@ -124,11 +124,6 @@ VerifyReport CheckKappaCertificateImpl(const GraphT& g,
 
 }  // namespace
 
-VerifyReport CheckKappaCertificate(const Graph& g,
-                                   const std::vector<uint32_t>& kappa) {
-  return CheckKappaCertificateImpl(g, kappa);
-}
-
 VerifyReport CheckKappaCertificate(const CsrGraph& g,
                                    const std::vector<uint32_t>& kappa) {
   return CheckKappaCertificateImpl(g, kappa);

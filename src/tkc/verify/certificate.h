@@ -6,7 +6,6 @@
 
 #include "tkc/graph/csr.h"
 #include "tkc/graph/delta_csr.h"
-#include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
 
 namespace tkc::verify {
@@ -39,8 +38,6 @@ namespace tkc::verify {
 /// A map passing all three equals the true decomposition: soundness gives
 /// {κ >= k} ⊆ (maximal k-core) for every k, maximality the converse.
 /// Cost: O(max κ · |E| · deg) — linear-ish per level, no cleverness.
-VerifyReport CheckKappaCertificate(const Graph& g,
-                                   const std::vector<uint32_t>& kappa);
 VerifyReport CheckKappaCertificate(const CsrGraph& g,
                                    const std::vector<uint32_t>& kappa);
 VerifyReport CheckKappaCertificate(const DeltaCsr& g,

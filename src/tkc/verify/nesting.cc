@@ -8,12 +8,9 @@
 
 namespace tkc::verify {
 
-namespace {
-
-template <typename GraphT>
-InvariantCheck CheckHierarchyNestingImpl(const CoreHierarchy& h,
-                                         const GraphT& g,
-                                         const TriangleCoreResult& result) {
+InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h,
+                                     const CsrGraph& g,
+                                     const TriangleCoreResult& result) {
   const char* name = "hierarchy.nesting";
   const std::string detail = "nodes=" + std::to_string(h.nodes.size()) +
                              " roots=" + std::to_string(h.roots.size());
@@ -108,9 +105,8 @@ InvariantCheck CheckHierarchyNestingImpl(const CoreHierarchy& h,
   return Pass(name, detail);
 }
 
-template <typename GraphT>
-InvariantCheck CheckExtractionNestingImpl(
-    const GraphT& g, const std::vector<uint32_t>& kappa) {
+InvariantCheck CheckExtractionNesting(const CsrGraph& g,
+                                      const std::vector<uint32_t>& kappa) {
   const char* name = "extraction.nesting";
   uint32_t max_k = 0;
   g.ForEachEdge(
@@ -154,29 +150,6 @@ InvariantCheck CheckExtractionNestingImpl(
     outer = std::move(sub.edges);
   }
   return Pass(name, detail);
-}
-
-}  // namespace
-
-InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h, const Graph& g,
-                                     const TriangleCoreResult& result) {
-  return CheckHierarchyNestingImpl(h, g, result);
-}
-
-InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h,
-                                     const CsrGraph& g,
-                                     const TriangleCoreResult& result) {
-  return CheckHierarchyNestingImpl(h, g, result);
-}
-
-InvariantCheck CheckExtractionNesting(const Graph& g,
-                                      const std::vector<uint32_t>& kappa) {
-  return CheckExtractionNestingImpl(g, kappa);
-}
-
-InvariantCheck CheckExtractionNesting(const CsrGraph& g,
-                                      const std::vector<uint32_t>& kappa) {
-  return CheckExtractionNestingImpl(g, kappa);
 }
 
 }  // namespace tkc::verify

@@ -7,7 +7,6 @@
 #include "tkc/core/hierarchy.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
 
 namespace tkc::verify {
@@ -21,8 +20,6 @@ namespace tkc::verify {
 ///    while κ = 0 edges map to no node;
 ///  * subtree edge counts telescope (subtree_edges = peak edges + children
 ///    subtree_edges) and subtree vertex counts never grow downward.
-InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h, const Graph& g,
-                                     const TriangleCoreResult& result);
 InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h,
                                      const CsrGraph& g,
                                      const TriangleCoreResult& result);
@@ -32,8 +29,6 @@ InvariantCheck CheckHierarchyNesting(const CoreHierarchy& h,
 /// valid triangle k-core by direct recount (Definition 3: each member edge
 /// keeps >= k triangles inside the member set) and is contained in the
 /// level-(k-1) subgraph — the Claim 2 chain G_max ⊆ ... ⊆ G_1 ⊆ G.
-InvariantCheck CheckExtractionNesting(const Graph& g,
-                                      const std::vector<uint32_t>& kappa);
 InvariantCheck CheckExtractionNesting(const CsrGraph& g,
                                       const std::vector<uint32_t>& kappa);
 

@@ -22,10 +22,11 @@ struct FrontierEntry {
   }
 };
 
-template <typename GraphT>
-DensityPlot BuildDensityPlotImpl(const GraphT& g,
-                                 const std::vector<uint32_t>& co_clique_size,
-                                 bool include_zero_vertices) {
+}  // namespace
+
+DensityPlot BuildDensityPlot(const CsrGraph& g,
+                             const std::vector<uint32_t>& co_clique_size,
+                             bool include_zero_vertices) {
   TKC_CHECK(co_clique_size.size() >= g.EdgeCapacity());
   const VertexId n = g.NumVertices();
   DensityPlot plot;
@@ -89,8 +90,6 @@ DensityPlot BuildDensityPlotImpl(const GraphT& g,
   return plot;
 }
 
-}  // namespace
-
 uint32_t DensityPlot::MaxValue() const {
   uint32_t m = 0;
   for (const auto& p : points) m = std::max(m, p.value);
@@ -102,18 +101,6 @@ int64_t DensityPlot::PositionOf(VertexId v) const {
     if (points[i].vertex == v) return static_cast<int64_t>(i);
   }
   return -1;
-}
-
-DensityPlot BuildDensityPlot(const Graph& g,
-                             const std::vector<uint32_t>& co_clique_size,
-                             bool include_zero_vertices) {
-  return BuildDensityPlotImpl(g, co_clique_size, include_zero_vertices);
-}
-
-DensityPlot BuildDensityPlot(const CsrGraph& g,
-                             const std::vector<uint32_t>& co_clique_size,
-                             bool include_zero_vertices) {
-  return BuildDensityPlotImpl(g, co_clique_size, include_zero_vertices);
 }
 
 std::vector<PlotPlateau> FindPlateaus(const DensityPlot& plot,

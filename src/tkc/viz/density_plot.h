@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tkc/graph/csr.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -37,9 +36,6 @@ struct DensityPlot {
 /// incident edge are appended at the tail with value 0 when
 /// `include_zero_vertices` is set — CSV plots every vertex; the dual-view
 /// plot(b) drops the unchanged ones.
-DensityPlot BuildDensityPlot(const Graph& g,
-                             const std::vector<uint32_t>& co_clique_size,
-                             bool include_zero_vertices = true);
 DensityPlot BuildDensityPlot(const CsrGraph& g,
                              const std::vector<uint32_t>& co_clique_size,
                              bool include_zero_vertices = true);

@@ -3,22 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
-#include "tkc/baselines/csv.h"
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/core_extraction.h"
 #include "tkc/core/hierarchy.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
-#include "tkc/graph/connectivity.h"
-#include "tkc/graph/kcore.h"
-#include "tkc/graph/stats.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/util/parallel.h"
 #include "tkc/util/random.h"
-#include "tkc/viz/density_plot.h"
+#include "tkc/verify/nesting.h"
 
 namespace tkc {
 namespace {
@@ -49,12 +46,11 @@ TEST(AnalysisContextTest, SupportsMatchEveryPath) {
   for (uint64_t seed : {1, 2, 3, 4, 5}) {
     Graph g = MakeTestGraph(seed);
     CsrGraph csr(g);
-    const auto graph_path = ComputeEdgeSupports(g);
-    EXPECT_EQ(ComputeEdgeSupports(csr, 1), graph_path) << "seed=" << seed;
-    EXPECT_EQ(ComputeEdgeSupports(csr, 4), graph_path) << "seed=" << seed;
-    EXPECT_EQ(csr.ComputeSupports(4), graph_path) << "seed=" << seed;
+    const auto full_scan = ComputeEdgeSupportsFullScan(csr);
+    EXPECT_EQ(ComputeEdgeSupports(csr, 1), full_scan) << "seed=" << seed;
+    EXPECT_EQ(ComputeEdgeSupports(csr, 4), full_scan) << "seed=" << seed;
     AnalysisContext ctx(g, 4);
-    EXPECT_EQ(ctx.Supports(), graph_path) << "seed=" << seed;
+    EXPECT_EQ(ctx.Supports(), full_scan) << "seed=" << seed;
   }
 }
 
@@ -77,114 +73,53 @@ TEST(AnalysisContextTest, DecompositionIdenticalAcrossPathsModesThreads) {
   }
 }
 
-TEST(AnalysisContextTest, KCoreStatsConnectivityMatch) {
-  for (uint64_t seed : {20, 21}) {
-    Graph g = MakeTestGraph(seed);
-    CsrGraph csr(g);
-
-    KCoreResult kg = ComputeKCores(g);
-    KCoreResult kc = ComputeKCores(csr);
-    EXPECT_EQ(kg.core_of, kc.core_of);
-    EXPECT_EQ(kg.max_core, kc.max_core);
-
-    GraphStats sg = ComputeGraphStats(g);
-    GraphStats sc = ComputeGraphStats(csr);
-    EXPECT_EQ(sg.num_vertices, sc.num_vertices);
-    EXPECT_EQ(sg.num_edges, sc.num_edges);
-    EXPECT_EQ(sg.num_triangles, sc.num_triangles);
-    EXPECT_EQ(sg.max_degree, sc.max_degree);
-    EXPECT_DOUBLE_EQ(sg.global_clustering, sc.global_clustering);
-    EXPECT_DOUBLE_EQ(sg.mean_local_clustering, sc.mean_local_clustering);
-    EXPECT_EQ(sg.degeneracy, sc.degeneracy);
-    EXPECT_EQ(sg.num_components, sc.num_components);
-    EXPECT_EQ(DegreeHistogram(g), DegreeHistogram(csr));
-
-    ComponentResult cg = ConnectedComponents(g);
-    ComponentResult cc = ConnectedComponents(csr);
-    EXPECT_EQ(cg.component_of, cc.component_of);
-    EXPECT_EQ(cg.num_components, cc.num_components);
-  }
-}
-
-TEST(AnalysisContextTest, ExtractionAndHierarchyMatch) {
+// The extraction and hierarchy analytics on a snapshot whose id space has
+// dead-edge holes: Theorem 1 holds, every κ >= k subgraph is exactly the
+// κ >= k edges, each maximum core certifies, and the hierarchy nests.
+TEST(AnalysisContextTest, ExtractionAndHierarchyOnHoleyIds) {
   Graph g = MakeTestGraph(30);
   CsrGraph csr(g);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
 
-  EXPECT_TRUE(VerifyTheorem1(g, r.kappa));
   EXPECT_TRUE(VerifyTheorem1(csr, r.kappa));
   for (uint32_t k = 0; k <= r.max_kappa; ++k) {
-    CoreSubgraph a = TriangleKCore(g, r.kappa, k);
-    CoreSubgraph b = TriangleKCore(csr, r.kappa, k);
-    EXPECT_EQ(a.edges, b.edges);
-    EXPECT_EQ(a.vertices, b.vertices);
-    auto cores_g = TriangleConnectedCores(g, r.kappa, k);
-    auto cores_c = TriangleConnectedCores(csr, r.kappa, k);
-    ASSERT_EQ(cores_g.size(), cores_c.size());
-    for (size_t i = 0; i < cores_g.size(); ++i) {
-      EXPECT_EQ(cores_g[i].edges, cores_c[i].edges);
-      EXPECT_EQ(cores_g[i].vertices, cores_c[i].vertices);
-    }
+    std::vector<EdgeId> want;
+    csr.ForEachEdge([&](EdgeId e, const Edge&) {
+      if (r.kappa[e] >= k) want.push_back(e);
+    });
+    EXPECT_EQ(TriangleKCore(csr, r.kappa, k).edges, want) << "k=" << k;
   }
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
+  csr.ForEachEdge([&](EdgeId e, const Edge&) {
     if (r.kappa[e] == 0) return;
-    CoreSubgraph a = MaxTriangleCoreOf(g, r.kappa, e);
-    CoreSubgraph b = MaxTriangleCoreOf(csr, r.kappa, e);
-    EXPECT_EQ(a.edges, b.edges);
-    EXPECT_TRUE(VerifyTriangleKCore(csr, b.edges, b.k));
+    CoreSubgraph core = MaxTriangleCoreOf(csr, r.kappa, e);
+    EXPECT_TRUE(VerifyTriangleKCore(csr, core.edges, core.k));
   });
 
-  CoreHierarchy hg = BuildCoreHierarchy(g, r);
-  CoreHierarchy hc = BuildCoreHierarchy(csr, r);
-  ASSERT_EQ(hg.nodes.size(), hc.nodes.size());
-  EXPECT_EQ(hg.roots, hc.roots);
-  EXPECT_EQ(hg.leaf_of_edge_, hc.leaf_of_edge_);
-  for (size_t i = 0; i < hg.nodes.size(); ++i) {
-    EXPECT_EQ(hg.nodes[i].k, hc.nodes[i].k);
-    EXPECT_EQ(hg.nodes[i].parent, hc.nodes[i].parent);
-    EXPECT_EQ(hg.nodes[i].children, hc.nodes[i].children);
-    EXPECT_EQ(hg.nodes[i].edges, hc.nodes[i].edges);
-    EXPECT_EQ(hg.nodes[i].subtree_edges, hc.nodes[i].subtree_edges);
-    EXPECT_EQ(hg.nodes[i].subtree_vertices, hc.nodes[i].subtree_vertices);
-  }
+  CoreHierarchy h = BuildCoreHierarchy(csr, r);
+  EXPECT_TRUE(verify::CheckHierarchyNesting(h, csr, r).passed);
 }
 
-TEST(AnalysisContextTest, BaselinesAndPlotsMatch) {
+// The DN-Graph baselines fan their passes out over ctx.threads() workers;
+// the result is the same at every thread count and converges to κ.
+TEST(AnalysisContextTest, BaselinesIdenticalAcrossThreads) {
   Graph g = MakeTestGraph(40);
-  CsrGraph csr(g);
+  const auto csr = std::make_shared<const CsrGraph>(g);
+  const TriangleCoreResult r = ComputeTriangleCores(*csr);
+  const AnalysisContext serial(csr, 1);
+  const DnGraphResult tri_1 = TriDn(serial);
+  const DnGraphResult bi_1 = BiTriDn(serial);
+  EXPECT_EQ(tri_1.lambda, r.kappa);
+  EXPECT_EQ(bi_1.lambda, r.kappa);
 
-  for (int threads : {1, 4}) {
-    AnalysisContext ctx(g, threads);
-    DnGraphResult tg = TriDn(g);
-    DnGraphResult tc = TriDn(ctx);
-    EXPECT_EQ(tg.lambda, tc.lambda) << "threads=" << threads;
-    EXPECT_EQ(tg.iterations, tc.iterations) << "threads=" << threads;
-    EXPECT_EQ(tg.edge_updates, tc.edge_updates) << "threads=" << threads;
-    DnGraphResult bg = BiTriDn(g);
-    DnGraphResult bc = BiTriDn(ctx);
-    EXPECT_EQ(bg.lambda, bc.lambda) << "threads=" << threads;
-    EXPECT_EQ(bg.iterations, bc.iterations) << "threads=" << threads;
-    EXPECT_EQ(bg.edge_updates, bc.edge_updates) << "threads=" << threads;
-  }
-
-  CsvResult cg = ComputeCsv(g);
-  CsvResult cc = ComputeCsv(csr);
-  EXPECT_EQ(cg.co_clique_size, cc.co_clique_size);
-  EXPECT_EQ(cg.search_nodes, cc.search_nodes);
-  EXPECT_EQ(cg.estimated_edges, cc.estimated_edges);
-
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  std::vector<uint32_t> co(g.EdgeCapacity(), 0);
-  g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
-  for (bool include_zero : {true, false}) {
-    DensityPlot pg = BuildDensityPlot(g, co, include_zero);
-    DensityPlot pc = BuildDensityPlot(csr, co, include_zero);
-    ASSERT_EQ(pg.points.size(), pc.points.size());
-    for (size_t i = 0; i < pg.points.size(); ++i) {
-      EXPECT_EQ(pg.points[i].vertex, pc.points[i].vertex);
-      EXPECT_EQ(pg.points[i].value, pc.points[i].value);
-    }
-  }
+  const AnalysisContext ctx(csr, 4);
+  DnGraphResult tc = TriDn(ctx);
+  EXPECT_EQ(tc.lambda, tri_1.lambda);
+  EXPECT_EQ(tc.iterations, tri_1.iterations);
+  EXPECT_EQ(tc.edge_updates, tri_1.edge_updates);
+  DnGraphResult bc = BiTriDn(ctx);
+  EXPECT_EQ(bc.lambda, bi_1.lambda);
+  EXPECT_EQ(bc.iterations, bi_1.iterations);
+  EXPECT_EQ(bc.edge_updates, bi_1.edge_updates);
 }
 
 TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
@@ -216,8 +151,10 @@ TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
 // enumeration: it also fills the support cache and its totals.
 TEST(AnalysisContextTest, TriangleIndexBuiltOnceAndComplete) {
   Graph g = MakeTestGraph(60);
-  const uint64_t triangles = CountTriangles(g);
-  const std::vector<uint32_t> supports = ComputeEdgeSupports(g);
+  const std::vector<uint32_t> supports =
+      ComputeEdgeSupportsFullScan(CsrGraph(g));
+  uint64_t triangles = 0;
+  ForEachTriangle(g, [&](const Triangle&) { ++triangles; });
   auto& registry = obs::MetricsRegistry::Global();
   for (int threads : {1, 4}) {
     registry.Reset();
@@ -250,7 +187,7 @@ TEST(AnalysisContextTest, AdoptsExistingSnapshot) {
   CsrGraph csr(g);
   AnalysisContext ctx(csr, 1);
   EXPECT_EQ(ctx.csr().NumEdges(), g.NumEdges());
-  EXPECT_EQ(ctx.Supports(), ComputeEdgeSupports(g));
+  EXPECT_EQ(ctx.Supports(), ComputeEdgeSupportsFullScan(csr));
 }
 
 }  // namespace

@@ -848,6 +848,28 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
           {{"hierarchy", edges_path_, "--max-nodes=-5"}, "--max-nodes"},
           {{"templates", edges_path_, edges_path_, "--min-size=-1"},
            "--min-size"},
+          // Generator sizes are range-checked before any generator runs:
+          // --n=-1 asked for 2^32 vertices, --n=2^32+1 wrapped to 1, and
+          // --scale outside 1..30 tripped R-MAT's scale check.
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--n=-1"},
+           "--n"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"),
+            "--n=4294967297"},
+           "--n"},
+          {{"generate", "plc", "--out=" + TempPath("cli_nan.txt"), "--m=-1"},
+           "--m"},
+          {{"generate", "gnm", "--out=" + TempPath("cli_nan.txt"),
+            "--m=4294967296"},
+           "--m"},
+          {{"generate", "rmat", "--out=" + TempPath("cli_nan.txt"),
+            "--scale=31"},
+           "--scale"},
+          {{"generate", "rmat", "--out=" + TempPath("cli_nan.txt"),
+            "--scale=-1"},
+           "--scale"},
+          {{"generate", "rmat", "--out=" + TempPath("cli_nan.txt"),
+            "--scale=0"},
+           "--scale"},
       };
   for (const auto& [args, flag] : cases) {
     std::string out, err;
@@ -858,6 +880,11 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
   std::string out, err;
   RunTool({"plot", edges_path_, "--height=-1"}, &out, &err);
   EXPECT_NE(err.find("error: --height must be >= 0\n"), std::string::npos);
+  RunTool({"generate", "rmat", "--out=" + TempPath("cli_nan.txt"),
+           "--scale=31"},
+          &out, &err);
+  EXPECT_NE(err.find("error: --scale must be in 1..30 (got 31)\n"),
+            std::string::npos);
   // In-range values still run; a zero size is legal.
   EXPECT_EQ(RunTool({"decompose", edges_path_, "--threads=2"}, &out), 0);
   EXPECT_EQ(RunTool({"plot", edges_path_, "--height=0"}, &out), 0);

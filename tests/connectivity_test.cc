@@ -8,15 +8,14 @@ namespace tkc {
 namespace {
 
 TEST(ConnectivityTest, SingleComponent) {
-  Graph g = CycleGraph(6);
-  ComponentResult r = ConnectedComponents(g);
+  ComponentResult r = ConnectedComponents(CsrGraph(CycleGraph(6)));
   EXPECT_EQ(r.num_components, 1u);
 }
 
 TEST(ConnectivityTest, IsolatedVerticesAreComponents) {
   Graph g(4);
   g.AddEdge(0, 1);
-  ComponentResult r = ConnectedComponents(g);
+  ComponentResult r = ConnectedComponents(CsrGraph(g));
   EXPECT_EQ(r.num_components, 3u);
   EXPECT_EQ(r.component_of[0], r.component_of[1]);
   EXPECT_NE(r.component_of[2], r.component_of[3]);
@@ -26,12 +25,13 @@ TEST(ConnectivityTest, TwoCliques) {
   Graph g(10);
   PlantClique(g, {0, 1, 2, 3, 4});
   PlantClique(g, {5, 6, 7, 8, 9});
-  ComponentResult r = ConnectedComponents(g);
+  const CsrGraph two(g);
+  ComponentResult r = ConnectedComponents(two);
   EXPECT_EQ(r.num_components, 2u);
-  EXPECT_TRUE(SameComponent(g, 0, 4));
-  EXPECT_FALSE(SameComponent(g, 0, 5));
+  EXPECT_TRUE(SameComponent(two, 0, 4));
+  EXPECT_FALSE(SameComponent(two, 0, 5));
   g.AddEdge(4, 5);
-  EXPECT_TRUE(SameComponent(g, 0, 9));
+  EXPECT_TRUE(SameComponent(CsrGraph(g), 0, 9));
 }
 
 TEST(ConnectivityTest, ReachableFrom) {
@@ -39,9 +39,10 @@ TEST(ConnectivityTest, ReachableFrom) {
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(3, 4);
-  auto reach = ReachableFrom(g, 0);
+  const CsrGraph csr(g);
+  auto reach = ReachableFrom(csr, 0);
   EXPECT_EQ(reach.size(), 3u);
-  auto lone = ReachableFrom(g, 5);
+  auto lone = ReachableFrom(csr, 5);
   EXPECT_EQ(lone.size(), 1u);
   EXPECT_EQ(lone[0], 5u);
 }
@@ -59,9 +60,10 @@ TEST(ConnectivityTest, ComponentCountMatchesUnionOfParts) {
       g.AddEdge(e.u + offset, e.v + offset);
     });
   }
-  ComponentResult r = ConnectedComponents(g);
+  const CsrGraph csr(g);
+  ComponentResult r = ConnectedComponents(csr);
   EXPECT_GE(r.num_components, 3u);
-  EXPECT_FALSE(SameComponent(g, 0, 25));
+  EXPECT_FALSE(SameComponent(csr, 0, 25));
   (void)rng;
 }
 

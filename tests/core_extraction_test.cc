@@ -12,7 +12,7 @@ namespace {
 
 TEST(CoreExtractionTest, GlobalCoreIsKappaThreshold) {
   Rng rng(3);
-  Graph g = ErdosRenyi(50, 0.2, rng);
+  const CsrGraph g(ErdosRenyi(50, 0.2, rng));
   TriangleCoreResult r = ComputeTriangleCores(g);
   for (uint32_t k = 0; k <= r.max_kappa; ++k) {
     CoreSubgraph sub = TriangleKCore(g, r.kappa, k);
@@ -24,7 +24,7 @@ TEST(CoreExtractionTest, GlobalCoreIsKappaThreshold) {
 
 TEST(CoreExtractionTest, MaxCoreOfEdgeIsValidAndContainsEdge) {
   Rng rng(5);
-  Graph g = PowerLawCluster(120, 3, 0.7, rng);
+  const CsrGraph g(PowerLawCluster(120, 3, 0.7, rng));
   TriangleCoreResult r = ComputeTriangleCores(g);
   int checked = 0;
   g.ForEachEdge([&](EdgeId e, const Edge&) {
@@ -38,7 +38,7 @@ TEST(CoreExtractionTest, MaxCoreOfEdgeIsValidAndContainsEdge) {
 }
 
 TEST(CoreExtractionTest, CliqueCoreIsWholeClique) {
-  Graph g = CompleteGraph(7);
+  const CsrGraph g(CompleteGraph(7));
   TriangleCoreResult r = ComputeTriangleCores(g);
   EdgeId e = g.FindEdge(2, 5);
   CoreSubgraph sub = MaxTriangleCoreOf(g, r.kappa, e);
@@ -49,9 +49,10 @@ TEST(CoreExtractionTest, CliqueCoreIsWholeClique) {
 }
 
 TEST(CoreExtractionTest, DisjointCliquesSeparateComponents) {
-  Graph g(20);
-  PlantClique(g, {0, 1, 2, 3, 4});
-  PlantClique(g, {10, 11, 12, 13, 14, 15});
+  Graph builder(20);
+  PlantClique(builder, {0, 1, 2, 3, 4});
+  PlantClique(builder, {10, 11, 12, 13, 14, 15});
+  const CsrGraph g(builder);
   TriangleCoreResult r = ComputeTriangleCores(g);
   auto cores3 = TriangleConnectedCores(g, r.kappa, 3);
   // κ=3 requires 5 vertices minimum; both cliques qualify at k=3.
@@ -65,10 +66,11 @@ TEST(CoreExtractionTest, DisjointCliquesSeparateComponents) {
 TEST(CoreExtractionTest, BridgedCliquesStaySeparateAboveBridgeLevel) {
   // Two 6-cliques joined by a single bridge edge: at k=4 they are distinct
   // triangle-connected cores; the bridge edge has κ=0.
-  Graph g(12);
-  PlantClique(g, {0, 1, 2, 3, 4, 5});
-  PlantClique(g, {6, 7, 8, 9, 10, 11});
-  g.AddEdge(5, 6);
+  Graph builder(12);
+  PlantClique(builder, {0, 1, 2, 3, 4, 5});
+  PlantClique(builder, {6, 7, 8, 9, 10, 11});
+  builder.AddEdge(5, 6);
+  const CsrGraph g(builder);
   TriangleCoreResult r = ComputeTriangleCores(g);
   EXPECT_EQ(r.kappa[g.FindEdge(5, 6)], 0u);
   auto cores = TriangleConnectedCores(g, r.kappa, 4);
@@ -76,7 +78,7 @@ TEST(CoreExtractionTest, BridgedCliquesStaySeparateAboveBridgeLevel) {
 }
 
 TEST(CoreExtractionTest, VerifyRejectsUndersupportedSubgraph) {
-  Graph g = CompleteGraph(4);
+  const CsrGraph g(CompleteGraph(4));
   std::vector<EdgeId> three_edges{g.FindEdge(0, 1), g.FindEdge(1, 2),
                                   g.FindEdge(0, 2)};
   EXPECT_TRUE(VerifyTriangleKCore(g, three_edges, 1));
@@ -87,12 +89,13 @@ TEST(CoreExtractionTest, VerifyRejectsDeadEdges) {
   Graph g = CompleteGraph(4);
   EdgeId e = g.FindEdge(0, 1);
   g.RemoveEdgeById(e);
-  EXPECT_FALSE(VerifyTriangleKCore(g, {e}, 0));
+  EXPECT_FALSE(VerifyTriangleKCore(CsrGraph(g), {e}, 0));
 }
 
 TEST(CoreExtractionTest, IsCliqueDetects) {
-  Graph g(5);
-  PlantClique(g, {0, 1, 2, 3});
+  Graph builder(5);
+  PlantClique(builder, {0, 1, 2, 3});
+  const CsrGraph g(builder);
   EXPECT_TRUE(IsClique(g, {0, 1, 2, 3}));
   EXPECT_TRUE(IsClique(g, {0, 1}));
   EXPECT_TRUE(IsClique(g, {}));
@@ -101,7 +104,7 @@ TEST(CoreExtractionTest, IsCliqueDetects) {
 
 TEST(CoreExtractionTest, ZeroLevelCoreIsWholeGraph) {
   Rng rng(9);
-  Graph g = GnmRandom(30, 50, rng);
+  const CsrGraph g(GnmRandom(30, 50, rng));
   TriangleCoreResult r = ComputeTriangleCores(g);
   CoreSubgraph sub = TriangleKCore(g, r.kappa, 0);
   EXPECT_EQ(sub.edges.size(), g.NumEdges());

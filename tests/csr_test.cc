@@ -53,15 +53,15 @@ TEST(CsrTest, DegreesAndNeighborsSorted) {
   }
 }
 
-TEST(CsrTest, TriangleCountsMatchDynamicGraph) {
+TEST(CsrTest, TriangleCountsMatchReferences) {
   for (uint64_t seed : {3, 4, 5}) {
     Rng rng(seed);
     Graph g = ErdosRenyi(70, 0.12, rng);
     CsrGraph csr(g);
-    EXPECT_EQ(csr.CountTriangles(), CountTriangles(g));
-    auto csr_support = csr.ComputeSupports();
-    auto dyn_support = ComputeEdgeSupports(g);
-    EXPECT_EQ(csr_support, dyn_support);
+    uint64_t listed = 0;
+    ForEachTriangle(g, [&](const Triangle&) { ++listed; });
+    EXPECT_EQ(CountTriangles(csr), listed);
+    EXPECT_EQ(ComputeEdgeSupports(csr), ComputeEdgeSupportsFullScan(csr));
   }
 }
 
@@ -78,7 +78,7 @@ TEST(CsrTest, EmptyGraph) {
   CsrGraph csr(g);
   EXPECT_EQ(csr.NumVertices(), 0u);
   EXPECT_EQ(csr.NumEdges(), 0u);
-  EXPECT_EQ(csr.CountTriangles(), 0u);
+  EXPECT_EQ(CountTriangles(csr), 0u);
 }
 
 TEST(CsrTest, OrientedViewRanksByDegreeThenId) {

@@ -9,7 +9,7 @@ namespace tkc {
 namespace {
 
 TEST(CsvTest, CliqueEdgesSeeFullClique) {
-  Graph g = CompleteGraph(8);
+  const CsrGraph g(CompleteGraph(8));
   CsvResult r = ComputeCsv(g);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(r.co_clique_size[e], 8u);
@@ -17,7 +17,7 @@ TEST(CsvTest, CliqueEdgesSeeFullClique) {
 }
 
 TEST(CsvTest, TriangleFreeEdgesAreTwo) {
-  Graph g = CycleGraph(10);
+  const CsrGraph g(CycleGraph(10));
   CsvResult r = ComputeCsv(g);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(r.co_clique_size[e], 2u);
@@ -34,8 +34,9 @@ TEST(CsvTest, CocliqueUpperBoundsKappaPlus2) {
   Rng rng(5);
   Graph g = GnmRandom(120, 220, rng);
   auto members = PlantRandomClique(g, 9, rng);
-  CsvResult csv = ComputeCsv(g);
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  CsvResult csv = ComputeCsv(csr);
+  TriangleCoreResult cores = ComputeTriangleCores(csr);
   for (size_t i = 0; i < members.size(); ++i) {
     for (size_t j = i + 1; j < members.size(); ++j) {
       EdgeId e = g.FindEdge(members[i], members[j]);
@@ -61,14 +62,14 @@ TEST(CsvTest, HubFallbackCounts) {
   }
   CsvOptions opt;
   opt.max_neighborhood = 50;
-  CsvResult r = ComputeCsv(g, opt);
+  CsvResult r = ComputeCsv(CsrGraph(g), opt);
   EXPECT_EQ(r.estimated_edges, 1u);
   EXPECT_EQ(r.co_clique_size[g.FindEdge(0, 1)], 202u);  // support bound
 }
 
 TEST(CsvTest, DeterministicAcrossRuns) {
   Rng rng(9);
-  Graph g = PowerLawCluster(100, 3, 0.6, rng);
+  const CsrGraph g(PowerLawCluster(100, 3, 0.6, rng));
   CsvResult a = ComputeCsv(g);
   CsvResult b = ComputeCsv(g);
   EXPECT_EQ(a.co_clique_size, b.co_clique_size);

@@ -41,7 +41,7 @@ TEST(DatasetsTest, PpiHasLabeledComplexes) {
   for (uint32_t l : ppi.labels) max_label = std::max(max_label, l);
   EXPECT_GE(max_label, 2u);
   // Complexes are planted cliques: triangle-rich.
-  EXPECT_GT(CountTriangles(ppi.graph), 100u);
+  EXPECT_GT(CountTriangles(CsrGraph(ppi.graph)), 100u);
 }
 
 TEST(DatasetsTest, Deterministic) {
@@ -63,7 +63,7 @@ TEST(DatasetsTest, SizeFactorScales) {
 
 TEST(DatasetsTest, CollaborationDatasetsAreTriangleRich) {
   Dataset dblp = MakeDataset("dblp", 5, 0.2);
-  TriangleStats stats = ComputeTriangleStats(dblp.graph);
+  TriangleStats stats = ComputeTriangleStats(CsrGraph(dblp.graph));
   EXPECT_GT(stats.triangle_count, dblp.graph.NumEdges() / 10);
 }
 

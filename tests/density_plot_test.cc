@@ -11,7 +11,7 @@
 namespace tkc {
 namespace {
 
-std::vector<uint32_t> KappaPlus2(const Graph& g) {
+std::vector<uint32_t> KappaPlus2(const CsrGraph& g) {
   TriangleCoreResult r = ComputeTriangleCores(g);
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
@@ -20,7 +20,7 @@ std::vector<uint32_t> KappaPlus2(const Graph& g) {
 
 TEST(DensityPlotTest, EmptyGraph) {
   Graph g;
-  DensityPlot plot = BuildDensityPlot(g, {});
+  DensityPlot plot = BuildDensityPlot(CsrGraph(g), {});
   EXPECT_TRUE(plot.points.empty());
   EXPECT_EQ(plot.MaxValue(), 0u);
 }
@@ -28,7 +28,8 @@ TEST(DensityPlotTest, EmptyGraph) {
 TEST(DensityPlotTest, EveryVertexPlottedExactlyOnce) {
   Rng rng(1);
   Graph g = PowerLawCluster(150, 3, 0.6, rng);
-  DensityPlot plot = BuildDensityPlot(g, KappaPlus2(g));
+  const CsrGraph csr(g);
+  DensityPlot plot = BuildDensityPlot(csr, KappaPlus2(csr));
   ASSERT_EQ(plot.points.size(), g.NumVertices());
   std::set<VertexId> seen;
   for (const auto& p : plot.points) {
@@ -40,7 +41,8 @@ TEST(DensityPlotTest, CliqueFormsPlateauAtCliqueHeight) {
   Rng rng(2);
   Graph g = GnmRandom(200, 350, rng);
   auto members = PlantRandomClique(g, 11, rng);
-  DensityPlot plot = BuildDensityPlot(g, KappaPlus2(g));
+  const CsrGraph csr(g);
+  DensityPlot plot = BuildDensityPlot(csr, KappaPlus2(csr));
   // The 11 clique vertices must be plotted contiguously at value >= 11,
   // starting at position 0 (densest region first).
   for (size_t i = 0; i < members.size(); ++i) {
@@ -58,7 +60,8 @@ TEST(DensityPlotTest, TwoCliquesTwoPlateaus) {
   Graph g(40);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6, 7});          // 8-clique
   PlantClique(g, {20, 21, 22, 23, 24, 25});          // 6-clique
-  DensityPlot plot = BuildDensityPlot(g, KappaPlus2(g));
+  const CsrGraph csr(g);
+  DensityPlot plot = BuildDensityPlot(csr, KappaPlus2(csr));
   auto plateaus = FindPlateaus(plot, 6, 4);
   ASSERT_GE(plateaus.size(), 2u);
   EXPECT_EQ(plateaus[0].value, 8u);
@@ -68,9 +71,10 @@ TEST(DensityPlotTest, TwoCliquesTwoPlateaus) {
 TEST(DensityPlotTest, ZeroVerticesToggle) {
   Graph g(10);
   PlantClique(g, {0, 1, 2, 3});
-  auto co = KappaPlus2(g);
-  DensityPlot all = BuildDensityPlot(g, co, true);
-  DensityPlot dense = BuildDensityPlot(g, co, false);
+  const CsrGraph csr(g);
+  auto co = KappaPlus2(csr);
+  DensityPlot all = BuildDensityPlot(csr, co, true);
+  DensityPlot dense = BuildDensityPlot(csr, co, false);
   EXPECT_EQ(all.points.size(), 10u);
   // Only the clique and anything reachable from it is plotted.
   EXPECT_EQ(dense.points.size(), 4u);
@@ -79,7 +83,8 @@ TEST(DensityPlotTest, ZeroVerticesToggle) {
 TEST(DensityPlotTest, PositionOf) {
   Graph g(5);
   PlantClique(g, {0, 1, 2});
-  DensityPlot plot = BuildDensityPlot(g, KappaPlus2(g));
+  const CsrGraph csr(g);
+  DensityPlot plot = BuildDensityPlot(csr, KappaPlus2(csr));
   EXPECT_GE(plot.PositionOf(1), 0);
   EXPECT_EQ(plot.PositionOf(99), -1);
 }
@@ -87,9 +92,10 @@ TEST(DensityPlotTest, PositionOf) {
 TEST(DensityPlotTest, DeterministicOrdering) {
   Rng rng(3);
   Graph g = PowerLawCluster(100, 3, 0.5, rng);
-  auto co = KappaPlus2(g);
-  DensityPlot a = BuildDensityPlot(g, co);
-  DensityPlot b = BuildDensityPlot(g, co);
+  const CsrGraph csr(g);
+  auto co = KappaPlus2(csr);
+  DensityPlot a = BuildDensityPlot(csr, co);
+  DensityPlot b = BuildDensityPlot(csr, co);
   ASSERT_EQ(a.points.size(), b.points.size());
   for (size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].vertex, b.points[i].vertex);
@@ -100,8 +106,9 @@ TEST(DensityPlotTest, DeterministicOrdering) {
 TEST(DensityPlotTest, ComparePlotsIdentical) {
   Rng rng(4);
   Graph g = PowerLawCluster(80, 3, 0.5, rng);
-  auto co = KappaPlus2(g);
-  DensityPlot a = BuildDensityPlot(g, co);
+  const CsrGraph csr(g);
+  auto co = KappaPlus2(csr);
+  DensityPlot a = BuildDensityPlot(csr, co);
   PlotComparison cmp = ComparePlots(a, a);
   EXPECT_DOUBLE_EQ(cmp.value_correlation, 1.0);
   EXPECT_DOUBLE_EQ(cmp.mean_abs_diff, 0.0);
@@ -111,13 +118,14 @@ TEST(DensityPlotTest, ComparePlotsIdentical) {
 TEST(DensityPlotTest, ComparePlotsDetectsDifference) {
   Graph g(6);
   PlantClique(g, {0, 1, 2, 3});
-  auto co = KappaPlus2(g);
-  DensityPlot a = BuildDensityPlot(g, co);
+  const CsrGraph csr(g);
+  auto co = KappaPlus2(csr);
+  DensityPlot a = BuildDensityPlot(csr, co);
   auto co2 = co;
   for (auto& v : co2) {
     if (v > 0) v += 3;
   }
-  DensityPlot b = BuildDensityPlot(g, co2);
+  DensityPlot b = BuildDensityPlot(csr, co2);
   PlotComparison cmp = ComparePlots(a, b);
   EXPECT_GT(cmp.mean_abs_diff, 0.0);
   EXPECT_LT(cmp.identical_fraction, 1.0);
@@ -127,7 +135,8 @@ TEST(DensityPlotTest, ComparePlotsDetectsDifference) {
 TEST(DensityPlotTest, CsvSerialization) {
   Graph g(3);
   PlantClique(g, {0, 1, 2});
-  DensityPlot plot = BuildDensityPlot(g, KappaPlus2(g));
+  const CsrGraph csr(g);
+  DensityPlot plot = BuildDensityPlot(csr, KappaPlus2(csr));
   std::string csv = PlotToCsv(plot);
   EXPECT_NE(csv.find("index,vertex,co_clique_size"), std::string::npos);
   EXPECT_NE(csv.find("0,"), std::string::npos);

@@ -1,6 +1,7 @@
 #include "tkc/baselines/dn_graph.h"
 
 #include <gtest/gtest.h>
+#include "tkc/core/analysis_context.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/util/random.h"
@@ -17,14 +18,15 @@ std::vector<uint32_t> LiveValues(const Graph& g,
 
 TEST(DnGraphTest, CliqueLambda) {
   Graph g = CompleteGraph(7);
-  DnGraphResult r = TriDn(g);
+  DnGraphResult r = TriDn(AnalysisContext(g));
   g.ForEachEdge([&](EdgeId e, const Edge&) { EXPECT_EQ(r.lambda[e], 5u); });
 }
 
 TEST(DnGraphTest, TriangleFreeLambdaZero) {
   Graph g = CycleGraph(9);
-  DnGraphResult tri = TriDn(g);
-  DnGraphResult bi = BiTriDn(g);
+  const AnalysisContext ctx(g);
+  DnGraphResult tri = TriDn(ctx);
+  DnGraphResult bi = BiTriDn(ctx);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(tri.lambda[e], 0u);
     EXPECT_EQ(bi.lambda[e], 0u);
@@ -42,9 +44,10 @@ TEST_P(Claim3Sweep, TriDnAndBiTriDnConvergeToKappa) {
                      PowerLawCluster(80, 3, 0.7, rng),
                      PlantedPartition(3, 14, 0.5, 0.04, rng)};
   for (Graph& g : graphs) {
-    TriangleCoreResult cores = ComputeTriangleCores(g);
-    DnGraphResult tri = TriDn(g);
-    DnGraphResult bi = BiTriDn(g);
+    const AnalysisContext ctx(g);
+    TriangleCoreResult cores = ComputeTriangleCores(ctx);
+    DnGraphResult tri = TriDn(ctx);
+    DnGraphResult bi = BiTriDn(ctx);
     EXPECT_EQ(LiveValues(g, tri.lambda), LiveValues(g, cores.kappa));
     EXPECT_EQ(LiveValues(g, bi.lambda), LiveValues(g, cores.kappa));
   }
@@ -56,8 +59,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Claim3Sweep,
 TEST(DnGraphTest, BiTriDnConvergesInFewerPasses) {
   Rng rng(42);
   Graph g = PowerLawCluster(300, 4, 0.7, rng);
-  DnGraphResult tri = TriDn(g);
-  DnGraphResult bi = BiTriDn(g);
+  const AnalysisContext ctx(g);
+  DnGraphResult tri = TriDn(ctx);
+  DnGraphResult bi = BiTriDn(ctx);
   EXPECT_LE(bi.iterations, tri.iterations);
   EXPECT_EQ(LiveValues(g, bi.lambda), LiveValues(g, tri.lambda));
 }
@@ -65,18 +69,18 @@ TEST(DnGraphTest, BiTriDnConvergesInFewerPasses) {
 TEST(DnGraphTest, IterationCapStops) {
   Rng rng(7);
   Graph g = PowerLawCluster(200, 4, 0.7, rng);
-  DnGraphResult capped = TriDn(g, 1);
+  const AnalysisContext ctx(g);
+  DnGraphResult capped = TriDn(ctx, 1);
   EXPECT_EQ(capped.iterations, 1u);
   // One pass starting at the support upper bound can only over-estimate.
-  DnGraphResult full = TriDn(g);
+  DnGraphResult full = TriDn(ctx);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_GE(capped.lambda[e], full.lambda[e]);
   });
 }
 
 TEST(DnGraphTest, UpdateCountsAccumulate) {
-  Graph g = CompleteGraph(6);
-  DnGraphResult r = TriDn(g);
+  DnGraphResult r = TriDn(AnalysisContext(CompleteGraph(6)));
   EXPECT_GE(r.iterations, 1u);
   EXPECT_EQ(r.edge_updates, static_cast<uint64_t>(r.iterations) * 15u);
 }

@@ -87,7 +87,8 @@ TEST(DynamicGenTest, GrowSnapshotNewcomersLandOnTriangles) {
   for (VertexId v = 6; v < 9; ++v) {
     EXPECT_GE(pair.new_graph.Degree(v), 3u);
   }
-  EXPECT_GT(CountTriangles(pair.new_graph), CountTriangles(base));
+  EXPECT_GT(CountTriangles(CsrGraph(pair.new_graph)),
+            CountTriangles(CsrGraph(base)));
 }
 
 }  // namespace

@@ -292,7 +292,8 @@ TEST_P(ThreadsDifferentialFuzzTest, SupportsAndKappaMatchSerialOracle) {
     TriangleCoreResult recomputed =
         ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
     ASSERT_EQ(indexed.kappa, recomputed.kappa) << "step " << step;
-    verify::VerifyReport cert = verify::CheckKappaCertificate(g, indexed.kappa);
+    verify::VerifyReport cert =
+        verify::CheckKappaCertificate(ctx.csr(), indexed.kappa);
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;

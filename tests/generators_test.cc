@@ -53,14 +53,14 @@ TEST(GeneratorsTest, BarabasiAlbertShape) {
   for (VertexId v = 0; v < n; ++v) max_deg = std::max(max_deg, g.Degree(v));
   EXPECT_GT(max_deg, 3 * m);
   // Attachment keeps the graph connected.
-  EXPECT_EQ(ConnectedComponents(g).num_components, 1u);
+  EXPECT_EQ(ConnectedComponents(CsrGraph(g)).num_components, 1u);
 }
 
 TEST(GeneratorsTest, PowerLawClusterHasMoreTrianglesThanBA) {
   Rng rng1(5), rng2(5);
   Graph ba = BarabasiAlbert(400, 3, rng1);
   Graph plc = PowerLawCluster(400, 3, 0.8, rng2);
-  EXPECT_GT(CountTriangles(plc), CountTriangles(ba));
+  EXPECT_GT(CountTriangles(CsrGraph(plc)), CountTriangles(CsrGraph(ba)));
 }
 
 TEST(GeneratorsTest, PlantedPartitionCommunities) {
@@ -90,7 +90,7 @@ TEST(GeneratorsTest, Figure2GraphShape) {
   Graph g = PaperFigure2Graph();
   EXPECT_EQ(g.NumVertices(), 5u);
   EXPECT_EQ(g.NumEdges(), 8u);
-  EXPECT_EQ(CountTriangles(g), 5u);
+  EXPECT_EQ(CountTriangles(CsrGraph(g)), 5u);
 }
 
 TEST(GeneratorsTest, PlantCliqueAddsAllPairs) {

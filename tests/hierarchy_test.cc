@@ -11,7 +11,8 @@ namespace tkc {
 namespace {
 
 CoreHierarchy Build(const Graph& g) {
-  return BuildCoreHierarchy(g, ComputeTriangleCores(g));
+  const CsrGraph csr(g);
+  return BuildCoreHierarchy(csr, ComputeTriangleCores(csr));
 }
 
 TEST(HierarchyTest, TriangleFreeGraphIsEmpty) {
@@ -98,8 +99,9 @@ TEST(HierarchyTest, ParentChildInvariants) {
   Rng rng(9);
   Graph g = PowerLawCluster(300, 3, 0.7, rng);
   PlantRandomClique(g, 9, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  CoreHierarchy h = BuildCoreHierarchy(g, r);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  CoreHierarchy h = BuildCoreHierarchy(csr, r);
   for (uint32_t i = 0; i < h.nodes.size(); ++i) {
     const HierarchyNode& node = h.nodes[i];
     if (node.parent != UINT32_MAX) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include "tkc/baselines/csv.h"
 #include "tkc/baselines/dn_graph.h"
+#include "tkc/core/analysis_context.h"
 #include "tkc/core/core_extraction.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/hierarchy.h"
@@ -79,20 +80,21 @@ TEST(IntegrationTest, PlateauToCoreToHierarchyAgreement) {
   Rng rng(3);
   Graph g = GnmRandom(250, 400, rng);
   auto members = PlantRandomClique(g, 10, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
 
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
-  DensityPlot plot = BuildDensityPlot(g, co);
+  DensityPlot plot = BuildDensityPlot(csr, co);
   auto plateaus = FindPlateaus(plot, 10, 8);
   ASSERT_FALSE(plateaus.empty());
 
   EdgeId seed = g.FindEdge(members[0], members[1]);
-  CoreSubgraph core = MaxTriangleCoreOf(g, r.kappa, seed);
-  EXPECT_TRUE(VerifyTriangleKCore(g, core.edges, core.k));
+  CoreSubgraph core = MaxTriangleCoreOf(csr, r.kappa, seed);
+  EXPECT_TRUE(VerifyTriangleKCore(csr, core.edges, core.k));
   EXPECT_EQ(core.k, 8u);
 
-  CoreHierarchy h = BuildCoreHierarchy(g, r);
+  CoreHierarchy h = BuildCoreHierarchy(csr, r);
   uint32_t leaf = h.LeafOf(seed);
   ASSERT_NE(leaf, UINT32_MAX);
   EXPECT_EQ(h.nodes[leaf].k, 8u);
@@ -105,12 +107,12 @@ TEST(IntegrationTest, ThreeEstimatorsAgreeOnDatasets) {
   // search regions on the same dataset (CSV finds the true max clique,
   // which the Triangle K-Core proxy lower-bounds).
   Dataset ds = MakeDataset("synthetic", 77);
-  const Graph& g = ds.graph;
-  TriangleCoreResult cores = ComputeTriangleCores(g);
-  DnGraphResult tri = TriDn(g);
-  DnGraphResult bi = BiTriDn(g);
-  CsvResult csv = ComputeCsv(g);
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
+  const AnalysisContext ctx(ds.graph);
+  TriangleCoreResult cores = ComputeTriangleCores(ctx);
+  DnGraphResult tri = TriDn(ctx);
+  DnGraphResult bi = BiTriDn(ctx);
+  CsvResult csv = ComputeCsv(ctx.csr());
+  ctx.csr().ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(cores.kappa[e], tri.lambda[e]);
     EXPECT_EQ(cores.kappa[e], bi.lambda[e]);
     EXPECT_LE(csv.co_clique_size[e], cores.kappa[e] + 2);

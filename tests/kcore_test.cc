@@ -12,46 +12,46 @@ namespace {
 
 TEST(KCoreTest, EmptyGraph) {
   Graph g;
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   EXPECT_EQ(r.max_core, 0u);
   EXPECT_TRUE(r.core_of.empty());
 }
 
 TEST(KCoreTest, IsolatedVertices) {
   Graph g(5);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   for (uint32_t c : r.core_of) EXPECT_EQ(c, 0u);
 }
 
 TEST(KCoreTest, CompleteGraph) {
   Graph g = CompleteGraph(6);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   EXPECT_EQ(r.max_core, 5u);
   for (uint32_t c : r.core_of) EXPECT_EQ(c, 5u);
 }
 
 TEST(KCoreTest, PathGraph) {
   Graph g = PathGraph(10);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   EXPECT_EQ(r.max_core, 1u);
 }
 
 TEST(KCoreTest, CycleGraph) {
   Graph g = CycleGraph(10);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   for (uint32_t c : r.core_of) EXPECT_EQ(c, 2u);
 }
 
 TEST(KCoreTest, StarGraph) {
   Graph g = StarGraph(8);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   for (uint32_t c : r.core_of) EXPECT_EQ(c, 1u);
 }
 
 TEST(KCoreTest, PaperFigure1a) {
   // Figure 1(a): a 5-vertex K-Core with number 2 using minimal edges = C5.
   Graph g = CycleGraph(5);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   EXPECT_EQ(r.max_core, 2u);
 }
 
@@ -59,14 +59,14 @@ TEST(KCoreTest, CliqueInSparseBackground) {
   Rng rng(3);
   Graph g = GnmRandom(200, 300, rng);
   auto members = PlantRandomClique(g, 10, rng);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   for (VertexId v : members) EXPECT_GE(r.core_of[v], 9u);
 }
 
 TEST(KCoreTest, PeelOrderIsMonotoneInCore) {
   Rng rng(5);
   Graph g = PowerLawCluster(150, 3, 0.5, rng);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   uint32_t prev = 0;
   for (VertexId v : r.peel_order) {
     EXPECT_GE(r.core_of[v], prev);
@@ -78,7 +78,7 @@ TEST(KCoreTest, PeelOrderIsMonotoneInCore) {
 TEST(KCoreTest, MembersHaveMinDegreeK) {
   Rng rng(9);
   Graph g = ErdosRenyi(80, 0.15, rng);
-  KCoreResult r = ComputeKCores(g);
+  KCoreResult r = ComputeKCores(CsrGraph(g));
   for (uint32_t k = 1; k <= r.max_core; ++k) {
     auto members = KCoreMembers(r, k);
     std::vector<bool> in(g.NumVertices(), false);
@@ -96,11 +96,11 @@ class KCoreMatchesNaive : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(KCoreMatchesNaive, OnRandomModels) {
   Rng rng(GetParam());
   Graph er = ErdosRenyi(50, 0.12, rng);
-  EXPECT_EQ(ComputeKCores(er).core_of, NaiveKCores(er));
+  EXPECT_EQ(ComputeKCores(CsrGraph(er)).core_of, NaiveKCores(er));
   Graph ba = BarabasiAlbert(60, 2, rng);
-  EXPECT_EQ(ComputeKCores(ba).core_of, NaiveKCores(ba));
+  EXPECT_EQ(ComputeKCores(CsrGraph(ba)).core_of, NaiveKCores(ba));
   Graph pp = PlantedPartition(3, 12, 0.5, 0.05, rng);
-  EXPECT_EQ(ComputeKCores(pp).core_of, NaiveKCores(pp));
+  EXPECT_EQ(ComputeKCores(CsrGraph(pp)).core_of, NaiveKCores(pp));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KCoreMatchesNaive,

@@ -41,6 +41,14 @@ expect_hit TKC-L030 "bad.cc"        # Bad.Span_Name
 expect_hit TKC-L040 "bad_guard.h"   # WRONG_GUARD_H
 expect_hit TKC-L050 "bad.cc"        # bare escape hatch
 expect_hit TKC-L060 "bad.cc"        # stray <immintrin.h> + intrinsic
+expect_hit TKC-L070 "graph_twin.h"  # Twin(const Graph&) beside Twin(CsrGraph)
+
+# L070 names only the Graph overload of a twinned function: one hit, on
+# the Graph declaration, and none for single-type declarations.
+[[ $(grep -c "\[TKC-L070 " "$out") -eq 1 ]] \
+  || fail "TKC-L070 should fire exactly once: $(grep "\[TKC-L070 " "$out")"
+grep "\[TKC-L070 " "$out" | grep -q "graph_twin.h:12:" \
+  || fail "TKC-L070 fired, but not at Twin(const Graph&)"
 
 # The clean fixture file must produce no violations: its documented
 # metrics (exact + dynamic prefix), canonical span name, justified escape
@@ -62,7 +70,7 @@ assert doc["suppressed"] == 1, doc["suppressed"]
 assert doc["files_scanned"] >= 3
 rules = {v["rule"] for v in doc["violations"]}
 expected = {"TKC-L001", "TKC-L002", "TKC-L010", "TKC-L020",
-            "TKC-L030", "TKC-L040", "TKC-L050", "TKC-L060"}
+            "TKC-L030", "TKC-L040", "TKC-L050", "TKC-L060", "TKC-L070"}
 assert expected <= rules, expected - rules
 for v in doc["violations"]:
     assert v["file"] and v["line"] >= 1 and v["message"], v
@@ -89,7 +97,7 @@ EOF
 
 python3 "$lint" --list-rules >"$tmpdir/rules.out"
 for rule in TKC-L001 TKC-L002 TKC-L010 TKC-L020 TKC-L030 TKC-L040 \
-            TKC-L050 TKC-L060; do
+            TKC-L050 TKC-L060 TKC-L070; do
   grep -q "^$rule" "$tmpdir/rules.out" || fail "--list-rules omits $rule"
 done
 

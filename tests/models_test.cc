@@ -29,7 +29,7 @@ TEST(RmatTest, SizeAndSkew) {
 TEST(RmatTest, UniformParamsApproachErdosRenyi) {
   Rng rng(2);
   Graph g = Rmat(8, 4, 0.25, 0.25, 0.25, rng);
-  GraphStats s = ComputeGraphStats(g);
+  GraphStats s = ComputeGraphStats(CsrGraph(g));
   EXPECT_LT(s.global_clustering, 0.1);  // uniform R-MAT is nearly ER
 }
 
@@ -38,8 +38,9 @@ TEST(WattsStrogatzTest, ZeroBetaIsRingLattice) {
   Graph g = WattsStrogatz(50, 3, 0.0, rng);
   EXPECT_EQ(g.NumEdges(), 150u);
   for (VertexId v = 0; v < 50; ++v) EXPECT_EQ(g.Degree(v), 6u);
+  const CsrGraph csr(g);
   // Lattice with k_half=3 is triangle-rich.
-  EXPECT_GT(CountTriangles(g), 0u);
+  EXPECT_GT(CountTriangles(csr), 0u);
 }
 
 TEST(WattsStrogatzTest, RewiringPreservesEdgeCount) {
@@ -52,7 +53,8 @@ TEST(WattsStrogatzTest, FullRewireDestroysClustering) {
   Rng rng1(5), rng2(5);
   Graph lattice = WattsStrogatz(400, 3, 0.0, rng1);
   Graph random = WattsStrogatz(400, 3, 1.0, rng2);
-  EXPECT_GT(CountTriangles(lattice), 3 * CountTriangles(random));
+  EXPECT_GT(CountTriangles(CsrGraph(lattice)),
+            3 * CountTriangles(CsrGraph(random)));
 }
 
 TEST(RandomGeometricTest, RadiusControlsDensity) {
@@ -77,7 +79,7 @@ TEST(RandomGeometricTest, CoordinatesReturnedAndConsistent) {
 TEST(RandomGeometricTest, GeometricGraphsClusterHighly) {
   Rng rng(8);
   Graph g = RandomGeometric(300, 0.12, rng);
-  GraphStats s = ComputeGraphStats(g);
+  GraphStats s = ComputeGraphStats(CsrGraph(g));
   EXPECT_GT(s.global_clustering, 0.4);  // RGGs cluster ~0.59 in the plane
 }
 
@@ -87,9 +89,10 @@ TEST(Rule1Test, RecoversExactlyKappaTriangles) {
   Rng rng(9);
   Graph g = PowerLawCluster(150, 3, 0.7, rng);
   PlantRandomClique(g, 8, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
-    auto core = CoreTrianglesOf(g, r, e);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  csr.ForEachEdge([&](EdgeId e, const Edge&) {
+    auto core = CoreTrianglesOf(csr, r, e);
     EXPECT_EQ(core.size(), r.kappa[e]);
   });
 }
@@ -97,10 +100,10 @@ TEST(Rule1Test, RecoversExactlyKappaTriangles) {
 TEST(Rule1Test, RecoveredTrianglesRespectTheorem1) {
   // Every recovered triangle's partner edges carry kappa >= kappa(e).
   Rng rng(10);
-  Graph g = PlantedPartition(3, 12, 0.5, 0.05, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
-    for (const CoreTriangle& t : CoreTrianglesOf(g, r, e)) {
+  const CsrGraph csr(PlantedPartition(3, 12, 0.5, 0.05, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  csr.ForEachEdge([&](EdgeId e, const Edge&) {
+    for (const CoreTriangle& t : CoreTrianglesOf(csr, r, e)) {
       EXPECT_GE(r.kappa[t.e1], r.kappa[e]);
       EXPECT_GE(r.kappa[t.e2], r.kappa[e]);
     }
@@ -108,10 +111,10 @@ TEST(Rule1Test, RecoveredTrianglesRespectTheorem1) {
 }
 
 TEST(Rule1Test, CliqueEdgesUseAllTriangles) {
-  Graph g = CompleteGraph(6);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  EdgeId e = g.FindEdge(0, 1);
-  auto core = CoreTrianglesOf(g, r, e);
+  const CsrGraph csr(CompleteGraph(6));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  EdgeId e = csr.FindEdge(0, 1);
+  auto core = CoreTrianglesOf(csr, r, e);
   EXPECT_EQ(core.size(), 4u);  // every triangle on the edge is in the core
 }
 

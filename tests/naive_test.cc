@@ -44,7 +44,7 @@ TEST(MaxCliqueTest, PlantedCliqueIsFound) {
   auto found = MaxClique(g, 0, &exact);
   EXPECT_TRUE(exact);
   EXPECT_GE(found.size(), 9u);
-  EXPECT_TRUE(IsClique(g, found));
+  EXPECT_TRUE(IsClique(CsrGraph(g), found));
 }
 
 TEST(MaxCliqueTest, ResultIsAlwaysAClique) {
@@ -52,7 +52,7 @@ TEST(MaxCliqueTest, ResultIsAlwaysAClique) {
     Rng rng(seed);
     Graph g = ErdosRenyi(35, 0.3, rng);
     auto found = MaxClique(g);
-    EXPECT_TRUE(IsClique(g, found));
+    EXPECT_TRUE(IsClique(CsrGraph(g), found));
     EXPECT_GE(found.size(), 2u);  // 35 vertices at p=.3 surely has an edge
   }
 }
@@ -63,7 +63,7 @@ TEST(MaxCliqueTest, BudgetCapsSearchButStaysValid) {
   bool exact = true;
   auto found = MaxClique(g, /*node_budget=*/5, &exact);
   EXPECT_FALSE(exact);
-  EXPECT_TRUE(IsClique(g, found));
+  EXPECT_TRUE(IsClique(CsrGraph(g), found));
 }
 
 TEST(MaxCliqueTest, CliqueSizeMatchesKappaPlus2Bound) {

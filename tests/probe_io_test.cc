@@ -38,7 +38,7 @@ TEST(CliqueProbeTest, FindsPlantedClique) {
   auto found = CoreGuidedMaxClique(g, 0, &stats);
   EXPECT_TRUE(stats.exact);
   EXPECT_EQ(found, members);
-  EXPECT_TRUE(IsClique(g, found));
+  EXPECT_TRUE(IsClique(CsrGraph(g), found));
   // The probe must have searched a sliver of the graph.
   EXPECT_LT(stats.vertices_searched, g.NumVertices() / 4);
 }
@@ -50,7 +50,7 @@ TEST(CliqueProbeTest, MatchesExactSearchOnRandomGraphs) {
     auto guided = CoreGuidedMaxClique(g);
     auto exact = MaxClique(g);
     EXPECT_EQ(guided.size(), exact.size()) << "seed " << seed;
-    EXPECT_TRUE(IsClique(g, guided));
+    EXPECT_TRUE(IsClique(CsrGraph(g), guided));
   }
 }
 
@@ -69,7 +69,7 @@ TEST(DnExtractTest, CliqueIsLocallyMaximal) {
   Graph g(10);
   PlantClique(g, {0, 1, 2, 3, 4});
   TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].lambda, 3u);
   EXPECT_EQ(cands[0].vertices.size(), 5u);
@@ -83,7 +83,7 @@ TEST(DnExtractTest, Figure5VertexNotCovered) {
   PlantClique(g, {1, 2, 3, 4});  // BCDE
   g.AddEdge(0, 1);               // A - B only
   TriangleCoreResult r = ComputeTriangleCores(g);
-  auto covered = DnGraphCoverage(g, r.kappa);
+  auto covered = DnGraphCoverage(CsrGraph(g), r.kappa);
   EXPECT_FALSE(covered[0]);
   for (VertexId v = 1; v < 5; ++v) EXPECT_TRUE(covered[v]);
 }
@@ -106,7 +106,7 @@ TEST(DnExtractTest, GrowableCandidateIsNotMaximal) {
   // Vertex 4 adjacent to all four: K5 arises, so the peak is the K5.
   for (VertexId v = 0; v < 4; ++v) g.AddEdge(4, v);
   TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].vertices.size(), 5u);
   EXPECT_TRUE(cands[0].locally_maximal);
@@ -119,7 +119,7 @@ TEST(DnExtractTest, NestedLevelsEmitPeaksOnly) {
   PlantClique(g, {0, 1, 2, 3, 4, 5});
   PlantClique(g, {4, 5, 6, 7});
   TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 2u);
   EXPECT_EQ(cands[0].lambda, 2u);
   EXPECT_EQ(cands[0].vertices.size(), 8u);

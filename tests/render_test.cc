@@ -13,8 +13,9 @@ namespace tkc {
 namespace {
 
 DensityPlot MakePlot() {
-  Graph g(20);
-  PlantClique(g, {0, 1, 2, 3, 4, 5});
+  Graph builder(20);
+  PlantClique(builder, {0, 1, 2, 3, 4, 5});
+  const CsrGraph g(builder);
   TriangleCoreResult r = ComputeTriangleCores(g);
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });

@@ -69,7 +69,7 @@ TEST(TriangleCoreTest, KappaNeverExceedsSupport) {
   Rng rng(31);
   Graph g = PowerLawCluster(200, 3, 0.7, rng);
   TriangleCoreResult r = ComputeTriangleCores(g);
-  auto support = ComputeEdgeSupports(g);
+  auto support = ComputeEdgeSupports(CsrGraph(g));
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_LE(r.kappa[e], support[e]);
   });
@@ -106,7 +106,7 @@ TEST(TriangleCoreTest, Theorem1HoldsOnDecomposition) {
   Rng rng(43);
   Graph g = PlantedPartition(4, 12, 0.5, 0.03, rng);
   TriangleCoreResult r = ComputeTriangleCores(g);
-  EXPECT_TRUE(VerifyTheorem1(g, r.kappa));
+  EXPECT_TRUE(VerifyTheorem1(CsrGraph(g), r.kappa));
 }
 
 TEST(TriangleCoreTest, PlantedCliqueDominatesBackground) {

@@ -80,7 +80,7 @@ TEST(VerifyTest, SoundnessCatchesInflatedKappa) {
 
   std::vector<uint32_t> kappa = r.kappa;
   kappa[3] += 1;  // claim edge 3 reaches level 3: off-by-one corruption
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(CsrGraph(g), kappa);
 
   EXPECT_FALSE(report.AllPassed());
   const InvariantCheck* soundness = report.Find("kappa.soundness");
@@ -104,7 +104,7 @@ TEST(VerifyTest, MaximalityCatchesDeflatedKappa) {
   // Uniform deflation: internally consistent at level 1 (soundness holds),
   // but K4 is a 2-triangle-core, so maximality must object.
   std::vector<uint32_t> kappa(g.EdgeCapacity(), 1);
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(CsrGraph(g), kappa);
 
   EXPECT_FALSE(report.AllPassed());
   EXPECT_TRUE(report.Find("kappa.soundness")->passed);
@@ -128,7 +128,7 @@ TEST(VerifyTest, ShapeCatchesDirtyTombstone) {
   ASSERT_EQ(kappa[dead], 0u);
   kappa[dead] = r.kappa[dead];  // stale value survives the removal
 
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(CsrGraph(g), kappa);
   const InvariantCheck* shape = report.Find("kappa.shape");
   ASSERT_NE(shape, nullptr);
   EXPECT_FALSE(shape->passed);
@@ -169,7 +169,7 @@ TEST(VerifyTest, MirrorCatchesStaleCsrSnapshot) {
 
 TEST(VerifyTest, NestingCatchesTamperedHierarchy) {
   Rng rng(13);
-  Graph g = PowerLawCluster(80, 3, 0.6, rng);
+  const CsrGraph g(PowerLawCluster(80, 3, 0.6, rng));
   TriangleCoreResult r = ComputeTriangleCores(g);
   CoreHierarchy h = BuildCoreHierarchy(g, r);
   ASSERT_FALSE(h.nodes.empty());
@@ -186,7 +186,7 @@ TEST(VerifyTest, CounterexampleSurvivesIntoVerifyV1Json) {
   Graph g = CompleteGraph(4);
   std::vector<uint32_t> kappa = ComputeTriangleCores(g).kappa;
   kappa[3] += 1;
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(CsrGraph(g), kappa);
 
   const std::string json = report.ToJson().Dump();
   EXPECT_NE(json.find("\"schema\":\"tkc.verify.v1\""), std::string::npos);

@@ -66,6 +66,13 @@ RULES = {
         "<immintrin.h> or x86 SIMD intrinsics anywhere under src/ (the "
         "library has one portable intersection kernel)",
     ),
+    "TKC-L070": (
+        "graph-twin",
+        "header under src/tkc/ declares a function for `const Graph&` and "
+        "again for a frozen read type (`const CsrGraph&`, "
+        "`const AnalysisContext&` or `const DeltaCsr&`); analytics take "
+        "the frozen type only",
+    ),
 }
 NAME_TO_ID = {name: rid for rid, (name, _) in RULES.items()}
 
@@ -80,6 +87,10 @@ NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![\w.])delete(?:\[\])?\b")
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
 SIMD_INTRINSIC_RE = re.compile(r"\b(?:_mm\d*_\w+|__m\d+[di]?)\b")
+DECL_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+GRAPH_PARAM_RE = re.compile(r"\bconst\s+Graph\s*&")
+FROZEN_PARAM_RE = re.compile(
+    r"\bconst\s+(?:CsrGraph|AnalysisContext|DeltaCsr)\s*&")
 BANNED_RES = [
     (re.compile(r"std::rand\b"), "std::rand (use tkc/util/random.h)"),
     (re.compile(r"\btime\(\s*(nullptr|NULL|0)\s*\)"),
@@ -320,12 +331,46 @@ class Linter:
                         f"include guard is \"{got}\", expected "
                         f"\"{canonical}\" (or #pragma once)")
 
+    # --- TKC-L070: a Graph overload beside a frozen-type twin ---
+
+    def check_graph_twins(self, path):
+        """Collects every `name(params)` in the header (comments and
+        literals stripped, parentheses matched across lines) and reports
+        the `const Graph&` declarations of each name that the same header
+        also declares with a frozen read type."""
+        lines = path.read_text().splitlines()
+        code = [strip_code(l) for l in lines]
+        text = "\n".join(code)
+        graph_decls, frozen_names = {}, set()
+        for m in DECL_NAME_RE.finditer(text):
+            depth, end = 1, m.end()
+            while end < len(text) and depth:
+                depth += {"(": 1, ")": -1}.get(text[end], 0)
+                end += 1
+            params = text[m.end():end]
+            name = m.group(1)
+            if FROZEN_PARAM_RE.search(params):
+                frozen_names.add(name)
+            elif GRAPH_PARAM_RE.search(params):
+                lineno = text.count("\n", 0, m.start()) + 1
+                graph_decls.setdefault(name, []).append(lineno)
+        for name in sorted(graph_decls.keys() & frozen_names):
+            for lineno in graph_decls[name]:
+                self.report(
+                    "TKC-L070", path, lines, lineno,
+                    f"{name} is declared for `const Graph&` and for a "
+                    "frozen read type; delete the Graph overload (callers "
+                    "freeze once: `CsrGraph csr(g)`)")
+
     def run(self):
         src = self.root / "src"
         src_files = sorted(p for p in src.rglob("*")
                            if p.suffix in (".h", ".cc"))
         for path in src_files:
             self.check_file(path)
+            if path.suffix == ".h" and str(path.relative_to(
+                    self.root)).startswith("src/tkc/"):
+                self.check_graph_twins(path)
         self.check_metrics_sync(src_files)
         return self.violations
 
