@@ -16,7 +16,6 @@
 #include "tkc/obs/json.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/obs/trace.h"
 #include "tkc/util/parallel.h"
 #include "tkc/util/timer.h"
 
@@ -136,22 +135,23 @@ inline void PrintGraphSummary(const std::string& name, const Graph& g) {
 /// Machine-readable companion to the human tables: collects result rows and
 /// (on Finish, when --json-out was given) writes the tkc.bench.v1 artifact —
 /// run config, the rows, a dump of the global metrics registry, and the
-/// phase-span tree. This is the feed for the BENCH_*.json perf trajectory.
+/// phase tree folded from the run's spans. This is the feed for the BENCH_*.json perf trajectory.
 ///
-/// Construction resets the global registry/tracer so the dump describes
-/// exactly this bench process.
+/// Construction resets the global registry and recorder so the dump
+/// describes exactly this bench process.
 class BenchReporter {
  public:
   BenchReporter(std::string bench_name, const BenchConfig& cfg)
       : bench_name_(std::move(bench_name)), cfg_(cfg),
         rows_(obs::JsonValue::Array()), notes_(obs::JsonValue::Object()) {
     obs::MetricsRegistry::Global().Reset();
-    obs::PhaseTracer::Global().Reset();
     // The reset wiped the gauge ParseArgs set; restore it so the artifact
     // records the worker count the run actually used.
     obs::MetricsRegistry::Global().GetGauge("tkc.threads")
         .Set(DefaultThreads());
-    if (!cfg_.trace_out.empty()) {
+    // Record spans only for an artifact that reads them: the timeline
+    // (--trace-out) or the phase tree folded into --json-out.
+    if (!cfg_.json_out.empty() || !cfg_.trace_out.empty()) {
       obs::TimelineRecorder::Global().Start();
     } else {
       obs::TimelineRecorder::Global().Reset();
@@ -169,6 +169,8 @@ class BenchReporter {
   /// Writes the artifacts --json-out / --trace-out asked for. Returns
   /// `code` so benches can end with `return report.Finish(0);`.
   int Finish(int code = 0) {
+    obs::TimelineRecorder& recorder = obs::TimelineRecorder::Global();
+    recorder.Stop();
     if (!cfg_.trace_out.empty()) {
       if (obs::WriteTraceArtifact(cfg_.trace_out, "bench", bench_name_,
                                   code)) {
@@ -193,7 +195,8 @@ class BenchReporter {
     }
     doc.Set("rows", std::move(rows_))
         .Set("metrics", obs::MetricsRegistry::Global().ToJson())
-        .Set("trace", obs::PhaseTracer::Global().ToJson());
+        .Set("trace", recorder.PhaseTree())
+        .Set("dropped_events", recorder.DroppedEvents());
     std::ofstream file(cfg_.json_out);
     file << doc.Dump(2) << '\n';
     if (!file.good()) {

@@ -17,7 +17,6 @@
 #include "tkc/obs/json.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/obs/trace.h"
 
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/analysis_context.h"
@@ -280,7 +279,7 @@ namespace {
 // Re-wraps google-benchmark's native JSON (written to `raw_path`) into the
 // repo-wide tkc.bench.v1 envelope at `out_path`: the library's benchmark
 // rows become `rows`, its machine context rides along as a note, and the
-// global metrics/trace dump is attached like every other bench artifact.
+// global metrics dump is attached like every other bench artifact.
 int WriteBenchEnvelope(const std::string& raw_path,
                        const std::string& out_path) {
   std::ifstream in(raw_path, std::ios::binary);
@@ -305,8 +304,7 @@ int WriteBenchEnvelope(const std::string& raw_path,
   } else {
     doc.Set("rows", tkc::obs::JsonValue::Array());
   }
-  doc.Set("metrics", tkc::obs::MetricsRegistry::Global().ToJson())
-      .Set("trace", tkc::obs::PhaseTracer::Global().ToJson());
+  doc.Set("metrics", tkc::obs::MetricsRegistry::Global().ToJson());
   std::ofstream out(out_path, std::ios::binary);
   out << doc.Dump(2) << '\n';
   if (!out.good()) {

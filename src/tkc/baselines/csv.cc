@@ -5,7 +5,7 @@
 #include "tkc/baselines/naive.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 
 namespace tkc {
 

@@ -7,7 +7,7 @@
 #include "tkc/core/core_extraction.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {

@@ -32,7 +32,6 @@
 #include "tkc/obs/log.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/obs/trace.h"
 #include "tkc/patterns/patterns.h"
 #include "tkc/util/parallel.h"
 #include "tkc/util/random.h"
@@ -268,7 +267,10 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   }
   // The frozen snapshot is all the decomposition reads; the Graph's memory
   // goes to the triangle index instead.
-  src->graph.reset();
+  {
+    TKC_SPAN("cli.release_graph");
+    src->graph.reset();
+  }
   TriangleCoreResult r = ComputeTriangleCores(*ctx, mode);
   double seconds = t.Seconds();
   const CsrGraph& csr = ctx->csr();
@@ -970,15 +972,16 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   const std::string metrics_out = parsed.Flag("metrics-out", "");
   const std::string trace_out = parsed.Flag("trace-out", "");
 
-  // Fresh counters and trace per invocation so a --metrics-out dump
-  // describes exactly this command. The timeline recorder only runs when a
-  // --trace-out destination exists (recording otherwise buys nothing).
+  // Fresh counters and spans per invocation so the artifacts describe
+  // exactly this command. The recorder only runs when an artifact will
+  // read it: --trace-out exports its timeline and --metrics-out folds its
+  // phase tree.
   obs::MetricsRegistry::Global().Reset();
-  obs::PhaseTracer::Global().Reset();
-  if (!trace_out.empty()) {
-    obs::TimelineRecorder::Global().Start();
+  obs::TimelineRecorder& recorder = obs::TimelineRecorder::Global();
+  if (!metrics_out.empty() || !trace_out.empty()) {
+    recorder.Start();
   } else {
-    obs::TimelineRecorder::Global().Reset();
+    recorder.Reset();
   }
 
   if (!NumericFlagsValid(parsed, err)) return 2;
@@ -1004,6 +1007,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     TKC_SPAN(cmd);
     code = Dispatch(cmd, parsed, out, err);
   }
+  recorder.Stop();
 
   if (!metrics_out.empty()) {
     obs::JsonValue doc = obs::JsonValue::Object();
@@ -1011,7 +1015,8 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
         .Set("command", cmd)
         .Set("exit_code", code)
         .Set("metrics", obs::MetricsRegistry::Global().ToJson())
-        .Set("trace", obs::PhaseTracer::Global().ToJson());
+        .Set("trace", recorder.PhaseTree())
+        .Set("dropped_events", recorder.DroppedEvents());
     if (g_update_stats_json.has_value()) {
       doc.Set("update_stats", *g_update_stats_json);
     }

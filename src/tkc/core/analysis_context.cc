@@ -5,7 +5,7 @@
 
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
 #include "tkc/util/parallel.h"
 
@@ -40,8 +40,7 @@ void AnalysisContext::CacheSupports(std::vector<uint32_t> supports) const {
       .Add(1);
   supports_ = std::move(supports);
   // L2 oracle: the parallel enumeration must agree with a serial per-edge
-  // common-neighbor recount. (No TKC_SPAN here — we hold mu_ and the
-  // tracer is single-threaded.)
+  // common-neighbor recount.
   TKC_VERIFY_L2(csr_->ForEachEdge([&](EdgeId e, const Edge& edge) {
     TKC_CHECK_MSG(
         (*supports_)[e] == csr_->CountCommonNeighbors(edge.u, edge.v),

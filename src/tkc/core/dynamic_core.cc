@@ -10,7 +10,7 @@
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
 #include "tkc/util/timer.h"
 

@@ -13,7 +13,6 @@
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
 
 #if TKC_CHECK_LEVEL >= 2

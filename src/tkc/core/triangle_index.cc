@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "tkc/graph/triangle.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {

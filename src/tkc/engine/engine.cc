@@ -6,7 +6,7 @@
 #include "tkc/core/triangle_core.h"
 #include "tkc/obs/log.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
 #include "tkc/util/timer.h"
 #include "tkc/verify/certificate.h"

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
 
 #if TKC_CHECK_LEVEL >= 1
@@ -13,9 +13,8 @@
 
 namespace tkc {
 
-CsrGraph::CsrGraph(const Graph& g, int threads) {
-  InitFrom(g, threads);
-  FinishBuild(threads);
+CsrGraph::CsrGraph(const Graph& g, int threads)
+    : CsrGraph(Freeze(g, threads)) {
   TKC_VERIFY_L2(verify::CheckOrDie(verify::CheckMirrorConsistency(g, *this),
                                    "CsrGraph::CsrGraph"));
 }
@@ -23,6 +22,7 @@ CsrGraph::CsrGraph(const Graph& g, int threads) {
 CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
                                    std::vector<Neighbor> entries,
                                    std::vector<Edge> edges, int threads) {
+  TKC_SPAN("csr.freeze");
   CsrGraph csr;
   csr.offsets_ = std::move(offsets);
   csr.entries_ = std::move(entries);
@@ -33,7 +33,6 @@ CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
 }
 
 void CsrGraph::FinishBuild(int threads) {
-  TKC_SPAN("csr.freeze");
   BuildOrientedView(threads);
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("csr.freeze.builds").Add(1);

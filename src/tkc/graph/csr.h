@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tkc/graph/graph.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -45,6 +46,7 @@ class CsrGraph {
   /// result is bit-identical at any thread count.
   template <typename GraphT>
   static CsrGraph Freeze(const GraphT& g, int threads = 1) {
+    TKC_SPAN("csr.freeze");
     CsrGraph csr;
     csr.InitFrom(g, threads);
     csr.FinishBuild(threads);

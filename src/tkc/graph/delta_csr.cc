@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
 
 namespace tkc {

@@ -5,7 +5,7 @@
 
 #include "tkc/graph/intersect.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -60,13 +60,17 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads) {
   IntersectStats stats;
 
   if (threads <= 1 || cap == 0) {
-    ForEachOrientedTriangleInRange(g, 0, cap, stats,
-                                   [&](EdgeId e, EdgeId aw, EdgeId bw) {
-                                     ++support[e];
-                                     ++support[aw];
-                                     ++support[bw];
-                                     ++triangles;
-                                   });
+    // ParallelFor's serial path: no shards to reduce, and the same
+    // parallel_for.chunk span as at any thread count.
+    ParallelFor(1, cap, [&](int, size_t begin, size_t end) {
+      ForEachOrientedTriangleInRange(g, begin, end, stats,
+                                     [&](EdgeId e, EdgeId aw, EdgeId bw) {
+                                       ++support[e];
+                                       ++support[aw];
+                                       ++support[bw];
+                                       ++triangles;
+                                     });
+    });
     RecordEnumeration(stats, triangles);
     return support;
   }

@@ -6,7 +6,7 @@
 
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 
 namespace tkc {
 

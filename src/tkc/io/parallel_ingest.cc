@@ -10,7 +10,7 @@
 
 #include "tkc/io/tokenizer.h"
 #include "tkc/obs/metrics.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {

@@ -59,6 +59,7 @@ MemorySnapshot ReadMemorySnapshot() {
 }
 
 ScopedMemSpan::~ScopedMemSpan() {
+  if (!span_.active()) return;
   const MemorySnapshot after = ReadMemorySnapshot();
   if (!after.available) return;
 
@@ -73,14 +74,9 @@ ScopedMemSpan::~ScopedMemSpan() {
           : 0;
   registry.GetHistogram("mem.phase.rss_growth_bytes").Observe(growth);
 
-  Attach("rss_before_bytes", before_.current_rss_bytes);
-  Attach("rss_after_bytes", after.current_rss_bytes);
-  Attach("rss_peak_bytes", after.peak_rss_bytes);
-}
-
-void ScopedMemSpan::Attach(std::string_view key, uint64_t value) {
-  if (span_.node() != nullptr) span_.node()->AddCounter(key, value);
-  span_.AddTimelineArg(key, value);
+  span_.AddArg("rss_before_bytes", before_.current_rss_bytes);
+  span_.AddArg("rss_after_bytes", after.current_rss_bytes);
+  span_.AddArg("rss_peak_bytes", after.peak_rss_bytes);
 }
 
 }  // namespace tkc::obs

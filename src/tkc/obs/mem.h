@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 
 namespace tkc::obs {
 
@@ -20,37 +20,30 @@ struct MemorySnapshot {
 MemorySnapshot ReadMemorySnapshot();
 
 /// TKC_SPAN plus per-phase memory accounting: on scope exit the RSS
-/// before/after/peak are attached to the aggregated span node and the
-/// timeline slice, the `mem.current_rss_bytes` / `mem.peak_rss_bytes`
-/// gauges are refreshed, and the phase's RSS growth lands in the
-/// `mem.phase.rss_growth_bytes` histogram. Sampling reads /proc twice per
-/// span — use at phase granularity, not in loops.
+/// before/after/peak are attached to the span's slice, the
+/// `mem.current_rss_bytes` / `mem.peak_rss_bytes` gauges are refreshed, and
+/// the phase's RSS growth lands in the `mem.phase.rss_growth_bytes`
+/// histogram. Only while a recording session is active: sampling reads
+/// /proc twice per span — use at phase granularity, not in loops.
 class ScopedMemSpan {
  public:
-  ScopedMemSpan(PhaseTracer& tracer, std::string_view name)
-      : span_(tracer, name), before_(ReadMemorySnapshot()) {}
-
+  explicit ScopedMemSpan(std::string_view name) : span_(name) {
+    if (span_.active()) before_ = ReadMemorySnapshot();
+  }
   ~ScopedMemSpan();
 
   ScopedMemSpan(const ScopedMemSpan&) = delete;
   ScopedMemSpan& operator=(const ScopedMemSpan&) = delete;
 
  private:
-  void Attach(std::string_view key, uint64_t value);
-
-  ScopedSpan span_;
+  TimelineScope span_;
   MemorySnapshot before_;
 };
 
 }  // namespace tkc::obs
 
-#if defined(TKC_DISABLE_TRACING)
-#define TKC_SPAN_MEM(name)
-#else
 /// Opens a phase span that also accounts the phase's memory footprint.
-#define TKC_SPAN_MEM(name)                                            \
-  ::tkc::obs::ScopedMemSpan TKC_SPAN_CONCAT(tkc_mem_span_, __LINE__)( \
-      ::tkc::obs::PhaseTracer::Global(), name)
-#endif
+#define TKC_SPAN_MEM(name) \
+  ::tkc::obs::ScopedMemSpan TKC_SPAN_CONCAT(tkc_mem_span_, __LINE__)(name)
 
 #endif  // TKC_OBS_MEM_H_

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
+#include "tkc/util/check.h"
 
 namespace tkc::obs {
 
@@ -34,6 +37,15 @@ struct TlsTrackRef {
   void* track = nullptr;
 };
 thread_local TlsTrackRef tls_track_ref;
+
+// The innermost open span on this thread: the target of TKC_SPAN_COUNTER.
+thread_local TimelineScope* tls_innermost = nullptr;
+
+void CopyTruncated(std::string_view text, char* out, size_t capacity) {
+  const size_t n = std::min(text.size(), capacity - 1);
+  std::memcpy(out, text.data(), n);
+  out[n] = '\0';
+}
 
 }  // namespace
 
@@ -94,27 +106,62 @@ TimelineRecorder::ThreadTrack* TimelineRecorder::TrackForThisThread() {
   return tracks_.back().get();
 }
 
-void TimelineRecorder::Record(std::string_view name, uint64_t start_ns,
-                              uint64_t dur_ns,
-                              const TimelineEvent::Arg* args,
-                              size_t num_args) {
-  if (!enabled()) return;
+TimelineEvent* TimelineRecorder::Open(std::string_view name, uint32_t depth) {
   ThreadTrack* track = TrackForThisThread();
   if (track->events.size() >=
       capacity_per_thread_.load(std::memory_order_relaxed)) {
     track->dropped.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  TimelineEvent& ev = track->events.emplace_back();
+  CopyTruncated(name, ev.name, sizeof(ev.name));
+  ev.depth = depth;
+  ev.dur_ns = TimelineEvent::kOpen;
+  ev.start_ns = NowNs();
+  return &ev;
+}
+
+void TimelineScope::Open(std::string_view name) {
+  TimelineRecorder& recorder = TimelineRecorder::Global();
+  active_ = true;
+  session_ = recorder.session();
+  parent_ = tls_innermost;
+  depth_ = parent_ != nullptr && parent_->session_ == session_
+               ? parent_->depth_ + 1
+               : 0;
+  event_ = recorder.Open(name, depth_);
+  tls_innermost = this;
+}
+
+void TimelineScope::Close() {
+  tls_innermost = parent_;
+  TimelineRecorder& recorder = TimelineRecorder::Global();
+  // A Start/Reset while this span was open dropped its slot's track.
+  if (event_ == nullptr || recorder.session() != session_) return;
+  event_->dur_ns = recorder.NowNs() - event_->start_ns;
+}
+
+void TimelineScope::AddArg(std::string_view key, uint64_t value) {
+  if (event_ == nullptr ||
+      TimelineRecorder::Global().session() != session_) {
     return;
   }
-  track->events.emplace_back();
-  TimelineEvent& ev = track->events.back();
-  size_t n = std::min(name.size(), sizeof(ev.name) - 1);
-  std::memcpy(ev.name, name.data(), n);
-  ev.name[n] = '\0';
-  ev.start_ns = start_ns;
-  ev.dur_ns = dur_ns;
-  ev.num_args = static_cast<uint32_t>(
-      std::min<size_t>(num_args, TimelineEvent::kMaxArgs));
-  for (uint32_t i = 0; i < ev.num_args; ++i) ev.args[i] = args[i];
+  key = key.substr(0, TimelineEvent::kKeyCapacity - 1);
+  for (uint32_t i = 0; i < event_->num_args; ++i) {
+    TimelineEvent::Arg& arg = event_->args[i];
+    if (key == arg.key) {
+      arg.value += value;
+      return;
+    }
+  }
+  if (event_->num_args == TimelineEvent::kMaxArgs) return;
+  TimelineEvent::Arg& arg = event_->args[event_->num_args++];
+  CopyTruncated(key, arg.key, sizeof(arg.key));
+  arg.value = value;
+}
+
+void AddSpanCounter(std::string_view key, uint64_t delta) {
+  if (tls_innermost != nullptr) tls_innermost->AddArg(key, delta);
 }
 
 uint64_t TimelineRecorder::DroppedEvents() const {
@@ -182,6 +229,7 @@ void TimelineRecorder::AppendTo(JsonValue& doc) const {
                     .Set("args", JsonValue::Object().Set(
                                      "name", ordered[tid]->name)));
     for (const TimelineEvent& ev : ordered[tid]->events) {
+      if (ev.dur_ns == TimelineEvent::kOpen) continue;
       JsonValue out = JsonValue::Object();
       out.Set("name", ev.name)
           .Set("ph", "X")
@@ -215,6 +263,85 @@ JsonValue TimelineRecorder::ToJson() const {
   doc.Set("schema", "tkc.trace.v1");
   AppendTo(doc);
   return doc;
+}
+
+namespace {
+
+// One node of the folded phase tree; exists only during PhaseTree().
+struct FoldNode {
+  std::string name;
+  uint64_t calls = 0;
+  uint64_t ns = 0;
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::vector<std::unique_ptr<FoldNode>> children;
+
+  FoldNode* Child(std::string_view child_name) {
+    for (const auto& c : children) {
+      if (c->name == child_name) return c.get();
+    }
+    children.push_back(std::make_unique<FoldNode>());
+    children.back()->name = std::string(child_name);
+    return children.back().get();
+  }
+
+  void Add(const TimelineEvent& ev) {
+    calls += 1;
+    ns += ev.dur_ns;
+    for (uint32_t i = 0; i < ev.num_args; ++i) {
+      const std::string_view key = ev.args[i].key;
+      auto it = std::find_if(counters.begin(), counters.end(),
+                             [&](const auto& kv) { return kv.first == key; });
+      if (it == counters.end()) {
+        counters.emplace_back(std::string(key), ev.args[i].value);
+      } else {
+        it->second += ev.args[i].value;
+      }
+    }
+  }
+
+  JsonValue ToJson() const {
+    JsonValue out = JsonValue::Object();
+    out.Set("name", name)
+        .Set("calls", calls)
+        .Set("seconds", static_cast<double>(ns) / 1e9);
+    if (!counters.empty()) {
+      JsonValue c = JsonValue::Object();
+      for (const auto& [k, v] : counters) c.Set(k, v);
+      out.Set("counters", std::move(c));
+    }
+    if (!children.empty()) {
+      JsonValue kids = JsonValue::Array();
+      for (const auto& child : children) kids.Push(child->ToJson());
+      out.Set("children", std::move(kids));
+    }
+    return out;
+  }
+};
+
+}  // namespace
+
+JsonValue TimelineRecorder::PhaseTree() const {
+  FoldNode root;
+  MutexLock lock(mu_);
+  for (const auto& track : tracks_) {
+    if (track->name != "main") continue;
+    // Slots are in open order, so each slice's parent is the last slice
+    // seen one level up: path[d] is the node of the open slice at depth d.
+    std::vector<FoldNode*> path;
+    for (const TimelineEvent& ev : track->events) {
+      // Every later slot on the track opened inside a span still open.
+      if (ev.dur_ns == TimelineEvent::kOpen) break;
+      TKC_CHECK_MSG(ev.depth <= path.size(),
+                    "timeline slice recorded without its parent");
+      path.resize(ev.depth);
+      FoldNode* node = (path.empty() ? &root : path.back())->Child(ev.name);
+      node->Add(ev);
+      path.push_back(node);
+    }
+  }
+  JsonValue out = JsonValue::Array();
+  for (const auto& child : root.children) out.Push(child->ToJson());
+  return out;
 }
 
 TimelineRecorder& TimelineRecorder::Global() {

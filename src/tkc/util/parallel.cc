@@ -123,6 +123,18 @@ ThreadPool& PoolWithAtLeast(int threads) TKC_REQUIRES(g_run_mu) {
   return *g_pool;
 }
 
+// One partition under its parallel_for.chunk slice. The serial path runs
+// its single partition through here too, so the phase tree has the same
+// span names at any thread count.
+void RunChunk(const std::function<void(int, size_t, size_t)>& fn, int worker,
+              size_t begin, size_t end) {
+  obs::TimelineScope scope("parallel_for.chunk");
+  scope.AddArg("worker", static_cast<uint64_t>(worker));
+  scope.AddArg("begin", begin);
+  scope.AddArg("end", end);
+  fn(worker, begin, end);
+}
+
 }  // namespace
 
 void ParallelFor(int threads, size_t n,
@@ -133,7 +145,7 @@ void ParallelFor(int threads, size_t n,
       std::min<size_t>(static_cast<size_t>(threads), n));
   if (chunks <= 1 || tls_in_parallel_for) {
     // Nested calls degrade to serial instead of deadlocking on the pool.
-    fn(0, 0, n);
+    RunChunk(fn, 0, 0, n);
     return;
   }
   MutexLock run_lock(g_run_mu);
@@ -145,12 +157,8 @@ void ParallelFor(int threads, size_t n,
     const size_t end = n * (static_cast<size_t>(worker) + 1) /
                        static_cast<size_t>(chunks);
     if (begin == end) return;
-    obs::TimelineScope scope("parallel_for.chunk");
-    scope.AddArg("worker", static_cast<uint64_t>(worker));
-    scope.AddArg("begin", begin);
-    scope.AddArg("end", end);
     tls_in_parallel_for = true;
-    fn(worker, begin, end);
+    RunChunk(fn, worker, begin, end);
     tls_in_parallel_for = false;
   });
 }

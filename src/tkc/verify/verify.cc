@@ -5,7 +5,7 @@
 
 #include "tkc/core/hierarchy.h"
 #include "tkc/graph/csr.h"
-#include "tkc/obs/trace.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/verify/certificate.h"
 #include "tkc/verify/nesting.h"
 #include "tkc/verify/oracle.h"

@@ -248,6 +248,133 @@ TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
   EXPECT_TRUE(spans[0].count("triangle_index"));
 }
 
+// Every span path ("replay/engine.snapshot") of a tkc.metrics.v1 phase
+// tree, and every span counter as "path:key", recursively.
+void CollectSpanPaths(const obs::JsonValue& node, const std::string& prefix,
+                      std::set<std::string>* paths,
+                      std::set<std::string>* counter_keys) {
+  const std::string path = prefix + node.Find("name")->Str();
+  paths->insert(path);
+  if (const obs::JsonValue* counters = node.Find("counters")) {
+    for (const auto& [key, value] : counters->Members()) {
+      counter_keys->insert(path + ":" + key);
+    }
+  }
+  const obs::JsonValue* children = node.Find("children");
+  if (children == nullptr) return;
+  for (const obs::JsonValue& child : children->Items()) {
+    CollectSpanPaths(child, path + "/", paths, counter_keys);
+  }
+}
+
+// Sums (calls, seconds) per span name over a phase tree.
+void SumByName(const obs::JsonValue& node,
+               std::map<std::string, std::pair<double, double>>* out) {
+  auto& [calls, seconds] = (*out)[node.Find("name")->Str()];
+  calls += node.Find("calls")->Number();
+  seconds += node.Find("seconds")->Number();
+  const obs::JsonValue* children = node.Find("children");
+  if (children == nullptr) return;
+  for (const obs::JsonValue& child : children->Items()) SumByName(child, out);
+}
+
+obs::JsonValue ReadJsonFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  auto doc = obs::JsonValue::Parse(buf.str());
+  return doc.has_value() ? *doc : obs::JsonValue();
+}
+
+// The --metrics-out tree is folded from the --trace-out timeline's main
+// track: per span name, the tree's calls and seconds equal the number and
+// summed durations of that track's slices.
+TEST_F(CliTest, DecomposePhaseTreeIsFoldedFromTheMainTrack) {
+  std::string big_path = TempPath("cli_fold_edges.txt");
+  Rng rng(99);
+  ASSERT_TRUE(WriteEdgeListFile(PowerLawCluster(400, 4, 0.5, rng), big_path));
+  const std::string metrics_path = TempPath("cli_fold_metrics.json");
+  const std::string trace_path = TempPath("cli_fold_trace.json");
+  std::string out;
+  ASSERT_EQ(RunTool({"decompose", big_path, "--threads=4",
+                     "--metrics-out=" + metrics_path,
+                     "--trace-out=" + trace_path},
+                    &out),
+            0);
+  const obs::JsonValue metrics = ReadJsonFile(metrics_path);
+  const obs::JsonValue trace = ReadJsonFile(trace_path);
+  ASSERT_TRUE(metrics.IsObject() && trace.IsObject());
+  EXPECT_EQ(metrics.Find("dropped_events")->Number(), 0.0);
+  std::map<std::string, std::pair<double, double>> tree, track;
+  for (const obs::JsonValue& top : metrics.Find("trace")->Items()) {
+    SumByName(top, &tree);
+  }
+  ASSERT_EQ(trace.Find("tracks")->Items()[0].Find("name")->Str(), "main");
+  for (const obs::JsonValue& e : trace.Find("traceEvents")->Items()) {
+    if (e.Find("ph")->Str() != "X" || e.Find("tid")->Number() != 0) continue;
+    auto& [calls, seconds] = track[e.Find("name")->Str()];
+    calls += 1;
+    seconds += e.Find("dur")->Number() / 1e6;
+  }
+  ASSERT_EQ(tree.size(), track.size());
+  for (const auto& [name, totals] : tree) {
+    ASSERT_TRUE(track.count(name)) << name;
+    EXPECT_EQ(totals.first, track[name].first) << name;
+    EXPECT_NEAR(totals.second, track[name].second, 1e-9) << name;
+  }
+  // The worker chunks of the parallel phases stay on their own tracks.
+  EXPECT_GT(tree["parallel_for.chunk"].first, 0.0);
+  EXPECT_GT(trace.Find("tracks")->Items().size(), 1u);
+}
+
+// A replay with snapshot queries emits the same span paths, span counters
+// and metrics at any --threads.
+TEST_F(CliTest, ReplayMetricsSchemaIndependentOfThreads) {
+  std::string big_path = TempPath("cli_replay_schema_edges.txt");
+  Rng rng(17);
+  ASSERT_TRUE(WriteEdgeListFile(PowerLawCluster(400, 4, 0.5, rng), big_path));
+  const std::string events_path = TempPath("cli_replay_schema_events.txt");
+  {
+    std::ofstream ev(events_path);
+    for (int i = 0; i < 400; ++i) {
+      const uint64_t u = rng.NextBounded(420);
+      const uint64_t v = rng.NextBounded(420);
+      if (u != v) ev << (i % 3 == 0 ? "- " : "+ ") << u << ' ' << v << '\n';
+    }
+  }
+  std::set<std::string> spans[2], span_keys[2], counters[2];
+  const char* threads[2] = {"--threads=1", "--threads=4"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string metrics_path = TempPath(
+        std::string("cli_replay_schema_") + std::to_string(i) + ".json");
+    std::string out;
+    ASSERT_EQ(RunTool({"replay", big_path, "--events=" + events_path,
+                       "--batch=16", "--query-every=4", threads[i],
+                       "--metrics-out=" + metrics_path},
+                      &out),
+              0)
+        << threads[i];
+    const obs::JsonValue doc = ReadJsonFile(metrics_path);
+    ASSERT_TRUE(doc.IsObject());
+    for (const obs::JsonValue& top : doc.Find("trace")->Items()) {
+      CollectSpanPaths(top, "", &spans[i], &span_keys[i]);
+    }
+    for (const auto& [key, value] :
+         doc.FindPath("metrics.counters")->Members()) {
+      counters[i].insert(key);
+    }
+  }
+  EXPECT_EQ(spans[0], spans[1]);
+  EXPECT_EQ(span_keys[0], span_keys[1]);
+  EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_TRUE(spans[0].count("replay/engine.snapshot"));
+  EXPECT_TRUE(
+      spans[0].count("replay/support_count/triangle.supports/"
+                     "parallel_for.chunk"));
+  EXPECT_TRUE(span_keys[0].count(
+      "replay/engine.apply_batch/dyn.apply_batch:triangles_scanned"));
+}
+
 TEST_F(CliTest, DecomposeRecomputeModeMatchesDefaultAtAnyThreads) {
   std::string big_path = TempPath("cli_mode_edges.txt");
   Rng rng(7);

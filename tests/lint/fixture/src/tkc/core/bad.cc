@@ -18,6 +18,7 @@ void Bad() {
   (void)r;
 
   TKC_SPAN("Bad.Span_Name");  // TKC-L030: uppercase segment
+  TKC_SPAN_COUNTER("key_longer_than_the_arg_buffer", 1);  // TKC-L030: > 23
 }
 
 #include <immintrin.h>  // TKC-L060: intrinsics header

@@ -43,6 +43,11 @@ expect_hit TKC-L050 "bad.cc"        # bare escape hatch
 expect_hit TKC-L060 "bad.cc"        # stray <immintrin.h> + intrinsic
 expect_hit TKC-L070 "graph_twin.h"  # Twin(const Graph&) beside Twin(CsrGraph)
 
+# L030 also bounds span counter keys: the over-long TKC_SPAN_COUNTER key
+# is a hit of its own.
+grep "\[TKC-L030 " "$out" | grep -q "bad.cc:21: .*key_longer_than_the_arg_buffer" \
+  || fail "TKC-L030 did not flag the over-long span counter key"
+
 # L070 names only the Graph overload of a twinned function: one hit, on
 # the Graph declaration, and none for single-type declarations.
 [[ $(grep -c "\[TKC-L070 " "$out") -eq 1 ]] \

@@ -1,5 +1,5 @@
 #include <cmath>
-#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -11,7 +11,6 @@
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/obs/trace.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc::obs {
@@ -119,72 +118,191 @@ TEST(MetricsRegistryTest, ToJsonSortedAndTyped) {
   EXPECT_EQ(j.FindPath("histograms.h.count")->Number(), 1.0);
 }
 
-TEST(PhaseTracerTest, NestedSpansAggregate) {
-  PhaseTracer tracer;
-  for (int i = 0; i < 3; ++i) {
-    SpanNode* outer = tracer.Enter("outer");
-    SpanNode* inner = tracer.Enter("inner");
-    tracer.AddCounter("work", 5);
-    tracer.Exit(inner, 0.25);
-    tracer.Exit(outer, 1.0);
+// Runs `body` in a fresh session on the global recorder and returns the
+// folded phase tree; `trace` receives the Chrome-trace export.
+template <typename Fn>
+JsonValue FoldSession(Fn&& body, JsonValue* trace = nullptr,
+                      size_t capacity =
+                          TimelineRecorder::kDefaultCapacityPerThread) {
+  TimelineRecorder& recorder = TimelineRecorder::Global();
+  recorder.Start(capacity);
+  body();
+  recorder.Stop();
+  JsonValue tree = recorder.PhaseTree();
+  if (trace != nullptr) *trace = recorder.ToJson();
+  recorder.Reset();
+  return tree;
+}
+
+// The "X" slices of a Chrome-trace export.
+std::vector<const JsonValue*> Slices(const JsonValue& trace) {
+  std::vector<const JsonValue*> out;
+  for (const JsonValue& e : trace.Find("traceEvents")->Items()) {
+    if (e.Find("ph")->Str() == "X") out.push_back(&e);
   }
-  const SpanNode* outer = tracer.root().FindChild("outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_EQ(outer->calls, 3u);
-  EXPECT_DOUBLE_EQ(outer->seconds, 3.0);
-  const SpanNode* inner = outer->FindChild("inner");
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->calls, 3u);
-  EXPECT_DOUBLE_EQ(inner->seconds, 0.75);
-  ASSERT_EQ(inner->counters.size(), 1u);
-  EXPECT_EQ(inner->counters[0].first, "work");
-  EXPECT_EQ(inner->counters[0].second, 15u);
+  return out;
 }
 
-TEST(PhaseTracerTest, SiblingSpansStaySeparate) {
-  PhaseTracer tracer;
-  SpanNode* a = tracer.Enter("a");
-  tracer.Exit(a, 0.1);
-  SpanNode* b = tracer.Enter("b");
-  tracer.Exit(b, 0.2);
-  EXPECT_EQ(tracer.root().children.size(), 2u);
-  JsonValue j = tracer.ToJson();
-  ASSERT_TRUE(j.IsArray());
-  ASSERT_EQ(j.Items().size(), 2u);
-  EXPECT_EQ(j.Items()[0].Find("name")->Str(), "a");
-  EXPECT_EQ(j.Items()[1].Find("name")->Str(), "b");
+TEST(SpanFoldTest, NestingFollowsTheParentPath) {
+  JsonValue tree = FoldSession([] {
+    for (int i = 0; i < 3; ++i) {
+      TKC_SPAN("outer");
+      { TKC_SPAN("inner"); }
+    }
+    { TKC_SPAN("inner"); }  // same name, other path: its own node
+  });
+  ASSERT_EQ(tree.Items().size(), 2u);
+  const JsonValue& outer = tree.Items()[0];
+  EXPECT_EQ(outer.Find("name")->Str(), "outer");
+  EXPECT_EQ(outer.Find("calls")->Number(), 3.0);
+  ASSERT_NE(outer.Find("children"), nullptr);
+  ASSERT_EQ(outer.Find("children")->Items().size(), 1u);
+  const JsonValue& inner = outer.Find("children")->Items()[0];
+  EXPECT_EQ(inner.Find("name")->Str(), "inner");
+  EXPECT_EQ(inner.Find("calls")->Number(), 3.0);
+  EXPECT_LE(inner.Find("seconds")->Number(), outer.Find("seconds")->Number());
+  const JsonValue& top_inner = tree.Items()[1];
+  EXPECT_EQ(top_inner.Find("name")->Str(), "inner");
+  EXPECT_EQ(top_inner.Find("calls")->Number(), 1.0);
+  EXPECT_EQ(top_inner.Find("children"), nullptr);
+  EXPECT_EQ(top_inner.Find("counters"), nullptr);
 }
 
-TEST(PhaseTracerTest, DisabledTracerIsInert) {
-  PhaseTracer tracer;
-  tracer.SetEnabled(false);
-  EXPECT_EQ(tracer.Enter("x"), nullptr);
-  tracer.AddCounter("y", 1);  // must not crash or record
-  EXPECT_TRUE(tracer.root().children.empty());
-  EXPECT_TRUE(tracer.root().counters.empty());
-}
-
-TEST(PhaseTracerTest, ResetDropsTree) {
-  PhaseTracer tracer;
-  SpanNode* a = tracer.Enter("a");
-  tracer.Exit(a, 0.1);
-  tracer.Reset();
-  EXPECT_TRUE(tracer.root().children.empty());
-  SpanNode* b = tracer.Enter("b");
-  tracer.Exit(b, 0.1);
-  EXPECT_EQ(tracer.root().children.size(), 1u);
-}
-
-TEST(ScopedSpanTest, RaiiBuildsTree) {
-  PhaseTracer tracer;
-  {
-    ScopedSpan outer(tracer, "load");
-    { ScopedSpan inner(tracer, "parse"); }
+TEST(SpanFoldTest, SiblingsAggregateAndSecondsSumTheSlices) {
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [] {
+        { TKC_SPAN("a"); }
+        { TKC_SPAN("b"); }
+        { TKC_SPAN("a"); }
+      },
+      &trace);
+  ASSERT_EQ(tree.Items().size(), 2u);
+  EXPECT_EQ(tree.Items()[0].Find("name")->Str(), "a");
+  EXPECT_EQ(tree.Items()[0].Find("calls")->Number(), 2.0);
+  EXPECT_EQ(tree.Items()[1].Find("name")->Str(), "b");
+  EXPECT_EQ(tree.Items()[1].Find("calls")->Number(), 1.0);
+  double a_us = 0.0;
+  for (const JsonValue* slice : Slices(trace)) {
+    if (slice->Find("name")->Str() == "a") a_us += slice->Find("dur")->Number();
   }
-  const SpanNode* load = tracer.root().FindChild("load");
-  ASSERT_NE(load, nullptr);
-  EXPECT_EQ(load->calls, 1u);
-  EXPECT_NE(load->FindChild("parse"), nullptr);
+  EXPECT_NEAR(tree.Items()[0].Find("seconds")->Number(), a_us / 1e6, 1e-9);
+}
+
+TEST(SpanFoldTest, CountersSumWithinASliceAndAcrossCalls) {
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [] {
+        TKC_SPAN_COUNTER("nowhere", 1);  // no span open: dropped
+        for (int i = 0; i < 3; ++i) {
+          TKC_SPAN("phase");
+          TKC_SPAN_COUNTER("work", 5);
+          TKC_SPAN_COUNTER("work", 5);
+          TKC_SPAN_COUNTER("support_relaxations", 1);
+          {
+            TKC_SPAN("child");
+            TKC_SPAN_COUNTER("inner_only", 2);
+          }
+        }
+      },
+      &trace);
+  for (const JsonValue* slice : Slices(trace)) {
+    if (slice->Find("name")->Str() != "phase") continue;
+    EXPECT_EQ(slice->FindPath("args")->Find("work")->Number(), 10.0);
+    ASSERT_NE(slice->FindPath("args")->Find("support_relaxations"), nullptr);
+  }
+  ASSERT_EQ(tree.Items().size(), 1u);
+  const JsonValue& phase = tree.Items()[0];
+  const JsonValue* counters = phase.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_EQ(counters->Members().size(), 2u);
+  EXPECT_EQ(counters->Find("work")->Number(), 30.0);
+  EXPECT_EQ(counters->Find("support_relaxations")->Number(), 3.0);
+  const JsonValue& child = phase.Find("children")->Items()[0];
+  EXPECT_EQ(child.FindPath("counters")->Find("inner_only")->Number(), 6.0);
+}
+
+TEST(SpanFoldTest, OverflowDropsOnlyLaterSubtrees) {
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [] {
+        TKC_SPAN("a");
+        {
+          TKC_SPAN("b");
+          {
+            TKC_SPAN("c");
+            TKC_SPAN_COUNTER("kept", 1);
+            { TKC_SPAN("d"); }  // the buffer is full from here on
+          }
+          { TKC_SPAN("e"); }
+        }
+      },
+      &trace, /*capacity=*/3);
+  EXPECT_EQ(trace.Find("dropped_events")->Number(), 2.0);
+  // a > b > c survive whole, with no orphaned slice under a missing parent.
+  ASSERT_EQ(tree.Items().size(), 1u);
+  const JsonValue* node = &tree.Items()[0];
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->Find("name")->Str(), name);
+    EXPECT_EQ(node->Find("calls")->Number(), 1.0);
+    const JsonValue* children = node->Find("children");
+    if (std::string(name) == "c") {
+      EXPECT_EQ(children, nullptr);
+      EXPECT_EQ(node->FindPath("counters")->Find("kept")->Number(), 1.0);
+    } else {
+      ASSERT_NE(children, nullptr);
+      ASSERT_EQ(children->Items().size(), 1u);
+      node = &children->Items()[0];
+    }
+  }
+}
+
+TEST(SpanFoldTest, WorkerSpansLandOnTheirOwnTracks) {
+  constexpr int kThreads = 4;
+  constexpr size_t kItems = 64;
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [] {
+        ParallelFor(kThreads, kItems, [](int, size_t begin, size_t end) {
+          TKC_SPAN("work.item");
+          TKC_SPAN_COUNTER("items", end - begin);
+        });
+      },
+      &trace);
+  // One work.item slice per track, each carrying its own chunk's count.
+  std::vector<int> per_tid(kThreads, 0);
+  double items = 0.0;
+  for (const JsonValue* slice : Slices(trace)) {
+    if (slice->Find("name")->Str() != "work.item") continue;
+    const auto tid = static_cast<size_t>(slice->Find("tid")->Number());
+    ASSERT_LT(tid, per_tid.size());
+    ++per_tid[tid];
+    items += slice->FindPath("args")->Find("items")->Number();
+  }
+  EXPECT_EQ(per_tid, std::vector<int>(kThreads, 1));
+  EXPECT_EQ(items, static_cast<double>(kItems));
+  // The tree folds the main track only: worker 0's chunk.
+  ASSERT_EQ(tree.Items().size(), 1u);
+  const JsonValue& chunk = tree.Items()[0];
+  EXPECT_EQ(chunk.Find("name")->Str(), "parallel_for.chunk");
+  const JsonValue& item = chunk.Find("children")->Items()[0];
+  EXPECT_EQ(item.Find("name")->Str(), "work.item");
+  EXPECT_EQ(item.FindPath("counters")->Find("items")->Number(),
+            static_cast<double>(kItems / kThreads));
+}
+
+TEST(SpanFoldTest, SerialParallelForOpensTheSameChunkSpan) {
+  for (int threads : {1, 4}) {
+    JsonValue tree = FoldSession([threads] {
+      ParallelFor(threads, 8, [](int, size_t, size_t) {});
+    });
+    ASSERT_EQ(tree.Items().size(), 1u) << threads;
+    EXPECT_EQ(tree.Items()[0].Find("name")->Str(), "parallel_for.chunk");
+    const JsonValue* counters = tree.Items()[0].Find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->Members().size(), 3u) << threads;
+  }
 }
 
 TEST(LogTest, ParseLogLevel) {
@@ -350,23 +468,20 @@ TEST(LogTest, TimestampPrefixesLine) {
 TEST(TimelineTest, DisabledRecorderRecordsNothing) {
   TimelineRecorder recorder;
   EXPECT_FALSE(recorder.enabled());
-  recorder.Record("ignored", 0, 10);
   EXPECT_EQ(recorder.NumTracks(), 0u);
   EXPECT_EQ(recorder.NumEvents(), 0u);
+  EXPECT_TRUE(recorder.PhaseTree().Items().empty());
 }
 
 TEST(TimelineTest, RecordsCompleteEventsWithArgs) {
-  TimelineRecorder recorder;
-  recorder.Start();
-  TimelineEvent::Arg args[2] = {};
-  std::snprintf(args[0].key, sizeof(args[0].key), "level");
-  args[0].value = 3;
-  std::snprintf(args[1].key, sizeof(args[1].key), "round");
-  args[1].value = 7;
-  recorder.Record("peel.round", 100, 250, args, 2);
-  recorder.Stop();
-
-  JsonValue doc = recorder.ToJson();
+  JsonValue doc;
+  FoldSession(
+      [] {
+        TimelineScope scope("peel.round");
+        scope.AddArg("level", 3);
+        scope.AddArg("round", 7);
+      },
+      &doc);
   EXPECT_EQ(doc.Find("schema")->Str(), "tkc.trace.v1");
   const JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -375,18 +490,19 @@ TEST(TimelineTest, RecordsCompleteEventsWithArgs) {
   const JsonValue& slice = events->Items()[1];
   EXPECT_EQ(slice.Find("ph")->Str(), "X");
   EXPECT_EQ(slice.Find("name")->Str(), "peel.round");
-  EXPECT_DOUBLE_EQ(slice.Find("ts")->Number(), 0.1);   // 100ns in us
-  EXPECT_DOUBLE_EQ(slice.Find("dur")->Number(), 0.25);
+  EXPECT_GE(slice.Find("ts")->Number(), 0.0);
+  EXPECT_GE(slice.Find("dur")->Number(), 0.0);
   EXPECT_EQ(slice.FindPath("args.level")->Number(), 3.0);
   EXPECT_EQ(slice.FindPath("args.round")->Number(), 7.0);
-  recorder.Reset();
-  EXPECT_EQ(recorder.NumEvents(), 0u);
+  EXPECT_EQ(TimelineRecorder::Global().NumEvents(), 0u);  // after Reset
 }
 
 TEST(TimelineTest, OverflowCountsDropsInsteadOfGrowing) {
-  TimelineRecorder recorder;
+  TimelineRecorder& recorder = TimelineRecorder::Global();
   recorder.Start(/*capacity_per_thread=*/4);
-  for (int i = 0; i < 10; ++i) recorder.Record("e", i, 1);
+  for (int i = 0; i < 10; ++i) {
+    TKC_SPAN("e");
+  }
   recorder.Stop();
   EXPECT_EQ(recorder.NumEvents(), 4u);
   EXPECT_EQ(recorder.DroppedEvents(), 6u);
@@ -394,6 +510,7 @@ TEST(TimelineTest, OverflowCountsDropsInsteadOfGrowing) {
   EXPECT_EQ(doc.Find("dropped_events")->Number(), 6.0);
   EXPECT_EQ(doc.FindPath("tracks")->Items()[0].Find("dropped")->Number(),
             6.0);
+  recorder.Reset();
 }
 
 TEST(TimelineTest, ScopeIsNoOpWhileGlobalRecorderIdle) {
@@ -461,23 +578,55 @@ TEST(MemTest, ScopedMemSpanPublishesGaugesAndSpanCounters) {
   if (!probe.available) GTEST_SKIP() << "no RSS source on this platform";
   auto& registry = MetricsRegistry::Global();
   registry.Reset();
-  PhaseTracer tracer;
-  {
-    ScopedMemSpan span(tracer, "phase");
+  JsonValue tree = FoldSession([] {
+    TKC_SPAN_MEM("phase");
     // Some visible allocation so the phase is not trivially empty.
     std::vector<uint64_t> ballast(1 << 16, 42);
     EXPECT_GT(ballast[123], 0u);
-  }
+  });
   EXPECT_GT(registry.GetGauge("mem.current_rss_bytes").Value(), 0.0);
   EXPECT_GT(registry.GetGauge("mem.peak_rss_bytes").Value(), 0.0);
   EXPECT_EQ(registry.GetHistogram("mem.phase.rss_growth_bytes").Count(), 1u);
-  const SpanNode* node = tracer.root().FindChild("phase");
-  ASSERT_NE(node, nullptr);
-  bool saw_peak = false;
-  for (const auto& [key, value] : node->counters) {
-    if (key == "rss_peak_bytes") saw_peak = value > 0;
+  ASSERT_EQ(tree.Items().size(), 1u);
+  EXPECT_EQ(tree.Items()[0].Find("name")->Str(), "phase");
+  EXPECT_GT(tree.Items()[0].FindPath("counters")->Find("rss_peak_bytes")
+                ->Number(),
+            0.0);
+}
+
+TEST(MemTest, IdleMemSpanSamplesNothing) {
+  auto& registry = MetricsRegistry::Global();
+  registry.Reset();
+  TimelineRecorder::Global().Reset();
+  { TKC_SPAN_MEM("idle"); }
+  EXPECT_EQ(registry.GetHistogram("mem.phase.rss_growth_bytes").Count(), 0u);
+  EXPECT_EQ(registry.GetGauge("mem.peak_rss_bytes").Value(), 0.0);
+}
+
+// Arg keys up to the longest one the library emits survive whole into the
+// trace artifact (a 16-byte key buffer used to cut rss_before_bytes).
+TEST(MemTest, TraceArtifactCarriesFullArgKeys) {
+  if (!ReadMemorySnapshot().available) {
+    GTEST_SKIP() << "no RSS source on this platform";
   }
-  EXPECT_TRUE(saw_peak);
+  TimelineRecorder::Global().Start();
+  { TKC_SPAN_MEM("phase"); }
+  const std::string path = ::testing::TempDir() + "obs_mem_trace.json";
+  ASSERT_TRUE(WriteTraceArtifact(path, "command", "test", 0));
+  TimelineRecorder::Global().Reset();
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  auto doc = JsonValue::Parse(buf.str());
+  ASSERT_TRUE(doc.has_value());
+  const JsonValue* args = nullptr;
+  for (const JsonValue& e : doc->Find("traceEvents")->Items()) {
+    if (e.Find("name")->Str() == "phase") args = e.Find("args");
+  }
+  ASSERT_NE(args, nullptr);
+  EXPECT_NE(args->Find("rss_before_bytes"), nullptr);
+  EXPECT_NE(args->Find("rss_after_bytes"), nullptr);
+  EXPECT_NE(args->Find("rss_peak_bytes"), nullptr);
 }
 
 }  // namespace

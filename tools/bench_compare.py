@@ -1,10 +1,18 @@
 #!/usr/bin/env python3
-"""Diff two tkc.bench.v1 artifacts and flag regressions.
+"""Diff two tkc.bench.v1 or two tkc.metrics.v1 artifacts and flag
+regressions. The mode follows the files' `schema`.
 
-Matches rows between a baseline and a candidate file and reports the
-relative change of each row's timing field. Rows are keyed by their stable
-identity: google-benchmark envelopes (bench_micro) use the row "name";
-table benches use the "dataset" field, comparing every *_seconds member.
+tkc.bench.v1: matches rows between a baseline and a candidate file and
+reports the relative change of each row's timing field. Rows are keyed by
+their stable identity: google-benchmark envelopes (bench_micro) use the
+row "name"; table benches use the "dataset" field, comparing every
+*_seconds member.
+
+tkc.metrics.v1 (a `tkc --metrics-out` file): matches the nodes of the two
+phase trees by span path ("decompose/core.decompose/peel") and lists every
+path with its Δseconds and Δcalls, largest |Δseconds| first, so a
+regression names the span that moved. A path's relative slowdown is what
+--threshold and --gate judge.
 
 usage: tools/bench_compare.py BASELINE.json CANDIDATE.json
            [--threshold=0.20] [--fail-on-regression] [--gate=REGEX]
@@ -35,6 +43,9 @@ def fail(message):
     sys.exit(2)
 
 
+SCHEMAS = ("tkc.bench.v1", "tkc.metrics.v1")
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -46,10 +57,15 @@ def load(path):
     if not isinstance(doc, dict):
         fail(f"{path}: top level is not a JSON object")
     schema = doc.get("schema")
-    if schema != "tkc.bench.v1":
-        fail(f"{path}: expected schema tkc.bench.v1, found "
-             f"{schema!r} — not a bench artifact or written by an "
-             f"incompatible version")
+    if schema not in SCHEMAS:
+        fail(f"{path}: expected schema tkc.bench.v1 or tkc.metrics.v1, "
+             f"found {schema!r} — not a bench or metrics artifact, or "
+             f"written by an incompatible version")
+    if schema == "tkc.metrics.v1":
+        if not isinstance(doc.get("trace"), list):
+            fail(f"{path}: 'trace' must be a list of span nodes "
+                 f"(truncated artifact?)")
+        return doc
     rows = doc.get("rows")
     if not isinstance(rows, list) or not all(
             isinstance(r, dict) for r in rows):
@@ -81,9 +97,58 @@ def row_key(row):
     return key if isinstance(key, str) else None
 
 
+def span_paths(nodes, prefix=""):
+    """Flattens a phase tree into {path: (seconds, calls)}."""
+    out = {}
+    for node in nodes:
+        if not isinstance(node, dict) or not isinstance(
+                node.get("name"), str):
+            fail("a 'trace' node has no name (truncated artifact?)")
+        path = prefix + node["name"]
+        out[path] = (float(node.get("seconds", 0.0)),
+                     int(node.get("calls", 0)))
+        out.update(span_paths(node.get("children", []), path + "/"))
+    return out
+
+
+def compare_trees(base, cand, args, gate):
+    """tkc.metrics.v1 mode: one line per span path, largest |Δs| first."""
+    b = span_paths(base["trace"])
+    c = span_paths(cand["trace"])
+    regressions = []
+    lines = []
+    for path in b.keys() | c.keys():
+        bs, bc = b.get(path, (0.0, 0))
+        cs, cc = c.get(path, (0.0, 0))
+        note = ("  (only in candidate)" if path not in b else
+                "  (only in baseline)" if path not in c else "")
+        lines.append((abs(cs - bs), path,
+                      f"{path}: {bs:.6f}s -> {cs:.6f}s "
+                      f"(Δ{cs - bs:+.6f}s), calls {bc} -> {cc} "
+                      f"(Δ{cc - bc:+d}){note}"))
+        if (bs > 0 and path in c and (cs - bs) / bs > args.threshold
+                and (gate is None or gate.search(path))):
+            regressions.append(path)
+    lines.sort(key=lambda entry: (-entry[0], entry[1]))
+
+    print(f"compared {len(b.keys() & c.keys())} span paths "
+          f"(threshold {args.threshold:.0%}), largest |Δseconds| first")
+    if gate is not None:
+        print(f"gating paths: /{args.gate}/")
+    for _, _, line in lines:
+        print(f"  {line}")
+    if regressions:
+        print(f"\nREGRESSIONS (>{args.threshold:.0%}): "
+              f"{', '.join(sorted(regressions))}")
+    else:
+        print("\nno gating regressions over threshold"
+              if gate is not None else "\nno regressions over threshold")
+    return 1 if regressions and args.fail_on_regression else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="diff two tkc.bench.v1 files")
+        description="diff two tkc.bench.v1 or two tkc.metrics.v1 files")
     parser.add_argument("baseline")
     parser.add_argument("candidate")
     parser.add_argument("--threshold", type=float, default=0.20,
@@ -106,6 +171,11 @@ def main():
 
     base = load(args.baseline)
     cand = load(args.candidate)
+    if base["schema"] != cand["schema"]:
+        fail(f"schema mismatch: {args.baseline} is {base['schema']}, "
+             f"{args.candidate} is {cand['schema']}")
+    if base["schema"] == "tkc.metrics.v1":
+        return compare_trees(base, cand, args, gate)
     base_rows = {row_key(r): r for r in base.get("rows", []) if row_key(r)}
     cand_rows = {row_key(r): r for r in cand.get("rows", []) if row_key(r)}
 

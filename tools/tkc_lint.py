@@ -49,7 +49,8 @@ RULES = {
         "span-name",
         "TKC_SPAN / TimelineScope phase name must be snake.case "
         "([a-z0-9_] segments joined by dots) and fit the 47-char "
-        "timeline buffer",
+        "timeline buffer; TKC_SPAN_COUNTER / AddArg keys must fit the "
+        "23-char arg key buffer",
     ),
     "TKC-L040": (
         "include-guard",
@@ -78,11 +79,13 @@ NAME_TO_ID = {name: rid for rid, (name, _) in RULES.items()}
 
 SPAN_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 SPAN_NAME_MAX = 47  # TimelineEvent::kNameCapacity - 1 (silent truncation)
+SPAN_KEY_MAX = 23  # TimelineEvent::kKeyCapacity - 1 (silent truncation)
 ALLOW_RE = re.compile(r"tkc-lint:\s*allow\(([a-z0-9-]+)\)")
 METRIC_USE_RE = re.compile(
     r"Get(?:Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"(\s*\+)?")
 SPAN_USE_RE = re.compile(
     r"(?:TKC_SPAN(?:_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
+SPAN_KEY_RE = re.compile(r"(?:TKC_SPAN_COUNTER|\bAddArg)\(\s*\"([^\"]*)\"")
 NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![\w.])delete(?:\[\])?\b")
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
@@ -284,6 +287,14 @@ class Linter:
                         "TKC-L030", path, lines, i,
                         f"span name \"{name}\" is {len(name)} chars; the "
                         f"timeline buffer truncates past {SPAN_NAME_MAX}")
+            for m in SPAN_KEY_RE.finditer(raw):
+                key = m.group(1)
+                if len(key) > SPAN_KEY_MAX:
+                    self.report(
+                        "TKC-L030", path, lines, i,
+                        f"span counter key \"{key}\" is {len(key)} chars; "
+                        f"the timeline arg buffer truncates past "
+                        f"{SPAN_KEY_MAX}")
 
             # TKC-L060: no ISA-specific code, so the library is portable
             # by construction and needs no CPUID gating.

@@ -25,7 +25,7 @@ endif()
 
 execute_process(
   COMMAND "${JSON_CHECK}" "${METRICS_OUT}"
-          --require=schema,metrics,trace
+          --require=schema,metrics,trace,dropped_events
   RESULT_VARIABLE metrics_rc)
 if(NOT metrics_rc EQUAL 0)
   message(FATAL_ERROR "json_check rejected ${METRICS_OUT} (${metrics_rc})")
