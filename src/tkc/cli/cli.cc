@@ -281,32 +281,42 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
                               {"peel", mode_text == "store" ? "index"
                                                             : "recompute"},
                               {"seconds", seconds}});
-  TKC_SPAN("output");
-  out << "# u v kappa co_clique_size\n";
-  // Rows are formatted with to_chars into a buffer flushed in ~1 MB
-  // writes: the same bytes as `out << ...`, without per-field stream
-  // overhead. A row is at most 4 × 10 digits + 4 separators.
-  std::vector<char> buf(kRowBufferBytes + 64);
-  char* const begin = buf.data();
-  char* const limit = begin + kRowBufferBytes;
-  char* p = begin;
-  auto put = [&p](uint32_t value, char sep) {
-    p = std::to_chars(p, p + 10, value).ptr;
-    *p++ = sep;
-  };
-  csr.ForEachEdge([&](EdgeId e, const Edge& edge) {
-    put(edge.u, ' ');
-    put(edge.v, ' ');
-    put(r.kappa[e], ' ');
-    put(r.CocliqueSize(e), '\n');
-    if (p >= limit) {
-      out.write(begin, p - begin);
-      p = begin;
-    }
-  });
-  out.write(begin, p - begin);
-  out << "# edges=" << csr.NumEdges() << " triangles=" << r.triangle_count
-      << " max_kappa=" << r.max_kappa << " seconds=" << seconds << '\n';
+  {
+    TKC_SPAN("output");
+    out << "# u v kappa co_clique_size\n";
+    // Rows are formatted with to_chars into a buffer flushed in ~1 MB
+    // writes: the same bytes as `out << ...`, without per-field stream
+    // overhead. A row is at most 4 × 10 digits + 4 separators.
+    std::vector<char> buf(kRowBufferBytes + 64);
+    char* const begin = buf.data();
+    char* const limit = begin + kRowBufferBytes;
+    char* p = begin;
+    auto put = [&p](uint32_t value, char sep) {
+      p = std::to_chars(p, p + 10, value).ptr;
+      *p++ = sep;
+    };
+    csr.ForEachEdge([&](EdgeId e, const Edge& edge) {
+      put(edge.u, ' ');
+      put(edge.v, ' ');
+      put(r.kappa[e], ' ');
+      put(r.CocliqueSize(e), '\n');
+      if (p >= limit) {
+        out.write(begin, p - begin);
+        p = begin;
+      }
+    });
+    out.write(begin, p - begin);
+    out << "# edges=" << csr.NumEdges() << " triangles=" << r.triangle_count
+        << " max_kappa=" << r.max_kappa << " seconds=" << seconds << '\n';
+  }
+  // The context (CSR + triangle index) and κ are freed under their own
+  // span, so their teardown is not an unattributed tail of the root.
+  {
+    TKC_SPAN("cli.release");
+    ctx.reset();
+    src.reset();
+    r = TriangleCoreResult{};
+  }
   return 0;
 }
 
@@ -623,21 +633,28 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   engine::EngineSnapshot final_snap = engine.Snapshot();
   const double total_s = total.Seconds();
 
-  // --verify: the engine's maintained κ must match a scratch recompute on
-  // the final frozen snapshot, and every compaction-boundary certificate
-  // must have held.
+  // --verify: the engine's maintained κ and triangle total must match a
+  // scratch recompute on an unseeded context over the final frozen
+  // snapshot, and every compaction-boundary certificate must have held.
   bool verified = true;
   if (verify) {
-    TriangleCoreResult fresh = ComputeTriangleCores(*final_snap.context);
+    const AnalysisContext recount(final_snap.context->csr_ptr(),
+                                  final_snap.context->threads());
+    TriangleCoreResult fresh = ComputeTriangleCores(recount);
     const std::vector<uint32_t>& kappa = *final_snap.kappa;
     final_snap.context->csr().ForEachEdge([&](EdgeId e, const Edge&) {
       verified = verified && fresh.kappa[e] == kappa[e];
     });
-    verified = verified && engine.certificates_ok();
+    const uint64_t maintained = final_snap.context->TriangleCount();
+    verified = verified && fresh.triangle_count == maintained &&
+               engine.certificates_ok();
     if (!verified) {
       obs::Logger::Global().Error(
           "replay.verify_failed",
-          {{"events", events->size()}, {"epoch", final_snap.epoch}});
+          {{"events", events->size()},
+           {"epoch", final_snap.epoch},
+           {"triangles", maintained},
+           {"recounted_triangles", fresh.triangle_count}});
     }
   }
 

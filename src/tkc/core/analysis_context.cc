@@ -20,8 +20,11 @@ AnalysisContext::AnalysisContext(CsrGraph csr, int threads)
       threads_(ResolveThreads(threads)) {}
 
 AnalysisContext::AnalysisContext(std::shared_ptr<const CsrGraph> csr,
-                                 int threads)
-    : csr_(std::move(csr)), threads_(ResolveThreads(threads)) {
+                                 int threads,
+                                 std::optional<uint64_t> triangle_count)
+    : csr_(std::move(csr)),
+      threads_(ResolveThreads(threads)),
+      seeded_triangles_(triangle_count) {
   TKC_CHECK_MSG(csr_ != nullptr, "AnalysisContext: null snapshot");
 }
 
@@ -55,6 +58,10 @@ void AnalysisContext::CacheSupports(std::vector<uint32_t> supports) const {
   }
   triangle_count_ = total / 3;
   max_support_ = max_support;
+  TKC_CHECK_MSG(!seeded_triangles_.has_value() ||
+                    total == 3 * *seeded_triangles_,
+                "AnalysisContext: the seeded triangle total disagrees with "
+                "the enumerated supports");
 }
 
 const TrianglePartnerIndex& AnalysisContext::TriangleIndex() const {
@@ -79,6 +86,7 @@ const TrianglePartnerIndex& AnalysisContext::TriangleIndex() const {
 }
 
 uint64_t AnalysisContext::TriangleCount() const {
+  if (seeded_triangles_.has_value()) return *seeded_triangles_;
   Supports();
   MutexLock lock(mu_);
   return triangle_count_;

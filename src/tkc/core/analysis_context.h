@@ -41,8 +41,12 @@ class AnalysisContext {
   /// Shares an existing snapshot without copying it — the zero-copy
   /// handoff the versioned engine uses: the engine's DeltaCsr base and
   /// every AnalysisContext of that epoch point at the same CSR arrays.
+  /// `triangle_count`, when given, is the snapshot's triangle total as the
+  /// caller maintains it: TriangleCount() returns it without enumerating,
+  /// and a later support computation must agree with it (always checked).
   explicit AnalysisContext(std::shared_ptr<const CsrGraph> csr,
-                           int threads = 0);
+                           int threads = 0,
+                           std::optional<uint64_t> triangle_count = {});
 
   const CsrGraph& csr() const { return *csr_; }
 
@@ -62,7 +66,8 @@ class AnalysisContext {
   /// enumerates the triangles once in all.
   const TrianglePartnerIndex& TriangleIndex() const;
 
-  /// Total triangle count (= sum of supports / 3); forces Supports().
+  /// Total triangle count (= sum of supports / 3): the seeded total when
+  /// the constructor was given one, else forces Supports().
   uint64_t TriangleCount() const;
 
   /// Largest per-edge support (0 on triangle-free graphs); forces
@@ -70,11 +75,13 @@ class AnalysisContext {
   uint32_t MaxSupport() const;
 
  private:
-  // Fills the support cache and its totals (with the L2 recount check).
+  // Fills the support cache and its totals (with the L2 recount check and
+  // the check against a seeded triangle total).
   void CacheSupports(std::vector<uint32_t> supports) const TKC_REQUIRES(mu_);
 
   std::shared_ptr<const CsrGraph> csr_;
   int threads_;
+  const std::optional<uint64_t> seeded_triangles_;
   // Lazy caches: filled at most once, under mu_. The references Supports()
   // and TriangleIndex() return outlive the critical section on purpose —
   // once a cache is filled it is never mutated again, so

@@ -148,6 +148,7 @@ void DynamicTriangleCore::InitOrder(TriangleCoreResult& initial,
            static_cast<uint32_t>(order[q] > rank);
     }
     rem_[e] = r;
+    triangles_ += r;
     TKC_CHECK_MSG(r <= kappa_[e],
                   "DynamicTriangleCore: initial order is not a peel of κ");
   }
@@ -204,6 +205,7 @@ uint64_t DynamicTriangleCore::InsertInternal(EdgeId e0) {
   std::vector<EdgeId> seeds;
   ForEachTriangleOnEdge(graph_, e0, [&](VertexId, EdgeId p, EdgeId q) {
     ++last_stats_.triangles_scanned;
+    ++triangles_;
     const EdgeId first = Before(p, q) ? p : q;
     if (Before(e0, first)) {
       ++rem_[e0];
@@ -362,7 +364,9 @@ bool DynamicTriangleCore::OrderInvariantHolds(std::string* failure) const {
   std::vector<std::pair<uint32_t, int64_t>> keys;
   keys.reserve(graph_.NumEdges());
   std::string why;
+  uint64_t rem_total = 0;
   graph_.ForEachEdge([&](EdgeId e, const Edge& edge) {
+    rem_total += rem_[e];
     if (!why.empty()) return;
     uint32_t r = 0;
     ForEachTriangleOnEdge(graph_, e, [&](VertexId, EdgeId p, EdgeId q) {
@@ -376,6 +380,10 @@ bool DynamicTriangleCore::OrderInvariantHolds(std::string* failure) const {
     }
     keys.emplace_back(kappa_[e], label_[e]);
   });
+  if (why.empty() && rem_total != triangles_) {
+    why = "sum of rem " + std::to_string(rem_total) + " != triangle total " +
+          std::to_string(triangles_);
+  }
   if (why.empty()) {
     std::sort(keys.begin(), keys.end());
     const auto dup = std::adjacent_find(keys.begin(), keys.end());
@@ -504,6 +512,7 @@ void DynamicTriangleCore::RemoveInternal(std::span<const EdgeId> edges) {
       const EdgeId first = Before(e1, e2) ? e1 : e2;
       if (Before(first, e0)) --rem_[first];
     }
+    triangles_ -= destroyed.size();
     graph_.RemoveEdgeById(e0);
     kappa_[e0] = 0;
     rem_[e0] = 0;

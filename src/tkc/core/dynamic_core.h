@@ -95,6 +95,11 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 /// then inserts. κ is a function of the final graph alone, so the result
 /// is identical at any batch size; `InsertEdge` and `RemoveEdge` are
 /// one-event batches.
+///
+/// The maintainer also keeps the graph's triangle total: Σ rem = |T| at
+/// `InitOrder`, and every triangle an insert creates or a removal destroys
+/// is visited exactly once, so the total moves by ±1 per visit and reads
+/// never recount.
 class DynamicTriangleCore {
  public:
   /// Takes ownership of `graph` and runs Algorithm 1 once to initialize κ
@@ -119,6 +124,9 @@ class DynamicTriangleCore {
   const std::vector<uint32_t>& kappa() const { return kappa_; }
 
   uint32_t KappaOf(EdgeId e) const { return kappa_[e]; }
+
+  /// Number of triangles in graph(), maintained without enumeration.
+  uint64_t TriangleCount() const { return triangles_; }
 
   /// Applies an event batch (see class comment): coalesce → shared
   /// removal pump → inserts. Self-loop events are rejected with a check
@@ -145,8 +153,9 @@ class DynamicTriangleCore {
 
   /// Checks the k-order bookkeeping against a recount: for every live
   /// edge rem(e) equals the number of triangles whose partners both come
-  /// later in the order, rem(e) <= κ(e), and labels are unique within each
-  /// κ level. On failure, describes the first violation in `failure`.
+  /// later in the order, rem(e) <= κ(e), labels are unique within each
+  /// κ level, and Σ rem over the live edges equals TriangleCount(). On
+  /// failure, describes the first violation in `failure`.
   bool OrderInvariantHolds(std::string* failure = nullptr) const;
 
  private:
@@ -194,6 +203,7 @@ class DynamicTriangleCore {
   std::vector<int64_t> label_;
   std::vector<uint32_t> rem_;
   std::vector<LevelEnds> ends_;
+  uint64_t triangles_ = 0;  // |T|; Σ rem over the live edges
   // Scratch (lazily grown to EdgeCapacity, cleaned after every update):
   // flag_ holds a Flag state; cand_support_ holds d* during a walk, the
   // repeel counts after it, and a demoted edge's old κ during a removal.

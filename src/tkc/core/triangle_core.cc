@@ -129,7 +129,7 @@ TriangleCoreResult Peel(const AnalysisContext& ctx, TriangleStorageMode mode) {
         peeled_per_level.resize(k + 1, 0);
         result.max_kappa = k;
         level_scope.emplace("peel.level");
-        level_scope->AddArg("level", k);
+        level_scope->AddLabel("level", k);
       }
       ++peeled_per_level[k];
 

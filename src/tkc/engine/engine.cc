@@ -129,12 +129,14 @@ EngineSnapshot TkcEngine::Snapshot() {
   MutexLock lock(snapshot_mu_);
   if (!cache_valid_) {
     // Zero-copy handoff: the AnalysisContext shares the DeltaCsr's base
-    // snapshot. The κ vector is the one thing duplicated (the maintainer
-    // keeps mutating its own), and it is shared across every snapshot of
-    // this epoch. engine.snapshot_copies counts deep CSR copies — by
-    // construction there are none, and tests pin it to zero.
+    // snapshot and is seeded with the maintainer's triangle total, so a
+    // triangle-count read enumerates nothing. The κ vector is the one
+    // thing duplicated (the maintainer keeps mutating its own), and it is
+    // shared across every snapshot of this epoch. engine.snapshot_copies
+    // counts deep CSR copies — by construction there are none, and tests
+    // pin it to zero.
     cached_context_ = std::make_shared<const AnalysisContext>(
-        dyn_.graph().base_ptr(), options_.threads);
+        dyn_.graph().base_ptr(), options_.threads, dyn_.TriangleCount());
     cached_kappa_ =
         std::make_shared<const std::vector<uint32_t>>(dyn_.kappa());
     uint32_t max_kappa = 0;

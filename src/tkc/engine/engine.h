@@ -37,8 +37,9 @@ struct EngineOptions {
 
 /// One immutable, zero-copy view of the engine's state at an epoch
 /// boundary: the AnalysisContext shares the base CSR with the engine's
-/// DeltaCsr (no arrays are copied), and the κ vector is shared between
-/// every snapshot of the same epoch.
+/// DeltaCsr (no arrays are copied) and carries the maintained triangle
+/// total, and the κ vector is shared between every snapshot of the same
+/// epoch.
 struct EngineSnapshot {
   uint64_t epoch = 0;
   std::shared_ptr<const AnalysisContext> context;
@@ -85,9 +86,11 @@ class TkcEngine {
 
   /// Returns the zero-copy snapshot of the current state, compacting
   /// first if edits are pending (a snapshot is always at an epoch
-  /// boundary). Snapshots of the same epoch share one cached
-  /// AnalysisContext and κ vector — repeated calls between edits cost
-  /// nothing and keep lazily computed supports/triangles warm.
+  /// boundary). Its TriangleCount() is the maintainer's running total, not
+  /// a recount. Snapshots of the same epoch share one cached
+  /// AnalysisContext and κ vector, so per-edge supports and the triangle
+  /// index, which a reader that needs them computes lazily, are computed
+  /// at most once per epoch.
   EngineSnapshot Snapshot() TKC_EXCLUDES(snapshot_mu_);
 
   const DeltaCsr& graph() const { return dyn_.graph(); }

@@ -57,11 +57,12 @@ void SetTimelineThreadName(std::string name) {
   tls_track_ref.owner = nullptr;
 }
 
-void TimelineRecorder::Start(size_t capacity_per_thread) {
+void TimelineRecorder::Start(size_t bytes_per_thread) {
   MutexLock lock(mu_);
   tracks_.clear();
-  capacity_per_thread_.store(std::max<size_t>(capacity_per_thread, 1),
-                             std::memory_order_relaxed);
+  capacity_per_thread_.store(
+      std::max<size_t>(bytes_per_thread / sizeof(TimelineEvent), 1),
+      std::memory_order_relaxed);
   epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   session_.store(g_session_counter.fetch_add(1, std::memory_order_relaxed) + 1,
                  std::memory_order_relaxed);
@@ -100,7 +101,6 @@ TimelineRecorder::ThreadTrack* TimelineRecorder::TrackForThisThread() {
   session = session_.load(std::memory_order_relaxed);
   auto track = std::make_unique<ThreadTrack>();
   track->name = tls_thread_name.empty() ? "main" : tls_thread_name;
-  track->events.reserve(capacity_per_thread_.load(std::memory_order_relaxed));
   tracks_.push_back(std::move(track));
   tls_track_ref = {this, session, tracks_.back().get()};
   return tracks_.back().get();
@@ -108,14 +108,19 @@ TimelineRecorder::ThreadTrack* TimelineRecorder::TrackForThisThread() {
 
 TimelineEvent* TimelineRecorder::Open(std::string_view name, uint32_t depth) {
   ThreadTrack* track = TrackForThisThread();
-  if (track->events.size() >=
-      capacity_per_thread_.load(std::memory_order_relaxed)) {
+  if (track->size >= capacity_per_thread_.load(std::memory_order_relaxed)) {
     track->dropped.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  TimelineEvent& ev = track->events.emplace_back();
+  if (track->size == track->blocks.size() * kBlockEvents) {
+    track->blocks.push_back(
+        std::make_unique_for_overwrite<TimelineEvent[]>(kBlockEvents));
+  }
+  TimelineEvent& ev = track->at(track->size++);
   CopyTruncated(name, ev.name, sizeof(ev.name));
   ev.depth = depth;
+  ev.num_args = 0;
+  ev.label_mask = 0;
   ev.dur_ns = TimelineEvent::kOpen;
   ev.start_ns = NowNs();
   return &ev;
@@ -142,6 +147,15 @@ void TimelineScope::Close() {
 }
 
 void TimelineScope::AddArg(std::string_view key, uint64_t value) {
+  SetArg(key, value, /*label=*/false);
+}
+
+void TimelineScope::AddLabel(std::string_view key, uint64_t value) {
+  SetArg(key, value, /*label=*/true);
+}
+
+void TimelineScope::SetArg(std::string_view key, uint64_t value,
+                           bool label) {
   if (event_ == nullptr ||
       TimelineRecorder::Global().session() != session_) {
     return;
@@ -150,11 +164,12 @@ void TimelineScope::AddArg(std::string_view key, uint64_t value) {
   for (uint32_t i = 0; i < event_->num_args; ++i) {
     TimelineEvent::Arg& arg = event_->args[i];
     if (key == arg.key) {
-      arg.value += value;
+      arg.value = label ? value : arg.value + value;
       return;
     }
   }
   if (event_->num_args == TimelineEvent::kMaxArgs) return;
+  if (label) event_->label_mask |= uint16_t{1} << event_->num_args;
   TimelineEvent::Arg& arg = event_->args[event_->num_args++];
   CopyTruncated(key, arg.key, sizeof(arg.key));
   arg.value = value;
@@ -181,7 +196,7 @@ size_t TimelineRecorder::NumTracks() const {
 size_t TimelineRecorder::NumEvents() const {
   MutexLock lock(mu_);
   size_t n = 0;
-  for (const auto& t : tracks_) n += t->events.size();
+  for (const auto& t : tracks_) n += t->size;
   return n;
 }
 
@@ -213,8 +228,7 @@ void TimelineRecorder::AppendTo(JsonValue& doc) const {
     tracks.Push(JsonValue::Object()
                     .Set("tid", static_cast<uint64_t>(tid))
                     .Set("name", ordered[tid]->name)
-                    .Set("events",
-                         static_cast<uint64_t>(ordered[tid]->events.size()))
+                    .Set("events", static_cast<uint64_t>(ordered[tid]->size))
                     .Set("dropped", track_dropped));
   }
 
@@ -228,7 +242,8 @@ void TimelineRecorder::AppendTo(JsonValue& doc) const {
                     .Set("tid", static_cast<uint64_t>(tid))
                     .Set("args", JsonValue::Object().Set(
                                      "name", ordered[tid]->name)));
-    for (const TimelineEvent& ev : ordered[tid]->events) {
+    for (size_t i = 0; i < ordered[tid]->size; ++i) {
+      const TimelineEvent& ev = ordered[tid]->at(i);
       if (ev.dur_ns == TimelineEvent::kOpen) continue;
       JsonValue out = JsonValue::Object();
       out.Set("name", ev.name)
@@ -288,6 +303,7 @@ struct FoldNode {
     calls += 1;
     ns += ev.dur_ns;
     for (uint32_t i = 0; i < ev.num_args; ++i) {
+      if (ev.label_mask & (1u << i)) continue;
       const std::string_view key = ev.args[i].key;
       auto it = std::find_if(counters.begin(), counters.end(),
                              [&](const auto& kv) { return kv.first == key; });
@@ -328,7 +344,8 @@ JsonValue TimelineRecorder::PhaseTree() const {
     // Slots are in open order, so each slice's parent is the last slice
     // seen one level up: path[d] is the node of the open slice at depth d.
     std::vector<FoldNode*> path;
-    for (const TimelineEvent& ev : track->events) {
+    for (size_t i = 0; i < track->size; ++i) {
+      const TimelineEvent& ev = track->at(i);
       // Every later slot on the track opened inside a span still open.
       if (ev.dur_ns == TimelineEvent::kOpen) break;
       TKC_CHECK_MSG(ev.depth <= path.size(),

@@ -15,10 +15,12 @@
 namespace tkc::obs {
 
 /// One timeline slice. Fixed-size POD so opening a span is a plain write
-/// into a preallocated per-thread buffer — no allocation, no locking, no
-/// pointer chasing on the hot path. Names and arg keys longer than the
-/// inline capacity are truncated (they are code literals; tkc-lint
-/// TKC-L030 keeps them within it).
+/// into a per-thread block of slots — no locking and no pointer chasing on
+/// the hot path, one allocation per block. Names and arg keys longer than
+/// the inline capacity are truncated (they are code literals; tkc-lint
+/// TKC-L030 keeps them within it). An arg is an amount (summed into the
+/// phase tree) unless its bit in `label_mask` marks it as a label (it
+/// identifies the slice and appears on the Chrome timeline only).
 struct TimelineEvent {
   static constexpr size_t kNameCapacity = 48;
   static constexpr size_t kKeyCapacity = 24;
@@ -35,7 +37,8 @@ struct TimelineEvent {
   uint64_t start_ns;  // relative to the recording session's Start()
   uint64_t dur_ns;    // kOpen until the span closes
   uint32_t depth;     // spans of this session still open around it
-  uint32_t num_args;
+  uint16_t num_args;
+  uint16_t label_mask;  // bit i set: args[i] is a label, not an amount
   Arg args[kMaxArgs];
 };
 
@@ -47,22 +50,29 @@ struct TimelineEvent {
 /// no session is active every TKC_SPAN costs one atomic load. The CLI and
 /// the bench reporters start a session when an artifact is requested.
 ///
-/// Each recording thread owns one track: a fixed-capacity event vector it
-/// alone appends to. A span reserves its slot when it opens and fills it
-/// when it closes, so slots are in open order, a recorded slice always has
-/// its ancestors recorded, and a full buffer drops (and counts) only the
-/// spans opened after it filled — never reallocates. Worker threads are
-/// named via SetTimelineThreadName (the ThreadPool registers
-/// "pool.worker-N"); unnamed threads record as "main". Export must happen
-/// after the recorded work quiesced (the pool's fork/join barrier provides
-/// the happens-before edge; Stop() then export is the intended sequence).
+/// Each recording thread owns one track that it alone appends to: blocks
+/// of slots allocated as the track grows, so a slot never moves once
+/// handed out, up to a per-track byte ceiling. A span reserves its slot
+/// when it opens and fills it when it closes, so slots are in open order,
+/// a recorded slice always has its ancestors recorded, and a track at its
+/// ceiling drops (and counts) only the spans opened after it filled.
+/// Worker threads are named via SetTimelineThreadName (the ThreadPool
+/// registers "pool.worker-N"); unnamed threads record as "main". Export
+/// must happen after the recorded work quiesced (the pool's fork/join
+/// barrier provides the happens-before edge; Stop() then export is the
+/// intended sequence).
 class TimelineRecorder {
  public:
-  static constexpr size_t kDefaultCapacityPerThread = size_t{1} << 16;
+  /// Slots per block a track allocates as it grows (~132 KiB).
+  static constexpr size_t kBlockEvents = 512;
+  /// Default per-track ceiling: ~1M slots. Blocks are allocated on use, so
+  /// a short session costs one block per recording thread.
+  static constexpr size_t kDefaultBytesPerThread = size_t{256} << 20;
 
   /// Begins a session: drops previous tracks, re-arms the epoch, enables
-  /// recording. `capacity_per_thread` bounds each track's event count.
-  void Start(size_t capacity_per_thread = kDefaultCapacityPerThread);
+  /// recording. `bytes_per_thread` bounds each track's memory; the track
+  /// holds at most max(1, bytes_per_thread / sizeof(TimelineEvent)) slots.
+  void Start(size_t bytes_per_thread = kDefaultBytesPerThread);
   /// Disables recording; recorded tracks stay readable until Reset/Start.
   void Stop();
   /// Stops and drops all tracks.
@@ -82,11 +92,11 @@ class TimelineRecorder {
   /// Total events currently buffered across all tracks.
   size_t NumEvents() const;
 
-  /// Sets `clock`, `capacity_per_thread`, `dropped_events`, `tracks`, and
-  /// `traceEvents` on `doc`. Track ids are assigned deterministically:
-  /// "main" is tid 0, the remaining tracks follow in (length, name) order,
-  /// so worker-2 sorts before worker-10 and ids are stable across runs.
-  /// Spans still open are left out.
+  /// Sets `clock`, `capacity_per_thread` (the slot ceiling of a track),
+  /// `dropped_events`, `tracks`, and `traceEvents` on `doc`. Track ids
+  /// are assigned deterministically: "main" is tid 0, the remaining tracks
+  /// follow in (length, name) order, so worker-2 sorts before worker-10
+  /// and ids are stable across runs. Spans still open are left out.
   void AppendTo(JsonValue& doc) const;
 
   /// Convenience: `{"schema":"tkc.trace.v1", ...AppendTo fields...}`.
@@ -95,7 +105,7 @@ class TimelineRecorder {
   /// The aggregate phase tree, folded from the tracks named "main": the
   /// slices with the same parent path are one node, with `calls` = their
   /// number, `seconds` = the sum of their durations and `counters` = their
-  /// args summed by key. An array of
+  /// amount args summed by key (label args are left out). An array of
   /// {"name","calls","seconds","counters"?,"children"?} nodes, children
   /// in first-seen order. Worker tracks stay timeline-only.
   JsonValue PhaseTree() const;
@@ -111,8 +121,14 @@ class TimelineRecorder {
     // Appended to only by the owning thread, with no lock: each track is a
     // single-writer buffer, and readers (AppendTo/NumEvents) require the
     // recorded work to have quiesced first — the class contract the
-    // analysis cannot express, so it is stated here instead.
-    std::vector<TimelineEvent> events;  // reserved once, never reallocated
+    // analysis cannot express, so it is stated here instead. Slot i lives
+    // in blocks[i / kBlockEvents]; a block is never freed or moved while
+    // the track exists, so an open span's slot pointer stays valid.
+    std::vector<std::unique_ptr<TimelineEvent[]>> blocks;
+    size_t size = 0;
+    TimelineEvent& at(size_t i) const {
+      return blocks[i / kBlockEvents][i % kBlockEvents];
+    }
     // Incremented lock-free by the owning thread, summed by DroppedEvents
     // on any thread: atomic so an export racing a straggling span reads a
     // coherent count.
@@ -134,7 +150,8 @@ class TimelineRecorder {
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> session_{0};
   std::atomic<uint64_t> epoch_ns_{0};  // steady-clock ns at Start()
-  std::atomic<size_t> capacity_per_thread_{kDefaultCapacityPerThread};
+  std::atomic<size_t> capacity_per_thread_{kDefaultBytesPerThread /
+                                           sizeof(TimelineEvent)};
 
   // The track table itself (registration + export) is lock-protected; the
   // per-track buffers above are deliberately outside the guard.
@@ -165,11 +182,18 @@ class TimelineScope {
   /// as dropped).
   bool active() const { return active_; }
 
-  /// Adds `value` to arg `key` of this slice; repeated keys sum. Args past
+  /// Adds the amount `value` to arg `key` of this slice; repeated keys
+  /// sum, and the phase tree sums it across calls. Args past
   /// TimelineEvent::kMaxArgs distinct keys are ignored.
   void AddArg(std::string_view key, uint64_t value);
 
+  /// Sets label arg `key` (a worker id, an index range, a level): shown on
+  /// the Chrome timeline, left out of the phase tree, where a sum of it
+  /// would mean nothing. A repeated key overwrites.
+  void AddLabel(std::string_view key, uint64_t value);
+
  private:
+  void SetArg(std::string_view key, uint64_t value, bool label);
   void Open(std::string_view name);
   void Close();
 

@@ -129,9 +129,9 @@ ThreadPool& PoolWithAtLeast(int threads) TKC_REQUIRES(g_run_mu) {
 void RunChunk(const std::function<void(int, size_t, size_t)>& fn, int worker,
               size_t begin, size_t end) {
   obs::TimelineScope scope("parallel_for.chunk");
-  scope.AddArg("worker", static_cast<uint64_t>(worker));
-  scope.AddArg("begin", begin);
-  scope.AddArg("end", end);
+  scope.AddLabel("worker", static_cast<uint64_t>(worker));
+  scope.AddLabel("begin", begin);
+  scope.AddLabel("end", end);
   fn(worker, begin, end);
 }
 

@@ -1,14 +1,16 @@
 // TkcEngine: the serving layer. Pins the versioning contract (epoch bumps,
 // compaction policy), the zero-copy snapshot handoff (shared CSR/κ, cached
-// per epoch, engine.snapshot_copies == 0, supports computed once per
-// epoch), κ correctness against scratch recompute after batched ingest,
-// and the compaction-boundary certificate plumbing.
+// per epoch, engine.snapshot_copies == 0, triangle counts served from the
+// maintainer, supports computed once per epoch), κ correctness against
+// scratch recompute after batched ingest, and the compaction-boundary
+// certificate plumbing.
 
 #include <memory>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "tkc/core/analysis_context.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/engine/engine.h"
 #include "tkc/gen/generators.h"
@@ -89,14 +91,17 @@ TEST(EngineTest, SnapshotsAreZeroCopyAndCachedPerEpoch) {
   // The context shares the DeltaCsr's base CSR object outright.
   EXPECT_EQ(a.context->csr_ptr().get(), engine.graph().base_ptr().get());
 
-  // Lazy supports are computed once per epoch no matter how many queries
-  // or snapshot handles exist.
+  // The triangle count is the maintainer's total: no support computation.
+  // Lazy supports are computed once per epoch no matter how many readers
+  // or snapshot handles ask for them.
   auto& support_runs = obs::MetricsRegistry::Global().GetCounter(
       "analysis.support_computations");
   const uint64_t before = support_runs.Value();
   uint64_t t1 = a.context->TriangleCount();
   uint64_t t2 = b.context->TriangleCount();
   EXPECT_EQ(t1, t2);
+  EXPECT_EQ(support_runs.Value(), before);
+  EXPECT_EQ(&a.context->Supports(), &b.context->Supports());
   EXPECT_EQ(support_runs.Value(), before + 1);
 
   // And the engine never deep-copies a CSR for a snapshot.
@@ -104,6 +109,44 @@ TEST(EngineTest, SnapshotsAreZeroCopyAndCachedPerEpoch) {
                 .GetCounter("engine.snapshot_copies")
                 .Value(),
             0u);
+}
+
+// The snapshot's triangle count is the maintainer's running total; it
+// must equal a recount of the same CSR after mixed churn, whether the
+// churn spans an explicit compaction or only the snapshot's own.
+TEST(EngineTest, SeededTriangleCountMatchesRecount) {
+  Rng rng(31);
+  Graph base = PowerLawCluster(150, 4, 0.5, rng);
+  Graph shadow = base;
+  EngineOptions options;
+  options.compaction_min_edits = 1u << 20;  // only explicit compactions
+  TkcEngine engine(base, options);
+  auto apply = [&](int count) {
+    std::vector<EdgeEvent> events = MakeEvents(&shadow, &rng, count, 0.5);
+    for (size_t off = 0; off < events.size(); off += 32) {
+      const size_t n = std::min<size_t>(32, events.size() - off);
+      engine.ApplyBatch(std::span<const EdgeEvent>(events.data() + off, n));
+    }
+  };
+  auto expect_matches_recount = [&](const char* where) {
+    EngineSnapshot snap = engine.Snapshot();
+    const AnalysisContext recount(snap.context->csr_ptr());
+    EXPECT_EQ(snap.context->TriangleCount(), recount.TriangleCount())
+        << where;
+    EXPECT_EQ(snap.context->TriangleCount(),
+              AnalysisContext(shadow).TriangleCount())
+        << where;
+    // Supports on the seeded context are checked against the seed.
+    EXPECT_EQ(snap.context->Supports(), recount.Supports()) << where;
+  };
+  apply(300);
+  EXPECT_EQ(engine.compactions(), 0u);
+  expect_matches_recount("snapshot compaction only");
+  apply(200);
+  EXPECT_TRUE(engine.Compact());
+  apply(200);
+  expect_matches_recount("explicit compaction in between");
+  EXPECT_EQ(engine.compactions(), 3u);
 }
 
 TEST(EngineTest, EpochAdvancesOnlyAtCompaction) {

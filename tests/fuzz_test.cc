@@ -316,7 +316,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadsDifferentialFuzzTest,
 // endpoints the edge keeps its old id where the shadow allocates a fresh
 // one: κ is compared edge-for-edge *by endpoints* after every batch — and,
 // after the final compaction, by id against a recompute on the frozen view
-// and against the independent certificate.
+// and against the independent certificate. The maintained triangle total is
+// held to the recompute's count after every batch, compactions included.
 
 class BatchFuzzTest : public ::testing::TestWithParam<size_t> {};
 
@@ -375,6 +376,8 @@ TEST_P(BatchFuzzTest, BatchedEqualsRecomputeByEndpoints) {
     ASSERT_EQ(reference.NumEdges(), batched.graph().NumEdges())
         << "batch " << batches;
     const TriangleCoreResult fresh = ComputeTriangleCores(reference);
+    ASSERT_EQ(batched.TriangleCount(), fresh.triangle_count)
+        << "batch " << batches;
     reference.ForEachEdge([&](EdgeId e, const Edge& edge) {
       EdgeId other = batched.graph().FindEdge(edge.u, edge.v);
       ASSERT_NE(other, kInvalidEdge)
@@ -390,6 +393,7 @@ TEST_P(BatchFuzzTest, BatchedEqualsRecomputeByEndpoints) {
   // the frozen base and the code-independent certificate.
   batched.Compact();
   TriangleCoreResult fresh = ComputeTriangleCores(batched.graph());
+  ASSERT_EQ(batched.TriangleCount(), fresh.triangle_count);
   batched.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
     ASSERT_EQ(batched.kappa()[e], fresh.kappa[e])
         << "final edge (" << edge.u << "," << edge.v << ")";

@@ -1,17 +1,22 @@
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "tkc/engine/engine.h"
+#include "tkc/gen/generators.h"
+#include "tkc/graph/edge_event.h"
 #include "tkc/obs/json.h"
 #include "tkc/obs/log.h"
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/util/parallel.h"
+#include "tkc/util/random.h"
 
 namespace tkc::obs {
 namespace {
@@ -122,10 +127,10 @@ TEST(MetricsRegistryTest, ToJsonSortedAndTyped) {
 // folded phase tree; `trace` receives the Chrome-trace export.
 template <typename Fn>
 JsonValue FoldSession(Fn&& body, JsonValue* trace = nullptr,
-                      size_t capacity =
-                          TimelineRecorder::kDefaultCapacityPerThread) {
+                      size_t bytes_per_thread =
+                          TimelineRecorder::kDefaultBytesPerThread) {
   TimelineRecorder& recorder = TimelineRecorder::Global();
-  recorder.Start(capacity);
+  recorder.Start(bytes_per_thread);
   body();
   recorder.Stop();
   JsonValue tree = recorder.PhaseTree();
@@ -237,7 +242,7 @@ TEST(SpanFoldTest, OverflowDropsOnlyLaterSubtrees) {
           { TKC_SPAN("e"); }
         }
       },
-      &trace, /*capacity=*/3);
+      &trace, /*bytes_per_thread=*/3 * sizeof(TimelineEvent));
   EXPECT_EQ(trace.Find("dropped_events")->Number(), 2.0);
   // a > b > c survive whole, with no orphaned slice under a missing parent.
   ASSERT_EQ(tree.Items().size(), 1u);
@@ -294,15 +299,129 @@ TEST(SpanFoldTest, WorkerSpansLandOnTheirOwnTracks) {
 
 TEST(SpanFoldTest, SerialParallelForOpensTheSameChunkSpan) {
   for (int threads : {1, 4}) {
-    JsonValue tree = FoldSession([threads] {
-      ParallelFor(threads, 8, [](int, size_t, size_t) {});
-    });
+    JsonValue trace;
+    JsonValue tree = FoldSession(
+        [threads] { ParallelFor(threads, 8, [](int, size_t, size_t) {}); },
+        &trace);
     ASSERT_EQ(tree.Items().size(), 1u) << threads;
     EXPECT_EQ(tree.Items()[0].Find("name")->Str(), "parallel_for.chunk");
-    const JsonValue* counters = tree.Items()[0].Find("counters");
-    ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->Members().size(), 3u) << threads;
+    // worker/begin/end are labels: on the timeline, not in the tree.
+    EXPECT_EQ(tree.Items()[0].Find("counters"), nullptr) << threads;
+    const JsonValue* args = Slices(trace)[0]->Find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->Members().size(), 3u) << threads;
   }
+}
+
+TEST(SpanFoldTest, LabelsStayOnTheTimelineAndAmountsSum) {
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [] {
+        for (uint64_t level : {2, 5}) {
+          TimelineScope scope("peel.level");
+          scope.AddLabel("level", level);
+          scope.AddLabel("level", level);  // a label overwrites
+          scope.AddArg("edges", 10);
+          scope.AddArg("edges", 1);  // an amount sums
+        }
+      },
+      &trace);
+  ASSERT_EQ(tree.Items().size(), 1u);
+  const JsonValue* counters = tree.Items()[0].Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->Members().size(), 1u);
+  EXPECT_EQ(counters->Find("edges")->Number(), 22.0);
+  const std::vector<const JsonValue*> slices = Slices(trace);
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[0]->FindPath("args.level")->Number(), 2.0);
+  EXPECT_EQ(slices[1]->FindPath("args.level")->Number(), 5.0);
+  EXPECT_EQ(slices[1]->FindPath("args.edges")->Number(), 11.0);
+}
+
+TEST(SpanFoldTest, TracksGrowPastOneBlockWithoutMovingOpenSlots) {
+  constexpr size_t kInner = 3 * TimelineRecorder::kBlockEvents + 5;
+  JsonValue trace;
+  JsonValue tree = FoldSession([] {
+    TKC_SPAN("outer");
+    for (size_t i = 0; i < kInner; ++i) {
+      TKC_SPAN("inner");
+    }
+    // The outer slot was handed out before three more blocks were added.
+    TKC_SPAN_COUNTER("after", 1);
+  }, &trace);
+  EXPECT_EQ(trace.Find("dropped_events")->Number(), 0.0);
+  ASSERT_EQ(tree.Items().size(), 1u);
+  const JsonValue& outer = tree.Items()[0];
+  EXPECT_EQ(outer.FindPath("counters")->Find("after")->Number(), 1.0);
+  const JsonValue& inner = outer.Find("children")->Items()[0];
+  EXPECT_EQ(inner.Find("calls")->Number(), static_cast<double>(kInner));
+}
+
+// Every (path, counter key) of a phase tree, as "a/b:key".
+void CollectCounterKeys(const JsonValue& node, const std::string& prefix,
+                        std::set<std::string>* keys) {
+  const std::string path = prefix + node.Find("name")->Str();
+  if (const JsonValue* counters = node.Find("counters")) {
+    for (const auto& [key, value] : counters->Members()) {
+      keys->insert(path + ":" + key);
+    }
+  }
+  if (const JsonValue* children = node.Find("children")) {
+    for (const JsonValue& child : children->Items()) {
+      CollectCounterKeys(child, path + "/", keys);
+    }
+  }
+}
+
+TEST(SpanFoldTest, ReplayTreeSumsAmountsOnly) {
+  Rng rng(11);
+  const Graph base = PowerLawCluster(300, 4, 0.5, rng);
+  std::vector<EdgeEvent> events;
+  base.ForEachEdge([&](EdgeId e, const Edge& edge) {
+    if (e % 7 == 0) events.push_back({EdgeEvent::Kind::kRemove, edge.u,
+                                      edge.v});
+  });
+  for (VertexId v = 1; v < 40; ++v) {
+    events.push_back({EdgeEvent::Kind::kInsert, 0, v});
+  }
+  JsonValue trace;
+  JsonValue tree = FoldSession(
+      [&] {
+        engine::EngineOptions options;
+        options.threads = 4;
+        engine::TkcEngine engine(base, options);
+        engine.ApplyBatch(events);
+        engine.Snapshot().context->Supports();
+      },
+      &trace);
+  std::set<std::string> keys;
+  for (const JsonValue& top : tree.Items()) CollectCounterKeys(top, "", &keys);
+  bool saw_level = false;
+  bool saw_edges = false;
+  for (const std::string& key : keys) {
+    for (const char* label : {":worker", ":begin", ":end", ":level"}) {
+      EXPECT_EQ(key.find(label), std::string::npos) << key;
+    }
+    saw_level = saw_level || key.find("peel.level") != std::string::npos;
+    saw_edges = saw_edges || key.ends_with("peel.level:edges");
+  }
+  EXPECT_TRUE(saw_level && saw_edges);
+  // The timeline keeps the labels.
+  bool chunk_labels = false;
+  bool level_label = false;
+  for (const JsonValue* slice : Slices(trace)) {
+    const std::string& name = slice->Find("name")->Str();
+    if (name == "parallel_for.chunk") {
+      chunk_labels = chunk_labels || (slice->FindPath("args.worker") &&
+                                      slice->FindPath("args.begin") &&
+                                      slice->FindPath("args.end"));
+    }
+    if (name == "peel.level") {
+      level_label = level_label || slice->FindPath("args.level") != nullptr;
+    }
+  }
+  EXPECT_TRUE(chunk_labels);
+  EXPECT_TRUE(level_label);
 }
 
 TEST(LogTest, ParseLogLevel) {
@@ -499,7 +618,7 @@ TEST(TimelineTest, RecordsCompleteEventsWithArgs) {
 
 TEST(TimelineTest, OverflowCountsDropsInsteadOfGrowing) {
   TimelineRecorder& recorder = TimelineRecorder::Global();
-  recorder.Start(/*capacity_per_thread=*/4);
+  recorder.Start(/*bytes_per_thread=*/4 * sizeof(TimelineEvent) + 1);
   for (int i = 0; i < 10; ++i) {
     TKC_SPAN("e");
   }

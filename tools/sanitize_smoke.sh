@@ -85,9 +85,10 @@ run_one() {
   echo "== $sanitizer: engine replay CLI =="
   # Stream a generated event log through the versioned engine (DeltaCsr
   # overlay, batched maintenance, compaction, zero-copy snapshots) with
-  # --threads=4 so the TSan leg sees the snapshot analytics (parallel
-  # support kernel on the shared frozen CSR) interleaved with the serving
-  # path; --verify holds the maintained κ to a scratch recompute and the
+  # --threads=4. Queries read the maintained triangle total and run no
+  # kernel; --verify's final recount runs the parallel support kernel on
+  # the shared frozen CSR, which is where the TSan leg sees it, and holds
+  # the maintained κ and triangle total to it and to the
   # compaction-boundary certificate.
   awk 'BEGIN {
     srand(11); print "# sanitize replay events"

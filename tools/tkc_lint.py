@@ -85,7 +85,8 @@ METRIC_USE_RE = re.compile(
     r"Get(?:Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"(\s*\+)?")
 SPAN_USE_RE = re.compile(
     r"(?:TKC_SPAN(?:_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
-SPAN_KEY_RE = re.compile(r"(?:TKC_SPAN_COUNTER|\bAddArg)\(\s*\"([^\"]*)\"")
+SPAN_KEY_RE = re.compile(
+    r"(?:TKC_SPAN_COUNTER|\bAdd(?:Arg|Label))\(\s*\"([^\"]*)\"")
 NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![\w.])delete(?:\[\])?\b")
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
