@@ -98,8 +98,10 @@ ParsedArgs Parse(const std::vector<std::string>& args) {
 // A numeric flag whose value is not a number, has trailing characters or
 // does not fit its type (`--threads` feeds an int) is a usage error, and so
 // is a value outside its range: a negative count or size would wrap when
-// cast to an unsigned, `generate` takes --n and --m as uint32 counts, and
-// R-MAT's --scale is a vertex-count exponent of at most 30.
+// cast to an unsigned, `generate` takes --n and --m as uint32 counts,
+// R-MAT's --scale is a vertex-count exponent of at most 30, and --batch and
+// --check-every are strides of at least 1. All of this is checked before
+// any command reads its graph.
 bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
   static const std::set<std::string> kInt64Flags = {
       "width", "height", "max-nodes", "check-every", "batch", "query-every",
@@ -109,6 +111,7 @@ bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
   static const std::map<std::string, std::pair<int64_t, int64_t>> kRanges = {
       {"threads", {0, kNoMax}},       {"width", {0, kNoMax}},
       {"height", {0, kNoMax}},        {"max-nodes", {0, kNoMax}},
+      {"batch", {1, kNoMax}},         {"check-every", {1, kNoMax}},
       {"query-every", {0, kNoMax}},   {"compact-edits", {0, kNoMax}},
       {"min-size", {0, kNoMax}},      {"n", {0, kU32Max}},
       {"m", {0, kU32Max}},            {"scale", {1, 30}}};
@@ -185,36 +188,55 @@ std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
   return g;
 }
 
-// How a subcommand received its graph under --graph-cache.
-struct GraphSource {
-  std::optional<Graph> graph;           // set when text was parsed
-  std::shared_ptr<const CsrGraph> csr;  // set when a frozen snapshot exists
-};
+// Parses the edge list and freezes it at --threads. The builder Graph is
+// freed under its own span before the snapshot is handed on, so no command
+// carries it into its analysis.
+std::shared_ptr<const CsrGraph> FreezeEdgeList(const std::string& path,
+                                               std::ostream& err) {
+  const int threads = ResolveThreads(0);
+  std::optional<Graph> g = LoadGraph(path, err, threads);
+  if (!g) return nullptr;
+  auto csr = std::make_shared<const CsrGraph>(*g, threads);
+  {
+    TKC_SPAN("cli.release_graph");
+    g.reset();
+  }
+  return csr;
+}
 
-// Loads the graph for a subcommand, honoring --graph-cache=FILE:
+bool WriteCacheFile(const CsrGraph& csr, const std::string& path,
+                    std::ostream& err) {
+  std::string write_error;
+  if (!WriteGraphCache(csr, path, &write_error)) {
+    err << "error: cannot write graph cache: " << write_error << '\n';
+    return false;
+  }
+  obs::Logger::Global().Info("cache.written", {{"path", path}});
+  return true;
+}
+
+// The one place a graph-reading subcommand gets its graph: always a frozen
+// snapshot, honoring --graph-cache=FILE:
 //  * cache file loads → serve the frozen snapshot directly (cache hit);
-//  * cache file absent → text ingest, then freeze + write the cache for
+//  * cache file absent → text ingest and freeze, then write the cache for
 //    the next run (cache miss);
 //  * cache file present but invalid → hard error with the named reason
 //    (exit 2) — never a silent fallback onto a corrupt file.
-std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
-                                           const std::string& path,
-                                           std::ostream& err) {
-  GraphSource src;
+// Without the flag it is text ingest and freeze. Returns null on error.
+std::shared_ptr<const CsrGraph> LoadGraphSource(const ParsedArgs& args,
+                                                const std::string& path,
+                                                std::ostream& err) {
   const std::string cache_path = args.Flag("graph-cache", "");
-  const int ingest_threads = ResolveThreads(0);
   if (!cache_path.empty()) {
     CacheStatus status = CacheStatus::kOk;
     std::string detail;
-    auto csr = LoadGraphCache(cache_path, ingest_threads, &status, &detail);
+    auto csr = LoadGraphCache(cache_path, ResolveThreads(0), &status, &detail);
     if (csr.has_value()) {
       obs::Logger::Global().Info("cache.loaded",
                                  {{"path", cache_path},
                                   {"vertices", csr->NumVertices()},
                                   {"edges", csr->NumEdges()}});
-      auto shared = std::make_shared<const CsrGraph>(std::move(*csr));
-      src.csr = std::move(shared);
-      return src;
+      return std::make_shared<const CsrGraph>(std::move(*csr));
     }
     if (status != CacheStatus::kIoError) {
       err << "error: graph cache '" << cache_path
@@ -223,24 +245,16 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
       obs::Logger::Global().Error("cache.load_rejected",
                                   {{"path", cache_path},
                                    {"reason", CacheStatusName(status)}});
-      return std::nullopt;
+      return nullptr;
     }
     obs::Logger::Global().Info("cache.miss", {{"path", cache_path}});
   }
-  auto g = LoadGraph(path, err, ingest_threads);
-  if (!g) return std::nullopt;
-  if (!cache_path.empty()) {
-    CsrGraph csr = CsrGraph::Freeze(*g, ingest_threads);
-    std::string write_error;
-    if (!WriteGraphCache(csr, cache_path, &write_error)) {
-      err << "error: cannot write graph cache: " << write_error << '\n';
-      return std::nullopt;
-    }
-    obs::Logger::Global().Info("cache.written", {{"path", cache_path}});
-    src.csr = std::make_shared<const CsrGraph>(std::move(csr));
+  std::shared_ptr<const CsrGraph> csr = FreezeEdgeList(path, err);
+  if (!csr) return nullptr;
+  if (!cache_path.empty() && !WriteCacheFile(*csr, cache_path, err)) {
+    return nullptr;
   }
-  src.graph = std::move(*g);
-  return src;
+  return csr;
 }
 
 // Output buffer size at which `decompose` flushes its formatted rows.
@@ -256,21 +270,10 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   const TriangleStorageMode mode =
       mode_text == "store" ? TriangleStorageMode::kStoreTriangles
                            : TriangleStorageMode::kRecomputeTriangles;
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
   Timer t;
-  std::optional<AnalysisContext> ctx;
-  if (src->csr) {
-    ctx.emplace(src->csr);
-  } else {
-    ctx.emplace(*src->graph);
-  }
-  // The frozen snapshot is all the decomposition reads; the Graph's memory
-  // goes to the triangle index instead.
-  {
-    TKC_SPAN("cli.release_graph");
-    src->graph.reset();
-  }
+  std::optional<AnalysisContext> ctx(std::in_place, std::move(csr_ptr));
   TriangleCoreResult r = ComputeTriangleCores(*ctx, mode);
   double seconds = t.Seconds();
   const CsrGraph& csr = ctx->csr();
@@ -314,18 +317,15 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   {
     TKC_SPAN("cli.release");
     ctx.reset();
-    src.reset();
     r = TriangleCoreResult{};
   }
   return 0;
 }
 
 int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
-  std::optional<CsrGraph> local;
-  if (!src->csr) local.emplace(*src->graph, ResolveThreads(0));
-  const CsrGraph& csr = src->csr ? *src->csr : *local;
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
+  const CsrGraph& csr = *csr_ptr;
   KCoreResult r = ComputeKCores(csr);
   out << "# v core\n";
   for (VertexId v = 0; v < csr.NumVertices(); ++v) {
@@ -336,11 +336,9 @@ int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 }
 
 int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
-  std::optional<CsrGraph> local;
-  if (!src->csr) local.emplace(*src->graph, ResolveThreads(0));
-  GraphStats s = ComputeGraphStats(src->csr ? *src->csr : *local);
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
+  GraphStats s = ComputeGraphStats(*csr_ptr);
   out << "vertices:               " << s.num_vertices << '\n'
       << "edges:                  " << s.num_edges << '\n'
       << "triangles:              " << s.num_triangles << '\n'
@@ -354,15 +352,9 @@ int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 }
 
 int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
-  std::optional<AnalysisContext> ctx_storage;
-  if (src->csr) {
-    ctx_storage.emplace(src->csr);
-  } else {
-    ctx_storage.emplace(*src->graph);
-  }
-  AnalysisContext& ctx = *ctx_storage;
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
+  const AnalysisContext ctx(std::move(csr_ptr));
   TriangleCoreResult r = ComputeTriangleCores(ctx);
   std::vector<uint32_t> co(ctx.csr().EdgeCapacity(), 0);
   ctx.csr().ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
@@ -386,15 +378,9 @@ int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
 int CmdHierarchy(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
-  std::optional<AnalysisContext> ctx_storage;
-  if (src->csr) {
-    ctx_storage.emplace(src->csr);
-  } else {
-    ctx_storage.emplace(*src->graph);
-  }
-  AnalysisContext& ctx = *ctx_storage;
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
+  const AnalysisContext ctx(std::move(csr_ptr));
   TriangleCoreResult r = ComputeTriangleCores(ctx);
   CoreHierarchy h = BuildCoreHierarchy(ctx.csr(), r);
   out << HierarchyToString(
@@ -448,15 +434,12 @@ obs::JsonValue UpdateStatsJson(const UpdateStats& s) {
 std::optional<obs::JsonValue> g_update_stats_json;  // NOLINT
 
 int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // The maintainer overlays a frozen snapshot: a cache hit's (zero-copy)
-  // or, from text, one frozen from the parsed graph.
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
+  // The maintainer overlays the frozen snapshot zero-copy.
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
   auto events = LoadEvents(args.positional[2], err, ResolveThreads(0));
   if (!events) return 2;
-  DynamicTriangleCore dyn(src->csr ? DeltaCsr(src->csr)
-                                   : DeltaCsr(*src->graph));
-  src->graph.reset();
+  DynamicTriangleCore dyn(DeltaCsr(std::move(csr_ptr)));
   Timer t;
   // One batch: the coalescer elides events whose net effect is nil, and a
   // removed-then-reinserted edge keeps its id (and so its output row).
@@ -492,27 +475,15 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // machine-readable tkc.verify.v1 artifact. Exit codes: 0 all invariants
 // hold, 3 an invariant failed (counterexample printed), 2 usage/I-O error.
 int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // The oracles (and any --events replay) work on a Graph, so a cache hit
-  // is thawed.
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
-  if (!src->graph) src->graph = src->csr->ThawPreservingIds();
-  Graph& g = *src->graph;
+  // The oracles (and any --events replay) work on a Graph, so the frozen
+  // snapshot is thawed.
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
+  const Graph g = csr_ptr->ThawPreservingIds();
+  csr_ptr.reset();
 
   verify::VerifyOptions options;
-  const std::string mode = args.Flag("mode", "recompute");
-  if (mode != "recompute" && mode != "store") {
-    err << "error: --mode must be 'store' or 'recompute'\n";
-    return 2;
-  }
-  options.mode = mode == "store" ? TriangleStorageMode::kStoreTriangles
-                                 : TriangleStorageMode::kRecomputeTriangles;
-  const int64_t check_every = args.FlagInt("check-every", 1);
-  if (check_every < 1) {
-    err << "error: --check-every must be >= 1\n";
-    return 2;
-  }
-  options.check_every = static_cast<size_t>(check_every);
+  options.check_every = static_cast<size_t>(args.FlagInt("check-every", 1));
 
   const std::string events_path = args.Flag("events", "");
   if (!events_path.empty()) {
@@ -565,20 +536,15 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // analytics queries off zero-copy snapshots between batches. Exit codes:
 // 0 ok, 3 a --verify check failed, 2 usage/I-O error.
 int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // A cache hit feeds the engine's zero-copy frozen-base constructor, a
-  // miss goes through text ingest.
-  auto src = LoadGraphSource(args, args.positional[1], err);
-  if (!src) return 2;
   const std::string events_path = args.Flag("events", "");
   if (events_path.empty()) {
     err << "error: replay requires --events=FILE\n";
     return 2;
   }
+  // The frozen snapshot becomes the engine's base, zero-copy.
+  auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
+  if (!csr_ptr) return 2;
   const int64_t batch_size = args.FlagInt("batch", 64);
-  if (batch_size < 1) {
-    err << "error: --batch must be >= 1\n";
-    return 2;
-  }
   const int64_t query_every = args.FlagInt("query-every", 0);
   const int64_t compact_edits = args.FlagInt("compact-edits", 4096);
   EventListStats estats;
@@ -589,11 +555,7 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   engine::EngineOptions options;
   options.compaction_min_edits = static_cast<size_t>(compact_edits);
   options.verify_compactions = verify;
-  engine::TkcEngine engine =
-      src->csr ? engine::TkcEngine(src->csr, options)
-               : engine::TkcEngine(*src->graph, options);
-  // The engine owns its own frozen copy; the parsed graph is not read again.
-  src->graph.reset();
+  engine::TkcEngine engine(std::move(csr_ptr), options);
 
   obs::JsonValue batches_json = obs::JsonValue::Array();
   Timer total;
@@ -800,24 +762,17 @@ int CmdGenerate(const ParsedArgs& args, std::ostream& out,
 // its header — the CLI face of the --graph-cache fast path.
 int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   const std::string& verb = args.positional[1];
-  const int ingest_threads = ResolveThreads(0);
   if (verb == "build") {
     const std::string out_path = args.Flag("out", "");
     if (out_path.empty()) {
       err << "error: cache build requires --out=FILE\n";
       return 2;
     }
-    auto g = LoadGraph(args.positional[2], err, ingest_threads);
-    if (!g) return 2;
     Timer t;
-    CsrGraph csr = CsrGraph::Freeze(*g, ingest_threads);
-    std::string write_error;
-    if (!WriteGraphCache(csr, out_path, &write_error)) {
-      err << "error: cannot write graph cache: " << write_error << '\n';
-      return 2;
-    }
-    out << "wrote " << out_path << ": " << csr.NumVertices() << " vertices, "
-        << csr.NumEdges() << " edges seconds=" << t.Seconds() << '\n';
+    auto csr = FreezeEdgeList(args.positional[2], err);
+    if (!csr || !WriteCacheFile(*csr, out_path, err)) return 2;
+    out << "wrote " << out_path << ": " << csr->NumVertices() << " vertices, "
+        << csr->NumEdges() << " edges seconds=" << t.Seconds() << '\n';
     return 0;
   }
   if (verb == "load") {
@@ -825,7 +780,7 @@ int CmdCache(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     std::string detail;
     GraphCacheInfo info;
     Timer t;
-    auto csr = LoadGraphCache(args.positional[2], ingest_threads, &status,
+    auto csr = LoadGraphCache(args.positional[2], ResolveThreads(0), &status,
                               &detail, &info);
     if (!csr.has_value()) {
       err << "error: graph cache '" << args.positional[2]
@@ -860,8 +815,7 @@ void PrintUsage(std::ostream& err) {
          "            [--query-every=K] [--compact-edits=N] [--verify]\n"
          "            [--json-out=FILE] [--graph-cache=FILE]\n"
          "  verify    <edges.txt> [--events=FILE] [--check-every=N]\n"
-         "            [--mode=store|recompute] [--json-out=FILE]\n"
-         "            [--graph-cache=FILE]\n"
+         "            [--json-out=FILE] [--graph-cache=FILE]\n"
          "  templates <old.txt> <new.txt> --pattern=newform|bridge|newjoin\n"
          "  generate  <er|gnm|ba|plc|ws|rmat|geometric|collab> --out=FILE\n"
          "            [--n=N] [--m=M] [--p=P] [--seed=S]\n"
@@ -911,7 +865,7 @@ bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
       {"replay",
        {"events", "batch", "query-every", "compact-edits", "verify",
         "json-out", "graph-cache"}},
-      {"verify", {"events", "check-every", "mode", "json-out", "graph-cache"}},
+      {"verify", {"events", "check-every", "json-out", "graph-cache"}},
       {"templates", {"pattern", "min-size"}},
       {"generate", {"out", "seed", "n", "m", "p", "scale"}},
       {"cache", {"out"}},

@@ -19,18 +19,17 @@ uint32_t QualifiedSupport(const GraphT& g, EdgeId e, Pred&& keep) {
   return n;
 }
 
-// Naive maximal triangle k-core by iterative deletion: start from every
-// live edge, recount each survivor's in-set support, delete those below
-// `k`, cascade until stable. Returns the surviving-edge mask (by EdgeId).
+// Naive maximal triangle k-core by iterative deletion: start from the
+// edges of `alive` (a mask by EdgeId), recount each one's in-set support,
+// delete those below `k`, cascade until stable. `alive` must contain the
+// maximal k-core; on return it is exactly that core.
 template <typename GraphT>
-std::vector<uint8_t> NaiveMaximalCore(const GraphT& g,
-                                      const std::vector<EdgeId>& live,
-                                      uint32_t k) {
-  std::vector<uint8_t> alive(g.EdgeCapacity(), 0);
-  for (EdgeId e : live) alive[e] = 1;
+void NaiveMaximalCore(const GraphT& g, uint32_t k,
+                      std::vector<uint8_t>& alive) {
   std::vector<uint32_t> in_support(g.EdgeCapacity(), 0);
   std::vector<EdgeId> doomed;
-  for (EdgeId e : live) {
+  for (EdgeId e = 0; e < g.EdgeCapacity(); ++e) {
+    if (alive[e] == 0) continue;
     in_support[e] =
         QualifiedSupport(g, e, [&](EdgeId f) { return alive[f] != 0; });
     if (in_support[e] < k) doomed.push_back(e);
@@ -48,7 +47,6 @@ std::vector<uint8_t> NaiveMaximalCore(const GraphT& g,
       }
     });
   }
-  return alive;
 }
 
 template <typename GraphT>
@@ -102,9 +100,13 @@ VerifyReport CheckKappaCertificateImpl(const GraphT& g,
   if (sound) report.Add(Pass("kappa.soundness", levels_scope));
 
   // Maximality: no edge survives the naive k-core with κ < k, at any level.
+  // Maximal cores nest, so level k starts from level k−1's survivors rather
+  // than from every live edge; the start set never depends on κ.
   bool maximal = true;
+  std::vector<uint8_t> core(g.EdgeCapacity(), 0);
+  for (EdgeId e : live) core[e] = 1;
   for (uint32_t k = 1; k <= max_k + 1 && maximal; ++k) {
-    std::vector<uint8_t> core = NaiveMaximalCore(g, live, k);
+    NaiveMaximalCore(g, k, core);
     for (EdgeId e : live) {
       if (core[e] != 0 && kappa[e] < k) {
         Edge edge = g.GetEdge(e);

@@ -32,12 +32,16 @@ namespace tkc::verify {
 ///                         deletion (recount supports, delete every edge
 ///                         below k, repeat to fixpoint) contains no edge
 ///                         with κ < k; such an edge was under-valued.
+///                         Maximal cores nest, so level k's deletion
+///                         starts from level k−1's core (level 1 from
+///                         every live edge) — never from anything κ says.
 ///                         Counterexample: (edge, level = k, observed =
 ///                         κ(edge), expected >= k).
 ///
 /// A map passing all three equals the true decomposition: soundness gives
 /// {κ >= k} ⊆ (maximal k-core) for every k, maximality the converse.
-/// Cost: O(max κ · |E| · deg) — linear-ish per level, no cleverness.
+/// Cost: O(Σ_k |core_{k−1}| · deg) — a recount per level over a shrinking
+/// edge set, no cleverness.
 VerifyReport CheckKappaCertificate(const CsrGraph& g,
                                    const std::vector<uint32_t>& kappa);
 VerifyReport CheckKappaCertificate(const DeltaCsr& g,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "tkc/core/hierarchy.h"
+#include "tkc/core/triangle_core.h"
 #include "tkc/graph/csr.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/verify/certificate.h"
@@ -15,17 +16,17 @@ namespace tkc::verify {
 
 namespace {
 
-// "static.modes_agree": peel in the other storage mode and require κ and
-// triangle counts to match bit for bit. The peel *order* is deliberately
-// not compared: the modes visit triangles differently, so ties in the
-// bucket queue may break differently — only κ is contractual
+// "static.modes_agree": peel in recompute mode and require κ and triangle
+// counts to match the store-mode reference bit for bit. The peel *order*
+// is deliberately not compared: the modes visit triangles differently, so
+// ties in the bucket queue may break differently — only κ is contractual
 // (StorageModesAgree in the unit suite pins the same boundary).
 InvariantCheck CrossCheckModes(const CsrGraph& csr,
-                               const TriangleCoreResult& reference,
-                               TriangleStorageMode other_mode) {
+                               const TriangleCoreResult& reference) {
   const char* name = "static.modes_agree";
   std::string detail = "edges=" + std::to_string(csr.NumEdges());
-  TriangleCoreResult other = ComputeTriangleCores(csr, other_mode);
+  TriangleCoreResult other =
+      ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
   if (other.triangle_count != reference.triangle_count) {
     return Fail(name, detail,
                 {kInvalidEdge, kInvalidVertex, kInvalidVertex, 0,
@@ -64,21 +65,17 @@ VerifyReport RunFullVerification(const Graph& g,
   TriangleCoreResult result;
   {
     TKC_SPAN("verify.decompose");
-    result = ComputeTriangleCores(csr, options.mode);
+    result = ComputeTriangleCores(csr, TriangleStorageMode::kStoreTriangles);
   }
   {
     TKC_SPAN("verify.kappa_certificate");
     report.Merge(CheckKappaCertificate(csr, result.kappa));
   }
-  if (options.cross_check_modes) {
+  {
     TKC_SPAN("verify.modes_agree");
-    report.Add(CrossCheckModes(
-        csr, result,
-        options.mode == TriangleStorageMode::kRecomputeTriangles
-            ? TriangleStorageMode::kStoreTriangles
-            : TriangleStorageMode::kRecomputeTriangles));
+    report.Add(CrossCheckModes(csr, result));
   }
-  if (options.check_nesting) {
+  {
     TKC_SPAN("verify.nesting");
     CoreHierarchy hierarchy = BuildCoreHierarchy(csr, result);
     report.Add(CheckHierarchyNesting(hierarchy, csr, result));

@@ -4,24 +4,14 @@
 #include <cstddef>
 #include <vector>
 
-#include "tkc/core/triangle_core.h"
 #include "tkc/graph/edge_event.h"
 #include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
 
 namespace tkc::verify {
 
-/// What RunFullVerification audits beyond the always-on structural and
-/// κ-certificate oracles.
+/// What RunFullVerification audits beyond its always-on oracles.
 struct VerifyOptions {
-  /// Storage mode handed to the Algorithm-1 decomposition under test.
-  TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles;
-  /// Also peel in the other storage mode and require identical κ/order
-  /// ("static.modes_agree") — the two code paths must be observationally
-  /// equivalent per the paper's Section IV-A.
-  bool cross_check_modes = true;
-  /// Audit hierarchy construction and per-level extraction nesting.
-  bool check_nesting = true;
   /// Optional edge-event log for the dynamic-maintenance replay oracle.
   std::vector<EdgeEvent> events;
   /// Replay checkpoint stride (see ReplayOptions::check_every).
@@ -32,7 +22,10 @@ struct VerifyOptions {
 /// `g` and returns the aggregated report —
 ///   graph.structure, csr.structure, csr.mirror,
 ///   kappa.shape / kappa.soundness / kappa.maximality (on a fresh
-///   Algorithm-1 decomposition), static.modes_agree,
+///   Algorithm-1 decomposition in store mode, the peel every other command
+///   runs), static.modes_agree (the recompute-mode peel must give the same
+///   κ and triangle count — the two storage modes are observationally
+///   equivalent per the paper's Section IV-A),
 ///   hierarchy.nesting, extraction.nesting,
 ///   dynamic.replay (when `events` is nonempty).
 /// Instrumented with verify.* spans and counters; serialize the result

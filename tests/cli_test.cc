@@ -382,6 +382,10 @@ TEST_F(CliTest, ReplayMetricsSchemaIndependentOfThreads) {
   }
   EXPECT_TRUE(span_keys[0].count(
       "replay/engine.apply_batch/dyn.apply_batch:triangles_scanned"));
+  // The loader freezes the text graph and frees the builder before the
+  // engine starts.
+  EXPECT_TRUE(spans[0].count("replay/csr.freeze"));
+  EXPECT_TRUE(spans[0].count("replay/cli.release_graph"));
 }
 
 TEST_F(CliTest, DecomposeRecomputeModeMatchesDefaultAtAnyThreads) {
@@ -704,9 +708,8 @@ TEST_F(CliTest, VerifyCleanGraphPasses) {
 TEST_F(CliTest, VerifyWritesVerifyV1Artifact) {
   std::string json_path = TempPath("cli_verify.json");
   std::string out;
-  ASSERT_EQ(RunTool({"verify", edges_path_, "--json-out=" + json_path,
-                 "--mode=store"},
-                &out),
+  ASSERT_EQ(RunTool({"verify", edges_path_, "--json-out=" + json_path},
+                    &out),
             0);
   std::ifstream in(json_path);
   ASSERT_TRUE(in.good());
@@ -911,42 +914,86 @@ TEST_F(CliTest, RemovedIngestWorkerFlagIsUnknown) {
   EXPECT_NE(err.find("unknown flag '" + flag + "'"), std::string::npos);
 }
 
-// Blanks the value of every `*_seconds=` field, the only bytes of an
-// `update` run that vary between identical runs.
-std::string WithoutSeconds(const std::string& text) {
-  static const std::regex kSeconds("([a-z_]+_seconds)=[^ \n]*");
-  return std::regex_replace(text, kSeconds, "$1=");
+// Blanks the value of every field that varies between identical runs
+// (timings) or by graph source (replay's cache counters).
+std::string WithoutVaryingFields(const std::string& text) {
+  static const std::regex kVarying(
+      "\\b(seconds|events_per_sec|update_seconds|recompute_seconds|"
+      "cache_hits|cache_misses)=[^ \n]*");
+  return std::regex_replace(text, kVarying, "$1=");
 }
 
-TEST_F(CliTest, UpdateFromGraphCacheMatchesText) {
-  // A cache miss freezes and writes the cache, a hit serves the frozen
-  // snapshot zero-copy; both must print the rows and counters of a plain
-  // text run.
-  const std::string big_path = TempPath("cli_update_cache_edges.txt");
-  const std::string events_path = TempPath("cli_update_cache_events.txt");
-  const std::string cache = TempPath("cli_update_cache.tkcg");
-  std::remove(cache.c_str());
+// Every graph-reading command gets its frozen graph from one loader. From
+// text, from a --graph-cache miss (text, then the cache is written) and
+// from a hit, at any --threads, each prints the same bytes.
+TEST_F(CliTest, EveryCommandPrintsTheSameFromTextCacheMissAndHit) {
+  const std::string big_path = TempPath("cli_source_edges.txt");
+  const std::string events_path = TempPath("cli_source_events.txt");
+  const std::string cache = TempPath("cli_source.tkcg");
   Rng rng(77);
   Graph g = PowerLawCluster(400, 4, 0.5, rng);
   ASSERT_TRUE(WriteEdgeListFile(g, big_path));
   ASSERT_TRUE(WriteEventListFile(WedgeClosingChurn(g, 120, rng), events_path));
+  const std::vector<std::vector<std::string>> commands = {
+      {"decompose", big_path},
+      {"decompose", big_path, "--mode=recompute"},
+      {"kcore", big_path},
+      {"stats", big_path},
+      {"plot", big_path},
+      {"hierarchy", big_path},
+      {"update", big_path, events_path},
+      {"replay", big_path, "--events=" + events_path, "--batch=16",
+       "--query-every=2"},
+      {"replay", big_path, "--events=" + events_path, "--batch=16",
+       "--query-every=2", "--verify"},
+      {"verify", big_path},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    const std::string name = command[0] + " " + command.back();
+    std::string text;
+    ASSERT_EQ(RunTool(command, &text), 0) << name;
+    EXPECT_GT(text.size(), 0u) << name;
+    for (const char* threads : {"--threads=1", "--threads=4"}) {
+      std::remove(cache.c_str());
+      for (const char* source : {"text", "cache.written", "cache.loaded"}) {
+        std::vector<std::string> args = command;
+        args.push_back(threads);
+        if (std::string(source) != "text") {
+          args.push_back("--graph-cache=" + cache);
+          args.push_back("--log-level=info");
+        }
+        std::string out, err;
+        ASSERT_EQ(RunTool(args, &out, &err), 0) << name << ' ' << threads;
+        EXPECT_EQ(WithoutVaryingFields(out), WithoutVaryingFields(text))
+            << name << ' ' << threads << ' ' << source;
+        if (std::string(source) != "text") {
+          EXPECT_NE(err.find(source), std::string::npos)
+              << name << ' ' << threads;
+        }
+      }
+    }
+  }
+}
 
-  std::string text, miss, hit, err;
-  ASSERT_EQ(RunTool({"update", big_path, events_path}, &text), 0);
-  ASSERT_EQ(RunTool({"update", big_path, events_path, "--graph-cache=" + cache,
-                 "--log-level=info"},
-                &miss, &err),
-            0);
-  EXPECT_NE(err.find("cache.written"), std::string::npos);
-  ASSERT_EQ(RunTool({"update", big_path, events_path, "--graph-cache=" + cache,
-                 "--log-level=info"},
-                &hit, &err),
-            0);
-  EXPECT_NE(err.find("cache.loaded"), std::string::npos);
-  EXPECT_NE(text.find(" verified=yes"), std::string::npos);
-  EXPECT_EQ(WithoutSeconds(miss), WithoutSeconds(text));
-  EXPECT_EQ(WithoutSeconds(hit), WithoutSeconds(text));
-  EXPECT_GT(DataRows(text).size(), 0u);
+// Usage errors are reported before the graph is read: a missing graph file
+// does not mask them.
+TEST_F(CliTest, UsageErrorsPrecedeGraphLoad) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"replay", "/no/such/file", "--events=x", "--batch=0"},
+           "error: --batch must be >= 1\n"},
+          {{"verify", "/no/such/file", "--check-every=0"},
+           "error: --check-every must be >= 1\n"},
+          {{"replay", "/no/such/file"}, "error: replay requires --events"},
+          {{"verify", "/no/such/file", "--mode=store"},
+           "error: unknown flag '--mode' for 'verify'"},
+      };
+  for (const auto& [args, message] : cases) {
+    std::string out, err;
+    EXPECT_EQ(RunTool(args, &out, &err), 2) << message;
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+    EXPECT_EQ(err.find("cannot read edge list"), std::string::npos) << err;
+  }
 }
 
 TEST_F(CliTest, NonNumericFlagValuesExitTwo) {

@@ -38,16 +38,14 @@ TEST(VerifyTest, CleanDecompositionPassesFullVerification) {
 }
 
 TEST(VerifyTest, CleanRandomGraphsPassBothModes) {
+  // One run certifies the store peel and cross-checks the recompute peel.
   for (uint64_t seed : {3, 11}) {
     Rng rng(seed);
     Graph g = PowerLawCluster(120, 3, 0.5, rng);
-    for (TriangleStorageMode mode : {TriangleStorageMode::kStoreTriangles,
-                                     TriangleStorageMode::kRecomputeTriangles}) {
-      VerifyOptions options;
-      options.mode = mode;
-      VerifyReport report = RunFullVerification(g, options);
-      EXPECT_TRUE(report.AllPassed()) << "seed=" << seed;
-    }
+    VerifyReport report = RunFullVerification(g);
+    EXPECT_TRUE(report.AllPassed()) << "seed=" << seed;
+    ASSERT_NE(report.Find("static.modes_agree"), nullptr);
+    EXPECT_TRUE(report.Find("static.modes_agree")->passed) << "seed=" << seed;
   }
 }
 

@@ -63,8 +63,10 @@ run_one() {
   # chunked parse at 8 threads must match the 4-thread run row for row,
   # and a cache round trip (build → read-through load) must
   # serve the identical decomposition. The TSan leg sees the per-chunk
-  # tokenizer workers and the parallel Freeze scatter; ASan/UBSan cover
-  # the mmap lifetime and the checksum/structure validation on load.
+  # tokenizer workers and the parallel freeze's per-vertex copy and
+  # oriented scatter, which every text load runs at --threads;
+  # ASan/UBSan cover the mmap lifetime and the checksum/structure
+  # validation on load.
   "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=8 \
     > "$smoke_dir/kappa_ingest8.txt"
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
@@ -89,7 +91,9 @@ run_one() {
   # kernel; --verify's final recount runs the parallel support kernel on
   # the shared frozen CSR, which is where the TSan leg sees it, and holds
   # the maintained κ and triangle total to it and to the
-  # compaction-boundary certificate.
+  # compaction-boundary certificate. The text run's engine starts from the
+  # parallel text freeze; a second run from --graph-cache must print the
+  # same batch and query lines.
   awk 'BEGIN {
     srand(11); print "# sanitize replay events"
     for (i = 0; i < 1500; i++) {
@@ -100,9 +104,26 @@ run_one() {
   "$build_dir/tools/tkc" replay "$smoke_dir/g.txt" \
     --events="$smoke_dir/events.txt" --batch=64 --query-every=5 \
     --compact-edits=512 --threads=4 --verify \
-    --json-out="$smoke_dir/replay.json" | tail -n 2
+    --json-out="$smoke_dir/replay.json" > "$smoke_dir/replay_text.txt"
+  tail -n 2 "$smoke_dir/replay_text.txt"
   "$build_dir/tools/json_check" "$smoke_dir/replay.json" \
     --require=schema,verified,update_stats
+  "$build_dir/tools/tkc" replay "$smoke_dir/g.txt" \
+    --events="$smoke_dir/events.txt" --batch=64 --query-every=5 \
+    --compact-edits=512 --threads=4 --verify \
+    --graph-cache="$smoke_dir/g.tkcg" > "$smoke_dir/replay_cache.txt"
+  # Batch lines end in a wall-time seconds= field; compare the rest.
+  if ! diff <(grep -E '^(batch|query)' "$smoke_dir/replay_text.txt" |
+                sed 's/ seconds=.*//') \
+            <(grep -E '^(batch|query)' "$smoke_dir/replay_cache.txt" |
+                sed 's/ seconds=.*//'); then
+    echo "!! --graph-cache replay differs from text ingest" >&2
+    exit 1
+  fi
+  if ! grep -q ' verified=yes' "$smoke_dir/replay_cache.txt"; then
+    echo "!! --graph-cache replay failed --verify" >&2
+    exit 1
+  fi
   rm -rf "$smoke_dir"
   echo "== $sanitizer: OK =="
 }
