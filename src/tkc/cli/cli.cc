@@ -475,12 +475,8 @@ int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 // machine-readable tkc.verify.v1 artifact. Exit codes: 0 all invariants
 // hold, 3 an invariant failed (counterexample printed), 2 usage/I-O error.
 int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // The oracles (and any --events replay) work on a Graph, so the frozen
-  // snapshot is thawed.
   auto csr_ptr = LoadGraphSource(args, args.positional[1], err);
   if (!csr_ptr) return 2;
-  const Graph g = csr_ptr->ThawPreservingIds();
-  csr_ptr.reset();
 
   verify::VerifyOptions options;
   options.check_every = static_cast<size_t>(args.FlagInt("check-every", 1));
@@ -493,7 +489,8 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   }
 
   Timer t;
-  verify::VerifyReport report = verify::RunFullVerification(g, options);
+  verify::VerifyReport report =
+      verify::RunFullVerification(std::move(csr_ptr), options);
   const double seconds = t.Seconds();
 
   for (const verify::InvariantCheck& check : report.checks()) {
@@ -963,9 +960,8 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   SetDefaultThreads(threads_flag == 0 ? HardwareThreads()
                                       : static_cast<int>(threads_flag));
 
-  // The cache counters exist in every dump (pattern as for
-  // engine.snapshot_copies): "no cache activity" is a checkable zero in the
-  // tkc.metrics.v1 artifact, not a missing key.
+  // The cache counters exist in every dump: "no cache activity" is a
+  // checkable zero in the tkc.metrics.v1 artifact, not a missing key.
   for (const char* name :
        {"cache.hits", "cache.misses", "cache.checksum_failures"}) {
     obs::MetricsRegistry::Global().GetCounter(name).Add(0);

@@ -12,7 +12,6 @@
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
-#include "tkc/util/timer.h"
 
 #if TKC_CHECK_LEVEL >= 2
 #include "tkc/verify/certificate.h"
@@ -34,9 +33,9 @@ enum Flag : uint8_t {
   kPlaced,
 };
 
-// Folds one ApplyBatch into the process-wide registry: the shared dyn.*
-// work counters, batch-shape counters and a per-batch latency histogram.
-void RecordBatch(double seconds, const BatchStats& b) {
+// Folds one ApplyBatch into the process-wide registry (the shared dyn.*
+// work and batch-shape counters) and into the enclosing span's counters.
+void RecordBatch(const BatchStats& b) {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Counter& batches = registry.GetCounter("dyn.batch.count");
   static obs::Counter& events = registry.GetCounter("dyn.batch.events");
@@ -51,10 +50,6 @@ void RecordBatch(double seconds, const BatchStats& b) {
   static obs::Counter& demoted = registry.GetCounter("dyn.demoted_edges");
   static obs::Counter& triangles =
       registry.GetCounter("dyn.triangles_scanned");
-  static obs::Histogram& latency =
-      registry.GetHistogram("dyn.batch.latency_ns");
-  static obs::Histogram& affected =
-      registry.GetHistogram("dyn.batch.affected_edges");
   batches.Add(1);
   events.Add(b.events);
   coalesced.Add(b.coalesced_events);
@@ -65,8 +60,6 @@ void RecordBatch(double seconds, const BatchStats& b) {
   promoted.Add(b.work.promoted_edges);
   demoted.Add(b.work.demoted_edges);
   triangles.Add(b.work.triangles_scanned);
-  latency.ObserveSeconds(seconds);
-  affected.Observe(b.work.candidate_edges);
   TKC_SPAN_COUNTER("events", b.events);
   TKC_SPAN_COUNTER("candidate_edges", b.work.candidate_edges);
   TKC_SPAN_COUNTER("triangles_scanned", b.work.triangles_scanned);
@@ -187,10 +180,6 @@ uint32_t DynamicTriangleCore::InsertionBound(EdgeId e0) {
 }
 
 uint64_t DynamicTriangleCore::InsertInternal(EdgeId e0) {
-  static obs::Histogram& walk_edges =
-      obs::MetricsRegistry::Global().GetHistogram("dyn.insert.walk_edges");
-  const uint64_t popped_before = last_stats_.candidate_edges;
-
   // Step 1: κ(e0) = k1 at the tail of level k1. Then rem(e0) counts the
   // triangles whose partners both sit above level k1, fewer than k1 + 1
   // by the h-index definition.
@@ -229,7 +218,6 @@ uint64_t DynamicTriangleCore::InsertInternal(EdgeId e0) {
     ++levels;
     i = j;
   }
-  walk_edges.Observe(last_stats_.candidate_edges - popped_before);
   return levels;
 }
 
@@ -398,7 +386,6 @@ bool DynamicTriangleCore::OrderInvariantHolds(std::string* failure) const {
 
 BatchStats DynamicTriangleCore::ApplyBatch(std::span<const EdgeEvent> events) {
   TKC_SPAN("dyn.apply_batch");
-  Timer latency;
   BatchStats batch;
   batch.events = events.size();
   last_stats_ = UpdateStats{};
@@ -477,7 +464,7 @@ BatchStats DynamicTriangleCore::ApplyBatch(std::span<const EdgeEvent> events) {
   total_stats_.promoted_edges += batch.work.promoted_edges;
   total_stats_.demoted_edges += batch.work.demoted_edges;
   total_stats_.triangles_scanned += batch.work.triangles_scanned;
-  RecordBatch(latency.Seconds(), batch);
+  RecordBatch(batch);
   VerifyAfterUpdate("DynamicTriangleCore::ApplyBatch");
   return batch;
 }

@@ -8,15 +8,11 @@ namespace tkc {
 
 class AnalysisContext;
 
-/// Forwarders to the one Algorithm-1 peel, ComputeTriangleCores in its
-/// default kStoreTriangles mode: `threads` (ResolveThreads convention) runs
-/// the triangle-partner index build, whose one enumeration also yields the
-/// supports; the bucket peel over the index is serial. Results are
-/// identical at any thread count.
-TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,
-                                                int threads = 0);
-
-/// Same, over the context's cached supports and index.
+/// Forwarder to the one Algorithm-1 peel, ComputeTriangleCores in its
+/// default kStoreTriangles mode, over the context's cached supports and
+/// index: the context's `threads` run the triangle-partner index build,
+/// whose one enumeration also yields the supports; the bucket peel over
+/// the index is serial. Results are identical at any thread count.
 TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx);
 
 }  // namespace tkc

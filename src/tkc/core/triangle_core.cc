@@ -211,11 +211,6 @@ TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g,
   return ComputeTriangleCores(AnalysisContext(g.Frozen()), mode);
 }
 
-TriangleCoreResult ComputeTriangleCoresParallel(const CsrGraph& g,
-                                                int threads) {
-  return ComputeTriangleCores(AnalysisContext(Borrow(g), threads));
-}
-
 TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx) {
   return ComputeTriangleCores(ctx);
 }

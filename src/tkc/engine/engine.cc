@@ -8,7 +8,6 @@
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/util/check.h"
-#include "tkc/util/timer.h"
 #include "tkc/verify/certificate.h"
 
 #if TKC_CHECK_LEVEL >= 2
@@ -35,18 +34,12 @@ DynamicTriangleCore MakeInitialCore(DeltaCsr view,
 }  // namespace
 
 TkcEngine::TkcEngine(const Graph& base, EngineOptions options)
-    : options_(options), dyn_(MakeInitialCore(DeltaCsr(base), options)) {
-  // The snapshot-copy counter exists from construction so "no copies ever
-  // happened" is a checkable == 0 assertion, not a missing metric.
-  obs::MetricsRegistry::Global().GetCounter("engine.snapshot_copies").Add(0);
-}
+    : options_(options), dyn_(MakeInitialCore(DeltaCsr(base), options)) {}
 
 TkcEngine::TkcEngine(std::shared_ptr<const CsrGraph> base,
                      EngineOptions options)
     : options_(options),
-      dyn_(MakeInitialCore(DeltaCsr(std::move(base)), options)) {
-  obs::MetricsRegistry::Global().GetCounter("engine.snapshot_copies").Add(0);
-}
+      dyn_(MakeInitialCore(DeltaCsr(std::move(base)), options)) {}
 
 bool TkcEngine::ShouldCompact() const {
   const DeltaCsr& g = dyn_.graph();
@@ -59,15 +52,8 @@ bool TkcEngine::ShouldCompact() const {
 
 BatchStats TkcEngine::ApplyBatch(std::span<const EdgeEvent> events) {
   TKC_SPAN("engine.apply_batch");
-  Timer latency;
   last_batch_ = dyn_.ApplyBatch(events);
-
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("engine.batches").Add(1);
-  registry.GetCounter("engine.events").Add(last_batch_.events);
-  registry.GetHistogram("engine.batch.latency_ns")
-      .ObserveSeconds(latency.Seconds());
-  registry.GetGauge("engine.epoch").Set(epoch());
+  obs::MetricsRegistry::Global().GetGauge("engine.epoch").Set(epoch());
 
   if (ShouldCompact()) CompactNow();
   return last_batch_;
@@ -81,7 +67,6 @@ bool TkcEngine::Compact() {
 
 void TkcEngine::CompactNow() {
   TKC_SPAN("engine.compact");
-  Timer timer;
   const size_t edits = dyn_.graph().EditsSinceCompaction();
   std::shared_ptr<const CsrGraph> base = dyn_.Compact();
   ++compactions_;
@@ -93,8 +78,6 @@ void TkcEngine::CompactNow() {
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("engine.compactions").Add(1);
   registry.GetCounter("engine.compacted_edits").Add(edits);
-  registry.GetHistogram("engine.compact.latency_ns")
-      .ObserveSeconds(timer.Seconds());
   registry.GetGauge("engine.epoch").Set(epoch());
 
   // Compaction-boundary certificate: the frozen base must carry the exact
@@ -132,9 +115,8 @@ EngineSnapshot TkcEngine::Snapshot() {
     // snapshot and is seeded with the maintainer's triangle total, so a
     // triangle-count read enumerates nothing. The κ vector is the one
     // thing duplicated (the maintainer keeps mutating its own), and it is
-    // shared across every snapshot of this epoch. engine.snapshot_copies
-    // counts deep CSR copies — by construction there are none, and tests
-    // pin it to zero.
+    // shared across every snapshot of this epoch; tests pin the shared
+    // base by pointer identity.
     cached_context_ = std::make_shared<const AnalysisContext>(
         dyn_.graph().base_ptr(), options_.threads, dyn_.TriangleCount());
     cached_kappa_ =

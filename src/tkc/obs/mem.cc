@@ -68,11 +68,6 @@ ScopedMemSpan::~ScopedMemSpan() {
       .Set(static_cast<double>(after.current_rss_bytes));
   registry.GetGauge("mem.peak_rss_bytes")
       .Set(static_cast<double>(after.peak_rss_bytes));
-  const uint64_t growth =
-      after.current_rss_bytes > before_.current_rss_bytes
-          ? after.current_rss_bytes - before_.current_rss_bytes
-          : 0;
-  registry.GetHistogram("mem.phase.rss_growth_bytes").Observe(growth);
 
   span_.AddArg("rss_before_bytes", before_.current_rss_bytes);
   span_.AddArg("rss_after_bytes", after.current_rss_bytes);

@@ -20,11 +20,10 @@ struct MemorySnapshot {
 MemorySnapshot ReadMemorySnapshot();
 
 /// TKC_SPAN plus per-phase memory accounting: on scope exit the RSS
-/// before/after/peak are attached to the span's slice, the
-/// `mem.current_rss_bytes` / `mem.peak_rss_bytes` gauges are refreshed, and
-/// the phase's RSS growth lands in the `mem.phase.rss_growth_bytes`
-/// histogram. Only while a recording session is active: sampling reads
-/// /proc twice per span — use at phase granularity, not in loops.
+/// before/after/peak are attached to the span's slice and the
+/// `mem.current_rss_bytes` / `mem.peak_rss_bytes` gauges are refreshed.
+/// Only while a recording session is active: sampling reads /proc twice
+/// per span — use at phase granularity, not in loops.
 class ScopedMemSpan {
  public:
   explicit ScopedMemSpan(std::string_view name) : span_(name) {

@@ -1,100 +1,6 @@
 #include "tkc/obs/metrics.h"
 
-#include <algorithm>
-#include <bit>
-
 namespace tkc::obs {
-
-namespace {
-
-void AtomicMin(std::atomic<uint64_t>& slot, uint64_t v) {
-  uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<uint64_t>& slot, uint64_t v) {
-  uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-// Inclusive upper bound of bucket i (samples with bit_width i, i.e.
-// [2^(i-1), 2^i - 1]): 0, 1, 3, 7, 15, ...
-uint64_t BucketUpper(int i) {
-  if (i == 0) return 0;
-  if (i >= 64) return UINT64_MAX;
-  return (uint64_t{1} << i) - 1;
-}
-
-}  // namespace
-
-void Histogram::Observe(uint64_t v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  AtomicMin(min_, v);
-  AtomicMax(max_, v);
-  buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t Histogram::Min() const {
-  uint64_t m = min_.load(std::memory_order_relaxed);
-  return m == UINT64_MAX ? 0 : m;
-}
-
-uint64_t Histogram::Max() const {
-  return max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::Mean() const {
-  uint64_t n = Count();
-  return n == 0 ? 0.0 : static_cast<double>(Sum()) / static_cast<double>(n);
-}
-
-uint64_t Histogram::Quantile(double q) const {
-  uint64_t n = Count();
-  if (n == 0) return 0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(n - 1)) + 1;
-  uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) return std::min(BucketUpper(i), Max());
-  }
-  return Max();
-}
-
-void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-JsonValue Histogram::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  out.Set("count", Count())
-      .Set("sum", Sum())
-      .Set("min", Min())
-      .Set("max", Max())
-      .Set("mean", Mean())
-      .Set("p50", Quantile(0.5))
-      .Set("p90", Quantile(0.9))
-      .Set("p99", Quantile(0.99));
-  JsonValue buckets = JsonValue::Array();
-  for (int i = 0; i < kBuckets; ++i) {
-    uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    buckets.Push(
-        JsonValue::Object().Set("le", BucketUpper(i)).Set("count", n));
-  }
-  out.Set("buckets", std::move(buckets));
-  return out;
-}
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
   MutexLock lock(mu_);
@@ -115,21 +21,10 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
 void MetricsRegistry::Reset() {
   MutexLock lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 JsonValue MetricsRegistry::ToJson() const {
@@ -138,12 +33,9 @@ JsonValue MetricsRegistry::ToJson() const {
   for (const auto& [name, c] : counters_) counters.Set(name, c->Value());
   JsonValue gauges = JsonValue::Object();
   for (const auto& [name, g] : gauges_) gauges.Set(name, g->Value());
-  JsonValue histograms = JsonValue::Object();
-  for (const auto& [name, h] : histograms_) histograms.Set(name, h->ToJson());
   return JsonValue::Object()
       .Set("counters", std::move(counters))
-      .Set("gauges", std::move(gauges))
-      .Set("histograms", std::move(histograms));
+      .Set("gauges", std::move(gauges));
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

@@ -36,40 +36,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-scale histogram over non-negative integer samples (typically
-/// latencies in nanoseconds or affected-set sizes). Bucket i counts samples
-/// in [2^(i-1), 2^i); bucket 0 counts zeros. 64 buckets cover uint64.
-class Histogram {
- public:
-  static constexpr int kBuckets = 65;
-
-  void Observe(uint64_t v);
-  void ObserveSeconds(double s) {
-    Observe(s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9));
-  }
-
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t Min() const;  // 0 when empty
-  uint64_t Max() const;
-  double Mean() const;
-  /// Upper-bound estimate of the q-quantile (q in [0,1]) from the bucket
-  /// boundaries; exact up to the 2x bucket resolution.
-  uint64_t Quantile(double q) const;
-  void Reset();
-
-  /// {"count":..,"sum":..,"min":..,"max":..,"p50":..,"p99":..,
-  ///  "buckets":[{"le":upper,"count":n}, ...]} — empty buckets elided.
-  JsonValue ToJson() const;
-
- private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
-  std::atomic<uint64_t> buckets_[kBuckets]{};
-};
-
 /// Named metric store. Get* calls find-or-create and are safe to race;
 /// returned references remain valid until the registry is destroyed.
 /// Naming convention (docs/observability.md): dotted lower_snake paths,
@@ -78,13 +44,12 @@ class MetricsRegistry {
  public:
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  Histogram& GetHistogram(std::string_view name);
 
   /// Zeroes every metric, keeping all handles valid.
   void Reset();
 
-  /// {"counters":{name:value,..},"gauges":{..},"histograms":{name:{..}}}
-  /// with names sorted for stable artifacts.
+  /// {"counters":{name:value,..},"gauges":{name:value,..}} with names
+  /// sorted for stable artifacts.
   JsonValue ToJson() const;
 
   /// Process-wide registry used by the library's instrumentation.
@@ -98,8 +63,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       TKC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      TKC_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       TKC_GUARDED_BY(mu_);
 };
 

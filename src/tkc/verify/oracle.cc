@@ -40,7 +40,7 @@ bool DiffAgainstRecompute(const DeltaCsr& g,
 
 }  // namespace
 
-VerifyReport ReplayEventLog(const Graph& base,
+VerifyReport ReplayEventLog(std::shared_ptr<const CsrGraph> base,
                             const std::vector<EdgeEvent>& events,
                             const ReplayOptions& options) {
   VerifyReport report;
@@ -50,7 +50,7 @@ VerifyReport ReplayEventLog(const Graph& base,
 
   // Each checkpoint interval is one ApplyBatch, the coalescing path
   // `tkc replay` runs; check_every = 1 replays event by event.
-  DynamicTriangleCore dyn{DeltaCsr(base)};
+  DynamicTriangleCore dyn{DeltaCsr(std::move(base))};
   const size_t interval =
       options.check_every == 0 ? events.size() : options.check_every;
   bool ok = true;

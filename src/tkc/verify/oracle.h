@@ -2,10 +2,11 @@
 #define TKC_VERIFY_ORACLE_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "tkc/graph/csr.h"
 #include "tkc/graph/edge_event.h"
-#include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
 
 namespace tkc::verify {
@@ -20,15 +21,15 @@ struct ReplayOptions {
   bool certificate_at_checkpoints = false;
 };
 
-/// Replays `events` on a DeltaCsr view of `base` through DynamicTriangleCore
-/// (Algorithm 2), applying each checkpoint interval as one ApplyBatch, and
-/// at every checkpoint diffs the maintained κ map against a from-scratch
-/// Algorithm-1 recompute of the current graph — the paper's own ground
-/// truth for the maintenance rules. Emits "dynamic.replay"; a divergence
-/// counterexample carries the edge, the event index it surfaced at (level
-/// field), the maintained value (observed) and the recomputed value
-/// (expected).
-VerifyReport ReplayEventLog(const Graph& base,
+/// Replays `events` on a zero-copy DeltaCsr view of `base` through
+/// DynamicTriangleCore (Algorithm 2), applying each checkpoint interval as
+/// one ApplyBatch, and at every checkpoint diffs the maintained κ map
+/// against a from-scratch Algorithm-1 recompute of the current graph — the
+/// paper's own ground truth for the maintenance rules. Emits
+/// "dynamic.replay"; a divergence counterexample carries the edge, the event
+/// index it surfaced at (level field), the maintained value (observed) and
+/// the recomputed value (expected).
+VerifyReport ReplayEventLog(std::shared_ptr<const CsrGraph> base,
                             const std::vector<EdgeEvent>& events,
                             const ReplayOptions& options = {});
 

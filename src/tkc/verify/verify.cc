@@ -49,14 +49,15 @@ InvariantCheck CrossCheckModes(const CsrGraph& csr,
 
 }  // namespace
 
-VerifyReport RunFullVerification(const Graph& g,
+VerifyReport RunFullVerification(std::shared_ptr<const CsrGraph> graph,
                                  const VerifyOptions& options) {
   TKC_SPAN("verify.full");
   VerifyReport report;
 
-  CsrGraph csr(g);
+  const CsrGraph& csr = *graph;
   {
     TKC_SPAN("verify.structural");
+    const Graph g = csr.ThawPreservingIds();
     report.Add(CheckGraphStructure(g));
     report.Add(CheckCsrStructure(csr));
     report.Add(CheckMirrorConsistency(g, csr));
@@ -85,7 +86,7 @@ VerifyReport RunFullVerification(const Graph& g,
     TKC_SPAN("verify.replay");
     ReplayOptions replay;
     replay.check_every = options.check_every;
-    report.Merge(ReplayEventLog(g, options.events, replay));
+    report.Merge(ReplayEventLog(std::move(graph), options.events, replay));
   }
   return report;
 }

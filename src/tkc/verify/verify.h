@@ -2,10 +2,11 @@
 #define TKC_VERIFY_VERIFY_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "tkc/graph/csr.h"
 #include "tkc/graph/edge_event.h"
-#include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
 
 namespace tkc::verify {
@@ -19,8 +20,9 @@ struct VerifyOptions {
 };
 
 /// The `tkc verify` engine: runs every applicable invariant oracle against
-/// `g` and returns the aggregated report —
-///   graph.structure, csr.structure, csr.mirror,
+/// the frozen `graph` and returns the aggregated report —
+///   graph.structure, csr.structure, csr.mirror (on one thaw of `graph`,
+///   made inside the verify.structural span),
 ///   kappa.shape / kappa.soundness / kappa.maximality (on a fresh
 ///   Algorithm-1 decomposition in store mode, the peel every other command
 ///   runs), static.modes_agree (the recompute-mode peel must give the same
@@ -30,7 +32,7 @@ struct VerifyOptions {
 ///   dynamic.replay (when `events` is nonempty).
 /// Instrumented with verify.* spans and counters; serialize the result
 /// with VerifyReport::ToJson() for the tkc.verify.v1 artifact.
-VerifyReport RunFullVerification(const Graph& g,
+VerifyReport RunFullVerification(std::shared_ptr<const CsrGraph> graph,
                                  const VerifyOptions& options = {});
 
 }  // namespace tkc::verify

@@ -650,8 +650,8 @@ TEST_F(CliTest, ReplayStreamsEventsThroughEngine) {
   ASSERT_TRUE(rdoc->Find("batch_log")->IsArray());
   EXPECT_EQ(rdoc->Find("batch_log")->Items().size(), 3u);  // ceil(5/2)
 
-  // Metrics artifact: engine counters, the zero-copy pin, the skip
-  // counters from the hardened parser, and the update_stats block.
+  // Metrics artifact: the maintainer's batch counters, the skip counters
+  // from the hardened parser, and the update_stats block.
   std::ifstream min(metrics_path);
   ASSERT_TRUE(min.good());
   std::stringstream mbuf;
@@ -660,13 +660,33 @@ TEST_F(CliTest, ReplayStreamsEventsThroughEngine) {
   ASSERT_TRUE(mdoc.has_value());
   const obs::JsonValue* counters = mdoc->FindPath("metrics.counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->Find("engine.batches")->Number(), 3.0);
-  EXPECT_EQ(counters->Find("engine.events")->Number(), 5.0);
-  EXPECT_EQ(counters->Find("engine.snapshot_copies")->Number(), 0.0);
+  EXPECT_EQ(counters->Find("dyn.batch.count")->Number(), 3.0);
+  EXPECT_EQ(counters->Find("dyn.batch.events")->Number(), 5.0);
   EXPECT_EQ(counters->Find("io.events_skipped")->Number(), 2.0);
   EXPECT_EQ(counters->Find("io.events_self_loops")->Number(), 1.0);
-  EXPECT_NE(counters->Find("dyn.batch.count"), nullptr);
   EXPECT_NE(mdoc->Find("update_stats"), nullptr);
+
+  // The phase tree carries the per-batch record: one engine.apply_batch
+  // call per printed batch, and its maintainer child's events counter
+  // sums to the summary's events=.
+  ASSERT_NE(out.find("# events=5 "), std::string::npos);
+  ASSERT_NE(out.find(" batches=3 "), std::string::npos);
+  const obs::JsonValue* trace = mdoc->Find("trace");
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->Items().size(), 1u);
+  const obs::JsonValue& root = trace->Items()[0];
+  ASSERT_EQ(root.Find("name")->Str(), "replay");
+  const obs::JsonValue* apply = nullptr;
+  for (const obs::JsonValue& child : root.Find("children")->Items()) {
+    if (child.Find("name")->Str() == "engine.apply_batch") apply = &child;
+  }
+  ASSERT_NE(apply, nullptr);
+  EXPECT_EQ(apply->Find("calls")->Number(), 3.0);
+  ASSERT_NE(apply->Find("children"), nullptr);
+  const obs::JsonValue& dyn_batch = apply->Find("children")->Items()[0];
+  EXPECT_EQ(dyn_batch.Find("name")->Str(), "dyn.apply_batch");
+  EXPECT_EQ(dyn_batch.Find("calls")->Number(), 3.0);
+  EXPECT_EQ(dyn_batch.FindPath("counters")->Find("events")->Number(), 5.0);
 }
 
 TEST_F(CliTest, ReplayRequiresEventsFlag) {

@@ -10,6 +10,7 @@
 // TKC_CHECK_LEVEL=2, where every mutation additionally self-certifies.
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -510,7 +511,8 @@ TEST(FuzzTest, ReplayOracleOverGeneratedEventLog) {
   verify::ReplayOptions options;
   options.check_every = 10;
   options.certificate_at_checkpoints = true;
-  verify::VerifyReport report = verify::ReplayEventLog(base, events, options);
+  verify::VerifyReport report = verify::ReplayEventLog(
+      std::make_shared<const CsrGraph>(base), events, options);
   EXPECT_TRUE(report.AllPassed())
       << report.FirstFailure()->name << ": " << report.FirstFailure()->detail;
 }

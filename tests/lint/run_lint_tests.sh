@@ -34,7 +34,7 @@ expect_hit() {  # expect_hit <rule-id> <path-substring>
     || fail "rule $1 fired, but not at $2"
 }
 expect_hit TKC-L001 "bad.cc"        # undocumented.metric
-expect_hit TKC-L002 "observability.md"  # stale.metric
+expect_hit TKC-L002 "observability.md"  # stale.metric, old.latency_ns
 expect_hit TKC-L010 "bad.cc"        # raw new / delete
 expect_hit TKC-L020 "bad.cc"        # <iostream> + std::rand
 expect_hit TKC-L030 "bad.cc"        # Bad.Span_Name
@@ -47,6 +47,14 @@ expect_hit TKC-L070 "graph_twin.h"  # Twin(const Graph&) beside Twin(CsrGraph)
 # is a hit of its own.
 grep "\[TKC-L030 " "$out" | grep -q "bad.cc:21: .*key_longer_than_the_arg_buffer" \
   || fail "TKC-L030 did not flag the over-long span counter key"
+
+# L002 has two kinds of hit, each pinned to its own fixture row: a
+# documented name that nothing emits, and a naming-table row whose kind is
+# neither counter nor gauge, whether or not its name is emitted.
+grep "\[TKC-L002 " "$out" | grep -q 'observability.md:6: .*stale\.metric' \
+  || fail "TKC-L002 did not flag stale.metric"
+grep "\[TKC-L002 " "$out" | grep -q 'observability.md:8: .*kind "histogram"' \
+  || fail "TKC-L002 did not flag the histogram row of the naming table"
 
 # L070 names only the Graph overload of a twinned function: one hit, on
 # the Graph declaration, and none for single-type declarations.

@@ -40,56 +40,6 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_DOUBLE_EQ(g.Value(), 0.0);
 }
 
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_EQ(h.Min(), 0u);
-  EXPECT_EQ(h.Quantile(0.5), 0u);
-  for (uint64_t v : {1u, 2u, 4u, 8u, 100u}) h.Observe(v);
-  EXPECT_EQ(h.Count(), 5u);
-  EXPECT_EQ(h.Sum(), 115u);
-  EXPECT_EQ(h.Min(), 1u);
-  EXPECT_EQ(h.Max(), 100u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 23.0);
-  // Quantiles are bucket upper bounds: exact up to 2x resolution.
-  EXPECT_GE(h.Quantile(0.5), 4u);
-  EXPECT_LE(h.Quantile(0.5), 8u);
-  EXPECT_GE(h.Quantile(1.0), 100u);
-}
-
-TEST(HistogramTest, ZeroAndLargeSamples) {
-  Histogram h;
-  h.Observe(0);
-  h.Observe(UINT64_MAX);
-  EXPECT_EQ(h.Count(), 2u);
-  EXPECT_EQ(h.Min(), 0u);
-  EXPECT_EQ(h.Max(), UINT64_MAX);
-}
-
-TEST(HistogramTest, ObserveSecondsConvertsToNanos) {
-  Histogram h;
-  h.ObserveSeconds(1.5e-6);
-  EXPECT_EQ(h.Count(), 1u);
-  EXPECT_EQ(h.Sum(), 1500u);
-  h.ObserveSeconds(-2.0);  // clamped to zero, never wraps
-  EXPECT_EQ(h.Min(), 0u);
-}
-
-TEST(HistogramTest, ToJsonHasSummaryAndBuckets) {
-  Histogram h;
-  h.Observe(7);
-  h.Observe(9);
-  JsonValue j = h.ToJson();
-  ASSERT_TRUE(j.IsObject());
-  EXPECT_EQ(j.Find("count")->Number(), 2.0);
-  EXPECT_EQ(j.Find("sum")->Number(), 16.0);
-  EXPECT_EQ(j.Find("min")->Number(), 7.0);
-  EXPECT_EQ(j.Find("max")->Number(), 9.0);
-  ASSERT_NE(j.Find("buckets"), nullptr);
-  // 7 lands in (4,8], 9 in (8,16]: exactly two non-empty buckets.
-  EXPECT_EQ(j.Find("buckets")->Items().size(), 2u);
-}
-
 TEST(MetricsRegistryTest, FindOrCreateAndHandleStability) {
   MetricsRegistry reg;
   Counter& a = reg.GetCounter("x.hits");
@@ -97,14 +47,12 @@ TEST(MetricsRegistryTest, FindOrCreateAndHandleStability) {
   EXPECT_EQ(&a, &b);
   a.Add(3);
   reg.GetGauge("x.level").Set(2.5);
-  reg.GetHistogram("x.lat").Observe(10);
 
   reg.Reset();  // zeroes values but the handle must stay usable
   EXPECT_EQ(a.Value(), 0u);
   a.Add(1);
   EXPECT_EQ(reg.GetCounter("x.hits").Value(), 1u);
   EXPECT_DOUBLE_EQ(reg.GetGauge("x.level").Value(), 0.0);
-  EXPECT_EQ(reg.GetHistogram("x.lat").Count(), 0u);
 }
 
 TEST(MetricsRegistryTest, ToJsonSortedAndTyped) {
@@ -112,7 +60,6 @@ TEST(MetricsRegistryTest, ToJsonSortedAndTyped) {
   reg.GetCounter("b").Add(2);
   reg.GetCounter("a").Add(1);
   reg.GetGauge("g").Set(0.5);
-  reg.GetHistogram("h").Observe(4);
   JsonValue j = reg.ToJson();
   const JsonValue* counters = j.Find("counters");
   ASSERT_NE(counters, nullptr);
@@ -120,7 +67,10 @@ TEST(MetricsRegistryTest, ToJsonSortedAndTyped) {
   EXPECT_EQ(counters->Members()[0].first, "a");  // sorted for stable output
   EXPECT_EQ(counters->Members()[1].first, "b");
   EXPECT_EQ(j.FindPath("gauges.g")->Number(), 0.5);
-  EXPECT_EQ(j.FindPath("histograms.h.count")->Number(), 1.0);
+  // Exactly the two metric kinds, in this order.
+  ASSERT_EQ(j.Members().size(), 2u);
+  EXPECT_EQ(j.Members()[0].first, "counters");
+  EXPECT_EQ(j.Members()[1].first, "gauges");
 }
 
 // Runs `body` in a fresh session on the global recorder and returns the
@@ -533,7 +483,6 @@ TEST(JsonTest, RegistryExportRoundTrips) {
   MetricsRegistry reg;
   reg.GetCounter("triangle.triangles_found").Add(347);
   reg.GetGauge("core.peel.max_kappa").Set(2);
-  reg.GetHistogram("dyn.insert.latency_ns").Observe(1000);
   std::string text = reg.ToJson().Dump(2);
   auto parsed = JsonValue::Parse(text);
   ASSERT_TRUE(parsed.has_value());
@@ -543,21 +492,6 @@ TEST(JsonTest, RegistryExportRoundTrips) {
                 ->Find("triangle.triangles_found")
                 ->Number(),
             347.0);
-}
-
-TEST(HistogramTest, ToJsonHasQuantiles) {
-  Histogram h;
-  for (uint64_t v = 1; v <= 100; ++v) h.Observe(v);
-  JsonValue j = h.ToJson();
-  ASSERT_NE(j.Find("p50"), nullptr);
-  ASSERT_NE(j.Find("p90"), nullptr);
-  ASSERT_NE(j.Find("p99"), nullptr);
-  // Log2 buckets: quantiles are bucket upper bounds, so they are ordered
-  // and within 2x of the exact rank statistic.
-  EXPECT_LE(j.Find("p50")->Number(), j.Find("p90")->Number());
-  EXPECT_LE(j.Find("p90")->Number(), j.Find("p99")->Number());
-  EXPECT_GE(j.Find("p90")->Number(), 90.0);
-  EXPECT_LE(j.Find("p90")->Number(), 128.0);
 }
 
 TEST(LogTest, TimestampsOffByDefault) {
@@ -705,12 +639,17 @@ TEST(MemTest, ScopedMemSpanPublishesGaugesAndSpanCounters) {
   });
   EXPECT_GT(registry.GetGauge("mem.current_rss_bytes").Value(), 0.0);
   EXPECT_GT(registry.GetGauge("mem.peak_rss_bytes").Value(), 0.0);
-  EXPECT_EQ(registry.GetHistogram("mem.phase.rss_growth_bytes").Count(), 1u);
   ASSERT_EQ(tree.Items().size(), 1u);
   EXPECT_EQ(tree.Items()[0].Find("name")->Str(), "phase");
-  EXPECT_GT(tree.Items()[0].FindPath("counters")->Find("rss_peak_bytes")
-                ->Number(),
-            0.0);
+  const JsonValue* counters = tree.Items()[0].Find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const char* arg :
+       {"rss_before_bytes", "rss_after_bytes", "rss_peak_bytes"}) {
+    ASSERT_NE(counters->Find(arg), nullptr) << arg;
+    EXPECT_GT(counters->Find(arg)->Number(), 0.0) << arg;
+  }
+  EXPECT_GE(counters->Find("rss_peak_bytes")->Number(),
+            counters->Find("rss_after_bytes")->Number());
 }
 
 TEST(MemTest, IdleMemSpanSamplesNothing) {
@@ -718,7 +657,7 @@ TEST(MemTest, IdleMemSpanSamplesNothing) {
   registry.Reset();
   TimelineRecorder::Global().Reset();
   { TKC_SPAN_MEM("idle"); }
-  EXPECT_EQ(registry.GetHistogram("mem.phase.rss_growth_bytes").Count(), 0u);
+  EXPECT_EQ(registry.GetGauge("mem.current_rss_bytes").Value(), 0.0);
   EXPECT_EQ(registry.GetGauge("mem.peak_rss_bytes").Value(), 0.0);
 }
 

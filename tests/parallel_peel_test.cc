@@ -1,10 +1,11 @@
-// The ComputeTriangleCoresParallel forwarders (the one index peel, with the
-// index build at `threads`) against the recompute-mode peel on
-// adversarial shapes: κ must be bit-identical at every thread
-// count, the result must be identical *across* thread counts, and the
-// returned order must itself be a valid peel.
+// The one index peel, with the index build at the context's thread
+// count, against the recompute-mode peel on adversarial shapes: κ must be
+// bit-identical at every thread count, the result must be identical
+// *across* thread counts, and the returned order must itself be a valid
+// peel.
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,16 +21,22 @@
 namespace tkc {
 namespace {
 
-// κ from the forwarder must equal the recompute-mode peel's for every
+// The store-mode peel over a context that builds its index at `threads`.
+TriangleCoreResult PeelAt(const std::shared_ptr<const CsrGraph>& csr,
+                          int threads) {
+  return ComputeTriangleCores(AnalysisContext(csr, threads));
+}
+
+// κ from the index peel must equal the recompute-mode peel's for every
 // thread count, the result must be internally consistent, and it must not
 // depend on the thread count.
 void ExpectMatchesSerial(const Graph& g, const char* where) {
-  const CsrGraph csr(g);
+  const auto csr = std::make_shared<const CsrGraph>(g);
   const TriangleCoreResult serial =
-      ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
-  const TriangleCoreResult one = ComputeTriangleCoresParallel(csr, 1);
+      ComputeTriangleCores(*csr, TriangleStorageMode::kRecomputeTriangles);
+  const TriangleCoreResult one = PeelAt(csr, 1);
   for (int threads : {1, 2, 4, 7}) {
-    const TriangleCoreResult par = ComputeTriangleCoresParallel(csr, threads);
+    const TriangleCoreResult par = PeelAt(csr, threads);
     EXPECT_EQ(par.order, one.order) << where << " threads=" << threads;
     EXPECT_EQ(par.peel_sequence, one.peel_sequence) << where;
     ASSERT_EQ(par.kappa.size(), serial.kappa.size()) << where;
@@ -51,7 +58,7 @@ void ExpectMatchesSerial(const Graph& g, const char* where) {
                 par.kappa[par.peel_sequence[i]])
           << where;
     }
-    verify::VerifyReport cert = verify::CheckKappaCertificate(csr, par.kappa);
+    verify::VerifyReport cert = verify::CheckKappaCertificate(*csr, par.kappa);
     EXPECT_TRUE(cert.AllPassed())
         << where << ": " << cert.FirstFailure()->name;
   }
@@ -60,7 +67,7 @@ void ExpectMatchesSerial(const Graph& g, const char* where) {
 TEST(ParallelPeelTest, EmptyGraph) {
   Graph g(10);
   ExpectMatchesSerial(g, "empty");
-  const TriangleCoreResult r = ComputeTriangleCoresParallel(CsrGraph(g), 4);
+  const TriangleCoreResult r = PeelAt(std::make_shared<const CsrGraph>(g), 4);
   EXPECT_EQ(r.max_kappa, 0u);
   EXPECT_TRUE(r.peel_sequence.empty());
 }
@@ -78,7 +85,7 @@ TEST(ParallelPeelTest, SingleClique) {
   Graph g(9);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6, 7, 8});
   ExpectMatchesSerial(g, "clique");
-  const TriangleCoreResult r = ComputeTriangleCoresParallel(CsrGraph(g), 4);
+  const TriangleCoreResult r = PeelAt(std::make_shared<const CsrGraph>(g), 4);
   // K9: every edge lies on 7 triangles and peels together, κ = 7.
   g.ForEachEdge(
       [&](EdgeId e, const Edge&) { EXPECT_EQ(r.kappa[e], 7u); });
@@ -123,10 +130,10 @@ TEST(ParallelPeelTest, PowerLawChurnedGraph) {
 TEST(ParallelPeelTest, OrderIsIdenticalAcrossThreadCounts) {
   Rng rng(777);
   const Graph g = PowerLawCluster(150, 4, 0.6, rng);
-  const CsrGraph csr(g);
-  const TriangleCoreResult base = ComputeTriangleCoresParallel(csr, 1);
+  const auto csr = std::make_shared<const CsrGraph>(g);
+  const TriangleCoreResult base = PeelAt(csr, 1);
   for (int threads : {2, 3, 8}) {
-    const TriangleCoreResult r = ComputeTriangleCoresParallel(csr, threads);
+    const TriangleCoreResult r = PeelAt(csr, threads);
     EXPECT_EQ(r.peel_sequence, base.peel_sequence) << threads << " threads";
     EXPECT_EQ(r.order, base.order) << threads << " threads";
     EXPECT_EQ(r.kappa, base.kappa) << threads << " threads";

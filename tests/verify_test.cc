@@ -1,6 +1,7 @@
 #include "tkc/verify/verify.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "tkc/core/hierarchy.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
+#include "tkc/graph/csr.h"
 #include "tkc/graph/graph.h"
 #include "tkc/util/random.h"
 #include "tkc/verify/certificate.h"
@@ -21,7 +23,8 @@ namespace {
 // --- Clean inputs: every oracle passes ---------------------------------
 
 TEST(VerifyTest, CleanDecompositionPassesFullVerification) {
-  VerifyReport report = RunFullVerification(PaperFigure2Graph());
+  VerifyReport report = RunFullVerification(
+      std::make_shared<const CsrGraph>(PaperFigure2Graph()));
   EXPECT_TRUE(report.AllPassed())
       << report.FirstFailure()->name << ": " << report.FirstFailure()->detail;
   for (const char* name :
@@ -42,7 +45,8 @@ TEST(VerifyTest, CleanRandomGraphsPassBothModes) {
   for (uint64_t seed : {3, 11}) {
     Rng rng(seed);
     Graph g = PowerLawCluster(120, 3, 0.5, rng);
-    VerifyReport report = RunFullVerification(g);
+    VerifyReport report =
+        RunFullVerification(std::make_shared<const CsrGraph>(g));
     EXPECT_TRUE(report.AllPassed()) << "seed=" << seed;
     ASSERT_NE(report.Find("static.modes_agree"), nullptr);
     EXPECT_TRUE(report.Find("static.modes_agree")->passed) << "seed=" << seed;
@@ -58,7 +62,8 @@ TEST(VerifyTest, FullVerificationWithEventsRunsReplayOracles) {
                     {EdgeEvent::Kind::kInsert, 0, 1},
                     {EdgeEvent::Kind::kRemove, 0, 50}};
   options.check_every = 2;
-  VerifyReport report = RunFullVerification(g, options);
+  VerifyReport report =
+      RunFullVerification(std::make_shared<const CsrGraph>(g), options);
   EXPECT_TRUE(report.AllPassed());
   const InvariantCheck* check = report.Find("dynamic.replay");
   ASSERT_NE(check, nullptr);
@@ -210,7 +215,8 @@ TEST(VerifyTest, ReplayEventLogMatchesRecomputeAtEveryStep) {
 
   ReplayOptions options;
   options.check_every = 1;
-  VerifyReport report = ReplayEventLog(base, events, options);
+  VerifyReport report = ReplayEventLog(std::make_shared<const CsrGraph>(base),
+                                       events, options);
   EXPECT_TRUE(report.AllPassed())
       << report.FirstFailure()->name << ": " << report.FirstFailure()->detail;
 }

@@ -33,7 +33,8 @@ RULES = {
     "TKC-L002": (
         "metrics-doc-stale",
         "metric name documented in docs/observability.md is not used "
-        "anywhere in src/",
+        "anywhere in src/, or its naming-table row has a kind other than "
+        "counter or gauge",
     ),
     "TKC-L010": (
         "raw-new-delete",
@@ -80,9 +81,10 @@ NAME_TO_ID = {name: rid for rid, (name, _) in RULES.items()}
 SPAN_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 SPAN_NAME_MAX = 47  # TimelineEvent::kNameCapacity - 1 (silent truncation)
 SPAN_KEY_MAX = 23  # TimelineEvent::kKeyCapacity - 1 (silent truncation)
+METRIC_KINDS = ("counter", "gauge")
 ALLOW_RE = re.compile(r"tkc-lint:\s*allow\(([a-z0-9-]+)\)")
 METRIC_USE_RE = re.compile(
-    r"Get(?:Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"(\s*\+)?")
+    r"Get(?:Counter|Gauge)\(\s*\"([^\"]+)\"(\s*\+)?")
 SPAN_USE_RE = re.compile(
     r"(?:TKC_SPAN(?:_MEM)?|TimelineScope\s+\w+)\(\s*\"([^\"]*)\"")
 SPAN_KEY_RE = re.compile(
@@ -180,29 +182,40 @@ class Linter:
     # --- TKC-L001 / TKC-L002: metric names <-> docs/observability.md ---
 
     def doc_metric_names(self, doc_path):
-        """Metric names from the naming-convention table: first-cell code
-        spans of rows whose second cell is counter/gauge/histogram.
-        `<k>`-style placeholders become wildcards."""
-        exact, wildcard = set(), set()
+        """Metric names from the naming-convention table (the table whose
+        header reads `| name | kind | ... |`): first-cell code spans of its
+        counter/gauge rows, `<k>`-style placeholders as wildcards. Rows of
+        any other kind come back as (lineno, kind) pairs."""
+        exact, wildcard, bad_kinds = set(), set(), []
         if not doc_path.exists():
-            return exact, wildcard
-        for line in doc_path.read_text().splitlines():
+            return exact, wildcard, bad_kinds
+        in_table = in_naming_table = False
+        for lineno, line in enumerate(doc_path.read_text().splitlines(), 1):
             if not line.startswith("|"):
+                in_table = in_naming_table = False
                 continue
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if len(cells) < 2 or cells[1] not in ("counter", "gauge",
-                                                  "histogram"):
+            if not in_table:  # header row
+                in_table = True
+                in_naming_table = cells[:2] == ["name", "kind"]
+                continue
+            if not in_naming_table or all(
+                    re.fullmatch(r":?-+:?", c) for c in cells):
+                continue
+            kind = cells[1] if len(cells) > 1 else ""
+            if kind not in METRIC_KINDS:
+                bad_kinds.append((lineno, kind))
                 continue
             for token in re.findall(r"`([^`]+)`", cells[0]):
                 if "<" in token:
                     wildcard.add(token.split("<", 1)[0])
                 else:
                     exact.add(token)
-        return exact, wildcard
+        return exact, wildcard, bad_kinds
 
     def check_metrics_sync(self, src_files):
         doc_path = self.root / "docs" / "observability.md"
-        doc_exact, doc_wildcard = self.doc_metric_names(doc_path)
+        doc_exact, doc_wildcard, bad_kinds = self.doc_metric_names(doc_path)
         used = {}  # name -> (path, lineno, is_prefix)
         for path in src_files:
             if path.suffix not in (".cc", ".h"):
@@ -232,6 +245,12 @@ class Linter:
                     "dynamic part as `<k>`)")
         doc_lines = (doc_path.read_text().splitlines()
                      if doc_path.exists() else [])
+        for lineno, kind in bad_kinds:
+            self.report(
+                "TKC-L002", doc_path.relative_to(self.root), doc_lines,
+                lineno,
+                f"naming-table row has kind \"{kind}\"; the registry has "
+                "only counter and gauge metrics")
         for name in sorted((doc_exact | doc_wildcard) - matched_doc):
             lineno = next((i for i, l in enumerate(doc_lines, 1)
                            if f"`{name}" in l), 1)
