@@ -7,7 +7,9 @@
 //   BM_Parse_Serial        legacy getline + istringstream loop
 //   BM_Parse_Ingest1/8     chunked buffer parser at 1 / 8 workers
 //   BM_Freeze_Serial/8     CsrGraph::Freeze at 1 / 8 workers
-//   BM_ParseFreeze_*       end-to-end text → frozen CSR
+//   BM_ParseFreeze_*       end-to-end text → builder Graph → frozen CSR
+//   BM_ParseToCsr_Ingest1/8  text → edge table → frozen CSR (the CLI's
+//                          load path: no builder Graph) at 1 / 8 workers
 //   BM_CacheSave/CacheLoad .tkcg snapshot write / validated load
 //
 // The derived speedup notes (speedup_parse_freeze, speedup_cache_load) are
@@ -148,6 +150,15 @@ int main(int argc, char** argv) {
     edges = CsrGraph::Freeze(g, 8).NumEdges();
   });
   add_row("BM_ParseFreeze_Parallel8", pf_parallel, edges);
+
+  for (const int threads : {1, 8}) {
+    const double seconds = BestSeconds(reps, [&] {
+      edges = CsrGraph::FromEdgeTable(ParseEdgeTable(text, threads), threads)
+                  .NumEdges();
+    });
+    add_row(threads == 1 ? "BM_ParseToCsr_Ingest1" : "BM_ParseToCsr_Ingest8",
+            seconds, edges);
+  }
 
   CsrGraph frozen = CsrGraph::Freeze(source);
   const double cache_save = BestSeconds(reps, [&] {

@@ -160,15 +160,15 @@ std::string FormatLineNumbers(const std::vector<uint64_t>& lines,
   return text;
 }
 
-std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
-                               int ingest_threads) {
-  TKC_SPAN("cli.load_graph");
-  EdgeListStats stats;
-  auto g = ReadEdgeListFile(path, &stats, ingest_threads);
-  if (!g.has_value()) {
+// The log lines of one text load, shared by both loaders: an unreadable
+// file (also reported on `err`), the skipped-row warning and graph.loaded.
+// Returns whether the file was read.
+bool ReportGraphLoad(const std::string& path, bool read, VertexId vertices,
+                     const EdgeListStats& stats, std::ostream& err) {
+  if (!read) {
     err << "error: cannot read edge list '" << path << "'\n";
     obs::Logger::Global().Error("graph.load_failed", {{"path", path}});
-    return g;
+    return false;
   }
   if (stats.Skipped() > 0) {
     obs::Logger::Global().Warn(
@@ -181,27 +181,44 @@ std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
          {"self_loops", stats.self_loops},
          {"duplicates", stats.duplicate_edges}});
   }
-  obs::Logger::Global().Info("graph.loaded",
-                             {{"path", path},
-                              {"vertices", g->NumVertices()},
-                              {"edges", g->NumEdges()}});
+  obs::Logger::Global().Info("graph.loaded", {{"path", path},
+                                              {"vertices", vertices},
+                                              {"edges", stats.edges_added}});
+  return true;
+}
+
+// The builder Graph of an edge list, for the commands that mutate or label
+// it (`templates`).
+std::optional<Graph> LoadGraph(const std::string& path, std::ostream& err,
+                               int ingest_threads) {
+  TKC_SPAN("cli.load_graph");
+  EdgeListStats stats;
+  auto g = ReadEdgeListFile(path, &stats, ingest_threads);
+  if (!ReportGraphLoad(path, g.has_value(), g ? g->NumVertices() : 0, stats,
+                       err)) {
+    return std::nullopt;
+  }
   return g;
 }
 
-// Parses the edge list and freezes it at --threads. The builder Graph is
-// freed under its own span before the snapshot is handed on, so no command
-// carries it into its analysis.
+// Parses the edge list into its edge table and freezes that at --threads:
+// no builder Graph is made, so none is carried into, or freed before, a
+// command's analysis.
 std::shared_ptr<const CsrGraph> FreezeEdgeList(const std::string& path,
                                                std::ostream& err) {
   const int threads = ResolveThreads(0);
-  std::optional<Graph> g = LoadGraph(path, err, threads);
-  if (!g) return nullptr;
-  auto csr = std::make_shared<const CsrGraph>(*g, threads);
+  std::optional<EdgeTable> table;
   {
-    TKC_SPAN("cli.release_graph");
-    g.reset();
+    TKC_SPAN("cli.load_graph");
+    EdgeListStats stats;
+    table = ReadEdgeTableFile(path, &stats, threads);
+    if (!ReportGraphLoad(path, table.has_value(),
+                         table ? table->num_vertices : 0, stats, err)) {
+      return nullptr;
+    }
   }
-  return csr;
+  return std::make_shared<const CsrGraph>(
+      CsrGraph::FromEdgeTable(std::move(*table), threads));
 }
 
 bool WriteCacheFile(const CsrGraph& csr, const std::string& path,

@@ -1,7 +1,6 @@
 #include "tkc/graph/csr.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
@@ -32,6 +31,100 @@ CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
   return csr;
 }
 
+namespace {
+
+#if TKC_CHECK_LEVEL >= 2
+// The builder Graph that AddEdge makes from the same rows: the level-2
+// mirror of a table freeze, as the Graph is of CsrGraph(const Graph&).
+Graph GraphByAddEdge(const EdgeTable& table) {
+  Graph g(table.num_vertices);
+  for (const Edge& e : table.edges) g.AddEdge(e.u, e.v);
+  return g;
+}
+#endif
+
+}  // namespace
+
+CsrGraph CsrGraph::FromEdgeTable(EdgeTable table, int threads) {
+  TKC_SPAN("csr.freeze");
+  threads = ResolveThreads(threads);
+#if TKC_CHECK_LEVEL >= 2
+  const Graph mirror = GraphByAddEdge(table);
+#endif
+  CsrGraph csr;
+  csr.edges_ = std::move(table.edges);
+  csr.edge_capacity_ = csr.edges_.size();
+  csr.ScatterEdgeTable(table.num_vertices, threads);
+  csr.FinishBuild(threads);
+  TKC_VERIFY_L2(verify::CheckOrDie(
+      verify::CheckMirrorConsistency(mirror, csr), "CsrGraph::FromEdgeTable"));
+  return csr;
+}
+
+// Split by EdgeId slices with a final merge: worker t counts, then scatters,
+// only the entries of its own slice of the table (one |V|-sized count array
+// per worker). Between the two passes a per-vertex merge turns the slice
+// counts into each slice's first slot in the vertex's list, so the slices
+// write disjoint slots and every list fills in EdgeId order before it is
+// sorted.
+void CsrGraph::ScatterEdgeTable(VertexId n, int threads) {
+  const size_t workers = static_cast<size_t>(threads);
+  const size_t m = edges_.size();
+  std::vector<std::vector<uint32_t>> slot(workers);
+  ParallelFor(threads, workers, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      slot[t].assign(n, 0);
+      for (size_t e = m * t / workers; e < m * (t + 1) / workers; ++e) {
+        ++slot[t][edges_[e].u];
+        ++slot[t][edges_[e].v];
+      }
+    }
+  });
+  offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  ParallelFor(threads, n, [&](int, size_t begin, size_t end) {
+    for (size_t v = begin; v < end; ++v) {
+      uint32_t degree = 0;
+      for (std::vector<uint32_t>& counts : slot) {
+        const uint32_t count = counts[v];
+        counts[v] = degree;
+        degree += count;
+      }
+      offsets_[v + 1] = degree;
+    }
+  });
+  for (VertexId v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  entries_.resize(offsets_[n]);
+  ParallelFor(threads, workers, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      std::vector<uint32_t>& next = slot[t];
+      for (size_t e = m * t / workers; e < m * (t + 1) / workers; ++e) {
+        const Edge edge = edges_[e];
+        const auto id = static_cast<EdgeId>(e);
+        entries_[offsets_[edge.u] + next[edge.u]++] = Neighbor{edge.v, id};
+        entries_[offsets_[edge.v] + next[edge.v]++] = Neighbor{edge.u, id};
+      }
+      std::vector<uint32_t>().swap(next);
+    }
+  });
+  // Neighbor ids in one list are distinct (the table has no duplicates), so
+  // the sorted order does not depend on the scatter's. The sort ranges are
+  // balanced by entries: the hubs of a skewed graph share low vertex ids.
+  std::vector<size_t> bounds(workers + 1, n);
+  bounds[0] = 0;
+  for (size_t t = 1; t < workers; ++t) {
+    bounds[t] = static_cast<size_t>(
+        std::lower_bound(offsets_.begin() + bounds[t - 1],
+                         offsets_.begin() + n, offsets_[n] / workers * t) -
+        offsets_.begin());
+  }
+  ParallelFor(threads, workers, [&](int, size_t begin, size_t end) {
+    for (size_t v = bounds[begin]; v < bounds[end]; ++v) {
+      std::sort(entries_.begin() + offsets_[v],
+                entries_.begin() + offsets_[v + 1]);
+    }
+  });
+}
+
 void CsrGraph::FinishBuild(int threads) {
   BuildOrientedView(threads);
   auto& registry = obs::MetricsRegistry::Global();
@@ -43,14 +136,15 @@ void CsrGraph::FinishBuild(int threads) {
 
 void CsrGraph::BuildOrientedView(int threads) {
   const VertexId n = NumVertices();
+  // (degree, id)-ascending rank by a counting sort on degree that visits
+  // vertices in id order, so ties keep id order: O(|V| + max degree).
+  uint32_t max_degree = 0;
+  for (VertexId v = 0; v < n; ++v) max_degree = std::max(max_degree, Degree(v));
+  std::vector<uint32_t> next_rank(size_t{max_degree} + 2, 0);
+  for (VertexId v = 0; v < n; ++v) ++next_rank[Degree(v) + 1];
+  for (uint32_t d = 1; d <= max_degree; ++d) next_rank[d] += next_rank[d - 1];
   rank_.resize(n);
-  std::vector<VertexId> by_rank(n);
-  std::iota(by_rank.begin(), by_rank.end(), VertexId{0});
-  std::sort(by_rank.begin(), by_rank.end(), [&](VertexId a, VertexId b) {
-    const uint32_t da = Degree(a), db = Degree(b);
-    return da != db ? da < db : a < b;
-  });
-  for (VertexId i = 0; i < n; ++i) rank_[by_rank[i]] = i;
+  for (VertexId v = 0; v < n; ++v) rank_[v] = next_rank[Degree(v)]++;
 
   // Out-degree counting and the filtered scatter are independent per
   // vertex; only the prefix sum between them is serial. The out-counts are

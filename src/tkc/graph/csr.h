@@ -61,6 +61,13 @@ class CsrGraph {
                                   std::vector<Neighbor> entries,
                                   std::vector<Edge> edges, int threads = 1);
 
+  /// Freezes a parsed edge table without a builder Graph: degree count,
+  /// offsets prefix sum, entry scatter and per-vertex sort, then the same
+  /// oriented view and audit as every other build. EdgeIds are the table's
+  /// positions. The result is byte-identical to freezing the Graph that
+  /// AddEdge would build from the same rows, at any `threads`.
+  static CsrGraph FromEdgeTable(EdgeTable table, int threads = 1);
+
   VertexId NumVertices() const {
     return static_cast<VertexId>(offsets_.size() - 1);
   }
@@ -205,6 +212,7 @@ class CsrGraph {
     g.ForEachEdge([&](EdgeId e, const Edge& edge) { edges_[e] = edge; });
   }
 
+  void ScatterEdgeTable(VertexId num_vertices, int threads);
   void FinishBuild(int threads);
   void BuildOrientedView(int threads);
 

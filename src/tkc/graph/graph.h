@@ -24,6 +24,14 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+/// A duplicate-free edge list in EdgeId order over vertices
+/// [0, num_vertices): every edge live, normalized u < v, no self-loops.
+/// The text parser produces it and CsrGraph::FromEdgeTable freezes it.
+struct EdgeTable {
+  std::vector<Edge> edges;
+  VertexId num_vertices = 0;
+};
+
 /// One adjacency entry: the neighbor vertex and the id of the connecting
 /// edge. Adjacency lists are kept sorted by `vertex` so that common-neighbor
 /// queries are sorted-merge intersections.

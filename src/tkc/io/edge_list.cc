@@ -8,6 +8,11 @@
 #include "tkc/io/tokenizer.h"
 #include "tkc/obs/metrics.h"
 
+#if TKC_CHECK_LEVEL >= 2
+#include <sstream>
+#include <string_view>
+#endif
+
 namespace tkc {
 
 void EmitEdgeListCounters(const EdgeListStats& stats) {
@@ -18,9 +23,12 @@ void EmitEdgeListCounters(const EdgeListStats& stats) {
   registry.GetCounter("io.duplicate_edges").Add(stats.duplicate_edges);
 }
 
-std::optional<Graph> ReadEdgeList(std::istream& in, EdgeListStats* stats) {
+namespace {
+
+// The getline reader behind ReadEdgeList, without the counters.
+Graph ReadEdgeListRows(std::istream& in, EdgeListStats* stats) {
   Graph g;
-  EdgeListStats local;
+  EdgeListStats& local = *stats;
   std::string line;
   while (std::getline(in, line)) {
     ++local.lines;
@@ -52,6 +60,34 @@ std::optional<Graph> ReadEdgeList(std::istream& in, EdgeListStats* stats) {
       ++local.duplicate_edges;
     }
   }
+  return g;
+}
+
+#if TKC_CHECK_LEVEL >= 2
+// Level 2: the parallel parse of `text` must be the getline reader's, edge
+// for edge, so the table's freeze is CsrGraph(*ReadEdgeList(stream)).
+void CheckAgainstStreamReader(std::string_view text, const EdgeTable& table,
+                              const EdgeListStats& stats) {
+  std::istringstream in{std::string(text)};
+  EdgeListStats want;
+  const Graph oracle = ReadEdgeListRows(in, &want);
+  TKC_CHECK_MSG(stats == want, "parallel parse stats differ from getline");
+  TKC_CHECK_MSG(table.num_vertices == oracle.NumVertices(),
+                "parallel parse vertex count differs from getline");
+  TKC_CHECK_MSG(table.edges.size() == oracle.EdgeCapacity(),
+                "parallel parse edge count differs from getline");
+  for (EdgeId e = 0; e < table.edges.size(); ++e) {
+    TKC_CHECK_MSG(table.edges[e] == oracle.GetEdge(e),
+                  "parallel parse EdgeId differs from getline");
+  }
+}
+#endif
+
+}  // namespace
+
+std::optional<Graph> ReadEdgeList(std::istream& in, EdgeListStats* stats) {
+  EdgeListStats local;
+  Graph g = ReadEdgeListRows(in, &local);
   EmitEdgeListCounters(local);
   if (stats != nullptr) *stats = std::move(local);
   return g;
@@ -62,6 +98,18 @@ std::optional<Graph> ReadEdgeListFile(const std::string& path,
   MappedFile file;
   if (!file.Open(path)) return std::nullopt;
   return ParseEdgeListBuffer(file.view(), threads, stats);
+}
+
+std::optional<EdgeTable> ReadEdgeTableFile(const std::string& path,
+                                           EdgeListStats* stats,
+                                           int threads) {
+  MappedFile file;
+  if (!file.Open(path)) return std::nullopt;
+  EdgeListStats local;
+  EdgeTable table = ParseEdgeTable(file.view(), threads, &local);
+  TKC_VERIFY_L2(CheckAgainstStreamReader(file.view(), table, local));
+  if (stats != nullptr) *stats = std::move(local);
+  return table;
 }
 
 void WriteEdgeList(const Graph& g, std::ostream& out) {

@@ -56,6 +56,13 @@ std::optional<Graph> ReadEdgeListFile(const std::string& path,
                                       EdgeListStats* stats = nullptr,
                                       int threads = 1);
 
+/// The same parse without the builder Graph: the deduplicated edge table
+/// that CsrGraph::FromEdgeTable freezes. The file is unmapped before it
+/// returns.
+std::optional<EdgeTable> ReadEdgeTableFile(const std::string& path,
+                                           EdgeListStats* stats = nullptr,
+                                           int threads = 1);
+
 /// Bumps the io.* metrics counters for one completed load. The stream and
 /// buffer readers both report through this.
 void EmitEdgeListCounters(const EdgeListStats& stats);

@@ -86,14 +86,28 @@ std::vector<size_t> ChunkBoundaries(std::string_view text, int chunks) {
   return bounds;
 }
 
-struct EdgeRow {
-  VertexId u;
-  VertexId v;
-};
+// splitmix64 finalizer over a packed (min,max) key: full-width mixing, so
+// the sequential low-id keys real datasets produce spread over both the
+// dedup partitions (top byte) and the table slots (low bits).
+uint64_t HashKey(uint64_t key) {
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ull;
+  key ^= key >> 27;
+  key *= 0x94D049BB133111EBull;
+  key ^= key >> 31;
+  return key;
+}
+
+// The dedup key of a data row: its endpoints normalized to (min, max).
+uint64_t PackKey(VertexId u, VertexId v) {
+  return (static_cast<uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
+}
 
 struct EdgeChunk {
-  std::vector<EdgeRow> rows;  // kData rows in file order (unnormalized)
-  EdgeListStats stats;        // line numbers are chunk-local (1-based)
+  std::vector<uint64_t> keys;    // PackKey of each kData row, file order
+  std::vector<uint8_t> buckets;  // HashKey(key) >> 56: the dedup partition
+  EdgeListStats stats;           // line numbers are chunk-local (1-based)
+  VertexId num_vertices = 0;     // one past the largest id in `keys`
 };
 
 struct EventChunk {
@@ -121,9 +135,13 @@ void ParseEdgeChunk(std::string_view chunk, EdgeChunk* out) {
       case LineClass::kSelfLoop:
         ++out->stats.self_loops;
         break;
-      case LineClass::kData:
-        out->rows.push_back(EdgeRow{u, v});
+      case LineClass::kData: {
+        const uint64_t key = PackKey(u, v);
+        out->keys.push_back(key);
+        out->buckets.push_back(static_cast<uint8_t>(HashKey(key) >> 56));
+        out->num_vertices = std::max(out->num_vertices, std::max(u, v) + 1);
         break;
+      }
     }
   }
 }
@@ -177,28 +195,30 @@ void MergeLineStats(const StatsT& chunk, uint64_t line_base, StatsT* total) {
   total->self_loops += chunk.self_loops;
 }
 
-// Flat open-addressing set over packed (min,max) endpoint keys. The dedup
-// loop is the pipeline's serial fraction, and std::unordered_map's
-// per-node allocations made it ~90% of parse time at 1M rows; linear
-// probing over one power-of-two array is several times faster and
-// allocation-free after construction.
+// Flat open-addressing set over packed (min,max) endpoint keys: linear
+// probing over one power-of-two array (std::unordered_set's per-node
+// allocations once made the dedup ~90% of parse time). It is sized for one
+// partition's expected share and doubles at 3/4 load, since the input
+// decides how many keys a partition really gets.
 class EdgeKeySet {
  public:
   explicit EdgeKeySet(size_t expected) {
     size_t cap = 16;
     while (cap < expected * 2) cap <<= 1;
-    mask_ = cap - 1;
     keys_.assign(cap, kEmpty);
   }
 
   /// True iff `key` was absent (and is now inserted).
   bool Insert(uint64_t key) {
-    size_t slot = Hash(key) & mask_;
+    if (4 * (size_ + 1) > 3 * keys_.size()) Grow();
+    const size_t mask = keys_.size() - 1;
+    size_t slot = HashKey(key) & mask;
     while (keys_[slot] != kEmpty) {
       if (keys_[slot] == key) return false;
-      slot = (slot + 1) & mask_;
+      slot = (slot + 1) & mask;
     }
     keys_[slot] = key;
+    ++size_;
     return true;
   }
 
@@ -207,25 +227,60 @@ class EdgeKeySet {
   // rejects, so the sentinel never collides with a real edge key.
   static constexpr uint64_t kEmpty = ~0ull;
 
-  // splitmix64 finalizer: full-width mixing so the sequential low-id keys
-  // real datasets produce spread across the table.
-  static size_t Hash(uint64_t key) {
-    key ^= key >> 30;
-    key *= 0xBF58476D1CE4E5B9ull;
-    key ^= key >> 27;
-    key *= 0x94D049BB133111EBull;
-    key ^= key >> 31;
-    return static_cast<size_t>(key);
+  void Grow() {
+    std::vector<uint64_t> old(keys_.size() * 2, kEmpty);
+    old.swap(keys_);
+    size_ = 0;
+    for (const uint64_t key : old) {
+      if (key != kEmpty) Insert(key);
+    }
   }
 
-  size_t mask_;
+  size_t size_ = 0;
   std::vector<uint64_t> keys_;
 };
 
+// The builder tail of ReadEdgeListFile: per-vertex adjacency vectors from
+// the edge table, each sorted by neighbor id. Worker t owns one contiguous
+// vertex range and scans the whole table twice (degrees, then entries),
+// touching only its own vertices' lists, so no two workers share a write.
+Graph GraphFromEdgeTable(EdgeTable table, int threads) {
+  const VertexId n = table.num_vertices;
+  const std::vector<Edge>& edges = table.edges;
+  std::vector<std::vector<Neighbor>> adjacency(n);
+  const size_t workers = static_cast<size_t>(threads);
+  ParallelFor(threads, workers, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      const auto lo = static_cast<VertexId>(uint64_t{n} * t / workers);
+      const auto span =
+          static_cast<VertexId>(uint64_t{n} * (t + 1) / workers - lo);
+      std::vector<uint32_t> degree(span, 0);
+      for (const Edge& e : edges) {
+        if (e.u - lo < span) ++degree[e.u - lo];
+        if (e.v - lo < span) ++degree[e.v - lo];
+      }
+      for (VertexId i = 0; i < span; ++i) adjacency[lo + i].reserve(degree[i]);
+      for (EdgeId e = 0; e < edges.size(); ++e) {
+        if (edges[e].u - lo < span) {
+          adjacency[edges[e].u].push_back(Neighbor{edges[e].v, e});
+        }
+        if (edges[e].v - lo < span) {
+          adjacency[edges[e].v].push_back(Neighbor{edges[e].u, e});
+        }
+      }
+      // Neighbor ids in one list are distinct, so the sort is deterministic.
+      for (VertexId i = 0; i < span; ++i) {
+        std::sort(adjacency[lo + i].begin(), adjacency[lo + i].end());
+      }
+    }
+  });
+  return Graph::FromParts(std::move(adjacency), std::move(table.edges));
+}
+
 }  // namespace
 
-Graph ParseEdgeListBuffer(std::string_view text, int threads,
-                          EdgeListStats* stats) {
+EdgeTable ParseEdgeTable(std::string_view text, int threads,
+                         EdgeListStats* stats) {
   TKC_SPAN("io.parse.edges");
   threads = ResolveThreads(threads);
   EdgeListStats total;
@@ -239,60 +294,78 @@ Graph ParseEdgeListBuffer(std::string_view text, int threads,
     }
   });
 
-  // Serial merge in chunk order: EdgeId assignment and duplicate detection
-  // depend on global row order, so this stays on one thread — it is the
-  // pipeline's serial fraction.
-  TKC_SPAN("io.parse.merge");
-  size_t row_count = 0;
+  EdgeTable table;
+  std::vector<size_t> row_base(num_chunks + 1, 0);
   uint64_t line_base = 0;
-  for (const EdgeChunk& chunk : chunks) {
-    MergeLineStats(chunk.stats, line_base, &total);
-    line_base += chunk.stats.lines;
-    row_count += chunk.rows.size();
+  for (size_t c = 0; c < num_chunks; ++c) {
+    MergeLineStats(chunks[c].stats, line_base, &total);
+    line_base += chunks[c].stats.lines;
+    row_base[c + 1] = row_base[c] + chunks[c].keys.size();
+    // A duplicate row has the endpoints of the row it repeats, so the
+    // largest id over all rows is the largest over the kept ones.
+    table.num_vertices = std::max(table.num_vertices, chunks[c].num_vertices);
   }
+  const size_t row_count = row_base[num_chunks];
 
-  std::vector<Edge> edge_table;
-  edge_table.reserve(row_count);
-  EdgeKeySet edge_index(row_count);
-  VertexId num_vertices = 0;
-  for (const EdgeChunk& chunk : chunks) {
-    for (const EdgeRow& row : chunk.rows) {
-      const VertexId a = std::min(row.u, row.v);
-      const VertexId b = std::max(row.u, row.v);
-      const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-      if (edge_index.Insert(key)) {
-        edge_table.push_back(Edge{a, b});
-        ++total.edges_added;
-        if (b + 1 > num_vertices) num_vertices = b + 1;
-      } else {
-        ++total.duplicate_edges;
+  // Parallel dedup by hash partition. Worker p owns the keys whose hash
+  // bucket maps to p, walks every row in global (chunk, row) order and
+  // keeps a row iff its key is new to p's table, so each key's first
+  // occurrence wins exactly as in the serial stream reader. A worker writes
+  // only the flags of its own rows and its own row of counts.
+  TKC_SPAN("io.parse.dedup");
+  const size_t parts = static_cast<size_t>(threads);
+  std::vector<uint8_t> duplicate(row_count, 0);
+  std::vector<size_t> dup_count(parts * num_chunks, 0);  // [part][chunk]
+  ParallelFor(threads, parts, [&](int, size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      EdgeKeySet seen(row_count / parts);
+      for (size_t c = 0; c < num_chunks; ++c) {
+        const EdgeChunk& chunk = chunks[c];
+        for (size_t i = 0; i < chunk.keys.size(); ++i) {
+          if (chunk.buckets[i] * parts >> 8 != p) continue;
+          if (!seen.Insert(chunk.keys[i])) {
+            duplicate[row_base[c] + i] = 1;
+            ++dup_count[p * num_chunks + c];
+          }
+        }
       }
     }
-  }
+  });
 
-  std::vector<uint32_t> degree(num_vertices, 0);
-  for (const Edge& e : edge_table) {
-    ++degree[e.u];
-    ++degree[e.v];
+  // EdgeIds: each chunk's kept rows start at the prefix sum of the kept
+  // counts before it, and the chunks scatter in parallel.
+  std::vector<size_t> edge_base(num_chunks + 1, 0);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    size_t dups = 0;
+    for (size_t p = 0; p < parts; ++p) dups += dup_count[p * num_chunks + c];
+    edge_base[c + 1] = edge_base[c] + chunks[c].keys.size() - dups;
   }
-  std::vector<std::vector<Neighbor>> adjacency(num_vertices);
-  for (VertexId v = 0; v < num_vertices; ++v) adjacency[v].reserve(degree[v]);
-  for (EdgeId e = 0; e < edge_table.size(); ++e) {
-    adjacency[edge_table[e].u].push_back(Neighbor{edge_table[e].v, e});
-    adjacency[edge_table[e].v].push_back(Neighbor{edge_table[e].u, e});
-  }
-  // Per-vertex sorts are independent and every neighbor id is unique, so
-  // the parallel sort is deterministic.
-  ParallelFor(threads, num_vertices, [&](int, size_t begin, size_t end) {
-    for (size_t v = begin; v < end; ++v) {
-      std::sort(adjacency[v].begin(), adjacency[v].end());
+  table.edges.resize(edge_base[num_chunks]);
+  ParallelFor(threads, num_chunks, [&](int, size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      Edge* out = table.edges.data() + edge_base[c];
+      const std::vector<uint64_t>& keys = chunks[c].keys;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (duplicate[row_base[c] + i] != 0) continue;
+        *out++ = Edge{static_cast<VertexId>(keys[i] >> 32),
+                      static_cast<VertexId>(keys[i])};
+      }
+      chunks[c] = EdgeChunk{};  // the rows are in the table now
     }
   });
+  total.edges_added = table.edges.size();
+  total.duplicate_edges = row_count - table.edges.size();
 
   EmitParseCounters(text, num_chunks);
   EmitEdgeListCounters(total);
   if (stats != nullptr) *stats = std::move(total);
-  return Graph::FromParts(std::move(adjacency), std::move(edge_table));
+  return table;
+}
+
+Graph ParseEdgeListBuffer(std::string_view text, int threads,
+                          EdgeListStats* stats) {
+  return GraphFromEdgeTable(ParseEdgeTable(text, threads, stats),
+                            ResolveThreads(threads));
 }
 
 std::vector<EdgeEvent> ParseEventListBuffer(std::string_view text, int threads,

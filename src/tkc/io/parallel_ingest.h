@@ -18,13 +18,13 @@ namespace tkc {
 /// The file is mapped (or read) into one contiguous buffer, split into
 /// newline-aligned chunks, and the chunks are classified concurrently on
 /// the shared ThreadPool through the same tokenizer the stream readers
-/// use. The merge then runs in chunk order, so the edge sequence — and
-/// therefore every EdgeId, every stats field, and the frozen CSR built
-/// from the result — is bit-identical to the serial getline reader at any
-/// thread count. Only embarrassingly parallel work (line classification,
-/// per-vertex adjacency sorting) runs concurrently; the order-dependent
-/// steps (duplicate detection, EdgeId assignment) stay serial in the
-/// merge, which is the pipeline's Amdahl floor (see docs/performance.md).
+/// use. Duplicate detection is parallel too: the (min, max) keys are
+/// hash-partitioned, one worker per partition walks all rows in global
+/// chunk order (so a key's first occurrence wins, as in the getline
+/// reader), and EdgeIds come from a prefix sum of the per-chunk kept
+/// counts. The edge sequence — and therefore every EdgeId, every stats
+/// field, and the frozen CSR built from the result — is bit-identical to
+/// the serial getline reader at any thread count (see docs/performance.md).
 
 /// Read-only view of a whole file: mmap(2) when the file is mappable, a
 /// read(2) loop into an owned buffer otherwise (pipes, filesystems without
@@ -52,9 +52,14 @@ class MappedFile {
   std::vector<char> owned_;  // read() fallback storage
 };
 
-/// Parses a whole edge-list buffer (same grammar as ReadEdgeList) with
-/// `threads` workers (ResolveThreads convention). Never fails on row
-/// content; bit-identical to the stream reader.
+/// Parses a whole edge-list buffer (same grammar as ReadEdgeList) into its
+/// duplicate-free edge table with `threads` workers (ResolveThreads
+/// convention). Never fails on row content; the table, its vertex count
+/// and `stats` are bit-identical to the stream reader's.
+EdgeTable ParseEdgeTable(std::string_view text, int threads,
+                         EdgeListStats* stats = nullptr);
+
+/// ParseEdgeTable, then the builder Graph's adjacency vectors.
 Graph ParseEdgeListBuffer(std::string_view text, int threads,
                           EdgeListStats* stats = nullptr);
 

@@ -16,6 +16,7 @@
 #include "tkc/gen/generators.h"
 #include "tkc/io/edge_list.h"
 #include "tkc/io/event_list.h"
+#include "tkc/io/graph_cache.h"
 #include "tkc/obs/json.h"
 #include "tkc/obs/timeline.h"
 #include "tkc/util/random.h"
@@ -229,6 +230,18 @@ TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
                                                 "triangle_index",
                                                 "bucket_init", "peel"}))
         << threads[i];
+    // The text graph is parsed, then frozen directly: no builder Graph is
+    // released between the load and the analysis.
+    std::vector<std::string> root_phases;
+    for (const obs::JsonValue& child :
+         doc->Find("trace")->Items()[0].Find("children")->Items()) {
+      root_phases.push_back(child.Find("name")->Str());
+    }
+    EXPECT_EQ(root_phases,
+              (std::vector<std::string>{"cli.load_graph", "csr.freeze",
+                                        "core.decompose", "output",
+                                        "cli.release"}))
+        << threads[i];
     for (const auto& [key, value] :
          doc->FindPath("metrics.counters")->Members()) {
       counters[i].insert(key);
@@ -382,10 +395,10 @@ TEST_F(CliTest, ReplayMetricsSchemaIndependentOfThreads) {
   }
   EXPECT_TRUE(span_keys[0].count(
       "replay/engine.apply_batch/dyn.apply_batch:triangles_scanned"));
-  // The loader freezes the text graph and frees the builder before the
-  // engine starts.
+  // The loader freezes the parsed edge table directly: there is no builder
+  // Graph to release before the engine starts.
   EXPECT_TRUE(spans[0].count("replay/csr.freeze"));
-  EXPECT_TRUE(spans[0].count("replay/cli.release_graph"));
+  EXPECT_FALSE(spans[0].count("replay/cli.release_graph"));
 }
 
 TEST_F(CliTest, DecomposeRecomputeModeMatchesDefaultAtAnyThreads) {
@@ -1124,6 +1137,55 @@ TEST_F(CliTest, CacheBuildLoadAndServe) {
   EXPECT_NE(err.find("unknown cache subcommand"), std::string::npos);
   EXPECT_EQ(RunTool({"cache", "build", edges_path_}, &out, &err), 2);
   EXPECT_NE(err.find("--out"), std::string::npos);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// `cache build` writes the same .tkcg bytes at any --threads, and so does
+// writing back what the cache loader (FromFrozenParts) reassembles. The
+// text carries reversed duplicates and self-loops, so the parallel dedup's
+// duplicate branch is part of what is held fixed.
+TEST_F(CliTest, CacheBuildBytesIndependentOfThreads) {
+  const std::string text_path = TempPath("cli_cache_bytes_edges.txt");
+  Rng rng(13);
+  const Graph g = PowerLawCluster(600, 5, 0.4, rng);
+  {
+    std::ofstream text(text_path);
+    WriteEdgeList(g, text);
+    g.ForEachEdge([&](EdgeId e, const Edge& edge) {
+      if (e % 3 == 0) text << edge.v << ' ' << edge.u << '\n';
+    });
+    text << "4 4\n17 17\n";
+  }
+  std::string bytes[2];
+  const char* threads[2] = {"--threads=1", "--threads=4"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string cache =
+        TempPath("cli_cache_bytes_" + std::to_string(i) + ".tkcg");
+    std::string out;
+    ASSERT_EQ(RunTool({"cache", "build", text_path, "--out=" + cache,
+                       threads[i]},
+                      &out),
+              0)
+        << threads[i];
+    bytes[i] = ReadFileBytes(cache);
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+
+  CacheStatus status = CacheStatus::kOk;
+  auto loaded =
+      LoadGraphCache(TempPath("cli_cache_bytes_0.tkcg"), 1, &status);
+  ASSERT_TRUE(loaded.has_value()) << CacheStatusName(status);
+  EXPECT_EQ(loaded->NumEdges(), g.NumEdges());
+  const std::string rewritten = TempPath("cli_cache_bytes_rewritten.tkcg");
+  ASSERT_TRUE(WriteGraphCache(*loaded, rewritten));
+  EXPECT_EQ(ReadFileBytes(rewritten), bytes[0]);
 }
 
 TEST_F(CliTest, GraphCacheMissBuildsThenHits) {

@@ -98,6 +98,47 @@ TEST(CsrTest, OrientedViewRanksByDegreeThenId) {
   EXPECT_EQ(total_out, csr.NumEdges());
 }
 
+TEST(CsrTest, RankIsTheDegreeThenIdOrder) {
+  // Many degree ties plus isolated vertices: the counting-sort rank must be
+  // the (degree, id)-ascending comparator order exactly.
+  Rng rng(29);
+  Graph g = PowerLawCluster(400, 3, 0.4, rng);
+  g.EnsureVertices(g.NumVertices() + 7);
+  const CsrGraph csr(g);
+  std::vector<VertexId> order(csr.NumVertices());
+  for (VertexId v = 0; v < csr.NumVertices(); ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return csr.Degree(a) != csr.Degree(b) ? csr.Degree(a) < csr.Degree(b)
+                                          : a < b;
+  });
+  for (VertexId i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(csr.Rank(order[i]), i) << "vertex " << order[i];
+  }
+}
+
+TEST(CsrTest, FromEdgeTableMatchesGraphFreeze) {
+  Rng rng(41);
+  const Graph g = GnmRandom(200, 700, rng);
+  EdgeTable table{{}, g.NumVertices() + 3};  // trailing isolated vertices
+  g.ForEachEdge([&](EdgeId, const Edge& e) { table.edges.push_back(e); });
+  Graph padded = g;
+  padded.EnsureVertices(table.num_vertices);
+  const CsrGraph want(padded);
+  for (const int threads : {1, 2, 3, 8}) {
+    const CsrGraph got = CsrGraph::FromEdgeTable(table, threads);
+    EXPECT_EQ(got.RawOffsets(), want.RawOffsets()) << threads;
+    ASSERT_EQ(got.RawEntries().size(), want.RawEntries().size());
+    for (size_t i = 0; i < want.RawEntries().size(); ++i) {
+      EXPECT_EQ(got.RawEntries()[i].vertex, want.RawEntries()[i].vertex);
+      EXPECT_EQ(got.RawEntries()[i].edge, want.RawEntries()[i].edge);
+    }
+    EXPECT_EQ(got.RawEdges(), want.RawEdges()) << threads;
+  }
+  const CsrGraph empty = CsrGraph::FromEdgeTable(EdgeTable{}, 4);
+  EXPECT_EQ(empty.NumVertices(), 0u);
+  EXPECT_EQ(empty.NumEdges(), 0u);
+}
+
 TEST(CsrTest, OrientedViewPartitionsAdjacency) {
   Rng rng(17);
   Graph g = PowerLawCluster(80, 4, 0.5, rng);

@@ -417,7 +417,8 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, BatchFuzzTest,
 // stats, and frozen CSR arrays of the serial stream reader at any thread
 // count. This driver generates junk-injected edge-list text (malformed
 // rows, duplicates, reversed rows, self-loops, comments, missing final
-// newline) and holds the chunked parse + parallel freeze to the serial
+// newline) and holds both products of the chunked parse — the builder
+// Graph and the direct edge-table freeze the CLI uses — to the serial
 // path across a grid of thread counts.
 
 class IngestFuzzTest : public ::testing::TestWithParam<int> {};
@@ -479,11 +480,39 @@ TEST_P(IngestFuzzTest, ChunkedParseAndFreezeMatchSerialOracle) {
     ASSERT_EQ(ComputeTriangleCores(serial).kappa,
               ComputeTriangleCores(parallel).kappa)
         << "round " << round;
+
+    // The direct build (no builder Graph) is the oracle's freeze exactly:
+    // raw arrays, every rank and every oriented out-list.
+    EdgeListStats direct_stats;
+    const CsrGraph direct = CsrGraph::FromEdgeTable(
+        ParseEdgeTable(buffer, threads, &direct_stats), threads);
+    ASSERT_EQ(direct_stats, oracle_stats) << "round " << round;
+    ASSERT_EQ(direct.RawOffsets(), serial.RawOffsets()) << "round " << round;
+    ASSERT_EQ(direct.RawEdges(), serial.RawEdges()) << "round " << round;
+    ASSERT_EQ(direct.RawEntries().size(), serial.RawEntries().size());
+    for (size_t i = 0; i < serial.RawEntries().size(); ++i) {
+      ASSERT_EQ(direct.RawEntries()[i].vertex, serial.RawEntries()[i].vertex)
+          << "round " << round << " entry " << i;
+      ASSERT_EQ(direct.RawEntries()[i].edge, serial.RawEntries()[i].edge)
+          << "round " << round << " entry " << i;
+    }
+    for (VertexId v = 0; v < serial.NumVertices(); ++v) {
+      ASSERT_EQ(direct.Rank(v), serial.Rank(v)) << "round " << round;
+      ASSERT_EQ(direct.OutDegree(v), serial.OutDegree(v)) << "round " << round;
+      for (size_t i = 0; i < serial.OutDegree(v); ++i) {
+        ASSERT_EQ(direct.OutNeighborsBegin(v)[i].vertex,
+                  serial.OutNeighborsBegin(v)[i].vertex)
+            << "round " << round << " vertex " << v;
+        ASSERT_EQ(direct.OutNeighborsBegin(v)[i].edge,
+                  serial.OutNeighborsBegin(v)[i].edge)
+            << "round " << round << " vertex " << v;
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Threads, IngestFuzzTest, ::testing::Values(1, 2, 8),
+    Threads, IngestFuzzTest, ::testing::Values(1, 2, 3, 8),
     [](const ::testing::TestParamInfo<int>& info) {
       return "t" + std::to_string(info.param);
     });

@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,7 +32,7 @@ std::vector<Edge> EdgeTable(const Graph& g) {
 }
 
 void ExpectSameGraph(const Graph& a, const Graph& b) {
-  EXPECT_EQ(a.NumVertices(), b.NumVertices());
+  ASSERT_EQ(a.NumVertices(), b.NumVertices());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
   const std::vector<Edge> ea = EdgeTable(a);
   const std::vector<Edge> eb = EdgeTable(b);
@@ -39,6 +40,13 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
   for (size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].u, eb[i].u) << "edge " << i;
     EXPECT_EQ(ea[i].v, eb[i].v) << "edge " << i;
+  }
+  for (VertexId v = 0; v < a.NumVertices(); ++v) {
+    ASSERT_EQ(a.Degree(v), b.Degree(v)) << "vertex " << v;
+    for (size_t i = 0; i < a.Degree(v); ++i) {
+      EXPECT_EQ(a.Neighbors(v)[i].vertex, b.Neighbors(v)[i].vertex);
+      EXPECT_EQ(a.Neighbors(v)[i].edge, b.Neighbors(v)[i].edge);
+    }
   }
 }
 
@@ -55,6 +63,65 @@ void ExpectSameFrozen(const CsrGraph& a, const CsrGraph& b) {
     EXPECT_EQ(a.RawEdges()[i].u, b.RawEdges()[i].u) << "edge " << i;
     EXPECT_EQ(a.RawEdges()[i].v, b.RawEdges()[i].v) << "edge " << i;
   }
+}
+
+// Everything a reader of a snapshot sees: the raw arrays plus every rank
+// and every oriented out-list.
+void ExpectSameSnapshot(const CsrGraph& want, const CsrGraph& got) {
+  ExpectSameFrozen(want, got);
+  ASSERT_EQ(got.NumVertices(), want.NumVertices());
+  for (VertexId v = 0; v < want.NumVertices(); ++v) {
+    EXPECT_EQ(got.Rank(v), want.Rank(v)) << "vertex " << v;
+    ASSERT_EQ(got.OutDegree(v), want.OutDegree(v)) << "vertex " << v;
+    for (size_t i = 0; i < want.OutDegree(v); ++i) {
+      EXPECT_EQ(got.OutNeighborsBegin(v)[i].vertex,
+                want.OutNeighborsBegin(v)[i].vertex);
+      EXPECT_EQ(got.OutNeighborsBegin(v)[i].edge,
+                want.OutNeighborsBegin(v)[i].edge);
+    }
+  }
+}
+
+// The ingest thread axis: serial, even and odd splits, and more workers
+// than a small text has chunks.
+constexpr int kIngestThreads[] = {1, 2, 3, 8};
+
+// The CLI's text path: parse to an edge table, freeze it directly.
+CsrGraph DirectBuild(std::string_view text, int threads,
+                     EdgeListStats* stats) {
+  return CsrGraph::FromEdgeTable(ParseEdgeTable(text, threads, stats),
+                                 threads);
+}
+
+// Holds the direct build of `text` (and the builder Graph of the same
+// parse) to the stream reader at every thread count: stats, raw CSR
+// arrays, ranks and out-lists against CsrGraph(*ReadEdgeList(stream)).
+void ExpectDirectBuildMatchesStreamReader(const std::string& text) {
+  std::istringstream stream(text);
+  EdgeListStats oracle_stats;
+  auto oracle = ReadEdgeList(stream, &oracle_stats);
+  ASSERT_TRUE(oracle.has_value());
+  const CsrGraph want(*oracle);
+  for (const int threads : kIngestThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EdgeListStats stats;
+    ExpectSameSnapshot(want, DirectBuild(text, threads, &stats));
+    EXPECT_EQ(stats, oracle_stats);
+    EdgeListStats graph_stats;
+    ExpectSameGraph(*oracle, ParseEdgeListBuffer(text, threads, &graph_stats));
+    EXPECT_EQ(graph_stats, oracle_stats);
+  }
+}
+
+// `rows` path edges over ids [base, base + rows]: bulk that pushes the
+// rows around it into different chunks.
+std::string Filler(VertexId base, size_t rows) {
+  std::string text;
+  for (size_t i = 0; i < rows; ++i) {
+    text += std::to_string(base + i) + ' ' + std::to_string(base + i + 1) +
+            '\n';
+  }
+  return text;
 }
 
 // Messy-but-realistic edge list: comments, duplicates, reversed rows,
@@ -150,12 +217,90 @@ TEST(ParallelIngestTest, EdgeParseDeterministicAcrossThreads) {
   ASSERT_GT(oracle_stats.malformed_lines, 0u);
   ASSERT_FALSE(oracle_stats.malformed_line_numbers.empty());
 
-  for (int threads : {1, 2, 8}) {
+  ExpectDirectBuildMatchesStreamReader(text);
+}
+
+TEST(DirectBuildTest, ReversedDuplicatesAcrossChunks) {
+  // "7 3" is kept in the first chunk and repeated reversed in a later one;
+  // "9 8" first occurs in the last chunk and is repeated reversed there.
+  const std::string text = "7 3\n" + Filler(100, 400) + "3 7\n" +
+                           Filler(600, 400) + "7 3\n9 8\n8 9\n";
+  ExpectDirectBuildMatchesStreamReader(text);
+  for (const int threads : kIngestThreads) {
     EdgeListStats stats;
-    Graph g = ParseEdgeListBuffer(text, threads, &stats);
-    EXPECT_EQ(stats, oracle_stats) << "threads=" << threads;
-    ExpectSameGraph(*oracle, g);
+    const CsrGraph csr = DirectBuild(text, threads, &stats);
+    EXPECT_EQ(stats.duplicate_edges, 3u) << threads;
+    EXPECT_EQ(csr.FindEdge(3, 7), 0u) << threads;
+    EXPECT_EQ(csr.FindEdge(8, 9), 801u) << threads;
   }
+}
+
+TEST(DirectBuildTest, DuplicatesInEveryPartition) {
+  // 64 distinct keys, each repeated (reversed, then forward) after filler:
+  // the keys hash over every partition of an 8-worker dedup.
+  std::string text;
+  for (VertexId k = 0; k < 64; ++k) {
+    text += std::to_string(2 * k) + ' ' + std::to_string(5000 + k) + '\n';
+  }
+  text += Filler(10000, 300);
+  for (VertexId k = 0; k < 64; ++k) {
+    text += std::to_string(5000 + k) + ' ' + std::to_string(2 * k) + '\n';
+    text += Filler(20000 + 4 * k, 2);
+    text += std::to_string(2 * k) + ' ' + std::to_string(5000 + k) + '\n';
+  }
+  ExpectDirectBuildMatchesStreamReader(text);
+}
+
+TEST(DirectBuildTest, OnePartitionGetsEveryKey) {
+  // Rows whose keys all hash into the first of 8 dedup partitions (the
+  // partition is the top byte of the splitmix64 of the packed (min, max)
+  // key, as in parallel_ingest.cc), each repeated reversed: that worker's
+  // table, sized for an eighth of the rows, has to grow several times.
+  auto bucket = [](uint64_t key) {
+    key ^= key >> 30;
+    key *= 0xBF58476D1CE4E5B9ull;
+    key ^= key >> 27;
+    key *= 0x94D049BB133111EBull;
+    key ^= key >> 31;
+    return key >> 56;
+  };
+  std::string text;
+  std::string repeats;
+  for (uint64_t u = 0, kept = 0; kept < 1500; ++u) {
+    const uint64_t v = u + 1 + u % 7;
+    if (bucket((u << 32) | v) >= 32) continue;
+    text += std::to_string(u) + ' ' + std::to_string(v) + '\n';
+    repeats += std::to_string(v) + ' ' + std::to_string(u) + '\n';
+    ++kept;
+  }
+  ExpectDirectBuildMatchesStreamReader(text + repeats);
+}
+
+TEST(DirectBuildTest, SelfLoopsAndMalformedRows) {
+  ExpectDirectBuildMatchesStreamReader(
+      "0 1\n2 2\njunk\n-1 4\n" + Filler(3, 200) + "1 2\n3\n0 2\n5 5\n" +
+      Filler(300, 200) + "x y\n1 0\n");
+}
+
+TEST(DirectBuildTest, NoTrailingNewline) {
+  ExpectDirectBuildMatchesStreamReader(Filler(0, 300) + "1 0\n400 2");
+}
+
+TEST(DirectBuildTest, EmptyAndCommentOnlyFiles) {
+  for (const std::string text : {"", "# only\n% comments\n\n", "# x"}) {
+    ExpectDirectBuildMatchesStreamReader(text);
+    const CsrGraph csr = DirectBuild(text, 4, nullptr);
+    EXPECT_EQ(csr.NumVertices(), 0u);
+    EXPECT_EQ(csr.NumEdges(), 0u);
+  }
+}
+
+TEST(DirectBuildTest, IsolatedHighVertexId) {
+  const std::string text = "0 1\n1 2\n0 2\n40000 39999\n";
+  ExpectDirectBuildMatchesStreamReader(text);
+  const CsrGraph csr = DirectBuild(text, 3, nullptr);
+  EXPECT_EQ(csr.NumVertices(), 40001u);
+  EXPECT_EQ(csr.Degree(20000), 0u);
 }
 
 TEST(ParallelIngestTest, FreezeDeterministicAcrossThreads) {
@@ -203,9 +348,9 @@ TEST(ParallelIngestTest, EventParseDeterministicAcrossThreads) {
 
 TEST(ParallelIngestTest, MalformedLineNumbersAreGlobalAndOneBased) {
   const std::string text = "0 1\njunk\n2 3\n\nbad row\n4 5\n";
-  for (int threads : {1, 4}) {
+  for (const int threads : kIngestThreads) {
     EdgeListStats stats;
-    (void)ParseEdgeListBuffer(text, threads, &stats);
+    (void)ParseEdgeTable(text, threads, &stats);
     EXPECT_EQ(stats.malformed_lines, 2u);
     ASSERT_EQ(stats.malformed_line_numbers.size(), 2u);
     EXPECT_EQ(stats.malformed_line_numbers[0], 2u);
@@ -224,14 +369,23 @@ TEST(ParallelIngestTest, FileReaderMatchesStreamReader) {
   EdgeListStats oracle_stats;
   auto oracle = ReadEdgeList(stream, &oracle_stats);
   ASSERT_TRUE(oracle.has_value());
-  for (int threads : {1, 8}) {
+  const CsrGraph want(*oracle);
+  for (const int threads : kIngestThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     EdgeListStats stats;
     auto g = ReadEdgeListFile(path, &stats, threads);
     ASSERT_TRUE(g.has_value());
     EXPECT_EQ(stats, oracle_stats);
     ExpectSameGraph(*oracle, *g);
+    EdgeListStats table_stats;
+    auto table = ReadEdgeTableFile(path, &table_stats, threads);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_EQ(table_stats, oracle_stats);
+    ExpectSameSnapshot(want,
+                       CsrGraph::FromEdgeTable(std::move(*table), threads));
   }
   EXPECT_FALSE(ReadEdgeListFile(TempPath("ingest_missing.txt")).has_value());
+  EXPECT_FALSE(ReadEdgeTableFile(TempPath("ingest_missing.txt")).has_value());
 }
 
 class GraphCacheTest : public ::testing::Test {

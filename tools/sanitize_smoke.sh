@@ -63,8 +63,9 @@ run_one() {
   # chunked parse at 8 threads must match the 4-thread run row for row,
   # and a cache round trip (build → read-through load) must
   # serve the identical decomposition. The TSan leg sees the per-chunk
-  # tokenizer workers and the parallel freeze's per-vertex copy and
-  # oriented scatter, which every text load runs at --threads;
+  # tokenizer workers, the hash-partitioned dedup and its EdgeId
+  # scatter, and the edge-table freeze's vertex-range scatter and
+  # oriented view, which every text load runs at --threads;
   # ASan/UBSan cover the mmap lifetime and the checksum/structure
   # validation on load.
   "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=8 \
@@ -74,6 +75,22 @@ run_one() {
     echo "!! --threads=8 kappa differs from --threads=4" >&2
     exit 1
   fi
+  # The same rows, then every row reversed, then a few self-loops: the
+  # parallel dedup's duplicate branch under the sanitizer at 4 and 8
+  # workers. First occurrences keep their EdgeIds, so the κ rows match
+  # the clean input's.
+  { cat "$smoke_dir/g.txt"
+    grep -v '^#' "$smoke_dir/g.txt" | awk '{ print $2, $1 }'
+    printf '3 3\n11 11\n1999 1999\n'; } > "$smoke_dir/g_dups.txt"
+  for threads in 4 8; do
+    "$build_dir/tools/tkc" decompose "$smoke_dir/g_dups.txt" \
+      --threads="$threads" > "$smoke_dir/kappa_dups$threads.txt"
+    if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
+              <(grep -v '^#' "$smoke_dir/kappa_dups$threads.txt"); then
+      echo "!! duplicated input at --threads=$threads differs from clean" >&2
+      exit 1
+    fi
+  done
   "$build_dir/tools/tkc" cache build "$smoke_dir/g.txt" \
     --out="$smoke_dir/g.tkcg"
   "$build_dir/tools/tkc" cache load "$smoke_dir/g.tkcg"
