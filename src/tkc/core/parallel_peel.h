@@ -11,8 +11,9 @@ class AnalysisContext;
 /// Forwarder to the one Algorithm-1 peel, ComputeTriangleCores in its
 /// default kStoreTriangles mode, over the context's cached supports and
 /// index: the context's `threads` run the triangle-partner index build,
-/// whose one enumeration also yields the supports; the bucket peel over
-/// the index is serial. Results are identical at any thread count.
+/// whose one enumeration also yields the supports, and the level-synchronous
+/// peel's sub-rounds over the index. Results are identical at any thread
+/// count.
 TriangleCoreResult ComputeTriangleCoresParallel(const AnalysisContext& ctx);
 
 }  // namespace tkc

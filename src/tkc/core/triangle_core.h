@@ -20,7 +20,7 @@ enum class TriangleStorageMode {
   /// Fastest, O(|Tri|) extra memory; the default.
   kStoreTriangles,
   /// Re-intersect adjacency lists when an edge is processed; triangles are
-  /// recognized as unprocessed by checking their edges' processed flags.
+  /// recognized as unprocessed by their edges' peel ranks.
   /// The paper's O(|E|)-memory mode for graphs whose triangle set does not
   /// fit in memory.
   kRecomputeTriangles,
@@ -34,7 +34,8 @@ struct TriangleCoreResult {
   /// Processing rank of each edge — the paper's `e.order`, used by Rule 1
   /// and by the dynamic update algorithms. Lower rank = peeled earlier.
   std::vector<uint32_t> order;
-  /// Edges in the order they were processed (increasing κ̃).
+  /// Edges in the order they were processed: non-decreasing κ, and
+  /// increasing EdgeId within each sub-round of the peel.
   std::vector<EdgeId> peel_sequence;
   uint32_t max_kappa = 0;
   uint64_t triangle_count = 0;
@@ -44,12 +45,15 @@ struct TriangleCoreResult {
 };
 
 /// Algorithm 1: computes κ(e) for every live edge of `g` by peeling edges in
-/// increasing order of their remaining triangle count (a bucket queue gives
-/// the paper's O(|E|) sort and O(1) reposition). Total cost is
-/// O(triangle-listing + |Tri|). Every overload freezes (or borrows) a
-/// snapshot and runs the AnalysisContext overload, so κ, `order` and
-/// `peel_sequence` are identical across overloads; in kStoreTriangles mode
-/// they are also identical across thread counts.
+/// increasing order of their remaining triangle count κ̃, level by level.
+/// Level k peels every unpeeled edge at κ̃ = k in sub-rounds: a sub-round
+/// peels its whole frontier at once and walks the frontier's triangles on
+/// the context's threads, lowering the partners' κ̃ (never below k); the
+/// edges that reach k are the next sub-round's frontier. Total cost is
+/// O(triangle-listing + |Tri|) plus one pass over the unpeeled edges per
+/// level. Every overload freezes (or borrows) a snapshot and runs the
+/// AnalysisContext overload. κ, `order` and `peel_sequence` are identical
+/// across overloads, storage modes and thread counts.
 ///
 /// The Graph overload freezes `g` first. It stays only because the
 /// benchmark (perfbench/layers.cc) calls it; library code freezes itself.

@@ -19,7 +19,7 @@ CsrGraph::CsrGraph(const Graph& g, int threads)
 }
 
 CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
-                                   std::vector<Neighbor> entries,
+                                   NeighborArray entries,
                                    std::vector<Edge> edges, int threads) {
   TKC_SPAN("csr.freeze");
   CsrGraph csr;

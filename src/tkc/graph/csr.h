@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "tkc/graph/graph.h"
 #include "tkc/obs/timeline.h"
+#include "tkc/util/default_init.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -31,6 +33,10 @@ namespace tkc {
 /// adjacency lists.
 class CsrGraph {
  public:
+  /// Adjacency entry storage. resize() leaves it unwritten, so the
+  /// parallel scatters of a freeze are the first to touch its pages.
+  using NeighborArray = DefaultInitVector<Neighbor>;
+
   /// Freezes `g`. O(|V| + |E|). `threads` follows the ResolveThreads
   /// convention (0 = default); the parallel freeze is bit-identical to the
   /// serial one at any count.
@@ -58,7 +64,7 @@ class CsrGraph {
   /// Raw*() of the cached snapshot returned; the oriented view is rebuilt
   /// and the structural audit of FinishBuild applies.
   static CsrGraph FromFrozenParts(std::vector<size_t> offsets,
-                                  std::vector<Neighbor> entries,
+                                  NeighborArray entries,
                                   std::vector<Edge> edges, int threads = 1);
 
   /// Freezes a parsed edge table without a builder Graph: degree count,
@@ -183,7 +189,7 @@ class CsrGraph {
   /// (io/graph_cache). Everything FromFrozenParts needs except the derived
   /// oriented view, which the loader rebuilds.
   const std::vector<size_t>& RawOffsets() const { return offsets_; }
-  const std::vector<Neighbor>& RawEntries() const { return entries_; }
+  std::span<const Neighbor> RawEntries() const { return entries_; }
   const std::vector<Edge>& RawEdges() const { return edges_; }
 
  private:
@@ -216,14 +222,14 @@ class CsrGraph {
   void FinishBuild(int threads);
   void BuildOrientedView(int threads);
 
-  std::vector<size_t> offsets_;    // |V|+1
-  std::vector<Neighbor> entries_;  // 2|E|, sorted per vertex
-  std::vector<Edge> edges_;        // by EdgeId (holes preserved)
+  std::vector<size_t> offsets_;  // |V|+1
+  NeighborArray entries_;        // 2|E|, sorted per vertex
+  std::vector<Edge> edges_;      // by EdgeId (holes preserved)
   size_t edge_capacity_ = 0;
   // Degree-ordered orientation (see class comment).
-  std::vector<uint32_t> rank_;              // |V|, permutation
-  std::vector<size_t> oriented_offsets_;    // |V|+1
-  std::vector<Neighbor> oriented_entries_;  // |E|, sorted per vertex
+  std::vector<uint32_t> rank_;            // |V|, permutation
+  std::vector<size_t> oriented_offsets_;  // |V|+1
+  NeighborArray oriented_entries_;        // |E|, sorted per vertex
 };
 
 }  // namespace tkc

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include "tkc/io/parallel_ingest.h"
@@ -144,7 +145,7 @@ bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
                      std::string* error) {
   TKC_SPAN("cache.write");
   const std::vector<size_t>& offsets = csr.RawOffsets();
-  const std::vector<Neighbor>& entries = csr.RawEntries();
+  const std::span<const Neighbor> entries = csr.RawEntries();
   const std::vector<Edge>& edges = csr.RawEdges();
 
   // Assemble the payload in memory once: the checksum needs the exact
@@ -283,7 +284,7 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
     in.Take(&wide, sizeof(wide));
     offsets[i] = static_cast<size_t>(wide);
   }
-  std::vector<Neighbor> entries(static_cast<size_t>(num_entries));
+  CsrGraph::NeighborArray entries(static_cast<size_t>(num_entries));
   for (Neighbor& nb : entries) {
     in.Take(&nb.vertex, sizeof(nb.vertex));
     in.Take(&nb.edge, sizeof(nb.edge));

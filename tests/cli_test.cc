@@ -196,12 +196,15 @@ void CollectSpanNames(const obs::JsonValue& node, std::set<std::string>* out) {
 // Also checks that store mode enumerates the triangles once at any
 // --threads: the support count records them and the index is derived from
 // that record, so the enumeration counter equals the summary's triangle
-// count and core.decompose has exactly the four phases.
+// count and core.decompose has exactly the three phases. The peel's
+// `peel.level` slices carry `edges` and `rounds` amounts, and the peel's
+// work counts do not depend on --threads either.
 TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
   std::string big_path = TempPath("cli_schema_edges.txt");
   Rng rng(99);
   ASSERT_TRUE(WriteEdgeListFile(PowerLawCluster(400, 4, 0.5, rng), big_path));
   std::set<std::string> spans[2], counters[2];
+  std::vector<double> peel_amounts[2];
   const char* threads[2] = {"--threads=1", "--threads=4"};
   for (int i = 0; i < 2; ++i) {
     const std::string metrics_path =
@@ -227,9 +230,24 @@ TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
       }
     }
     EXPECT_EQ(phases, (std::vector<std::string>{"support_count",
-                                                "triangle_index",
-                                                "bucket_init", "peel"}))
+                                                "triangle_index", "peel"}))
         << threads[i];
+    const obs::JsonValue& root = doc->Find("trace")->Items()[0];
+    const obs::JsonValue* peel = FindSpan(root, "peel");
+    const obs::JsonValue* level = FindSpan(root, "peel.level");
+    ASSERT_NE(peel, nullptr);
+    ASSERT_NE(level, nullptr);
+    std::vector<std::string> level_keys;
+    for (const auto& [key, value] : level->Find("counters")->Members()) {
+      level_keys.push_back(key);
+      peel_amounts[i].push_back(value.Number());
+    }
+    EXPECT_EQ(level_keys, (std::vector<std::string>{"edges", "rounds"}))
+        << threads[i];
+    for (const auto& [key, value] : peel->Find("counters")->Members()) {
+      peel_amounts[i].push_back(value.Number());
+    }
+    peel_amounts[i].push_back(level->Find("calls")->Number());
     // The text graph is parsed, then frozen directly: no builder Graph is
     // released between the load and the analysis.
     std::vector<std::string> root_phases;
@@ -258,6 +276,7 @@ TEST_F(CliTest, DecomposeMetricsSchemaIndependentOfThreads) {
   }
   EXPECT_EQ(spans[0], spans[1]);
   EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_EQ(peel_amounts[0], peel_amounts[1]);
   EXPECT_TRUE(spans[0].count("triangle_index"));
 }
 

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 #include "tkc/core/analysis_context.h"
+#include "tkc/core/dynamic_core.h"
 #include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/util/random.h"
 #include "tkc/verify/certificate.h"
@@ -137,6 +139,40 @@ TEST(ParallelPeelTest, OrderIsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.peel_sequence, base.peel_sequence) << threads << " threads";
     EXPECT_EQ(r.order, base.order) << threads << " threads";
     EXPECT_EQ(r.kappa, base.kappa) << threads << " threads";
+  }
+}
+
+TEST(ParallelPeelTest, FrontiersAboveTheGrainPeelOnThePool) {
+  // ~160k edges whose κ = 1 level alone holds tens of thousands of edges,
+  // so its frontiers are far above the peel's 4,096-edge grain and its
+  // sub-rounds walk, rank and sort on the pool. Every thread count and
+  // both triangle sources must give the same result, the result must be
+  // certified, and its order must be a k-order the maintainer accepts
+  // (its constructor checks rem(e) <= κ(e) for every edge).
+  Rng rng(2028);
+  const auto csr =
+      std::make_shared<const CsrGraph>(PowerLawCluster(20000, 8, 0.5, rng));
+  const TriangleCoreResult base = PeelAt(csr, 1);
+  std::vector<size_t> per_level(base.max_kappa + 1, 0);
+  csr->ForEachEdge([&](EdgeId e, const Edge&) { ++per_level[base.kappa[e]]; });
+  EXPECT_GT(*std::max_element(per_level.begin(), per_level.end()), 20000u);
+  for (int threads : {1, 2, 4, 7}) {
+    const AnalysisContext ctx(csr, threads);
+    const TriangleCoreResult store = ComputeTriangleCores(ctx);
+    const TriangleCoreResult recompute =
+        ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+    for (const TriangleCoreResult* r : {&store, &recompute}) {
+      EXPECT_EQ(r->kappa, base.kappa) << threads << " threads";
+      EXPECT_EQ(r->order, base.order) << threads << " threads";
+      EXPECT_EQ(r->peel_sequence, base.peel_sequence) << threads << " threads";
+      EXPECT_EQ(r->max_kappa, base.max_kappa);
+    }
+    verify::VerifyReport cert = verify::CheckKappaCertificate(*csr, store.kappa);
+    EXPECT_TRUE(cert.AllPassed())
+        << threads << " threads: " << cert.FirstFailure()->name;
+    const DynamicTriangleCore core(DeltaCsr(csr), store, ctx.TriangleIndex());
+    EXPECT_EQ(core.kappa(), base.kappa);
+    EXPECT_EQ(core.TriangleCount(), base.triangle_count);
   }
 }
 

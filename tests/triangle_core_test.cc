@@ -97,6 +97,9 @@ TEST(TriangleCoreTest, StorageModesAgree) {
     auto recomputed =
         ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
     EXPECT_EQ(stored.kappa, recomputed.kappa) << "seed=" << seed;
+    EXPECT_EQ(stored.order, recomputed.order) << "seed=" << seed;
+    EXPECT_EQ(stored.peel_sequence, recomputed.peel_sequence)
+        << "seed=" << seed;
     EXPECT_EQ(stored.max_kappa, recomputed.max_kappa);
     EXPECT_EQ(stored.triangle_count, recomputed.triangle_count);
   }

@@ -2,11 +2,11 @@
 # Sanitizer smoke run: configure, build, and drive the tier-1 test suite
 # under AddressSanitizer, ThreadSanitizer, and/or UndefinedBehaviorSanitizer
 # via the TKC_SANITIZE CMake option. TSan is the gate for the parallel
-# kernels (support counting and the DN-Graph sweeps); ASan covers the rest
-# of the read path; UBSan (with -fno-sanitize-recover=all) turns any
-# overflow/shift/alignment slip in the peel or the dynamic cascades into a
-# hard test failure. This script is the single entry point CI uses for its
-# sanitizer matrix legs.
+# kernels (support counting, the peel and the DN-Graph sweeps); ASan
+# covers the rest of the read path; UBSan (with -fno-sanitize-recover=all)
+# turns any overflow/shift/alignment slip in the peel or the dynamic
+# cascades into a hard test failure. This script is the single entry point
+# CI uses for its sanitizer matrix legs.
 #
 # usage: tools/sanitize_smoke.sh [address|thread|undefined|all]  (default: all)
 
@@ -34,30 +34,45 @@ run_one() {
   echo "== $sanitizer: ctest =="
   (cd "$build_dir" && UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --output-on-failure)
-  echo "== $sanitizer: parallel support + index CLI =="
-  # Drive the parallel support count and triangle-index fill through the
-  # CLI so the TSan leg exercises the concurrent passes (per-worker
-  # shards, atomic slot claims) on a real generated graph, not just the
-  # unit tests' small shapes.
+  echo "== $sanitizer: parallel support, index and peel CLI =="
+  # Drive the parallel support count, the triangle-index fill and the
+  # level-synchronous peel through the CLI so the TSan leg exercises the
+  # concurrent passes (per-worker shards, atomic slot claims, the peel's
+  # compare-and-swap decrements and its parallel filter and radix sort) on
+  # a real generated graph, not just the unit tests' small shapes. At
+  # ~160k edges its largest κ levels hold tens of thousands of edges, far
+  # above the peel's 4,096-edge grain, so the sub-rounds run on the pool.
   local smoke_dir
   smoke_dir="$(mktemp -d)"
-  "$build_dir/tools/tkc" generate plc --out="$smoke_dir/g.txt" \
-    --n=2000 --m=4 --seed=7
+  "$build_dir/tools/tkc" generate plc --out="$smoke_dir/peel.txt" \
+    --n=20000 --m=8 --seed=7
   # --trace-out makes the sanitized run also exercise the timeline
   # recorder's concurrent per-thread track registration and recording
   # (important for the TSan leg), and proves the artifact stays valid.
-  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
-    --trace-out="$smoke_dir/trace.json" > "$smoke_dir/kappa_par.txt"
+  "$build_dir/tools/tkc" decompose "$smoke_dir/peel.txt" --threads=4 \
+    --trace-out="$smoke_dir/trace.json" > "$smoke_dir/peel_par.txt"
   "$build_dir/tools/json_check" "$smoke_dir/trace.json" \
     --require=schema,traceEvents,tracks
-  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=1 \
-    > "$smoke_dir/kappa_ser.txt"
+  "$build_dir/tools/tkc" decompose "$smoke_dir/peel.txt" --threads=1 \
+    > "$smoke_dir/peel_ser.txt"
+  "$build_dir/tools/tkc" decompose "$smoke_dir/peel.txt" --threads=4 \
+    --mode=recompute > "$smoke_dir/peel_recompute.txt"
   # The trailing summary line embeds wall time; compare κ rows only.
-  if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
-            <(grep -v '^#' "$smoke_dir/kappa_ser.txt"); then
+  if ! diff <(grep -v '^#' "$smoke_dir/peel_par.txt") \
+            <(grep -v '^#' "$smoke_dir/peel_ser.txt"); then
     echo "!! 4-thread kappa differs from 1-thread kappa" >&2
     exit 1
   fi
+  if ! diff <(grep -v '^#' "$smoke_dir/peel_par.txt") \
+            <(grep -v '^#' "$smoke_dir/peel_recompute.txt"); then
+    echo "!! --mode=recompute kappa differs from --mode=store" >&2
+    exit 1
+  fi
+  # The smaller graph the ingest, cache and replay steps below share.
+  "$build_dir/tools/tkc" generate plc --out="$smoke_dir/g.txt" \
+    --n=2000 --m=4 --seed=7
+  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
+    > "$smoke_dir/kappa_par.txt"
   echo "== $sanitizer: ingest + graph cache CLI =="
   # Drive the mmap chunk parser and the .tkcg cache under the sanitizers:
   # chunked parse at 8 threads must match the 4-thread run row for row,
