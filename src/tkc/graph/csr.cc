@@ -18,19 +18,6 @@ CsrGraph::CsrGraph(const Graph& g, int threads)
                                    "CsrGraph::CsrGraph"));
 }
 
-CsrGraph CsrGraph::FromFrozenParts(std::vector<size_t> offsets,
-                                   NeighborArray entries,
-                                   std::vector<Edge> edges, int threads) {
-  TKC_SPAN("csr.freeze");
-  CsrGraph csr;
-  csr.offsets_ = std::move(offsets);
-  csr.entries_ = std::move(entries);
-  csr.edges_ = std::move(edges);
-  csr.edge_capacity_ = csr.edges_.size();
-  csr.FinishBuild(threads);
-  return csr;
-}
-
 namespace {
 
 #if TKC_CHECK_LEVEL >= 2
@@ -53,7 +40,6 @@ CsrGraph CsrGraph::FromEdgeTable(EdgeTable table, int threads) {
 #endif
   CsrGraph csr;
   csr.edges_ = std::move(table.edges);
-  csr.edge_capacity_ = csr.edges_.size();
   csr.ScatterEdgeTable(table.num_vertices, threads);
   csr.FinishBuild(threads);
   TKC_VERIFY_L2(verify::CheckOrDie(

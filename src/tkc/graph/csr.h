@@ -33,10 +33,6 @@ namespace tkc {
 /// adjacency lists.
 class CsrGraph {
  public:
-  /// Adjacency entry storage. resize() leaves it unwritten, so the
-  /// parallel scatters of a freeze are the first to touch its pages.
-  using NeighborArray = DefaultInitVector<Neighbor>;
-
   /// Freezes `g`. O(|V| + |E|). `threads` follows the ResolveThreads
   /// convention (0 = default); the parallel freeze is bit-identical to the
   /// serial one at any count.
@@ -59,26 +55,19 @@ class CsrGraph {
     return csr;
   }
 
-  /// Reassembles a snapshot from its frozen arrays — the binary graph
-  /// cache's load path (io/graph_cache). The inputs must be exactly what
-  /// Raw*() of the cached snapshot returned; the oriented view is rebuilt
-  /// and the structural audit of FinishBuild applies.
-  static CsrGraph FromFrozenParts(std::vector<size_t> offsets,
-                                  NeighborArray entries,
-                                  std::vector<Edge> edges, int threads = 1);
-
   /// Freezes a parsed edge table without a builder Graph: degree count,
   /// offsets prefix sum, entry scatter and per-vertex sort, then the same
   /// oriented view and audit as every other build. EdgeIds are the table's
   /// positions. The result is byte-identical to freezing the Graph that
-  /// AddEdge would build from the same rows, at any `threads`.
+  /// AddEdge would build from the same rows, at any `threads`. Text ingest
+  /// and the graph cache's load both end here.
   static CsrGraph FromEdgeTable(EdgeTable table, int threads = 1);
 
   VertexId NumVertices() const {
     return static_cast<VertexId>(offsets_.size() - 1);
   }
   size_t NumEdges() const { return entries_.size() / 2; }
-  size_t EdgeCapacity() const { return edge_capacity_; }
+  size_t EdgeCapacity() const { return edges_.size(); }
 
   uint32_t Degree(VertexId v) const {
     return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
@@ -182,23 +171,27 @@ class CsrGraph {
   }
 
   /// Thaws back into a mutable Graph PRESERVING EdgeIds, holes included —
-  /// the cache-served path for `tkc verify`.
+  /// what `tkc verify` hands its Graph oracles.
   Graph ThawPreservingIds() const;
 
-  /// Raw frozen arrays, exposed for the binary graph cache serializer
-  /// (io/graph_cache). Everything FromFrozenParts needs except the derived
-  /// oriented view, which the loader rebuilds.
+  /// Raw frozen arrays: the offsets, the sorted adjacency and the edge
+  /// table by EdgeId (holes included). Two snapshots are the same graph
+  /// with the same EdgeIds iff these compare equal.
   const std::vector<size_t>& RawOffsets() const { return offsets_; }
   std::span<const Neighbor> RawEntries() const { return entries_; }
   const std::vector<Edge>& RawEdges() const { return edges_; }
 
  private:
+  // Adjacency entry storage. resize() leaves it unwritten, so the parallel
+  // scatters of a freeze are the first to touch its pages.
+  using NeighborArray = DefaultInitVector<Neighbor>;
+
   CsrGraph() = default;
 
-  // Copies the adjacency, edge table, and capacity out of `g`; the oriented
-  // view and structural audit run afterwards in FinishBuild(). The entry
-  // copy is split per vertex range (disjoint writes, read-only source), the
-  // offsets prefix sum and EdgeId scatter stay serial.
+  // Copies the adjacency and the edge table (holes included) out of `g`;
+  // the oriented view and structural audit run afterwards in FinishBuild().
+  // The entry copy is split per vertex range (disjoint writes, read-only
+  // source), the offsets prefix sum and EdgeId scatter stay serial.
   template <typename GraphT>
   void InitFrom(const GraphT& g, int threads) {
     const VertexId n = g.NumVertices();
@@ -213,8 +206,7 @@ class CsrGraph {
         std::copy(adj.begin(), adj.end(), entries_.begin() + offsets_[v]);
       }
     });
-    edge_capacity_ = g.EdgeCapacity();
-    edges_.assign(edge_capacity_, Edge{});
+    edges_.assign(g.EdgeCapacity(), Edge{});
     g.ForEachEdge([&](EdgeId e, const Edge& edge) { edges_[e] = edge; });
   }
 
@@ -225,7 +217,6 @@ class CsrGraph {
   std::vector<size_t> offsets_;  // |V|+1
   NeighborArray entries_;        // 2|E|, sorted per vertex
   std::vector<Edge> edges_;      // by EdgeId (holes preserved)
-  size_t edge_capacity_ = 0;
   // Degree-ordered orientation (see class comment).
   std::vector<uint32_t> rank_;            // |V|, permutation
   std::vector<size_t> oriented_offsets_;  // |V|+1

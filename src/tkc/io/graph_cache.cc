@@ -1,20 +1,25 @@
 #include "tkc/io/graph_cache.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
+#include "tkc/util/default_init.h"
+#include "tkc/util/parallel.h"
 
 namespace tkc {
 
 namespace {
 
 constexpr char kMagic[4] = {'T', 'K', 'C', 'G'};
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8;
+static_assert(sizeof(Edge) == 8 && std::is_trivially_copyable_v<Edge>,
+              "the payload is the Edge array's bytes");
 
 constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
 constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
@@ -73,6 +78,59 @@ void Fail(CacheStatus why, const std::string& what, CacheStatus* status,
   }
   if (status != nullptr) *status = why;
   if (error != nullptr) *error = what;
+}
+
+// True iff two rows of `table` are equal; every row is u < v < |V|. A
+// repeat is a u seen twice among the rows of one v, so the lower
+// endpoints are bucketed by v (worker t counts and then scatters its own
+// EdgeId slice into its own slots of each bucket) and a sweep stamps each
+// u with the last bucket that held it. Buckets are keyed by v because a
+// graph grown vertex by vertex, as `tkc generate` writes one, lists each
+// new vertex's edges together, so the scatter writes nearly in order.
+bool HasRepeatedRow(const EdgeTable& table, int threads) {
+  const std::vector<Edge>& edges = table.edges;
+  const VertexId n = table.num_vertices;
+  const size_t m = edges.size();
+  const auto slices = static_cast<size_t>(threads);
+  std::vector<std::vector<uint32_t>> slot(slices);
+  ParallelFor(threads, slices, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      slot[t].assign(n, 0);
+      for (size_t e = m * t / slices; e < m * (t + 1) / slices; ++e) {
+        ++slot[t][edges[e].v];
+      }
+    }
+  });
+  // Bucket v starts at first[v]; slice t's rows of it at slot[t][v].
+  std::vector<uint32_t> first(size_t{n} + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    uint32_t at = first[v];
+    for (std::vector<uint32_t>& counts : slot) {
+      at += std::exchange(counts[v], at);
+    }
+    first[v + 1] = at;
+  }
+  DefaultInitVector<VertexId> lower(m);
+  ParallelFor(threads, slices, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      for (size_t e = m * t / slices; e < m * (t + 1) / slices; ++e) {
+        lower[slot[t][edges[e].v]++] = edges[e].u;
+      }
+    }
+  });
+  std::vector<uint8_t> repeated(slices, 0);
+  ParallelFor(threads, n, [&](int t, size_t begin, size_t end) {
+    std::vector<VertexId> stamp(n, kInvalidVertex);
+    bool repeat = false;
+    for (size_t v = begin; v < end; ++v) {
+      for (uint32_t i = first[v]; i < first[v + 1]; ++i) {
+        repeat |= stamp[lower[i]] == v;
+        stamp[lower[i]] = static_cast<VertexId>(v);
+      }
+    }
+    repeated[t] = repeat ? 1 : 0;
+  });
+  return std::find(repeated.begin(), repeated.end(), 1) != repeated.end();
 }
 
 }  // namespace
@@ -144,53 +202,33 @@ const char* CacheStatusName(CacheStatus status) {
 bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
                      std::string* error) {
   TKC_SPAN("cache.write");
-  const std::vector<size_t>& offsets = csr.RawOffsets();
-  const std::span<const Neighbor> entries = csr.RawEntries();
   const std::vector<Edge>& edges = csr.RawEdges();
-
-  // Assemble the payload in memory once: the checksum needs the exact
-  // bytes, and offsets widen to a fixed u64 on disk so the format does not
-  // depend on the host's size_t.
-  std::vector<unsigned char> payload;
-  payload.reserve(offsets.size() * 8 + entries.size() * 8 + edges.size() * 8);
-  auto append = [&payload](const void* data, size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    payload.insert(payload.end(), bytes, bytes + n);
+  auto fail = [error](const std::string& what) {
+    if (error != nullptr) *error = what;
+    return false;
   };
-  for (const size_t offset : offsets) {
-    const uint64_t wide = offset;
-    append(&wide, sizeof(wide));
+  if (csr.NumEdges() != edges.size()) {
+    return fail("snapshot has dead edge ids; a cache stores an edge table");
   }
-  for (const Neighbor& nb : entries) {
-    append(&nb.vertex, sizeof(nb.vertex));
-    append(&nb.edge, sizeof(nb.edge));
+  uint64_t top = 0;
+  for (const Edge& e : edges) top = std::max<uint64_t>(top, e.v);
+  if (csr.NumVertices() != (edges.empty() ? 0 : top + 1)) {
+    return fail("snapshot has vertices past its largest endpoint");
   }
-  for (const Edge& e : edges) {
-    append(&e.u, sizeof(e.u));
-    append(&e.v, sizeof(e.v));
-  }
+  const uint64_t payload_bytes = edges.size() * sizeof(Edge);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
+  if (!out) return fail("cannot open '" + path + "' for writing");
   out.write(kMagic, sizeof(kMagic));
   Put32(out, kGraphCacheVersion);
   Put64(out, csr.NumVertices());
-  Put64(out, entries.size());
   Put64(out, edges.size());
-  Put32(out, 0);  // reserved
-  Put32(out, 0);  // reserved
-  Put64(out, payload.size());
-  Put64(out, XxHash64(payload.data(), payload.size(), kGraphCacheVersion));
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
+  Put64(out, payload_bytes);
+  Put64(out, XxHash64(edges.data(), payload_bytes, kGraphCacheVersion));
+  out.write(reinterpret_cast<const char*>(edges.data()),
+            static_cast<std::streamsize>(payload_bytes));
   out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "short write to '" + path + "'";
-    return false;
-  }
+  if (!out) return fail("short write to '" + path + "'");
   obs::MetricsRegistry::Global().GetCounter("cache.writes").Add(1);
   return true;
 }
@@ -199,6 +237,7 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
                                        CacheStatus* status, std::string* error,
                                        GraphCacheInfo* info) {
   TKC_SPAN("cache.load");
+  threads = ResolveThreads(threads);
   auto& registry = obs::MetricsRegistry::Global();
   MappedFile file;
   if (!file.Open(path)) {
@@ -221,18 +260,13 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
     return std::nullopt;
   }
   GraphCacheInfo header;
-  uint32_t reserved[2] = {};
   if (!in.Take(&header.version, 4) || !in.Take(&header.num_vertices, 8) ||
-      !in.Take(&header.num_edges, 8) || !in.Take(&header.edge_capacity, 8) ||
-      !in.Take(reserved, sizeof(reserved)) ||
-      !in.Take(&header.payload_bytes, 8) || !in.Take(&header.checksum, 8)) {
+      !in.Take(&header.num_edges, 8) || !in.Take(&header.payload_bytes, 8) ||
+      !in.Take(&header.checksum, 8)) {
     Fail(CacheStatus::kTruncated, "file shorter than the header", status,
          error);
     return std::nullopt;
   }
-  // The header stores the entry count; expose it as edges for reporting.
-  const uint64_t num_entries = header.num_edges;
-  header.num_edges = num_entries / 2;
   if (info != nullptr) *info = header;
   if (header.version != kGraphCacheVersion) {
     Fail(CacheStatus::kBadVersion,
@@ -242,32 +276,20 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
          status, error);
     return std::nullopt;
   }
-  if (reserved[0] != 0 || reserved[1] != 0) {
-    Fail(CacheStatus::kBadStructure, "reserved header words are not zero",
-         status, error);
+  // Bound both counts by their id domains and the edge count by the file
+  // before anything is sized from them, so a crafted header can neither
+  // wrap the payload arithmetic nor ask for a giant allocation.
+  // num_vertices is held to the rows below, before the freeze sizes by it.
+  if (header.num_vertices >= kInvalidVertex ||
+      header.num_edges >= kInvalidEdge) {
+    Fail(CacheStatus::kBadStructure, "a count exceeds its id domain", status,
+         error);
     return std::nullopt;
   }
-  // Bound every count by its domain / the actual file size before sizing
-  // any allocation from header fields, so a crafted header cannot wrap the
-  // payload arithmetic or trigger a giant allocation.
-  if (header.num_vertices >= kInvalidVertex) {
-    Fail(CacheStatus::kBadStructure, "vertex count exceeds the id domain",
-         status, error);
-    return std::nullopt;
-  }
-  if (num_entries > in.remaining / 8 || header.edge_capacity > in.remaining / 8 ||
-      header.num_vertices > in.remaining / 8) {
+  if (header.num_edges > in.remaining / sizeof(Edge) ||
+      header.payload_bytes != header.num_edges * sizeof(Edge)) {
     Fail(CacheStatus::kTruncated, "payload shorter than the header declares",
          status, error);
-    return std::nullopt;
-  }
-  const uint64_t expected_payload =
-      (header.num_vertices + 1) * 8 + num_entries * 8 +
-      header.edge_capacity * 8;
-  if (header.payload_bytes != expected_payload ||
-      in.remaining < header.payload_bytes) {
-    Fail(CacheStatus::kTruncated,
-         "payload shorter than the header declares", status, error);
     return std::nullopt;
   }
   if (XxHash64(in.p, header.payload_bytes, kGraphCacheVersion) !=
@@ -277,55 +299,49 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
     return std::nullopt;
   }
 
-  const auto num_vertices = static_cast<size_t>(header.num_vertices);
-  std::vector<size_t> offsets(num_vertices + 1);
-  for (size_t i = 0; i < offsets.size(); ++i) {
-    uint64_t wide;
-    in.Take(&wide, sizeof(wide));
-    offsets[i] = static_cast<size_t>(wide);
-  }
-  CsrGraph::NeighborArray entries(static_cast<size_t>(num_entries));
-  for (Neighbor& nb : entries) {
-    in.Take(&nb.vertex, sizeof(nb.vertex));
-    in.Take(&nb.edge, sizeof(nb.edge));
-  }
-  std::vector<Edge> edges(static_cast<size_t>(header.edge_capacity));
-  for (Edge& e : edges) {
-    in.Take(&e.u, sizeof(e.u));
-    in.Take(&e.v, sizeof(e.v));
-  }
-
-  // Cheap structural sanity before any array is trusted: the checksum
-  // catches bit rot, this catches a well-checksummed file that was never a
-  // valid CSR (or was written by a buggy producer).
+  // Copy the rows and hold each to u < v in the same pass; chunk t
+  // records its largest endpoint and whether any of its rows broke that.
+  EdgeTable table;
+  table.num_vertices = static_cast<VertexId>(header.num_vertices);
+  table.edges.resize(static_cast<size_t>(header.num_edges));
+  Edge* rows = table.edges.data();
+  std::vector<VertexId> top(static_cast<size_t>(threads), 0);
+  std::vector<uint8_t> unordered(static_cast<size_t>(threads), 0);
+  ParallelFor(threads, table.edges.size(), [&](int t, size_t begin,
+                                               size_t end) {
+    std::memcpy(rows + begin, in.p + begin * sizeof(Edge),
+                (end - begin) * sizeof(Edge));
+    VertexId largest = 0;
+    bool bad = false;
+    for (size_t e = begin; e < end; ++e) {
+      bad |= rows[e].u >= rows[e].v;
+      largest = std::max(largest, rows[e].v);
+    }
+    top[t] = largest;
+    unordered[t] = bad ? 1 : 0;
+  });
   auto reject_structure = [&](const char* what) {
     Fail(CacheStatus::kBadStructure, what, status, error);
     return std::nullopt;
   };
-  if (offsets.front() != 0 || offsets.back() != entries.size()) {
-    return reject_structure("offsets do not span the entry array");
+  if (std::find(unordered.begin(), unordered.end(), 1) != unordered.end()) {
+    return reject_structure("an edge row is not u < v");
   }
-  for (size_t v = 0; v < num_vertices; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return reject_structure("offsets are not monotonic");
-    }
+  // Every endpoint is below |V| exactly when the largest one is |V| - 1.
+  const uint64_t largest = *std::max_element(top.begin(), top.end());
+  if (header.num_vertices != (table.edges.empty() ? 0 : largest + 1)) {
+    return reject_structure(
+        "num_vertices is not one past the largest endpoint");
   }
-  for (const Neighbor& nb : entries) {
-    if (nb.vertex >= num_vertices || nb.edge >= edges.size()) {
-      return reject_structure("adjacency entry out of range");
-    }
-  }
-  for (const Edge& e : edges) {
-    if (e.u == kInvalidVertex && e.v == kInvalidVertex) continue;  // hole
-    if (e.u >= num_vertices || e.v >= num_vertices || e.u >= e.v) {
-      return reject_structure("edge endpoints out of range");
-    }
+  // Before the freeze: its level-1 audit and level-2 mirror would abort
+  // on a repeated row instead of naming it.
+  if (HasRepeatedRow(table, threads)) {
+    return reject_structure("an edge row repeats");
   }
 
   registry.GetCounter("cache.hits").Add(1);
   registry.GetCounter("cache.bytes_loaded").Add(view.size());
-  return CsrGraph::FromFrozenParts(std::move(offsets), std::move(entries),
-                                   std::move(edges), threads);
+  return CsrGraph::FromEdgeTable(std::move(table), threads);
 }
 
 }  // namespace tkc

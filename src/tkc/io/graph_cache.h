@@ -9,28 +9,25 @@
 
 namespace tkc {
 
-/// Versioned binary graph snapshot (`.tkcg`): the frozen CSR arrays of a
-/// CsrGraph, written once after text ingest and mapped straight back into
-/// a snapshot on every later load — repeated serving skips parse + freeze
-/// entirely (the oriented view is rebuilt, which keeps the file free of
-/// derived data and the loader honest about what it trusts).
+/// Versioned binary graph snapshot (`.tkcg`): the edge table of a
+/// CsrGraph, its (u, v) rows in EdgeId order, behind a checksummed header.
+/// A load freezes the rows with the same CsrGraph::FromEdgeTable as text
+/// ingest, so a hit skips the parse and dedup and yields the snapshot text
+/// ingest would. The adjacency is derived, so it is not stored or trusted.
 ///
 /// Layout (fixed-width little-endian, native field order):
-///   magic "TKCG" | u32 version | u64 num_vertices | u64 num_entries
-///   | u64 edge_capacity | u32 reserved (0) | u32 reserved (0)
+///   magic "TKCG" | u32 version | u64 num_vertices | u64 num_edges
 ///   | u64 payload_bytes | u64 checksum | payload
-/// payload = offsets u64[V+1] ++ entries (u32 vertex, u32 edge)[num_entries]
-///   ++ edges (u32 u, u32 v)[edge_capacity]  (tombstones preserved)
+/// payload = edges (u32 u, u32 v)[num_edges], in EdgeId order
 ///
-/// Vertices are stored in source ids. Version 1 files could also carry a
-/// vertex permutation; they are refused as kBadVersion.
-///
-/// The checksum is XxHash64 over the payload, seeded with the format
-/// version, so corruption and truncation are both named rejections rather
-/// than downstream undefined behavior; a cheap structural scan (monotonic
-/// offsets, in-range ids) backs it up before any array is trusted.
+/// The checksum is XxHash64 over the payload, seeded with the version.
+/// Versions 1 and 2 (CSR arrays) are refused as kBadVersion. Before the
+/// freeze, at every TKC_CHECK_LEVEL, the rows are held to the table's
+/// contract: counts within their id domains and the file, every row
+/// u < v, num_vertices one past the largest endpoint (as text ingest
+/// counts it) and no row repeated. Each failure is named.
 
-inline constexpr uint32_t kGraphCacheVersion = 2;
+inline constexpr uint32_t kGraphCacheVersion = 3;
 
 /// Why a load was refused (kOk when it was not). Every rejection maps to
 /// one named reason the CLI reports next to exit code 2.
@@ -41,7 +38,7 @@ enum class CacheStatus {
   kBadVersion,         // format version this binary does not speak
   kTruncated,          // header or payload shorter than declared
   kChecksumMismatch,   // payload bytes corrupted
-  kBadStructure,       // checksum ok but arrays are not a valid CSR
+  kBadStructure,       // checksum ok but the rows are not an edge table
 };
 
 const char* CacheStatusName(CacheStatus status);
@@ -51,18 +48,19 @@ struct GraphCacheInfo {
   uint32_t version = 0;
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
-  uint64_t edge_capacity = 0;
   uint64_t payload_bytes = 0;
   uint64_t checksum = 0;
 };
 
-/// Serializes `csr` to `path`. Returns false (with `*error` describing the
-/// failure) on I/O errors.
+/// Writes the edge table of `csr` to `path`. Returns false (with `*error`
+/// describing the failure) on I/O errors, and without writing when `csr`
+/// is not a table the loader accepts: it has dead edge ids, or vertices
+/// past its largest endpoint. Text-frozen snapshots are always writable.
 bool WriteGraphCache(const CsrGraph& csr, const std::string& path,
                      std::string* error = nullptr);
 
-/// Loads a snapshot from `path`; `threads` parallelizes the oriented-view
-/// rebuild (ResolveThreads convention). On failure returns std::nullopt
+/// Loads a snapshot from `path`; `threads` parallelizes the row checks
+/// and the freeze (ResolveThreads convention). On failure returns std::nullopt
 /// with the named reason in `*status` (and a human sentence in `*error`).
 /// `*info`, when provided, receives the header even for some rejections.
 std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,

@@ -16,11 +16,11 @@ namespace tkc::verify {
 
 namespace {
 
-// "static.modes_agree": peel in recompute mode and require κ and triangle
-// counts to match the store-mode reference bit for bit. The peel *order*
-// is deliberately not compared: the modes visit triangles differently, so
-// ties in the bucket queue may break differently — only κ is contractual
-// (StorageModesAgree in the unit suite pins the same boundary).
+// "static.modes_agree": peel in recompute mode and require the triangle
+// count, κ and the processing order to match the store-mode reference bit
+// for bit. Both modes run the same level-synchronous peel, whose order
+// depends only on the graph (StorageModesAgree in the unit suite pins the
+// same property).
 InvariantCheck CrossCheckModes(const CsrGraph& csr,
                                const TriangleCoreResult& reference) {
   const char* name = "static.modes_agree";
@@ -40,6 +40,10 @@ InvariantCheck CrossCheckModes(const CsrGraph& csr,
     if (reference.kappa[e] != other.kappa[e]) {
       ce = {e, edge.u, edge.v, 0, other.kappa[e], reference.kappa[e],
             "storage modes disagree on kappa"};
+      ok = false;
+    } else if (reference.order[e] != other.order[e]) {
+      ce = {e, edge.u, edge.v, reference.kappa[e], other.order[e],
+            reference.order[e], "storage modes disagree on the order"};
       ok = false;
     }
   });

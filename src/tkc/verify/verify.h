@@ -26,8 +26,8 @@ struct VerifyOptions {
 ///   kappa.shape / kappa.soundness / kappa.maximality (on a fresh
 ///   Algorithm-1 decomposition in store mode, the peel every other command
 ///   runs), static.modes_agree (the recompute-mode peel must give the same
-///   κ and triangle count — the two storage modes are observationally
-///   equivalent per the paper's Section IV-A),
+///   triangle count, κ and processing order — the two storage modes are
+///   observationally equivalent per the paper's Section IV-A),
 ///   hierarchy.nesting, extraction.nesting,
 ///   dynamic.replay (when `events` is nonempty).
 /// Instrumented with verify.* spans and counters; serialize the result

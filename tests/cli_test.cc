@@ -1141,7 +1141,7 @@ TEST_F(CliTest, CacheBuildLoadAndServe) {
             0);
   EXPECT_NE(out.find("wrote " + cache), std::string::npos);
   ASSERT_EQ(RunTool({"cache", "load", cache}, &out), 0);
-  EXPECT_NE(out.find("version=2"), std::string::npos);
+  EXPECT_NE(out.find("version=3"), std::string::npos);
 
   // Rows served from the cache are byte-identical to text ingest.
   std::string text_rows, cache_rows;
@@ -1166,7 +1166,7 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 // `cache build` writes the same .tkcg bytes at any --threads, and so does
-// writing back what the cache loader (FromFrozenParts) reassembles. The
+// writing back the snapshot the cache loader freezes from them. The
 // text carries reversed duplicates and self-loops, so the parallel dedup's
 // duplicate branch is part of what is held fixed.
 TEST_F(CliTest, CacheBuildBytesIndependentOfThreads) {
@@ -1243,20 +1243,23 @@ TEST_F(CliTest, CorruptedGraphCacheIsHardErrorWithNamedReason) {
   EXPECT_NE(err.find("checksum_mismatch"), std::string::npos);
 }
 
-TEST_F(CliTest, VersionOneCacheRejected) {
-  // Version 1 caches could store a vertex permutation. Both a plain and a
-  // permuted v1 header are refused by name, never served.
-  const std::string cache = TempPath("cli_cache_v1.tkcg");
-  for (const char relabeled : {'\0', '\1'}) {
+TEST_F(CliTest, OlderVersionCachesRejected) {
+  // Version 1 caches could store a vertex permutation; versions 1 and 2
+  // stored the CSR arrays. A plain and a permuted v1 header and a v2
+  // header are each refused by name, never served.
+  const std::string cache = TempPath("cli_cache_old.tkcg");
+  const std::pair<char, char> headers[] = {
+      {'\1', '\0'}, {'\1', '\1'}, {'\2', '\0'}};
+  for (const auto& [version, relabeled] : headers) {
     std::string out, err;
     ASSERT_EQ(RunTool({"cache", "build", edges_path_, "--out=" + cache},
                       &out),
               0);
     {
-      // Header: magic[4] | u32 version | 3 × u64 counts | u32 relabeled.
+      // v1 header: magic[4] | u32 version | 3 × u64 counts | u32 relabeled.
       std::fstream file(cache, std::ios::in | std::ios::out | std::ios::binary);
       file.seekp(4);
-      file.put('\1');
+      file.put(version);
       file.seekp(32);
       file.put(relabeled);
     }
@@ -1265,6 +1268,8 @@ TEST_F(CliTest, VersionOneCacheRejected) {
               2);
     EXPECT_NE(err.find("rejected: bad_version"), std::string::npos) << err;
     EXPECT_NE(err.find("tkc cache build"), std::string::npos) << err;
+    EXPECT_EQ(RunTool({"cache", "load", cache}, &out, &err), 2);
+    EXPECT_NE(err.find("bad_version"), std::string::npos) << err;
   }
 }
 

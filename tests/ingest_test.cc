@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -390,6 +391,14 @@ TEST(ParallelIngestTest, FileReaderMatchesStreamReader) {
 
 class GraphCacheTest : public ::testing::Test {
  protected:
+  // Header: magic[4] | u32 version | u64 num_vertices | u64 num_edges
+  //   | u64 payload_bytes | u64 checksum, then the (u, v) rows.
+  static constexpr size_t kVerticesAt = 8;
+  static constexpr size_t kEdgesAt = 16;
+  static constexpr size_t kPayloadBytesAt = 24;
+  static constexpr size_t kChecksumAt = 32;
+  static constexpr size_t kPayloadAt = 40;
+
   void SetUp() override {
     Rng rng(7);
     graph_ = PowerLawCluster(600, 4, 0.3, rng);
@@ -407,10 +416,24 @@ class GraphCacheTest : public ::testing::Test {
     file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  // Re-signs `bytes` with the checksum of its payload and writes it, so
+  // only the structural checks can object to an edit.
+  void WriteSigned(std::vector<char> bytes) {
+    const uint64_t checksum =
+        XxHash64(bytes.data() + kPayloadAt, bytes.size() - kPayloadAt,
+                 kGraphCacheVersion);
+    std::memcpy(bytes.data() + kChecksumAt, &checksum, sizeof(checksum));
+    WriteBytes(bytes);
+  }
+
+  // The rejection a load at 1 thread names; a load at 4 threads (the row
+  // checks split over the pool) must name the same.
   CacheStatus LoadStatus() {
     CacheStatus status = CacheStatus::kOk;
-    auto loaded = LoadGraphCache(path_, 1, &status);
-    EXPECT_FALSE(loaded.has_value());
+    CacheStatus parallel_status = CacheStatus::kOk;
+    EXPECT_FALSE(LoadGraphCache(path_, 1, &status).has_value());
+    EXPECT_FALSE(LoadGraphCache(path_, 4, &parallel_status).has_value());
+    EXPECT_EQ(status, parallel_status);
     return status;
   }
 
@@ -465,18 +488,6 @@ TEST_F(GraphCacheTest, RejectsVersionMismatch) {
   }
 }
 
-TEST_F(GraphCacheTest, RejectsNonZeroReservedWord) {
-  ASSERT_TRUE(WriteGraphCache(CsrGraph::Freeze(graph_), path_));
-  const std::vector<char> good = ReadBytes();
-  // The two reserved u32 words sit after the three u64 counts.
-  for (const size_t offset : {size_t{32}, size_t{36}}) {
-    std::vector<char> bytes = good;
-    bytes[offset] = 1;
-    WriteBytes(bytes);
-    EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << offset;
-  }
-}
-
 TEST_F(GraphCacheTest, RejectsTruncation) {
   ASSERT_TRUE(WriteGraphCache(CsrGraph::Freeze(graph_), path_));
   std::vector<char> bytes = ReadBytes();
@@ -498,17 +509,90 @@ TEST_F(GraphCacheTest, RejectsFlippedPayloadByte) {
 TEST_F(GraphCacheTest, RejectsBadStructureEvenWithValidChecksum) {
   ASSERT_TRUE(WriteGraphCache(CsrGraph::Freeze(graph_), path_));
   std::vector<char> bytes = ReadBytes();
-  // Corrupt offsets[0] (first payload word), then re-sign the payload so
-  // only the structural validator can catch it.
-  const size_t kHeaderBytes = 56;
-  const uint64_t bogus = 0xDEADBEEFull;
-  std::memcpy(bytes.data() + kHeaderBytes, &bogus, sizeof(bogus));
-  const uint64_t checksum = XxHash64(bytes.data() + kHeaderBytes,
-                                     bytes.size() - kHeaderBytes,
-                                     kGraphCacheVersion);
-  std::memcpy(bytes.data() + 48, &checksum, sizeof(checksum));
-  WriteBytes(bytes);
+  // Retarget edge row 0 at a vertex the header does not have, then re-sign
+  // the payload so only the row checks can catch it.
+  const uint32_t bogus = 0xDEADBEEFu;
+  std::memcpy(bytes.data() + kPayloadAt + 4, &bogus, sizeof(bogus));
+  WriteSigned(bytes);
   EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure);
+}
+
+// Each file below has a valid checksum over rows that are not an edge
+// table; each loads as its named rejection, never as a graph and never as
+// a check abort (this suite also runs at TKC_CHECK_LEVEL=2).
+TEST_F(GraphCacheTest, RejectsRowsThatAreNotAnEdgeTable) {
+  ASSERT_TRUE(WriteGraphCache(CsrGraph::Freeze(graph_), path_));
+  const std::vector<char> good = ReadBytes();
+  const uint64_t num_vertices = graph_.NumVertices();
+  const uint64_t num_edges = graph_.NumEdges();
+  auto row = [](const std::vector<char>& bytes, size_t e) {
+    Edge edge;
+    std::memcpy(&edge, bytes.data() + kPayloadAt + e * sizeof(Edge),
+                sizeof(edge));
+    return edge;
+  };
+  auto with_row = [&](size_t e, Edge edge) {
+    std::vector<char> bytes = good;
+    std::memcpy(bytes.data() + kPayloadAt + e * sizeof(Edge), &edge,
+                sizeof(edge));
+    return bytes;
+  };
+  auto with_word = [&](size_t offset, uint64_t value) {
+    std::vector<char> bytes = good;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const Edge first = row(good, 0);
+
+  // A repeated row: row 1 becomes a copy of row 0.
+  WriteSigned(with_row(1, first));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "repeat";
+  // A reversed row (u > v).
+  WriteSigned(with_row(0, Edge{first.v, first.u}));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "reversed";
+  // An endpoint equal to |V|.
+  WriteSigned(with_row(0, Edge{first.u, static_cast<VertexId>(num_vertices)}));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "endpoint";
+  // A vertex count past the largest endpoint.
+  WriteSigned(with_word(kVerticesAt, num_vertices + 1));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "isolated tail";
+  // No vertices, and a row whose endpoint would wrap a 32-bit |V|.
+  std::vector<char> wraps = with_row(0, Edge{first.u, kInvalidVertex});
+  std::memset(wraps.data() + kVerticesAt, 0, sizeof(uint64_t));
+  WriteSigned(wraps);
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "wrapped count";
+  // A vertex count outside the id domain.
+  WriteSigned(with_word(kVerticesAt, kInvalidVertex));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "vertex domain";
+  // An edge count (and payload size) beyond the payload.
+  std::vector<char> longer = with_word(kEdgesAt, num_edges + 1);
+  const uint64_t longer_bytes = (num_edges + 1) * sizeof(Edge);
+  std::memcpy(longer.data() + kPayloadBytesAt, &longer_bytes,
+              sizeof(longer_bytes));
+  WriteSigned(longer);
+  EXPECT_EQ(LoadStatus(), CacheStatus::kTruncated) << "edge count";
+
+  // The untouched file still loads.
+  WriteSigned(good);
+  CacheStatus status = CacheStatus::kOk;
+  EXPECT_TRUE(LoadGraphCache(path_, 4, &status).has_value())
+      << CacheStatusName(status);
+}
+
+TEST_F(GraphCacheTest, WriteRefusesSnapshotsThatAreNotAnEdgeTable) {
+  std::remove(path_.c_str());
+  std::string error;
+  Graph holes = graph_;
+  holes.RemoveEdgeById(0);
+  EXPECT_FALSE(WriteGraphCache(CsrGraph::Freeze(holes), path_, &error));
+  EXPECT_NE(error.find("dead edge ids"), std::string::npos) << error;
+  Graph isolated_tail = graph_;
+  isolated_tail.AddVertex();
+  EXPECT_FALSE(
+      WriteGraphCache(CsrGraph::Freeze(isolated_tail), path_, &error));
+  EXPECT_NE(error.find("past its largest endpoint"), std::string::npos)
+      << error;
+  EXPECT_FALSE(std::ifstream(path_).good());
 }
 
 TEST_F(GraphCacheTest, StatusNamesAreStable) {

@@ -80,9 +80,10 @@ run_one() {
   # serve the identical decomposition. The TSan leg sees the per-chunk
   # tokenizer workers, the hash-partitioned dedup and its EdgeId
   # scatter, and the edge-table freeze's vertex-range scatter and
-  # oriented view, which every text load runs at --threads;
-  # ASan/UBSan cover the mmap lifetime and the checksum/structure
-  # validation on load.
+  # oriented view, which every text load and cache hit runs at
+  # --threads, plus the cache load's parallel row checks and
+  # repeated-row scan; ASan/UBSan cover the mmap lifetime and the
+  # checksum and row validation on load.
   "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=8 \
     > "$smoke_dir/kappa_ingest8.txt"
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
