@@ -99,20 +99,23 @@ ParsedArgs Parse(const std::vector<std::string>& args) {
 // does not fit its type (`--threads` feeds an int) is a usage error, and so
 // is a value outside its range: a negative count or size would wrap when
 // cast to an unsigned, `generate` takes --n and --m as uint32 counts,
-// R-MAT's --scale is a vertex-count exponent of at most 30, and --batch and
-// --check-every are strides of at least 1. All of this is checked before
-// any command reads its graph.
+// R-MAT's --scale is a vertex-count exponent of at most 30, --batch,
+// --check-every and --compact-edits are counts of at least 1, and
+// --threads is at most 256, since it sizes the worker pool and the text
+// parser's chunk count (a typo such as 100000 would ask for that many OS
+// threads). All of this is checked before any command reads its graph.
 bool NumericFlagsValid(const ParsedArgs& parsed, std::ostream& err) {
   static const std::set<std::string> kInt64Flags = {
       "width", "height", "max-nodes", "check-every", "batch", "query-every",
       "compact-edits", "min-size", "seed", "n", "m", "scale"};
   constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kU32Max = std::numeric_limits<uint32_t>::max();
+  constexpr int64_t kMaxThreads = 256;
   static const std::map<std::string, std::pair<int64_t, int64_t>> kRanges = {
-      {"threads", {0, kNoMax}},       {"width", {0, kNoMax}},
+      {"threads", {0, kMaxThreads}},  {"width", {0, kNoMax}},
       {"height", {0, kNoMax}},        {"max-nodes", {0, kNoMax}},
       {"batch", {1, kNoMax}},         {"check-every", {1, kNoMax}},
-      {"query-every", {0, kNoMax}},   {"compact-edits", {0, kNoMax}},
+      {"query-every", {0, kNoMax}},   {"compact-edits", {1, kNoMax}},
       {"min-size", {0, kNoMax}},      {"n", {0, kU32Max}},
       {"m", {0, kU32Max}},            {"scale", {1, 30}}};
   for (const auto& [key, text] : parsed.flags) {
@@ -560,14 +563,15 @@ int CmdReplay(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (!csr_ptr) return 2;
   const int64_t batch_size = args.FlagInt("batch", 64);
   const int64_t query_every = args.FlagInt("query-every", 0);
-  const int64_t compact_edits = args.FlagInt("compact-edits", 4096);
+  // Without the flag the engine picks the threshold from the base.
+  const int64_t compact_edits = args.FlagInt("compact-edits", 0);
   EventListStats estats;
   auto events = LoadEvents(events_path, err, ResolveThreads(0), &estats);
   if (!events) return 2;
 
   const bool verify = args.flags.count("verify") > 0;
   engine::EngineOptions options;
-  options.compaction_min_edits = static_cast<size_t>(compact_edits);
+  options.compaction_edits = static_cast<size_t>(compact_edits);
   options.verify_compactions = verify;
   engine::TkcEngine engine(std::move(csr_ptr), options);
 
@@ -847,11 +851,11 @@ void PrintUsage(std::ostream& err) {
          "or Perfetto)\n"
          "  --threads=N                         worker threads for parsing, "
          "freeze and\n"
-         "                                      the parallel kernels (0 = all "
-         "hardware\n"
-         "                                      threads; 1 = serial; output is "
-         "identical\n"
-         "                                      at any count)\n"
+         "                                      the parallel kernels, at most "
+         "256 (0 = all\n"
+         "                                      hardware threads; 1 = serial; "
+         "output is\n"
+         "                                      identical at any count)\n"
          "  --graph-cache=FILE                  serve the graph from a "
          ".tkcg binary\n"
          "                                      snapshot; built from the "

@@ -43,11 +43,11 @@ TkcEngine::TkcEngine(std::shared_ptr<const CsrGraph> base,
 
 bool TkcEngine::ShouldCompact() const {
   const DeltaCsr& g = dyn_.graph();
-  const size_t edits = g.EditsSinceCompaction();
-  if (edits == 0) return false;
-  if (edits < options_.compaction_min_edits) return false;
-  const double base_edges = static_cast<double>(g.base().NumEdges());
-  return static_cast<double>(edits) >= options_.compaction_ratio * base_edges;
+  const size_t threshold =
+      options_.compaction_edits != 0
+          ? options_.compaction_edits
+          : std::max<size_t>(4096, (g.base().NumEdges() + 3) / 4);
+  return g.EditsSinceCompaction() >= threshold;
 }
 
 BatchStats TkcEngine::ApplyBatch(std::span<const EdgeEvent> events) {

@@ -18,11 +18,10 @@ namespace tkc::engine {
 
 /// Compaction and verification policy for TkcEngine.
 struct EngineOptions {
-  /// Compact once at least this many edits have accumulated AND the edit
-  /// count exceeds `compaction_ratio` of the base's live edges. Zero means
-  /// "any edit count" for that criterion.
-  size_t compaction_min_edits = 4096;
-  double compaction_ratio = 0.25;
+  /// Compact once this many edits have accumulated since the last
+  /// compaction. Zero picks it from the current base: max(4096, a quarter
+  /// of the base's edges, rounded up).
+  size_t compaction_edits = 0;
 
   /// Run the independent κ-certificate (src/tkc/verify/) against the
   /// freshly frozen base at every compaction boundary, regardless of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
-#include "tkc/util/default_init.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -78,59 +78,6 @@ void Fail(CacheStatus why, const std::string& what, CacheStatus* status,
   }
   if (status != nullptr) *status = why;
   if (error != nullptr) *error = what;
-}
-
-// True iff two rows of `table` are equal; every row is u < v < |V|. A
-// repeat is a u seen twice among the rows of one v, so the lower
-// endpoints are bucketed by v (worker t counts and then scatters its own
-// EdgeId slice into its own slots of each bucket) and a sweep stamps each
-// u with the last bucket that held it. Buckets are keyed by v because a
-// graph grown vertex by vertex, as `tkc generate` writes one, lists each
-// new vertex's edges together, so the scatter writes nearly in order.
-bool HasRepeatedRow(const EdgeTable& table, int threads) {
-  const std::vector<Edge>& edges = table.edges;
-  const VertexId n = table.num_vertices;
-  const size_t m = edges.size();
-  const auto slices = static_cast<size_t>(threads);
-  std::vector<std::vector<uint32_t>> slot(slices);
-  ParallelFor(threads, slices, [&](int, size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) {
-      slot[t].assign(n, 0);
-      for (size_t e = m * t / slices; e < m * (t + 1) / slices; ++e) {
-        ++slot[t][edges[e].v];
-      }
-    }
-  });
-  // Bucket v starts at first[v]; slice t's rows of it at slot[t][v].
-  std::vector<uint32_t> first(size_t{n} + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    uint32_t at = first[v];
-    for (std::vector<uint32_t>& counts : slot) {
-      at += std::exchange(counts[v], at);
-    }
-    first[v + 1] = at;
-  }
-  DefaultInitVector<VertexId> lower(m);
-  ParallelFor(threads, slices, [&](int, size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) {
-      for (size_t e = m * t / slices; e < m * (t + 1) / slices; ++e) {
-        lower[slot[t][edges[e].v]++] = edges[e].u;
-      }
-    }
-  });
-  std::vector<uint8_t> repeated(slices, 0);
-  ParallelFor(threads, n, [&](int t, size_t begin, size_t end) {
-    std::vector<VertexId> stamp(n, kInvalidVertex);
-    bool repeat = false;
-    for (size_t v = begin; v < end; ++v) {
-      for (uint32_t i = first[v]; i < first[v + 1]; ++i) {
-        repeat |= stamp[lower[i]] == v;
-        stamp[lower[i]] = static_cast<VertexId>(v);
-      }
-    }
-    repeated[t] = repeat ? 1 : 0;
-  });
-  return std::find(repeated.begin(), repeated.end(), 1) != repeated.end();
 }
 
 }  // namespace
@@ -335,7 +282,16 @@ std::optional<CsrGraph> LoadGraphCache(const std::string& path, int threads,
   }
   // Before the freeze: its level-1 audit and level-2 mirror would abort
   // on a repeated row instead of naming it.
-  if (HasRepeatedRow(table, threads)) {
+  const size_t m = table.edges.size();
+  const auto slice_count = static_cast<size_t>(threads);
+  std::vector<std::span<const Edge>> slices;
+  for (size_t t = 0; t < slice_count; ++t) {
+    slices.emplace_back(rows + m * t / slice_count,
+                        rows + m * (t + 1) / slice_count);
+  }
+  const std::vector<uint8_t> repeated =
+      MarkRepeatedRows(slices, table.num_vertices, threads);
+  if (std::find(repeated.begin(), repeated.end(), 1) != repeated.end()) {
     return reject_structure("an edge row repeats");
   }
 

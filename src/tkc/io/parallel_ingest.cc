@@ -11,6 +11,7 @@
 #include "tkc/io/tokenizer.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/timeline.h"
+#include "tkc/util/default_init.h"
 #include "tkc/util/parallel.h"
 
 namespace tkc {
@@ -86,28 +87,10 @@ std::vector<size_t> ChunkBoundaries(std::string_view text, int chunks) {
   return bounds;
 }
 
-// splitmix64 finalizer over a packed (min,max) key: full-width mixing, so
-// the sequential low-id keys real datasets produce spread over both the
-// dedup partitions (top byte) and the table slots (low bits).
-uint64_t HashKey(uint64_t key) {
-  key ^= key >> 30;
-  key *= 0xBF58476D1CE4E5B9ull;
-  key ^= key >> 27;
-  key *= 0x94D049BB133111EBull;
-  key ^= key >> 31;
-  return key;
-}
-
-// The dedup key of a data row: its endpoints normalized to (min, max).
-uint64_t PackKey(VertexId u, VertexId v) {
-  return (static_cast<uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
-}
-
 struct EdgeChunk {
-  std::vector<uint64_t> keys;    // PackKey of each kData row, file order
-  std::vector<uint8_t> buckets;  // HashKey(key) >> 56: the dedup partition
-  EdgeListStats stats;           // line numbers are chunk-local (1-based)
-  VertexId num_vertices = 0;     // one past the largest id in `keys`
+  std::vector<Edge> rows;     // each kData row as (min, max), file order
+  EdgeListStats stats;        // line numbers are chunk-local (1-based)
+  VertexId num_vertices = 0;  // one past the largest id in `rows`
 };
 
 struct EventChunk {
@@ -136,10 +119,9 @@ void ParseEdgeChunk(std::string_view chunk, EdgeChunk* out) {
         ++out->stats.self_loops;
         break;
       case LineClass::kData: {
-        const uint64_t key = PackKey(u, v);
-        out->keys.push_back(key);
-        out->buckets.push_back(static_cast<uint8_t>(HashKey(key) >> 56));
-        out->num_vertices = std::max(out->num_vertices, std::max(u, v) + 1);
+        if (u > v) std::swap(u, v);
+        out->rows.push_back(Edge{u, v});
+        out->num_vertices = std::max(out->num_vertices, v + 1);
         break;
       }
     }
@@ -195,51 +177,6 @@ void MergeLineStats(const StatsT& chunk, uint64_t line_base, StatsT* total) {
   total->self_loops += chunk.self_loops;
 }
 
-// Flat open-addressing set over packed (min,max) endpoint keys: linear
-// probing over one power-of-two array (std::unordered_set's per-node
-// allocations once made the dedup ~90% of parse time). It is sized for one
-// partition's expected share and doubles at 3/4 load, since the input
-// decides how many keys a partition really gets.
-class EdgeKeySet {
- public:
-  explicit EdgeKeySet(size_t expected) {
-    size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    keys_.assign(cap, kEmpty);
-  }
-
-  /// True iff `key` was absent (and is now inserted).
-  bool Insert(uint64_t key) {
-    if (4 * (size_ + 1) > 3 * keys_.size()) Grow();
-    const size_t mask = keys_.size() - 1;
-    size_t slot = HashKey(key) & mask;
-    while (keys_[slot] != kEmpty) {
-      if (keys_[slot] == key) return false;
-      slot = (slot + 1) & mask;
-    }
-    keys_[slot] = key;
-    ++size_;
-    return true;
-  }
-
- private:
-  // ~0 packs (kInvalidVertex, kInvalidVertex), which the classifier
-  // rejects, so the sentinel never collides with a real edge key.
-  static constexpr uint64_t kEmpty = ~0ull;
-
-  void Grow() {
-    std::vector<uint64_t> old(keys_.size() * 2, kEmpty);
-    old.swap(keys_);
-    size_ = 0;
-    for (const uint64_t key : old) {
-      if (key != kEmpty) Insert(key);
-    }
-  }
-
-  size_t size_ = 0;
-  std::vector<uint64_t> keys_;
-};
-
 // The builder tail of ReadEdgeListFile: per-vertex adjacency vectors from
 // the edge table, each sorted by neighbor id. Worker t owns one contiguous
 // vertex range and scans the whole table twice (degrees, then entries),
@@ -279,6 +216,63 @@ Graph GraphFromEdgeTable(EdgeTable table, int threads) {
 
 }  // namespace
 
+std::vector<uint8_t> MarkRepeatedRows(
+    std::span<const std::span<const Edge>> slices, VertexId num_vertices,
+    int threads) {
+  const VertexId n = num_vertices;
+  const size_t num_slices = slices.size();
+  std::vector<size_t> row_base(num_slices + 1, 0);
+  for (size_t t = 0; t < num_slices; ++t) {
+    row_base[t + 1] = row_base[t] + slices[t].size();
+  }
+  // slot[t][v]: slice t's row count of bucket v, then its next slot there.
+  std::vector<std::vector<size_t>> slot(num_slices);
+  ParallelFor(threads, num_slices, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      slot[t].assign(n, 0);
+      for (const Edge& e : slices[t]) ++slot[t][e.v];
+    }
+  });
+  std::vector<size_t> first(size_t{n} + 1, 0);  // bucket v's first slot
+  for (VertexId v = 0; v < n; ++v) {
+    size_t at = first[v];
+    for (std::vector<size_t>& counts : slot) at += std::exchange(counts[v], at);
+    first[v + 1] = at;
+  }
+  DefaultInitVector<VertexId> entry(row_base[num_slices]);
+  ParallelFor(threads, num_slices, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      for (const Edge& e : slices[t]) entry[slot[t][e.v]++] = e.u;
+    }
+  });
+  // Each entry's lower endpoint is replaced by its verdict: 1 iff the
+  // bucket already held that u.
+  ParallelFor(threads, n, [&](int, size_t begin, size_t end) {
+    std::vector<VertexId> stamp(n, kInvalidVertex);
+    for (size_t v = begin; v < end; ++v) {
+      for (size_t i = first[v]; i < first[v + 1]; ++i) {
+        const VertexId u = entry[i];
+        entry[i] = stamp[u] == v ? 1 : 0;
+        stamp[u] = static_cast<VertexId>(v);
+      }
+    }
+  });
+  // slot[t][v] is now one past slice t's last entry in bucket v, so the
+  // slice's rows, walked backwards, meet their own entries in reverse.
+  std::vector<uint8_t> repeated(row_base[num_slices]);
+  ParallelFor(threads, num_slices, [&](int, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      const std::span<const Edge> rows = slices[t];
+      for (size_t i = rows.size(); i-- > 0;) {
+        repeated[row_base[t] + i] =
+            static_cast<uint8_t>(entry[--slot[t][rows[i].v]]);
+      }
+      std::vector<size_t>().swap(slot[t]);
+    }
+  });
+  return repeated;
+}
+
 EdgeTable ParseEdgeTable(std::string_view text, int threads,
                          EdgeListStats* stats) {
   TKC_SPAN("io.parse.edges");
@@ -295,60 +289,42 @@ EdgeTable ParseEdgeTable(std::string_view text, int threads,
   });
 
   EdgeTable table;
+  std::vector<std::span<const Edge>> slices(num_chunks);
   std::vector<size_t> row_base(num_chunks + 1, 0);
   uint64_t line_base = 0;
   for (size_t c = 0; c < num_chunks; ++c) {
     MergeLineStats(chunks[c].stats, line_base, &total);
     line_base += chunks[c].stats.lines;
-    row_base[c + 1] = row_base[c] + chunks[c].keys.size();
+    slices[c] = chunks[c].rows;
+    row_base[c + 1] = row_base[c] + chunks[c].rows.size();
     // A duplicate row has the endpoints of the row it repeats, so the
     // largest id over all rows is the largest over the kept ones.
     table.num_vertices = std::max(table.num_vertices, chunks[c].num_vertices);
   }
   const size_t row_count = row_base[num_chunks];
 
-  // Parallel dedup by hash partition. Worker p owns the keys whose hash
-  // bucket maps to p, walks every row in global (chunk, row) order and
-  // keeps a row iff its key is new to p's table, so each key's first
-  // occurrence wins exactly as in the serial stream reader. A worker writes
-  // only the flags of its own rows and its own row of counts.
   TKC_SPAN("io.parse.dedup");
-  const size_t parts = static_cast<size_t>(threads);
-  std::vector<uint8_t> duplicate(row_count, 0);
-  std::vector<size_t> dup_count(parts * num_chunks, 0);  // [part][chunk]
-  ParallelFor(threads, parts, [&](int, size_t begin, size_t end) {
-    for (size_t p = begin; p < end; ++p) {
-      EdgeKeySet seen(row_count / parts);
-      for (size_t c = 0; c < num_chunks; ++c) {
-        const EdgeChunk& chunk = chunks[c];
-        for (size_t i = 0; i < chunk.keys.size(); ++i) {
-          if (chunk.buckets[i] * parts >> 8 != p) continue;
-          if (!seen.Insert(chunk.keys[i])) {
-            duplicate[row_base[c] + i] = 1;
-            ++dup_count[p * num_chunks + c];
-          }
-        }
-      }
-    }
-  });
+  const std::vector<uint8_t> repeated =
+      MarkRepeatedRows(slices, table.num_vertices, threads);
 
   // EdgeIds: each chunk's kept rows start at the prefix sum of the kept
   // counts before it, and the chunks scatter in parallel.
   std::vector<size_t> edge_base(num_chunks + 1, 0);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t dups = 0;
-    for (size_t p = 0; p < parts; ++p) dups += dup_count[p * num_chunks + c];
-    edge_base[c + 1] = edge_base[c] + chunks[c].keys.size() - dups;
-  }
+  ParallelFor(threads, num_chunks, [&](int, size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      edge_base[c + 1] = static_cast<size_t>(
+          std::count(repeated.begin() + row_base[c],
+                     repeated.begin() + row_base[c + 1], 0));
+    }
+  });
+  for (size_t c = 0; c < num_chunks; ++c) edge_base[c + 1] += edge_base[c];
   table.edges.resize(edge_base[num_chunks]);
   ParallelFor(threads, num_chunks, [&](int, size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
       Edge* out = table.edges.data() + edge_base[c];
-      const std::vector<uint64_t>& keys = chunks[c].keys;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (duplicate[row_base[c] + i] != 0) continue;
-        *out++ = Edge{static_cast<VertexId>(keys[i] >> 32),
-                      static_cast<VertexId>(keys[i])};
+      const std::vector<Edge>& rows = chunks[c].rows;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (repeated[row_base[c] + i] == 0) *out++ = rows[i];
       }
       chunks[c] = EdgeChunk{};  // the rows are in the table now
     }

@@ -721,6 +721,39 @@ TEST_F(CliTest, ReplayStreamsEventsThroughEngine) {
   EXPECT_EQ(dyn_batch.FindPath("counters")->Find("events")->Number(), 5.0);
 }
 
+// --compact-edits=N is the whole policy: the engine compacts once N edits
+// have accumulated, even when N is below a quarter of the base's edges.
+TEST_F(CliTest, ReplayCompactsEveryCompactEditsEdits) {
+  Rng rng(17);
+  const Graph base = PowerLawCluster(100, 3, 0.5, rng);
+  ASSERT_GT(base.NumEdges(), 4u * 8u);
+  const std::string base_path = TempPath("cli_compact_base.txt");
+  const std::string events_path = TempPath("cli_compact_events.txt");
+  ASSERT_TRUE(WriteEdgeListFile(base, base_path));
+  {
+    std::ofstream ev(events_path);
+    base.ForEachEdge([&](EdgeId e, const Edge& edge) {
+      if (e < 24) ev << "- " << edge.u << ' ' << edge.v << '\n';
+    });
+  }
+  auto compactions = [&](const std::string& flag) {
+    std::vector<std::string> args = {"replay", base_path,
+                                     "--events=" + events_path, "--batch=4"};
+    if (!flag.empty()) args.push_back(flag);
+    std::string out;
+    EXPECT_EQ(RunTool(args, &out), 0) << flag;
+    const std::regex pattern(" compactions=([0-9]+)");
+    std::smatch match;
+    EXPECT_TRUE(std::regex_search(out, match, pattern)) << out;
+    return match.empty() ? 0 : std::stoi(match[1]);
+  };
+  // 24 removals in batches of 4: a compaction after every second batch.
+  EXPECT_EQ(compactions("--compact-edits=8"), 3);
+  // The default is max(4096, a quarter of the base): only the final one.
+  EXPECT_EQ(compactions(""), 1);
+  EXPECT_EQ(compactions("--compact-edits=4096"), 1);
+}
+
 TEST_F(CliTest, ReplayRequiresEventsFlag) {
   std::string out, err;
   EXPECT_EQ(RunTool({"replay", edges_path_}, &out, &err), 2);
@@ -1063,6 +1096,10 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
           {{"decompose", edges_path_, "--threads=99999999999999999999"},
            "--threads"},
           {{"decompose", edges_path_, "--threads=4294967297"}, "--threads"},
+          // --threads sizes the worker pool: 257 would start 256 OS threads.
+          {{"decompose", edges_path_, "--threads=257"}, "--threads"},
+          {{"replay", edges_path_, events, "--compact-edits=0"},
+           "--compact-edits"},
           {{"replay", edges_path_, events, "--batch=x"}, "--batch"},
           {{"replay", edges_path_, events, "--batch=99999999999999999999"},
            "--batch"},
@@ -1115,6 +1152,9 @@ TEST_F(CliTest, NonNumericFlagValuesExitTwo) {
   std::string out, err;
   RunTool({"plot", edges_path_, "--height=-1"}, &out, &err);
   EXPECT_NE(err.find("error: --height must be >= 0\n"), std::string::npos);
+  RunTool({"decompose", edges_path_, "--threads=257"}, &out, &err);
+  EXPECT_NE(err.find("error: --threads must be in 0..256 (got 257)\n"),
+            std::string::npos);
   RunTool({"generate", "rmat", "--out=" + TempPath("cli_nan.txt"),
            "--scale=31"},
           &out, &err);

@@ -54,8 +54,7 @@ TEST(EngineTest, BatchedIngestMatchesScratchRecompute) {
   std::vector<EdgeEvent> events = MakeEvents(&shadow, &rng, 600, 0.65);
 
   EngineOptions options;
-  options.compaction_min_edits = 128;  // force several mid-stream epochs
-  options.compaction_ratio = 0.0;
+  options.compaction_edits = 128;  // force several mid-stream epochs
   options.verify_compactions = true;
   TkcEngine engine(base, options);
 
@@ -113,7 +112,7 @@ TEST(EngineTest, SeededTriangleCountMatchesRecount) {
   Graph base = PowerLawCluster(150, 4, 0.5, rng);
   Graph shadow = base;
   EngineOptions options;
-  options.compaction_min_edits = 1u << 20;  // only explicit compactions
+  options.compaction_edits = 1u << 20;  // only explicit compactions
   TkcEngine engine(base, options);
   auto apply = [&](int count) {
     std::vector<EdgeEvent> events = MakeEvents(&shadow, &rng, count, 0.5);
@@ -149,7 +148,7 @@ TEST(EngineTest, EpochAdvancesOnlyAtCompaction) {
   base.AddEdge(1, 2);
   base.AddEdge(0, 2);
   EngineOptions options;
-  options.compaction_min_edits = 1u << 30;  // never auto-compact
+  options.compaction_edits = 1u << 30;  // never auto-compact
   TkcEngine engine(base, options);
   EXPECT_EQ(engine.epoch(), 0u);
 
@@ -182,8 +181,7 @@ TEST(EngineTest, OldSnapshotsSurviveLaterMutationAndCompaction) {
   Graph base = GnmRandom(60, 150, rng);
   Graph shadow = base;
   EngineOptions options;
-  options.compaction_min_edits = 0;  // compact after every batch
-  options.compaction_ratio = 0.0;
+  options.compaction_edits = 1;  // compact after every batch
   TkcEngine engine(base, options);
 
   EngineSnapshot old_snap = engine.Snapshot();

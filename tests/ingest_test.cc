@@ -236,9 +236,10 @@ TEST(DirectBuildTest, ReversedDuplicatesAcrossChunks) {
   }
 }
 
-TEST(DirectBuildTest, DuplicatesInEveryPartition) {
-  // 64 distinct keys, each repeated (reversed, then forward) after filler:
-  // the keys hash over every partition of an 8-worker dedup.
+TEST(DirectBuildTest, RepeatsInManyBucketsAndChunks) {
+  // 64 distinct rows, one per upper endpoint, each repeated (reversed,
+  // then forward) after filler: the repeats fill 64 buckets from chunks
+  // after the one holding the first occurrences.
   std::string text;
   for (VertexId k = 0; k < 64; ++k) {
     text += std::to_string(2 * k) + ' ' + std::to_string(5000 + k) + '\n';
@@ -252,29 +253,43 @@ TEST(DirectBuildTest, DuplicatesInEveryPartition) {
   ExpectDirectBuildMatchesStreamReader(text);
 }
 
-TEST(DirectBuildTest, OnePartitionGetsEveryKey) {
-  // Rows whose keys all hash into the first of 8 dedup partitions (the
-  // partition is the top byte of the splitmix64 of the packed (min, max)
-  // key, as in parallel_ingest.cc), each repeated reversed: that worker's
-  // table, sized for an eighth of the rows, has to grow several times.
-  auto bucket = [](uint64_t key) {
-    key ^= key >> 30;
-    key *= 0xBF58476D1CE4E5B9ull;
-    key ^= key >> 27;
-    key *= 0x94D049BB133111EBull;
-    key ^= key >> 31;
-    return key >> 56;
-  };
+TEST(DirectBuildTest, OneBucketGetsEveryRow) {
+  // Every row shares the upper endpoint 5000, so every chunk scatters into
+  // the one bucket, and each row is repeated reversed in a later chunk.
   std::string text;
   std::string repeats;
-  for (uint64_t u = 0, kept = 0; kept < 1500; ++u) {
-    const uint64_t v = u + 1 + u % 7;
-    if (bucket((u << 32) | v) >= 32) continue;
-    text += std::to_string(u) + ' ' + std::to_string(v) + '\n';
-    repeats += std::to_string(v) + ' ' + std::to_string(u) + '\n';
-    ++kept;
+  for (VertexId u = 0; u < 1500; ++u) {
+    const VertexId lower = (u * 7) % 1500;
+    text += std::to_string(lower) + " 5000\n";
+    repeats += "5000 " + std::to_string(lower) + '\n';
   }
   ExpectDirectBuildMatchesStreamReader(text + repeats);
+}
+
+TEST(DirectBuildTest, ShuffledRepeatsLandAnywhere) {
+  // A graph's rows plus a forward and a reversed copy of a third of them,
+  // shuffled: first occurrences, repeats and reversed repeats fall in any
+  // chunk and in any order within a bucket.
+  Rng rng(29);
+  const Graph g = PowerLawCluster(800, 5, 0.4, rng);
+  std::vector<std::string> rows;
+  g.ForEachEdge([&](EdgeId e, const Edge& edge) {
+    const std::string u = std::to_string(edge.u);
+    const std::string v = std::to_string(edge.v);
+    rows.push_back(u + ' ' + v);
+    if (e % 3 == 0) {
+      rows.push_back(v + ' ' + u);
+      rows.push_back(u + ' ' + v);
+    }
+  });
+  rng.Shuffle(rows);
+  std::string text;
+  for (const std::string& row : rows) text += row + '\n';
+  ExpectDirectBuildMatchesStreamReader(text);
+  EdgeListStats stats;
+  DirectBuild(text, 8, &stats);
+  EXPECT_EQ(stats.edges_added, g.NumEdges());
+  EXPECT_EQ(stats.duplicate_edges, rows.size() - g.NumEdges());
 }
 
 TEST(DirectBuildTest, SelfLoopsAndMalformedRows) {
@@ -571,6 +586,17 @@ TEST_F(GraphCacheTest, RejectsRowsThatAreNotAnEdgeTable) {
               sizeof(longer_bytes));
   WriteSigned(longer);
   EXPECT_EQ(LoadStatus(), CacheStatus::kTruncated) << "edge count";
+
+  // A repeat in the last of four slices of a row in the first: its
+  // bucket is filled from both ends of the table.
+  size_t late = num_edges - 1;
+  while (row(good, late).v + 1 == num_vertices) --late;
+  ASSERT_GT(late, 3 * num_edges / 4);
+  WriteSigned(with_row(late, first));
+  EXPECT_EQ(LoadStatus(), CacheStatus::kBadStructure) << "late repeat";
+  std::string detail;
+  EXPECT_FALSE(LoadGraphCache(path_, 4, nullptr, &detail).has_value());
+  EXPECT_EQ(detail, "an edge row repeats");
 
   // The untouched file still loads.
   WriteSigned(good);

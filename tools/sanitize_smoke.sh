@@ -78,12 +78,13 @@ run_one() {
   # chunked parse at 8 threads must match the 4-thread run row for row,
   # and a cache round trip (build → read-through load) must
   # serve the identical decomposition. The TSan leg sees the per-chunk
-  # tokenizer workers, the hash-partitioned dedup and its EdgeId
+  # tokenizer workers, the repeated-row marking (per-slice bucket counts
+  # and scatter, then the per-range stamp sweep) and its EdgeId
   # scatter, and the edge-table freeze's vertex-range scatter and
   # oriented view, which every text load and cache hit runs at
-  # --threads, plus the cache load's parallel row checks and
-  # repeated-row scan; ASan/UBSan cover the mmap lifetime and the
-  # checksum and row validation on load.
+  # --threads, plus the cache load's parallel row checks and the same
+  # repeated-row marking over its table; ASan/UBSan cover the mmap
+  # lifetime and the checksum and row validation on load.
   "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=8 \
     > "$smoke_dir/kappa_ingest8.txt"
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
